@@ -47,7 +47,7 @@ double fitted_exponent(
       [&](std::size_t n, std::uint64_t s) {
         return best_cost(factory_at(n), n, s);
       },
-      ctx.threads());
+      {.threads = ctx.threads()});
   // The no-fit contract: never quote the default slope 0.0 as measured.
   SFS_REQUIRE(series.has_fit(), "A2: no usable exponent fit");
   return series.fit.slope;

@@ -16,6 +16,7 @@
 
 #include "core/theory.hpp"
 #include "gen/mori.hpp"
+#include "search/policy.hpp"
 #include "sim/experiment.hpp"
 #include "sim/table.hpp"
 #include "sim/sweep.hpp"
@@ -50,7 +51,7 @@ void run_config(ExperimentContext& ctx, double p, std::size_t m,
       [&](std::size_t n, std::uint64_t seed) {
         return portfolio_best(n, seed).best_policy().requests.mean;
       },
-      ctx.threads());
+      {.threads = ctx.threads()});
   sfs::sim::print_scaling(
       "E1: weak-model requests to find vertex n, Mori " + tag, series,
       "best requests", sfs::core::theory::weak_lower_bound_exponent(),
@@ -145,11 +146,14 @@ int run_grid(ExperimentContext& ctx) {
 }
 
 int run_e1(ExperimentContext& ctx) {
+  const std::size_t portfolio_size =
+      sfs::search::resolve_policies(sfs::search::KnowledgeModel::kWeak, {})
+          .size();
   ctx.console()
       << "Theorem 1 (weak model): expected requests = Omega(sqrt(n)) "
          "for ALL weak-model algorithms.\n"
-         "Empirical stand-in for 'all algorithms': min over an "
-         "8-policy portfolio.\n\n";
+         "Empirical stand-in for 'all algorithms': min over a "
+      << portfolio_size << "-policy portfolio.\n\n";
   if (ctx.options.large || ctx.options.quick) return run_grid(ctx);
   const auto sizes = ctx.sizes_or({1024, 2048, 4096, 8192, 16384});
   const auto reps = ctx.reps_or(5);

@@ -42,7 +42,7 @@ void run_p(ExperimentContext& ctx, double p,
         });
         return cost.best_policy().requests.mean;
       },
-      ctx.threads());
+      {.threads = ctx.threads()});
   sfs::sim::print_scaling(
       "E2: strong-model requests to find vertex n, Mori " + tag, series,
       "best requests", sfs::core::theory::strong_lower_bound_exponent(p),

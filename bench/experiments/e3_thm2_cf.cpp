@@ -85,7 +85,7 @@ int run_e3(ExperimentContext& ctx) {
           });
           return cost.best_policy().requests.mean;
         },
-        ctx.threads());
+        {.threads = ctx.threads()});
     sfs::sim::print_scaling(
         "E3: weak-model requests, Cooper-Frieze " + preset.name, series,
         "best requests", sfs::core::theory::weak_lower_bound_exponent(),

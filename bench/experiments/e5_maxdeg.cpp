@@ -35,7 +35,7 @@ int run_e5(ExperimentContext& ctx) {
           return static_cast<double>(
               sfs::graph::max_degree(g, sfs::graph::DegreeKind::kIn));
         },
-        ctx.threads());
+        {.threads = ctx.threads()});
     sfs::sim::print_scaling(
         "E5: max indegree of Mori tree, " + tag, series, "max degree",
         sfs::core::theory::mori_max_degree_exponent(p), "t^p exponent",

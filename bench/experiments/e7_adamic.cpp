@@ -85,7 +85,7 @@ int run_e7(ExperimentContext& ctx) {
         [k](std::size_t n, std::uint64_t seed) {
           return std::max(1.0, greedy_cost(n, k, seed));
         },
-        ctx.threads());
+        {.threads = ctx.threads()});
     sfs::sim::print_scaling(
         "E7: degree-greedy steps, " + tag, greedy, "greedy steps",
         sfs::core::theory::adamic_greedy_exponent(k), "2(1-2/k)",
@@ -96,7 +96,7 @@ int run_e7(ExperimentContext& ctx) {
         [k](std::size_t n, std::uint64_t seed) {
           return std::max(1.0, walk_cost(n, k, seed));
         },
-        ctx.threads());
+        {.threads = ctx.threads()});
     sfs::sim::print_scaling(
         "E7: random-walk steps, " + tag, walk, "walk steps",
         sfs::core::theory::adamic_random_walk_exponent(k), "3(1-2/k)",

@@ -16,9 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "base/parallel.hpp"
 #include "gen/mori.hpp"
 #include "sim/experiment.hpp"
-#include "sim/parallel.hpp"
 #include "sim/sweep.hpp"
 #include "sim/table.hpp"
 
@@ -97,7 +97,7 @@ int run_m3(ExperimentContext& ctx) {
                         : std::vector<std::size_t>{10000, 30000, 100000});
   const std::size_t reps = ctx.reps_or(ctx.options.quick ? 4 : 8);
   const std::size_t par_threads = ctx.threads();
-  const std::size_t workers = sfs::sim::resolve_worker_count(par_threads);
+  const std::size_t workers = sfs::base::resolve_worker_count(par_threads);
   ctx.console() << "M3: parallel replication engine, weak portfolio on "
                    "merged Mori graphs (m=2, p=0.5), "
                 << reps << " reps, " << workers << " worker(s)\n\n";

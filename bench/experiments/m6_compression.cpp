@@ -1,28 +1,27 @@
-// M6 — out-of-core substrate audit: CompressedGraph codecs head-to-head
-// plus the snapshot write→mmap→replay path.
+// M6 — out-of-core substrate audit: CompressedGraph footprint and decode
+// rate plus the snapshot write→mmap→replay path.
 //
 // Three stages:
 //
 //  1. ROUND-TRIP AUDIT — every generator family (Móri tree, merged Móri,
 //     Barabási–Albert, configuration model, Cooper–Frieze, Erdős–Rényi,
-//     Kleinberg) is compressed under BOTH row codecs and decompressed;
-//     any deviation from the original graph (edge list or adjacency) is
-//     a failure (exit 1). This is the same contract tests/test_compressed
-//     checks, re-asserted here at bench scale so the measured ratios
-//     below are ratios of a lossless encoding.
+//     Kleinberg) is compressed and decompressed; any deviation from the
+//     original graph (edge list or adjacency) is a failure (exit 1). This
+//     is the same contract tests/test_compressed checks, re-asserted here
+//     at bench scale so the measured ratio below is the ratio of a
+//     lossless encoding.
 //  2. SNAPSHOT SMOKE — the measurement graph is written to a versioned
 //     snapshot, mapped back read-only, and replayed row-by-row against
 //     the in-memory original (exit 1 on any divergence).
 //  3. MEASUREMENT — on the preferential-attachment workhorse of the E1
-//     grid (merged Móri m=1, p=0.5; quick n=65536, full n=1048576), per
-//     codec: compressed footprint vs graph_memory_bytes, and sequential
+//     grid (merged Móri m=1, p=0.5; quick n=65536, full n=1048576): the
+//     compressed footprint vs graph_memory_bytes, and sequential
 //     full-graph decode throughput in million adjacency slots per second
 //     through the per-worker AdjacencyDecodeBuffer. Full mode enforces
-//     the substrate contract — the BEST codec's ratio >= 4.0 (exit 1) —
-//     while quick mode only reports, since tiny graphs amortize the
-//     per-row headers worse.
+//     the substrate contract — ratio >= 4.0 (exit 1) — while quick mode
+//     only reports: a small-n ratio is not the substrate's ratio.
 //
-// BENCH_JSON: one record per codec —
+// BENCH_JSON: one record, case "varint" (the row codec) —
 //   {bench, case, n, edges, graph_bytes, compressed_bytes, ratio,
 //    decode_mslots_per_s, bit_identical}
 // committed as BENCH_m6.json (scripts/capture_baselines.sh, guarded by
@@ -50,12 +49,11 @@ namespace {
 using sfs::graph::AdjacencyDecodeBuffer;
 using sfs::graph::CompressedGraph;
 using sfs::graph::Graph;
-using sfs::graph::RowCodec;
 using sfs::graph::VertexId;
 using sfs::rng::Rng;
 using sfs::sim::ExperimentContext;
 
-constexpr RowCodec kCodecs[] = {RowCodec::kVarint, RowCodec::kEliasFano};
+constexpr const char* kCodec = "varint";
 constexpr double kRequiredRatio = 4.0;
 
 bool graphs_equal(const Graph& a, const Graph& b) {
@@ -89,8 +87,8 @@ bool rows_match(const sfs::graph::CompressedView& view, const Graph& g,
   return true;
 }
 
-// Stage 1: compress + decompress every generator family under one codec.
-int audit_round_trips(ExperimentContext& ctx, RowCodec codec) {
+// Stage 1: compress + decompress every generator family.
+int audit_round_trips(ExperimentContext& ctx) {
   struct Family {
     const char* name;
     Graph graph;
@@ -143,13 +141,12 @@ int audit_round_trips(ExperimentContext& ctx, RowCodec codec) {
   int exit_code = 0;
   AdjacencyDecodeBuffer buffer;
   for (const auto& family : families) {
-    const auto compressed = CompressedGraph::from_graph(family.graph, codec);
+    const auto compressed = CompressedGraph::from_graph(family.graph);
     const bool ok = rows_match(compressed.view(), family.graph, buffer) &&
                     graphs_equal(family.graph, compressed.decompress());
     if (!ok) {
-      ctx.console() << "AUDIT FAILURE: " << family.name << " round trip "
-                    << "diverged under codec "
-                    << sfs::graph::row_codec_name(codec) << "\n";
+      ctx.console() << "AUDIT FAILURE: " << family.name
+                    << " round trip diverged\n";
       exit_code = 1;
     }
   }
@@ -157,13 +154,11 @@ int audit_round_trips(ExperimentContext& ctx, RowCodec codec) {
 }
 
 // Stage 2: snapshot write → mmap → replay on the measurement graph.
-int snapshot_smoke(ExperimentContext& ctx, const Graph& g, RowCodec codec,
+int snapshot_smoke(ExperimentContext& ctx, const Graph& g,
                    std::uint64_t seed) {
-  const auto compressed = CompressedGraph::from_graph(g, codec);
+  const auto compressed = CompressedGraph::from_graph(g);
   const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("sfs_m6_smoke_" + std::string(sfs::graph::row_codec_name(codec)) +
-        ".sfsnap"))
+      (std::filesystem::temp_directory_path() / "sfs_m6_smoke.sfsnap")
           .string();
   sfs::graph::write_snapshot(path, compressed.view(),
                              {.generator = "merged_mori_m1", .seed = seed});
@@ -174,8 +169,7 @@ int snapshot_smoke(ExperimentContext& ctx, const Graph& g, RowCodec codec,
                   graphs_equal(g, sfs::graph::decompress(snapshot.view()));
   std::filesystem::remove(path);
   if (!ok) {
-    ctx.console() << "AUDIT FAILURE: snapshot replay diverged under codec "
-                  << sfs::graph::row_codec_name(codec) << "\n";
+    ctx.console() << "AUDIT FAILURE: snapshot replay diverged\n";
     return 1;
   }
   return 0;
@@ -185,7 +179,7 @@ int run_m6(ExperimentContext& ctx) {
   const bool quick = ctx.options.quick;
   const std::size_t n = ctx.n_or(quick ? 65536 : (1u << 20));
 
-  ctx.console() << "M6: compressed CSR codecs + snapshot replay, merged "
+  ctx.console() << "M6: compressed CSR + snapshot replay, merged "
                    "Mori m=1 p=0.5, n="
                 << n << (quick ? " (quick)" : "") << ".\n\n";
 
@@ -197,76 +191,67 @@ int run_m6(ExperimentContext& ctx) {
   const double graph_bytes =
       static_cast<double>(sfs::graph::graph_memory_bytes(g));
 
-  sfs::sim::Table t("M6: codec footprint and decode throughput",
+  int exit_code = 0;
+  if (audit_round_trips(ctx) != 0) exit_code = 1;
+  if (snapshot_smoke(ctx, g, graph_seed) != 0) exit_code = 1;
+
+  const auto compressed = CompressedGraph::from_graph(g);
+  const double compressed_bytes =
+      static_cast<double>(compressed.memory_bytes());
+  const double ratio = graph_bytes / compressed_bytes;
+
+  // Round trip of the measurement graph itself.
+  AdjacencyDecodeBuffer buffer;
+  const bool bit_identical = rows_match(compressed.view(), g, buffer) &&
+                             graphs_equal(g, compressed.decompress());
+  if (!bit_identical) {
+    ctx.console() << "AUDIT FAILURE: measurement graph round trip "
+                     "diverged\n";
+    exit_code = 1;
+  }
+
+  // Sequential full-graph decode throughput: every row, every pass through
+  // the one reused decode buffer (the WorkerContext contract).
+  const std::size_t passes = quick ? 4 : 2;
+  std::size_t slots = 0;
+  sfs::sim::WallTimer timer;
+  for (std::size_t pass = 0; pass < passes; ++pass) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      slots += sfs::graph::decode_adjacent(compressed.view(), v, buffer).size();
+    }
+  }
+  const double seconds = std::max(timer.seconds(), 1e-9);
+  const double mslots_per_s = static_cast<double>(slots) / seconds / 1e6;
+
+  sfs::sim::Table t("M6: compressed footprint and decode throughput",
                     {"codec", "compressed MiB", "graph MiB", "ratio",
                      "decode Mslots/s", "bit identical"});
-  int exit_code = 0;
-  double best_ratio = 0.0;
-  for (const RowCodec codec : kCodecs) {
-    if (audit_round_trips(ctx, codec) != 0) exit_code = 1;
-    if (snapshot_smoke(ctx, g, codec, graph_seed) != 0) exit_code = 1;
+  t.row()
+      .cell(kCodec)
+      .num(compressed_bytes / (1024.0 * 1024.0), 2)
+      .num(graph_bytes / (1024.0 * 1024.0), 2)
+      .num(ratio, 2)
+      .num(mslots_per_s, 1)
+      .cell(bit_identical ? "yes" : "NO");
 
-    const auto compressed = CompressedGraph::from_graph(g, codec);
-    const double compressed_bytes =
-        static_cast<double>(compressed.memory_bytes());
-    const double ratio = graph_bytes / compressed_bytes;
-
-    // Round trip of the measurement graph itself.
-    AdjacencyDecodeBuffer buffer;
-    const bool bit_identical =
-        rows_match(compressed.view(), g, buffer) &&
-        graphs_equal(g, compressed.decompress());
-    if (!bit_identical) {
-      ctx.console() << "AUDIT FAILURE: measurement graph round trip "
-                    << "diverged under codec "
-                    << sfs::graph::row_codec_name(codec) << "\n";
-      exit_code = 1;
-    }
-
-    // Sequential full-graph decode throughput: every row, every pass
-    // through the one reused decode buffer (the WorkerContext contract).
-    const std::size_t passes = quick ? 4 : 2;
-    std::size_t slots = 0;
-    sfs::sim::WallTimer timer;
-    for (std::size_t pass = 0; pass < passes; ++pass) {
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        slots += sfs::graph::decode_adjacent(compressed.view(), v, buffer)
-                     .size();
-      }
-    }
-    const double seconds = std::max(timer.seconds(), 1e-9);
-    const double mslots_per_s = static_cast<double>(slots) / seconds / 1e6;
-
-    best_ratio = std::max(best_ratio, ratio);
-
-    t.row()
-        .cell(std::string(sfs::graph::row_codec_name(codec)))
-        .num(compressed_bytes / (1024.0 * 1024.0), 2)
-        .num(graph_bytes / (1024.0 * 1024.0), 2)
-        .num(ratio, 2)
-        .num(mslots_per_s, 1)
-        .cell(bit_identical ? "yes" : "NO");
-
-    sfs::sim::JsonObjectWriter json;
-    json.str_field("bench", "m6_compression");
-    json.str_field("case", std::string(sfs::graph::row_codec_name(codec)));
-    json.int_field("n", g.num_vertices());
-    json.int_field("edges", g.num_edges());
-    json.num_field("graph_bytes", graph_bytes);
-    json.num_field("compressed_bytes", compressed_bytes);
-    json.num_field("ratio", ratio);
-    json.num_field("decode_mslots_per_s", mslots_per_s);
-    json.bool_field("bit_identical", bit_identical);
-    ctx.emitter->emit_object(json.str());
-  }
+  sfs::sim::JsonObjectWriter json;
+  json.str_field("bench", "m6_compression");
+  json.str_field("case", kCodec);
+  json.int_field("n", g.num_vertices());
+  json.int_field("edges", g.num_edges());
+  json.num_field("graph_bytes", graph_bytes);
+  json.num_field("compressed_bytes", compressed_bytes);
+  json.num_field("ratio", ratio);
+  json.num_field("decode_mslots_per_s", mslots_per_s);
+  json.bool_field("bit_identical", bit_identical);
+  ctx.emitter->emit_object(json.str());
   t.print(ctx.console());
-  // The head-to-head contract: the substrate's BEST codec must hit the
-  // >= 4x reduction the large sweeps budget for. Full mode only — tiny
-  // quick graphs amortize the per-row headers worse, so a small-n ratio
-  // is not the substrate's ratio.
-  if (!quick && best_ratio < kRequiredRatio) {
-    ctx.console() << "\nCONTRACT FAILURE: best codec ratio "
-                  << sfs::sim::format_double(best_ratio, 2) << " < "
+
+  // The substrate contract: the >= 4x reduction the large sweeps budget
+  // for. Full mode only — a small-n ratio is not the substrate's ratio.
+  if (!quick && ratio < kRequiredRatio) {
+    ctx.console() << "\nCONTRACT FAILURE: ratio "
+                  << sfs::sim::format_double(ratio, 2) << " < "
                   << sfs::sim::format_double(kRequiredRatio, 1) << "\n";
     exit_code = 1;
   }
@@ -279,7 +264,7 @@ int run_m6(ExperimentContext& ctx) {
 
 const sfs::sim::ExperimentRegistrar reg_m6({
     .name = "m6_compression",
-    .title = "CompressedGraph codecs: footprint, decode rate, snapshot replay",
+    .title = "CompressedGraph: footprint, decode rate, snapshot replay",
     .claim = "The out-of-core substrate (compressed CSR + mmap snapshots) "
              "is lossless and >= 4x smaller than the pointer CSR",
     .caps = sfs::sim::kCapQuick | sfs::sim::kCapSingleSize |

@@ -21,11 +21,6 @@ Rules
                       a TU that touches the sim/report emitter surface —
                       hash-iteration order would leak into committed
                       artifacts.
-  legacy-api          (R4) no call-expression-level use of the legacy
-                      measure_weak_portfolio / measure_strong_portfolio
-                      compat surface outside its three pinned files
-                      (replaces the CI api-guard grep; strings and
-                      comments cannot false-positive here).
   check-discipline    (R5) no raw `throw` / `assert(` in src/ — use
                       SFS_REQUIRE / SFS_CHECK (base/check.hpp) so
                       failures carry expression, location, and context.
@@ -63,21 +58,14 @@ An SFS_LINT_ALLOW without a reason (or naming an unknown rule) is itself
 a violation (`allow-no-reason` / `allow-unknown-rule`) and cannot be
 suppressed.
 
-Engines
--------
-`--engine token` (default fallback) lexes each file, strips comments and
-string/character literals with full raw-string support, and applies the
-rules to the remaining token text — no network, no non-stdlib deps.
-`--engine libclang` upgrades R2/R4/R5 to true call-/throw-expression
-checks when python clang bindings + libclang are installed; `--engine
-auto` (default) probes and falls back.  The R6 call graph is built by
-the token engine in every mode (function definitions + call edges from
-the lexed text) — reported as such, never silently.  `--engine-report`
-prints a JSON probe of what is actually available and exits nonzero on
-the one silent-degrade case: bindings importable but libclang unusable.
-Both engines share scoping, suppression, and reporting, and the fixture
-corpus under tests/lint_fixtures/ pins their behavior (`--self-test`,
-which also asserts that `--fix` is idempotent).
+Engine
+------
+The lint lexes each file, strips comments and string/character literals
+with full raw-string support, and applies the rules to the remaining
+token text — no network, no non-stdlib deps.  The R6 call graph is built
+from the same lexed text (function definitions + call edges).  The
+fixture corpus under tests/lint_fixtures/ pins every rule's behavior
+(`--self-test`, which also asserts that `--fix` is idempotent).
 
 Fixing
 ------
@@ -87,8 +75,8 @@ single-line `assert(expr);` in src/ becomes `SFS_CHECK(expr, "expr");`
 quoted-include runs are stably sorted.  Running --fix twice is a no-op
 by construction.
 
-Exit codes: 0 clean, 1 violations found (or self-test mismatch, or
---engine-report degrade), 2 usage/configuration error.
+Exit codes: 0 clean, 1 violations found (or self-test mismatch), 2
+usage/configuration error.
 """
 
 from __future__ import annotations
@@ -143,13 +131,6 @@ class Rule:
 # path here, with a PR justification, rather than sprinkling ALLOWs).
 R1_ALLOWED_PATHS: tuple[str, ...] = ()
 
-# R4: the pinned legacy compat surface (mirrors the retired api-guard job).
-R4_COMPAT_FILES = (
-    "src/sim/sweep.hpp",
-    "src/sim/sweep.cpp",
-    "tests/test_sweep_compat.cpp",
-)
-
 RULES = {
     "rng-sources": Rule(
         "rng-sources",
@@ -167,11 +148,6 @@ RULES = {
         "unordered-container iteration in a TU touching the "
         "sim/report emitter surface",
         lambda p: True,
-    ),
-    "legacy-api": Rule(
-        "legacy-api",
-        "legacy measure_*_portfolio call outside the compat surface",
-        lambda p: p not in R4_COMPAT_FILES,
     ),
     "check-discipline": Rule(
         "check-discipline",
@@ -355,7 +331,7 @@ def apply_allows(findings: list[Finding], allows: list[Allow]) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# Token-engine rules
+# Per-file rules
 # --------------------------------------------------------------------------
 
 R1_STD_RNG_RE = re.compile(
@@ -374,8 +350,6 @@ R3_SURFACE_RE = re.compile(
     r'#\s*include\s*"sim/(report|experiment)\.hpp"|'
     r"\bResultsEmitter\b|\bemit_object\b|\bBENCH_JSON\b")
 R3_DECL_RE = re.compile(r"\bstd\s*::\s*unordered_(?:map|set)\s*<[^;{]*?>\s+(\w+)")
-
-R4_RE = re.compile(r"\b(measure_weak_portfolio|measure_strong_portfolio)\s*\(")
 
 R5_THROW_RE = re.compile(r"\bthrow\b")
 R5_ASSERT_RE = re.compile(r"(?<!static_)\bassert\s*\(")
@@ -454,15 +428,6 @@ def token_rule_unordered_emission(path: str, lexed: LexedFile,
         if m and m.group(1) in unordered_vars:
             out.append(Finding(path, idx, "unordered-emission", msg))
     return out
-
-
-def token_rule_legacy_api(path: str, lexed: LexedFile,
-                          original: str = "") -> list[Finding]:
-    return _line_findings(
-        path, lexed.code, R4_RE, "legacy-api",
-        "legacy measure_*_portfolio call — the compat surface is pinned to "
-        "src/sim/sweep.{hpp,cpp} + tests/test_sweep_compat.cpp; use "
-        "sim::measure_portfolio(RunPlan) (docs/SEARCH.md)")
 
 
 def token_rule_check_discipline(path: str, lexed: LexedFile,
@@ -566,7 +531,6 @@ TOKEN_RULE_FNS = {
     "rng-sources": token_rule_rng_sources,
     "raw-derive": token_rule_raw_derive,
     "unordered-emission": token_rule_unordered_emission,
-    "legacy-api": token_rule_legacy_api,
     "check-discipline": token_rule_check_discipline,
     "float-order": token_rule_float_order,
     "layering": token_rule_layering,
@@ -765,71 +729,6 @@ def rng_reachability_findings(
 
 
 # --------------------------------------------------------------------------
-# Optional libclang engine (upgrades R2/R4/R5 to AST precision)
-# --------------------------------------------------------------------------
-
-def probe_libclang() -> tuple[object | None, dict]:
-    """Returns (clang.cindex module or None, probe detail dict)."""
-    info: dict = {"module_importable": False, "index_created": False}
-    try:
-        import clang.cindex as cindex  # type: ignore
-    except Exception as exc:
-        info["error"] = f"import clang.cindex: {exc}"
-        return None, info
-    info["module_importable"] = True
-    try:
-        cindex.Index.create()
-    except Exception as exc:
-        info["error"] = f"Index.create: {exc}"
-        return None, info
-    info["index_created"] = True
-    return cindex, info
-
-
-def try_libclang():
-    """Returns the clang.cindex module, or None when unavailable."""
-    return probe_libclang()[0]
-
-
-def libclang_findings(path: str, repo_root: Path, cindex) -> list[Finding] | None:
-    """AST-level R2/R4/R5 for one file; None on parse failure (caller falls
-    back to the token engine for those rules)."""
-    try:
-        index = cindex.Index.create()
-        tu = index.parse(str(repo_root / path),
-                         args=["-std=c++20", f"-I{repo_root / 'src'}"])
-    except Exception:
-        return None
-    if tu is None:
-        return None
-    out: list[Finding] = []
-    this_file = str(repo_root / path)
-    for node in tu.cursor.walk_preorder():
-        loc = node.location
-        if loc.file is None or str(loc.file) != this_file:
-            continue
-        kind = node.kind
-        if kind == cindex.CursorKind.CALL_EXPR:
-            name = node.spelling or ""
-            if name == "derive_stream_seed":
-                out.append(Finding(path, loc.line, "raw-derive",
-                                   "raw derive_stream_seed call (AST) — use "
-                                   "audited_stream_seed / StreamPlan"))
-            elif name in ("measure_weak_portfolio", "measure_strong_portfolio"):
-                out.append(Finding(path, loc.line, "legacy-api",
-                                   f"legacy {name} call (AST) — use "
-                                   "sim::measure_portfolio(RunPlan)"))
-        elif kind == cindex.CursorKind.CXX_THROW_EXPR:
-            out.append(Finding(path, loc.line, "check-discipline",
-                               "raw throw expression (AST) — use "
-                               "SFS_REQUIRE / SFS_CHECK"))
-    return out
-
-
-LIBCLANG_RULES = ("raw-derive", "legacy-api", "check-discipline")
-
-
-# --------------------------------------------------------------------------
 # Mechanical fixes (--fix): R5 assert rewrite, R8 include reorder
 # --------------------------------------------------------------------------
 
@@ -917,8 +816,7 @@ def apply_fixes(path: str, text: str) -> tuple[str, int]:
 # Driver
 # --------------------------------------------------------------------------
 
-def lint_corpus(corpus: dict[str, str], engine: str, repo_root: Path,
-                cindex=None,
+def lint_corpus(corpus: dict[str, str],
                 graph_extra: dict[str, str] | None = None) -> list[Finding]:
     """Lints a set of files together: per-file rules plus the cross-TU
     rules over the whole set.  Keys are repo-relative paths (which drive
@@ -933,19 +831,12 @@ def lint_corpus(corpus: dict[str, str], engine: str, repo_root: Path,
             f.path = path
         allows_map[path] = allows
 
-        ast_findings: list[Finding] | None = None
-        if engine == "libclang" and cindex is not None:
-            ast_findings = libclang_findings(path, repo_root, cindex)
-
         findings: list[Finding] = []
         for rule_name, rule in RULES.items():
             if rule_name in CORPUS_RULES or not rule.in_scope(path):
                 continue
-            if ast_findings is not None and rule_name in LIBCLANG_RULES:
-                findings.extend(f for f in ast_findings if f.rule == rule_name)
-            else:
-                findings.extend(
-                    TOKEN_RULE_FNS[rule_name](path, lexed, corpus[path]))
+            findings.extend(
+                TOKEN_RULE_FNS[rule_name](path, lexed, corpus[path]))
         findings = apply_allows(findings, allows)
         findings.extend(meta)
         all_findings.extend(findings)
@@ -963,11 +854,10 @@ def lint_corpus(corpus: dict[str, str], engine: str, repo_root: Path,
     return all_findings
 
 
-def lint_text(path: str, text: str, engine: str, repo_root: Path,
-              cindex=None) -> list[Finding]:
+def lint_text(path: str, text: str) -> list[Finding]:
     """Lints one file's contents under its repo-relative `path`; the file
     is its own cross-TU corpus (what --self-test fixtures rely on)."""
-    return lint_corpus({path: text}, engine, repo_root, cindex)
+    return lint_corpus({path: text})
 
 
 def collect_files(repo_root: Path, explicit: list[str]) -> list[str]:
@@ -1017,17 +907,8 @@ def load_compile_commands(repo_root: Path, cc_path: Path,
     return extra
 
 
-def run_lint(repo_root: Path, files: list[str], engine: str, as_json: bool,
+def run_lint(repo_root: Path, files: list[str], as_json: bool,
              compile_commands: str | None = None) -> int:
-    cindex = None
-    if engine in ("auto", "libclang"):
-        cindex = try_libclang()
-        if engine == "libclang" and cindex is None:
-            print("sfs_lint: --engine libclang requested but python clang "
-                  "bindings/libclang are unavailable", file=sys.stderr)
-            return 2
-    effective = "libclang" if cindex is not None else "token"
-
     corpus: dict[str, str] = {}
     for rel in files:
         full = repo_root / rel
@@ -1052,8 +933,7 @@ def run_lint(repo_root: Path, files: list[str], engine: str, as_json: bool,
         if graph_extra is None:
             return 2
 
-    all_findings = lint_corpus(corpus, effective, repo_root, cindex,
-                               graph_extra)
+    all_findings = lint_corpus(corpus, graph_extra)
 
     if as_json:
         for f in all_findings:
@@ -1064,10 +944,9 @@ def run_lint(repo_root: Path, files: list[str], engine: str, as_json: bool,
             print(f.render())
     if all_findings:
         print(f"sfs_lint: {len(all_findings)} violation(s) in "
-              f"{len(files)} file(s) [{effective} engine]", file=sys.stderr)
+              f"{len(files)} file(s)", file=sys.stderr)
         return 1
-    print(f"sfs_lint: OK — {len(files)} file(s) clean "
-          f"[{effective} engine]")
+    print(f"sfs_lint: OK — {len(files)} file(s) clean")
     return 0
 
 
@@ -1090,20 +969,6 @@ def run_fix(repo_root: Path, files: list[str]) -> int:
     return 0
 
 
-def run_engine_report() -> int:
-    cindex, info = probe_libclang()
-    info["effective_engine"] = "libclang" if cindex is not None else "token"
-    # The R6 call graph is token-engine by design in every mode; report it
-    # so CI never mistakes that for a degraded run.
-    info["cross_tu_engine"] = "token"
-    # The silent-degrade case --engine auto would otherwise hide: bindings
-    # import but libclang cannot be loaded/used.
-    info["degraded"] = bool(info["module_importable"]
-                            and not info["index_created"])
-    print(json.dumps(info, sort_keys=True))
-    return 1 if info["degraded"] else 0
-
-
 # --------------------------------------------------------------------------
 # Self-test over the fixture corpus
 # --------------------------------------------------------------------------
@@ -1124,13 +989,11 @@ def parse_expectations(fixture: Path) -> list[tuple[int, str]]:
     return expected
 
 
-def run_self_test(repo_root: Path, fixtures_dir: Path, engine: str) -> int:
+def run_self_test(fixtures_dir: Path) -> int:
     if not fixtures_dir.is_dir():
         print(f"sfs_lint: fixture dir not found: {fixtures_dir}",
               file=sys.stderr)
         return 2
-    cindex = try_libclang() if engine in ("auto", "libclang") else None
-    effective = "libclang" if cindex is not None else "token"
 
     fixtures = sorted(p for p in fixtures_dir.iterdir()
                       if p.suffix in SOURCE_SUFFIXES)
@@ -1148,12 +1011,8 @@ def run_self_test(repo_root: Path, fixtures_dir: Path, engine: str) -> int:
             failures += 1
             continue
         vpath = m.group(1)
-        # Fixtures exercise scoping via their declared virtual path; the
-        # AST engine cannot parse a file at a path it does not exist at,
-        # so fixtures always run the token engine (the engines share the
-        # suppression/scoping logic pinned here).
-        got = {(f.line, f.rule)
-               for f in lint_text(vpath, text, "token", repo_root)}
+        # Fixtures exercise scoping via their declared virtual path.
+        got = {(f.line, f.rule) for f in lint_text(vpath, text)}
         want = set(parse_expectations(fixture))
         if got != want:
             failures += 1
@@ -1179,7 +1038,7 @@ def run_self_test(repo_root: Path, fixtures_dir: Path, engine: str) -> int:
                 failures += 1
                 print(f"FAIL {fixture.name}: --fix changed nothing")
                 continue
-            residue = lint_text(vpath, fixed1, "token", repo_root)
+            residue = lint_text(vpath, fixed1)
             if residue:
                 failures += 1
                 print(f"FAIL {fixture.name}: findings survive --fix:")
@@ -1192,9 +1051,7 @@ def run_self_test(repo_root: Path, fixtures_dir: Path, engine: str) -> int:
 
     total = len(fixtures)
     if failures:
-        print(f"sfs_lint self-test: {failures}/{total} fixture(s) FAILED "
-              f"[{effective} engine available: "
-              f"{'yes' if cindex else 'no'}]")
+        print(f"sfs_lint self-test: {failures}/{total} fixture(s) FAILED")
         return 1
     print(f"sfs_lint self-test: {total}/{total} fixtures OK")
     return 0
@@ -1214,8 +1071,6 @@ def main(argv: list[str]) -> int:
                         help="specific files to lint (repo-relative)")
     parser.add_argument("--root", default=None,
                         help="repo root (default: parent of this script)")
-    parser.add_argument("--engine", choices=("auto", "token", "libclang"),
-                        default="auto")
     parser.add_argument("--json", action="store_true",
                         help="emit findings as JSONL")
     parser.add_argument("--list-rules", action="store_true")
@@ -1227,9 +1082,6 @@ def main(argv: list[str]) -> int:
                         help="apply mechanical fixes in place (assert -> "
                              "SFS_CHECK, include reorder) instead of "
                              "reporting")
-    parser.add_argument("--engine-report", action="store_true",
-                        help="print a JSON engine-availability probe; "
-                             "exits 1 if libclang mode silently degraded")
     parser.add_argument("--compile-commands", metavar="PATH", default=None,
                         help="compile_commands.json whose TUs extend the "
                              "cross-TU call graph (R6) beyond the linted "
@@ -1245,11 +1097,8 @@ def main(argv: list[str]) -> int:
             print(f"{name:20} (meta) malformed/unreasoned SFS_LINT_ALLOW")
         return 0
 
-    if args.engine_report:
-        return run_engine_report()
-
     if args.self_test:
-        return run_self_test(repo_root, Path(args.self_test), args.engine)
+        return run_self_test(Path(args.self_test))
 
     if not args.all and not args.files:
         parser.print_usage(sys.stderr)
@@ -1263,8 +1112,7 @@ def main(argv: list[str]) -> int:
     files = collect_files(repo_root, args.files)
     if args.fix:
         return run_fix(repo_root, files)
-    return run_lint(repo_root, files, args.engine, args.json,
-                    args.compile_commands)
+    return run_lint(repo_root, files, args.json, args.compile_commands)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,7 @@
 // lower layers — search::QueryEngine's batch fan-out in particular — are
 // allowed to depend on under the include-layering DAG
 // base→rng→graph→gen→stats→search→sim→core enforced by sfs_lint R8
-// (docs/ANALYSIS.md). sim/parallel.hpp remains as a compatibility shim
-// aliasing these names into sfs::sim. The pool's internal state carries
+// (docs/ANALYSIS.md). The pool's internal state carries
 // clang thread-safety annotations (base/thread_annotations.hpp), checked
 // by the analyze CI job.
 #pragma once

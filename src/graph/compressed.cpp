@@ -42,40 +42,6 @@ std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-// -------------------------------------------------- bit-packing (bytes)
-// Per-row Elias-Fano payloads are byte-aligned so rows stay independently
-// addressable through row_offsets without global bit arithmetic.
-
-void pack_bits(std::uint8_t* base, std::size_t bit_pos, std::uint64_t value,
-               unsigned width) {
-  std::size_t byte = bit_pos >> 3;
-  unsigned off = bit_pos & 7u;
-  while (width > 0) {
-    base[byte] |= static_cast<std::uint8_t>(value << off);
-    const unsigned wrote = std::min(8u - off, width);
-    value >>= wrote;
-    width -= wrote;
-    off = 0;
-    ++byte;
-  }
-}
-
-std::uint64_t unpack_bits(const std::uint8_t* base, std::size_t bit_pos,
-                          unsigned width) {
-  if (width == 0) return 0;
-  std::size_t byte = bit_pos >> 3;
-  unsigned off = bit_pos & 7u;
-  std::uint64_t value = 0;
-  unsigned got = 0;
-  while (got < width) {
-    value |= static_cast<std::uint64_t>(base[byte] >> off) << got;
-    got += 8u - off;
-    off = 0;
-    ++byte;
-  }
-  return value & ((1ULL << width) - 1);
-}
-
 // ------------------------------------------------- word-level bit reading
 
 std::uint64_t get_word_bits(std::span<const std::uint64_t> words,
@@ -103,7 +69,7 @@ unsigned ef_low_bits(std::uint64_t universe, std::size_t count) {
   return ratio == 0 ? 0u : static_cast<unsigned>(std::bit_width(ratio)) - 1u;
 }
 
-// ------------------------------------------------------- row codec bodies
+// ------------------------------------------------------------ varint rows
 
 void encode_row_varint(std::vector<std::uint8_t>& out, VertexId v,
                        std::span<const VertexId> slots) {
@@ -114,53 +80,6 @@ void encode_row_varint(std::vector<std::uint8_t>& out, VertexId v,
   }
 }
 
-/// Per-row Elias-Fano blob:
-///   varint high_bits | byte l | low bytes | high bytes | deg rank varints
-/// The rank stream is a stable permutation (duplicates get increasing
-/// ranks in slot order) mapping the sorted sequence back to slot order, so
-/// the decode reproduces Graph::adjacent(v) exactly.
-void encode_row_elias_fano(std::vector<std::uint8_t>& out, VertexId /*v*/,
-                           std::span<const VertexId> slots,
-                           std::vector<std::uint32_t>& order_scratch,
-                           std::vector<std::uint32_t>& rank_scratch) {
-  const std::size_t deg = slots.size();
-  if (deg == 0) return;
-  order_scratch.resize(deg);
-  for (std::size_t k = 0; k < deg; ++k) {
-    order_scratch[k] = static_cast<std::uint32_t>(k);
-  }
-  std::stable_sort(order_scratch.begin(), order_scratch.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return slots[a] < slots[b];
-                   });
-  const std::uint64_t max_value = slots[order_scratch[deg - 1]];
-  const unsigned l = ef_low_bits(max_value, deg);
-  const std::uint64_t high_bits = deg + (max_value >> l) + 1;
-  append_varint(out, high_bits);
-  SFS_CHECK(l < 0x100, "row Elias-Fano low-bit width exceeds a byte");
-  out.push_back(static_cast<std::uint8_t>(l));
-
-  const std::size_t low_len = (deg * l + 7) / 8;
-  const std::size_t high_len = (static_cast<std::size_t>(high_bits) + 7) / 8;
-  const std::size_t low_begin = out.size();
-  out.resize(out.size() + low_len + high_len, 0);
-  std::uint8_t* low = out.data() + low_begin;
-  std::uint8_t* high = low + low_len;
-  for (std::size_t j = 0; j < deg; ++j) {
-    const std::uint64_t value = slots[order_scratch[j]];
-    if (l > 0) pack_bits(low, j * l, value & ((1ULL << l) - 1), l);
-    const std::size_t pos = static_cast<std::size_t>(value >> l) + j;
-    high[pos >> 3] |= static_cast<std::uint8_t>(1u << (pos & 7u));
-  }
-  // Rank stream: slot k holds sorted position rank[k]; order_scratch is
-  // the inverse permutation (rank[order_scratch[j]] == j).
-  rank_scratch.resize(deg);
-  for (std::size_t j = 0; j < deg; ++j) {
-    rank_scratch[order_scratch[j]] = static_cast<std::uint32_t>(j);
-  }
-  for (std::size_t k = 0; k < deg; ++k) append_varint(out, rank_scratch[k]);
-}
-
 void decode_row_varint(const std::uint8_t* p, const std::uint8_t* end,
                        VertexId v, std::size_t deg, VertexId* out) {
   std::int64_t prev = static_cast<std::int64_t>(v);
@@ -169,44 +88,6 @@ void decode_row_varint(const std::uint8_t* p, const std::uint8_t* end,
     out[k] = static_cast<VertexId>(prev);
   }
   SFS_CHECK(p == end, "compressed row: varint decode did not consume the row");
-}
-
-void decode_row_elias_fano(const std::uint8_t* p, const std::uint8_t* end,
-                           std::size_t deg, VertexId* out,
-                           std::vector<VertexId>& sorted_scratch) {
-  const std::uint64_t high_bits = read_varint(p, end);
-  SFS_CHECK(p != end, "compressed row: missing low-bit width byte");
-  const unsigned l = *p++;
-  const std::size_t low_len = (deg * l + 7) / 8;
-  const std::size_t high_len = (static_cast<std::size_t>(high_bits) + 7) / 8;
-  SFS_CHECK(static_cast<std::size_t>(end - p) >= low_len + high_len,
-            "compressed row: payload shorter than declared");
-  const std::uint8_t* low = p;
-  const std::uint8_t* high = p + low_len;
-  p += low_len + high_len;
-
-  if (sorted_scratch.size() < deg) sorted_scratch.resize(deg);
-  std::size_t ones = 0;
-  for (std::size_t byte_i = 0; ones < deg; ++byte_i) {
-    SFS_CHECK(byte_i < high_len, "compressed row: high bitmap exhausted");
-    unsigned b = high[byte_i];
-    while (b != 0 && ones < deg) {
-      const unsigned t = static_cast<unsigned>(std::countr_zero(b));
-      b &= b - 1;
-      const std::size_t pos = byte_i * 8 + t;
-      const std::uint64_t hi_value = pos - ones;
-      sorted_scratch[ones] = static_cast<VertexId>(
-          (hi_value << l) | unpack_bits(low, ones * l, l));
-      ++ones;
-    }
-  }
-  for (std::size_t k = 0; k < deg; ++k) {
-    const std::uint64_t r = read_varint(p, end);
-    SFS_CHECK(r < deg, "compressed row: rank out of range");
-    out[k] = sorted_scratch[static_cast<std::size_t>(r)];
-  }
-  SFS_CHECK(p == end,
-            "compressed row: Elias-Fano decode did not consume the row");
 }
 
 }  // namespace
@@ -285,16 +166,6 @@ EliasFanoSequence EliasFanoSequence::encode(
 
 // ------------------------------------------------------------ decode API
 
-const char* row_codec_name(RowCodec codec) noexcept {
-  switch (codec) {
-    case RowCodec::kVarint:
-      return "varint";
-    case RowCodec::kEliasFano:
-      return "elias_fano";
-  }
-  return "unknown";
-}
-
 std::size_t decoded_degree(const CompressedView& view, VertexId v) {
   SFS_REQUIRE(v < view.num_vertices, "vertex id out of range");
   return static_cast<std::size_t>(view.degree_offsets.get(v + 1) -
@@ -319,14 +190,7 @@ std::span<const VertexId> decode_adjacent(const CompressedView& view,
     SFS_CHECK(p == end, "compressed row: empty row has payload bytes");
     return {buffer.slots.data(), 0};
   }
-  switch (view.codec) {
-    case RowCodec::kVarint:
-      decode_row_varint(p, end, v, deg, buffer.slots.data());
-      break;
-    case RowCodec::kEliasFano:
-      decode_row_elias_fano(p, end, deg, buffer.slots.data(), buffer.sorted);
-      break;
-  }
+  decode_row_varint(p, end, v, deg, buffer.slots.data());
   return {buffer.slots.data(), deg};
 }
 
@@ -391,11 +255,10 @@ Graph decompress(const CompressedView& view) {
 
 // ------------------------------------------------------- CompressedGraph
 
-CompressedGraph CompressedGraph::from_graph(const Graph& g, RowCodec codec) {
+CompressedGraph CompressedGraph::from_graph(const Graph& g) {
   CompressedGraph c;
   c.n_ = g.num_vertices();
   c.m_ = g.num_edges();
-  c.codec_ = codec;
 
   c.tail_stream_.reserve(c.m_ + c.m_ / 8);
   std::int64_t prev = 0;
@@ -416,19 +279,9 @@ CompressedGraph CompressedGraph::from_graph(const Graph& g, RowCodec codec) {
   std::vector<std::uint64_t> row_offsets(c.n_ + 1);
   row_offsets[0] = 0;
   c.adj_stream_.reserve(2 * c.m_ + c.m_ / 4);
-  std::vector<std::uint32_t> order_scratch;
-  std::vector<std::uint32_t> rank_scratch;
   for (std::size_t v = 0; v < c.n_; ++v) {
-    const auto slots = g.adjacent(static_cast<VertexId>(v));
-    switch (codec) {
-      case RowCodec::kVarint:
-        encode_row_varint(c.adj_stream_, static_cast<VertexId>(v), slots);
-        break;
-      case RowCodec::kEliasFano:
-        encode_row_elias_fano(c.adj_stream_, static_cast<VertexId>(v), slots,
-                              order_scratch, rank_scratch);
-        break;
-    }
+    const auto vid = static_cast<VertexId>(v);
+    encode_row_varint(c.adj_stream_, vid, g.adjacent(vid));
     row_offsets[v + 1] = c.adj_stream_.size();
   }
   c.row_offsets_ = EliasFanoSequence::encode(row_offsets);
@@ -436,8 +289,7 @@ CompressedGraph CompressedGraph::from_graph(const Graph& g, RowCodec codec) {
 }
 
 CompressedView CompressedGraph::view() const noexcept {
-  return {n_,          m_,          codec_,
-          tail_stream_, adj_stream_, degree_offsets_.view(),
+  return {n_, m_, tail_stream_, adj_stream_, degree_offsets_.view(),
           row_offsets_.view()};
 }
 

@@ -23,11 +23,8 @@
 //     offsets) are Elias-Fano encoded with select sampling, so random row
 //     access stays O(1)-ish at ~3-5 bits per vertex instead of 64.
 //
-// Two row codecs are supported and benchmarked head-to-head by the
-// m6_compression experiment: byte-aligned zigzag varint deltas in slot
-// order (kVarint, the default) and per-row Elias-Fano over the sorted
-// neighbors plus a rank stream restoring slot order (kEliasFano). Both
-// round-trip bit-exactly.
+// Each row is stored as byte-aligned zigzag varint deltas in slot order,
+// the first slot relative to the row's vertex id.
 #pragma once
 
 #include <cstddef>
@@ -95,29 +92,16 @@ class EliasFanoSequence {
 
 // -------------------------------------------------------- compressed view
 
-/// Row payload encoding (benchmarked head-to-head by m6_compression).
-enum class RowCodec : std::uint8_t {
-  /// Zigzag varint deltas in slot order (first slot relative to the row's
-  /// vertex id). Byte-aligned, branch-light decode; the default.
-  kVarint = 0,
-  /// Per-row Elias-Fano over the sorted far endpoints plus a varint rank
-  /// stream restoring the exact slot order.
-  kEliasFano = 1,
-};
-
-[[nodiscard]] const char* row_codec_name(RowCodec codec) noexcept;
-
 /// Non-owning view of a compressed graph: the shared decode surface of
 /// the in-memory CompressedGraph and the mmap'd snapshot
 /// (graph/snapshot.hpp). Spans must outlive the view.
 struct CompressedView {
   std::size_t num_vertices = 0;
   std::size_t num_edges = 0;
-  RowCodec codec = RowCodec::kVarint;
   /// Zigzag varint deltas of the edge-log tail sequence (construction
   /// order; first delta relative to 0).
   std::span<const std::uint8_t> tail_stream;
-  /// Concatenated encoded adjacency rows (per-vertex, codec-dependent).
+  /// Concatenated varint-encoded adjacency rows, one per vertex.
   std::span<const std::uint8_t> adj_stream;
   /// Cumulative undirected degrees: n+1 values, last == 2m. Equals the
   /// uncompressed CSR's offsets_ array, Elias-Fano encoded.
@@ -130,8 +114,7 @@ struct CompressedView {
 /// search hot paths allocates only until the high-water degree is reached.
 /// One per worker (sim::WorkerContext) — not thread-safe.
 struct AdjacencyDecodeBuffer {
-  std::vector<VertexId> slots;   // decoded row, slot order
-  std::vector<VertexId> sorted;  // kEliasFano scratch: sorted neighbors
+  std::vector<VertexId> slots;  // decoded row, slot order
 };
 
 /// Decodes the incidence row of `v` into `buffer` and returns a span over
@@ -160,12 +143,10 @@ class CompressedGraph {
   /// Compresses `g`. The encoding is deterministic: equal graphs yield
   /// byte-identical streams (snapshots of the same (generator, n, seed)
   /// are reproducible artifacts).
-  [[nodiscard]] static CompressedGraph from_graph(
-      const Graph& g, RowCodec codec = RowCodec::kVarint);
+  [[nodiscard]] static CompressedGraph from_graph(const Graph& g);
 
   [[nodiscard]] std::size_t num_vertices() const noexcept { return n_; }
   [[nodiscard]] std::size_t num_edges() const noexcept { return m_; }
-  [[nodiscard]] RowCodec codec() const noexcept { return codec_; }
 
   /// Decode surface shared with mmap'd snapshots; valid while *this lives.
   [[nodiscard]] CompressedView view() const noexcept;
@@ -186,7 +167,6 @@ class CompressedGraph {
  private:
   std::size_t n_ = 0;
   std::size_t m_ = 0;
-  RowCodec codec_ = RowCodec::kVarint;
   std::vector<std::uint8_t> tail_stream_;
   std::vector<std::uint8_t> adj_stream_;
   EliasFanoSequence degree_offsets_;

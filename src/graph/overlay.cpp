@@ -1,33 +1,27 @@
 #include "graph/overlay.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "graph/builder.hpp"
 
 namespace sfs::graph {
 
-Overlay::Overlay(Graph base, OverlaySampler sampler)
-    : graph_(std::move(base)), sampler_kind_(sampler) {
+Overlay::Overlay(Graph base) : graph_(std::move(base)) {
   alive_.assign(graph_.num_vertices(), 1u);
   edge_alive_.assign(graph_.num_edges(), 1u);
   num_alive_ = graph_.num_vertices();
-  if (sampler_kind_ == OverlaySampler::kBucketed) {
-    // Everything starts alive, so live_degree(v) is just the incidence
-    // size (self-loops occupy two slots, matching live_degree's count).
-    live_mass_.resize(graph_.num_vertices());
-    for (std::size_t vi = 0; vi < graph_.num_vertices(); ++vi) {
-      const auto v = static_cast<VertexId>(vi);
-      live_mass_.set_weight(vi, graph_.incident(v).size() + 1);
-    }
+  // Everything starts alive, so live_degree(v) is just the incidence size
+  // (self-loops occupy two slots, matching live_degree's count).
+  live_mass_.resize(graph_.num_vertices());
+  for (std::size_t vi = 0; vi < graph_.num_vertices(); ++vi) {
+    const auto v = static_cast<VertexId>(vi);
+    live_mass_.set_weight(vi, graph_.incident(v).size() + 1);
   }
 }
 
-std::uint64_t Overlay::join_mass(VertexId v) {
+std::uint64_t Overlay::join_mass(VertexId v) const {
   SFS_REQUIRE(v < alive_.size(), "Overlay::join_mass: vertex id out of range");
-  if (sampler_kind_ == OverlaySampler::kBucketed) return live_mass_.weight(v);
-  if (bag_dirty_) rebuild_bag();
-  const auto& bag = pref_bag_;
-  return static_cast<std::uint64_t>(std::count(bag.begin(), bag.end(), v));
+  return live_mass_.weight(v);
 }
 
 std::size_t Overlay::live_degree(VertexId v) const {
@@ -49,33 +43,6 @@ std::size_t Overlay::live_degree(VertexId v) const {
   return deg;
 }
 
-void Overlay::rebuild_bag() {
-  // Weight live_degree(v) + 1 per live vertex, laid out in id order (and
-  // slot order within a vertex) so the bag — hence every join draw — is a
-  // pure function of the overlay state.
-  auto& bag = pref_bag_;
-  bag.clear();
-  for (std::size_t vi = 0; vi < alive_.size(); ++vi) {
-    const auto v = static_cast<VertexId>(vi);
-    if (alive_[v] == 0) continue;
-    bag.push_back(v);  // the +1 baseline: keeps isolated survivors joinable
-    if (v < graph_.num_vertices()) {
-      const auto inc = graph_.incident(v);
-      const auto adj = graph_.adjacent(v);
-      for (std::size_t i = 0; i < inc.size(); ++i) {
-        if (edge_alive_[inc[i]] != 0 && alive_[adj[i]] != 0) bag.push_back(v);
-      }
-    }
-  }
-  for (const Edge& e : staged_edges_) {
-    if (alive_[e.tail] != 0 && alive_[e.head] != 0) {
-      bag.push_back(e.tail);
-      bag.push_back(e.head);
-    }
-  }
-  bag_dirty_ = false;
-}
-
 VertexId Overlay::join(std::size_t attach, rng::Rng& rng) {
   SFS_REQUIRE(attach >= 1, "Overlay::join: need at least one attachment");
   SFS_REQUIRE(num_alive_ >= 1,
@@ -87,41 +54,21 @@ VertexId Overlay::join(std::size_t attach, rng::Rng& rng) {
   // Draw the targets first, then add the new vertex's own mass: a peer
   // cannot attach to itself on arrival.
   targets_.clear();
-  if (sampler_kind_ == OverlaySampler::kBucketed) {
-    SFS_CHECK(live_mass_.total_weight() > 0,
-              "live mass empty despite live peers");
-    for (std::size_t i = 0; i < attach; ++i) {
-      targets_.push_back(
-          static_cast<VertexId>(live_mass_.sample(rng)));
-    }
-    alive_.push_back(1u);
-    ++num_alive_;
-    ++staged_vertices_;
-    // Newcomer: the +1 baseline plus one unit per staged edge (every
-    // target is live by construction); each target gains one unit.
-    const std::size_t id = live_mass_.push_back(attach + 1);
-    SFS_CHECK(id == v, "live mass ids out of sync with vertex ids");
-    for (const VertexId t : targets_) {
-      staged_edges_.push_back(Edge{v, t});
-      live_mass_.add(t, 1);
-    }
-  } else {
-    if (bag_dirty_) rebuild_bag();
-    auto& bag = pref_bag_;
-    SFS_CHECK(!bag.empty(), "live bag empty despite live peers");
-    for (std::size_t i = 0; i < attach; ++i) {
-      targets_.push_back(
-          bag[static_cast<std::size_t>(rng.uniform_index(bag.size()))]);
-    }
-    alive_.push_back(1u);
-    ++num_alive_;
-    ++staged_vertices_;
-    bag.push_back(v);  // baseline entry of the newcomer
-    for (const VertexId t : targets_) {
-      staged_edges_.push_back(Edge{v, t});
-      bag.push_back(v);
-      bag.push_back(t);
-    }
+  SFS_CHECK(live_mass_.total_weight() > 0,
+            "live mass empty despite live peers");
+  for (std::size_t i = 0; i < attach; ++i) {
+    targets_.push_back(static_cast<VertexId>(live_mass_.sample(rng)));
+  }
+  alive_.push_back(1u);
+  ++num_alive_;
+  ++staged_vertices_;
+  // Newcomer: the +1 baseline plus one unit per staged edge (every target
+  // is live by construction); each target gains one unit.
+  const std::size_t id = live_mass_.push_back(attach + 1);
+  SFS_CHECK(id == v, "live mass ids out of sync with vertex ids");
+  for (const VertexId t : targets_) {
+    staged_edges_.push_back(Edge{v, t});
+    live_mass_.add(t, 1);
   }
   ++epoch_;
   return v;
@@ -163,11 +110,10 @@ void Overlay::depart(VertexId v) {
       if (edge_alive_[inc[i]] != 0 && alive_[adj[i]] != 0) ++snapshot_live;
     }
   }
-  if (sampler_kind_ == OverlaySampler::kBucketed) retire_live_mass(v);
+  retire_live_mass(v);
   alive_[v] = 0;
   --num_alive_;
   compaction_debt_ += snapshot_live;
-  bag_dirty_ = true;
   ++epoch_;
 }
 
@@ -176,17 +122,14 @@ void Overlay::fail_edge(EdgeId e) {
               "Overlay::fail_edge: edge id out of range");
   SFS_REQUIRE(edge_alive_[e] != 0, "Overlay::fail_edge: edge already failed");
   edge_alive_[e] = 0;
-  if (sampler_kind_ == OverlaySampler::kBucketed) {
-    // The edge contributed live mass only while both endpoints were alive
-    // (a self-loop grants its vertex two units via its two slots).
-    const Edge& ed = graph_.edge(e);
-    if (alive_[ed.tail] != 0 && alive_[ed.head] != 0) {
-      live_mass_.add(ed.tail, -1);
-      live_mass_.add(ed.head, -1);
-    }
+  // The edge contributed live mass only while both endpoints were alive (a
+  // self-loop grants its vertex two units via its two slots).
+  const Edge& ed = graph_.edge(e);
+  if (alive_[ed.tail] != 0 && alive_[ed.head] != 0) {
+    live_mass_.add(ed.tail, -1);
+    live_mass_.add(ed.head, -1);
   }
   ++compaction_debt_;
-  bag_dirty_ = true;
   ++epoch_;
 }
 
@@ -212,9 +155,7 @@ void Overlay::compact() {
   edge_alive_.assign(graph_.num_edges(), 1u);
   compaction_debt_ = 0;
   // Compaction preserves every live degree (it commits exactly the live
-  // topology), so the kBucketed live mass is already correct; only the
-  // kBag bag keys off edge ids and needs a rebuild.
-  bag_dirty_ = true;
+  // topology), so the live mass is already correct.
   ++compactions_;
   ++epoch_;
 }

@@ -9,14 +9,11 @@
 //  * Vertex JOIN — a new peer attaches to `m` existing peers chosen by
 //    preferential attachment over the *live* degree mass (weight
 //    live_degree(v) + 1, so an isolated survivor can be re-attached).
-//    Two interchangeable sampling backends realize that distribution (see
-//    OverlaySampler below): the default rng::BucketedSampler maintains the
-//    live mass incrementally through every mutation — O(1) per join
-//    target, departure slot and edge failure — while the legacy bag mode
-//    reproduces the PR 6 repeat-array draws (an internal id-ordered bag,
-//    lazily rebuilt in O(n + m) after any departure or edge failure). Joined vertices and their edges are STAGED: they
-//    receive final ids immediately but enter the CSR snapshot only at the
-//    next compaction.
+//    An rng::BucketedSampler maintains the live mass incrementally through
+//    every mutation — O(1) per join target, departure slot and edge
+//    failure. Joined vertices and their edges are STAGED: they receive
+//    final ids immediately but enter the CSR snapshot only at the next
+//    compaction.
 //
 //  * Vertex DEPARTURE — a tombstone: the peer's alive bit flips off in
 //    O(1); its edges stay in the CSR until compaction and are skipped by
@@ -41,10 +38,10 @@
 // must revalidate against epoch(); search::QueryEngine uses it to rebuild
 // stale sessions and to detect a mutation racing a running batch.
 //
-// Determinism: join() draws targets from the caller's Rng only, and bag
-// (re)construction iterates vertices and CSR slots in id order, so an
-// identical mutation sequence with identical seeds reproduces the overlay
-// bit for bit — the property sim::ChurnSchedule builds on.
+// Determinism: join() draws targets from the caller's Rng only, and the
+// live mass is updated in a fixed order by each mutation, so an identical
+// mutation sequence with identical seeds reproduces the overlay bit for
+// bit — the property sim::ChurnSchedule builds on.
 //
 // Threading: an Overlay is a single-writer object; mutations must not race
 // reads. The read side (snapshot + masks) is safe to share across search
@@ -66,25 +63,11 @@
 
 namespace sfs::graph {
 
-/// Backend realizing the join target distribution (live_degree + 1).
-enum class OverlaySampler : std::uint8_t {
-  /// rng::BucketedSampler over the live mass, maintained incrementally:
-  /// O(1) expected per join draw and O(1) per weight update — no rebuild
-  /// after departures/edge failures. Same distribution as kBag, different
-  /// (documented) draw stream. The default.
-  kBucketed,
-  /// The PR 6 repeat-array bag: id-ordered, O(total live mass) lazy
-  /// rebuild after any departure or edge failure. Frozen — use when a
-  /// churn trace must replay historical join draws bit for bit.
-  kBag,
-};
-
 class Overlay {
  public:
   /// Takes ownership of `base` as the epoch-1 snapshot; every vertex and
   /// edge starts alive.
-  explicit Overlay(Graph base,
-                   OverlaySampler sampler = OverlaySampler::kBucketed);
+  explicit Overlay(Graph base);
 
   // ------------------------------------------------------------------ views
 
@@ -111,14 +94,10 @@ class Overlay {
   [[nodiscard]] std::size_t compactions() const noexcept {
     return compactions_;
   }
-  [[nodiscard]] OverlaySampler sampler() const noexcept {
-    return sampler_kind_;
-  }
 
   /// Mass the join sampler currently assigns to `v`
-  /// (live_degree(v) + 1 for live vertices, 0 for departed ones). O(1)
-  /// for kBucketed; O(live mass) for kBag (test/diagnostic use).
-  [[nodiscard]] std::uint64_t join_mass(VertexId v);
+  /// (live_degree(v) + 1 for live vertices, 0 for departed ones). O(1).
+  [[nodiscard]] std::uint64_t join_mass(VertexId v) const;
 
   [[nodiscard]] bool alive(VertexId v) const {
     SFS_REQUIRE(v < alive_.size(), "Overlay::alive: vertex id out of range");
@@ -153,7 +132,7 @@ class Overlay {
 
   /// A new peer joins with (up to) `attach` preferential-attachment links
   /// into the live overlay; returns its id. Targets are drawn from the
-  /// live-mass bag (weight live_degree + 1; duplicates allowed — the
+  /// live mass (weight live_degree + 1; duplicates allowed — the
   /// snapshot is a multigraph). Requires attach >= 1 and at least one live
   /// vertex. The join is staged until the next compaction.
   VertexId join(std::size_t attach, rng::Rng& rng);
@@ -179,9 +158,8 @@ class Overlay {
   bool maybe_compact(double debt_threshold);
 
  private:
-  void rebuild_bag();
   /// Subtracts the live-incidence mass `v` grants its neighbors, then
-  /// zeroes `v`'s own weight (kBucketed departure bookkeeping).
+  /// zeroes `v`'s own weight (departure bookkeeping).
   void retire_live_mass(VertexId v);
 
   Graph graph_;  // committed snapshot (staged joins not yet included)
@@ -205,19 +183,13 @@ class Overlay {
   /// include-layering DAG (sfs_lint R8), and the overlay needs only the
   /// builder and the two vectors below, not the full generator arena.
   GraphBuilder builder_;
-  /// kBag mode: the preferential-attachment bag — live_degree(v) + 1
-  /// entries per live vertex, id-ordered. Joins append incrementally;
-  /// departures and edge failures mark it dirty for a lazy rebuild.
-  std::vector<VertexId> pref_bag_;
   /// join() target staging buffer (reused across calls).
   std::vector<VertexId> targets_;
-  bool bag_dirty_ = true;
 
-  /// kBucketed mode: the live mass as explicit per-vertex weights,
-  /// maintained incrementally through every mutation (compaction preserves
-  /// live degrees, so it needs no work there). Invariant:
+  /// The live mass as explicit per-vertex weights, maintained
+  /// incrementally through every mutation (compaction preserves live
+  /// degrees, so it needs no work there). Invariant:
   /// live_mass_.weight(v) == alive(v) ? live_degree(v) + 1 : 0.
-  OverlaySampler sampler_kind_;
   rng::BucketedSampler live_mass_;
 };
 

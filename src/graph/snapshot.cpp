@@ -138,7 +138,7 @@ void write_snapshot(const std::string& path, const CompressedView& view,
   put_u64(base, 2, kSnapshotEndianMarker);
   put_u64(base, 4, view.num_vertices);
   put_u64(base, 5, view.num_edges);
-  put_u64(base, 6, static_cast<std::uint64_t>(view.codec));
+  put_u64(base, 6, kSnapshotRowCodec);
   put_u64(base, 7, meta.seed);
   std::memcpy(base + kGeneratorWord * 8, meta.generator.data(),
               meta.generator.size());
@@ -218,8 +218,7 @@ MappedSnapshot::MappedSnapshot(const std::string& path) {
 
   const std::uint64_t n = get_u64(data_, 4);
   const std::uint64_t m = get_u64(data_, 5);
-  const std::uint64_t codec_value = get_u64(data_, 6);
-  SFS_REQUIRE(codec_value <= static_cast<std::uint64_t>(RowCodec::kEliasFano),
+  SFS_REQUIRE(get_u64(data_, 6) == kSnapshotRowCodec,
               "snapshot declares unknown row codec: " + path);
   const std::uint64_t tail_len = get_u64(data_, 12);
   const std::uint64_t adj_len = get_u64(data_, 13);
@@ -243,7 +242,6 @@ MappedSnapshot::MappedSnapshot(const std::string& path) {
 
   view_.num_vertices = static_cast<std::size_t>(n);
   view_.num_edges = static_cast<std::size_t>(m);
-  view_.codec = static_cast<RowCodec>(codec_value);
   view_.tail_stream = {data_ + off_tail, static_cast<std::size_t>(tail_len)};
   view_.adj_stream = {data_ + off_adj, static_cast<std::size_t>(adj_len)};
   std::size_t cursor = off_deg;

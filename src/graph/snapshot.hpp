@@ -14,7 +14,7 @@
 //   [3]   checksum         FNV-1a-64 over every byte from offset 32 to EOF
 //   [4]   n                vertices
 //   [5]   m                edges
-//   [6]   row codec        graph::RowCodec value
+//   [6]   row codec        kSnapshotRowCodec (varint rows)
 //   [7]   seed             the audited stream seed the graph was built from
 //   [8..11] generator      char[32], NUL-padded
 //   [12]  tail stream length (bytes)
@@ -50,6 +50,9 @@ namespace sfs::graph {
 inline constexpr std::uint64_t kSnapshotMagic = 0x3150414E53534653ULL;
 inline constexpr std::uint64_t kSnapshotVersion = 1;
 inline constexpr std::uint64_t kSnapshotEndianMarker = 0x0102030405060708ULL;
+/// Header word 6: the row codec. Varint rows (0) are the only encoding;
+/// a snapshot declaring any other value is rejected, never decoded.
+inline constexpr std::uint64_t kSnapshotRowCodec = 0;
 
 /// Identity of the graph a snapshot holds: which generator configuration
 /// produced it and from which audited stream seed. Stored in the header
@@ -70,8 +73,8 @@ void write_snapshot(const std::string& path, const CompressedView& view,
 /// and stay valid for the lifetime of this object. Move-only.
 class MappedSnapshot {
  public:
-  /// Opens, maps and validates `path` (magic, version, endianness, section
-  /// lengths vs file size, checksum).
+  /// Opens, maps and validates `path` (magic, version, endianness, row
+  /// codec, section lengths vs file size, checksum).
   explicit MappedSnapshot(const std::string& path);
   ~MappedSnapshot();
 

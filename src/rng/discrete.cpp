@@ -86,68 +86,6 @@ std::size_t CdfSampler::sample(Rng& rng) const {
                                static_cast<std::ptrdiff_t>(cdf_.size()) - 1));
 }
 
-FenwickSampler::FenwickSampler(std::size_t n) : tree_(n + 1, 0.0), n_(n) {}
-
-double FenwickSampler::prefix_sum(std::size_t i) const {
-  double s = 0.0;
-  for (; i > 0; i -= i & (~i + 1)) s += tree_[i];
-  return s;
-}
-
-double FenwickSampler::weight(std::size_t i) const {
-  SFS_REQUIRE(i < n_, "outcome index out of range");
-  return prefix_sum(i + 1) - prefix_sum(i);
-}
-
-void FenwickSampler::add(std::size_t i, double delta) {
-  SFS_REQUIRE(i < n_, "outcome index out of range");
-  for (std::size_t j = i + 1; j <= n_; j += j & (~j + 1)) tree_[j] += delta;
-  total_ += delta;
-  SFS_CHECK(total_ > -1e-9, "total weight became negative");
-}
-
-void FenwickSampler::set_weight(std::size_t i, double w) {
-  SFS_REQUIRE(w >= 0.0 && std::isfinite(w), "weight must be finite, >= 0");
-  add(i, w - weight(i));
-}
-
-std::size_t FenwickSampler::push_back(double w) {
-  SFS_REQUIRE(w >= 0.0 && std::isfinite(w), "weight must be finite, >= 0");
-  // The Fenwick array is 1-based; ensure the index-0 sentinel exists (the
-  // default constructor leaves the vector empty).
-  if (tree_.empty()) tree_.push_back(0.0);
-  // Grow the tree by one leaf. Rebuilding the affected path keeps push_back
-  // amortized O(log n): appending leaf n+1 only requires its own node, whose
-  // value is the sum of the trailing block it covers.
-  ++n_;
-  tree_.push_back(0.0);
-  const std::size_t j = n_;  // 1-based position of the new leaf
-  const std::size_t block = j & (~j + 1);
-  // Node j covers leaves (j - block, j]; the new leaf contributes w and the
-  // previously existing leaves contribute prefix(j-1) - prefix(j-block).
-  const double below = prefix_sum(j - 1) - prefix_sum(j - block);
-  tree_[j] = below + w;
-  total_ += w;
-  return n_ - 1;
-}
-
-std::size_t FenwickSampler::sample(Rng& rng) const {
-  SFS_REQUIRE(total_ > 0.0, "sampling from an empty FenwickSampler");
-  double x = rng.uniform() * total_;
-  // Standard Fenwick descend: find smallest i with prefix_sum(i) > x.
-  std::size_t pos = 0;
-  std::size_t mask = std::bit_floor(n_);
-  for (; mask > 0; mask >>= 1) {
-    const std::size_t next = pos + mask;
-    if (next <= n_ && tree_[next] <= x) {
-      x -= tree_[next];
-      pos = next;
-    }
-  }
-  // pos is the count of leaves whose cumulative weight is <= x.
-  return std::min(pos, n_ - 1);
-}
-
 std::uint32_t RepeatArray::sample(Rng& rng) const {
   SFS_REQUIRE(!items_.empty(), "sampling from an empty RepeatArray");
   return items_[static_cast<std::size_t>(rng.uniform_index(items_.size()))];

@@ -1,24 +1,20 @@
 // Sampling from discrete (weighted) distributions.
 //
-// Three samplers with different trade-offs, all used by the graph
-// generators:
+// Samplers with different trade-offs:
 //
 //  * AliasTable      — static weights, O(n) build, O(1) sample.
 //  * CdfSampler      — static weights, O(n) build, O(log n) sample; cheap to
 //                      build, used for one-shot distributions (e.g. the
 //                      Kleinberg long-range distance law).
-//  * FenwickSampler  — dynamic non-negative weights with O(log n) update and
-//                      O(log n) sample; used where preferential weights
-//                      change during generation and the repeat-array trick
-//                      does not apply.
 //  * RepeatArray     — the classic preferential-attachment structure: a bag
 //                      of vertex ids where each id appears once per unit of
 //                      (integer) weight; O(1) append and O(1) uniform pick.
+//                      The reference distribution BucketedSampler is
+//                      tested against.
 //  * BucketedSampler — dynamic integer weights with O(1) update and O(1)
 //                      expected sample via power-of-two weight classes;
 //                      replaces the O(total-weight) memory of RepeatArray
-//                      and the O(log n) updates of FenwickSampler where
-//                      weights both grow and shrink (the Overlay join
+//                      where weights both grow and shrink (the Overlay join
 //                      path under churn).
 #pragma once
 
@@ -70,36 +66,6 @@ class CdfSampler {
 
  private:
   std::vector<double> cdf_;
-};
-
-/// Fenwick-tree sampler over dynamically updatable non-negative weights.
-class FenwickSampler {
- public:
-  FenwickSampler() = default;
-  /// Creates `n` outcomes, all with weight 0.
-  explicit FenwickSampler(std::size_t n);
-
-  [[nodiscard]] std::size_t size() const noexcept { return n_; }
-  [[nodiscard]] double total_weight() const noexcept { return total_; }
-  [[nodiscard]] double weight(std::size_t i) const;
-
-  /// Adds delta (may be negative; resulting weight must stay >= 0).
-  void add(std::size_t i, double delta);
-  void set_weight(std::size_t i, double w);
-
-  /// Appends a new outcome with the given weight; returns its index.
-  std::size_t push_back(double w);
-
-  /// Samples i with probability weight(i) / total_weight(). Requires a
-  /// strictly positive total weight.
-  [[nodiscard]] std::size_t sample(Rng& rng) const;
-
- private:
-  [[nodiscard]] double prefix_sum(std::size_t i) const;  // sum of [0, i)
-
-  std::vector<double> tree_;  // 1-based Fenwick array
-  std::size_t n_ = 0;
-  double total_ = 0.0;
 };
 
 /// Bag of ids supporting O(1) "append one unit of weight for id" and O(1)

@@ -131,15 +131,6 @@ std::vector<std::uint64_t> Rng::sample_without_replacement(std::uint64_t n,
   return result;
 }
 
-Rng Rng::fork(std::uint64_t tag) noexcept {
-  const auto s = engine_.state();
-  std::uint64_t h = mix64(s[0] ^ mix64(tag));
-  h = mix64(h ^ s[2]);
-  // Advance the parent so that repeated forks with the same tag differ.
-  h ^= u64();
-  return Rng(h);
-}
-
 std::uint64_t derive_seed(std::uint64_t experiment_seed,
                           std::uint64_t rep) noexcept {
   return mix64(experiment_seed ^ mix64(0x5eedULL + rep));

@@ -111,11 +111,6 @@ class Rng {
   [[nodiscard]] std::vector<std::uint64_t> sample_without_replacement(
       std::uint64_t n, std::uint64_t k);
 
-  /// Deterministically derives an independent substream: the result is
-  /// seeded from a hash of (current state, tag). Use to hand child tasks
-  /// their own generators without correlating streams.
-  [[nodiscard]] Rng fork(std::uint64_t tag) noexcept;
-
   [[nodiscard]] Xoshiro256& engine() noexcept { return engine_; }
 
  private:
@@ -131,7 +126,7 @@ class Rng {
 /// (stream 0 = the graph, further streams = endpoints, per-policy
 /// searches, ...). Every stream of every replication is a pure function of
 /// (experiment_seed, stream, rep), which is what lets the parallel
-/// replication engine (sim/parallel.hpp) fan replications out across
+/// replication engine (base/parallel.hpp) fan replications out across
 /// threads while staying bit-identical to a sequential loop — no RNG
 /// state is ever shared between replications. See docs/PERF.md.
 [[nodiscard]] std::uint64_t derive_stream_seed(std::uint64_t experiment_seed,

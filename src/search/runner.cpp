@@ -6,7 +6,7 @@ namespace sfs::search {
 
 namespace {
 
-// One loop serves both the static and the tolerant runs. The failure
+// One loop serves both static and liveness-masked runs. The failure
 // branch keys off view.failed_requests(), which never moves without a
 // liveness mask, so a static run takes the exact pre-churn path (same
 // calls, same RNG draws) — bit-identity by construction, not by testing.
@@ -49,37 +49,17 @@ SearchResult run_strong(const graph::Graph& g, graph::VertexId start,
 SearchResult run_weak(const graph::Graph& g, graph::VertexId start,
                       graph::VertexId target, WeakSearcher& searcher,
                       rng::Rng& rng, const RunBudget& budget,
-                      SearchWorkspace& workspace) {
-  LocalView view(g, KnowledgeModel::kWeak, start, target, workspace);
-  return drive_weak(view, searcher, rng, budget, RetryBudget{});
+                      SearchWorkspace& workspace, LivenessView liveness,
+                      const RetryBudget& retry) {
+  LocalView view(g, KnowledgeModel::kWeak, start, target, workspace, liveness);
+  return drive_weak(view, searcher, rng, budget, retry);
 }
 
 SearchResult run_strong(const graph::Graph& g, graph::VertexId start,
                         graph::VertexId target, StrongSearcher& searcher,
                         rng::Rng& rng, const RunBudget& budget,
-                        SearchWorkspace& workspace) {
-  LocalView view(g, KnowledgeModel::kStrong, start, target, workspace);
-  return drive_strong(view, searcher, rng, budget, RetryBudget{});
-}
-
-SearchResult run_weak_tolerant(const graph::Graph& g,
-                               const LivenessView& liveness,
-                               graph::VertexId start, graph::VertexId target,
-                               WeakSearcher& searcher, rng::Rng& rng,
-                               const RunBudget& budget,
-                               const RetryBudget& retry,
-                               SearchWorkspace& workspace) {
-  LocalView view(g, KnowledgeModel::kWeak, start, target, workspace, liveness);
-  return drive_weak(view, searcher, rng, budget, retry);
-}
-
-SearchResult run_strong_tolerant(const graph::Graph& g,
-                                 const LivenessView& liveness,
-                                 graph::VertexId start, graph::VertexId target,
-                                 StrongSearcher& searcher, rng::Rng& rng,
-                                 const RunBudget& budget,
-                                 const RetryBudget& retry,
-                                 SearchWorkspace& workspace) {
+                        SearchWorkspace& workspace, LivenessView liveness,
+                        const RetryBudget& retry) {
   LocalView view(g, KnowledgeModel::kStrong, start, target, workspace,
                  liveness);
   return drive_strong(view, searcher, rng, budget, retry);

@@ -1,15 +1,15 @@
 // Drives a searcher against a LocalView until the target is found, the
 // policy gives up, or a budget is exhausted.
 //
-// The *_tolerant variants run the same loop against a liveness-masked view
-// (graph::Overlay masks): failed probes (dead link / departed peer) are
-// absorbed by a bounded RetryBudget instead of being surfaced to the
-// policy — the policy only ever observes successful answers, and a search
-// that keeps stranding is restarted (policy state reset, discovered
-// knowledge retained) and finally abandoned. With empty masks the failure
-// branch is unreachable and consumes no randomness, so a tolerant run
-// over an all-alive overlay is bit-identical to the static run — the
-// churn-rate-0 acceptance invariant.
+// The workspace runs optionally take a liveness-masked view (graph::Overlay
+// masks): failed probes (dead link / departed peer) are absorbed by a
+// bounded RetryBudget instead of being surfaced to the policy — the policy
+// only ever observes successful answers, and a search that keeps stranding
+// is restarted (policy state reset, discovered knowledge retained) and
+// finally abandoned. With empty masks (the default) the failure branch is
+// unreachable and consumes no randomness, so a run over an all-alive
+// overlay is bit-identical to the static run — the churn-rate-0
+// acceptance invariant.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,7 @@ struct RunBudget {
   std::size_t max_raw_requests = std::numeric_limits<std::size_t>::max();
 };
 
-/// Bounds on how much probe failure a tolerant run absorbs before
+/// Bounds on how much probe failure a liveness-masked run absorbs before
 /// escalating. Failures are "consecutive" across requests: any successful
 /// probe resets the streak.
 struct RetryBudget {
@@ -80,34 +80,27 @@ struct SearchResult {
 /// Workspace-reusing variants: identical results to the overloads above,
 /// but all per-search state lives in `workspace`, so back-to-back runs on
 /// same-size graphs allocate nothing. One workspace per worker thread.
+///
+/// `liveness` masks departed vertices and failed edges (usually
+/// graph::Overlay's vertex_alive_mask / edge_alive_mask over
+/// overlay.snapshot()), and `retry` bounds how much probe failure the run
+/// absorbs. With empty masks the run is the static one, bit for bit.
 [[nodiscard]] SearchResult run_weak(const graph::Graph& g,
                                     graph::VertexId start,
                                     graph::VertexId target,
                                     WeakSearcher& searcher, rng::Rng& rng,
                                     const RunBudget& budget,
-                                    SearchWorkspace& workspace);
+                                    SearchWorkspace& workspace,
+                                    LivenessView liveness = {},
+                                    const RetryBudget& retry = {});
 
 [[nodiscard]] SearchResult run_strong(const graph::Graph& g,
                                       graph::VertexId start,
                                       graph::VertexId target,
                                       StrongSearcher& searcher, rng::Rng& rng,
                                       const RunBudget& budget,
-                                      SearchWorkspace& workspace);
-
-/// Departure-tolerant runs over a liveness-masked snapshot. `liveness`
-/// usually comes from a graph::Overlay (vertex_alive_mask /
-/// edge_alive_mask over overlay.snapshot()); with empty masks these are
-/// bit-identical to the static overloads above.
-[[nodiscard]] SearchResult run_weak_tolerant(
-    const graph::Graph& g, const LivenessView& liveness,
-    graph::VertexId start, graph::VertexId target, WeakSearcher& searcher,
-    rng::Rng& rng, const RunBudget& budget, const RetryBudget& retry,
-    SearchWorkspace& workspace);
-
-[[nodiscard]] SearchResult run_strong_tolerant(
-    const graph::Graph& g, const LivenessView& liveness,
-    graph::VertexId start, graph::VertexId target, StrongSearcher& searcher,
-    rng::Rng& rng, const RunBudget& budget, const RetryBudget& retry,
-    SearchWorkspace& workspace);
+                                      SearchWorkspace& workspace,
+                                      LivenessView liveness = {},
+                                      const RetryBudget& retry = {});
 
 }  // namespace sfs::search

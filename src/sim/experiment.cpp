@@ -507,10 +507,4 @@ int experiment_main(int argc, char** argv) {
   return run_cli(args);
 }
 
-int experiment_main_for(std::string_view name, int argc, char** argv) {
-  std::vector<std::string> args{"--run", std::string(name)};
-  args.insert(args.end(), argv + 1, argv + argc);
-  return run_cli(args);
-}
-
 }  // namespace sfs::sim

@@ -14,8 +14,7 @@
 // with one flag vocabulary across all experiments: --sizes/--n, --reps,
 // --seed, --threads, --quick, --large, --checkpoint <path>, --json <path>.
 // Unknown or malformed flags exit 2 with usage; a flag an experiment does
-// not support is rejected the same way (the generalization of the old
-// bench_e1 "--quick requires --large" rule — nothing is silently ignored).
+// not support is rejected the same way — nothing is silently ignored.
 // Adding a scenario is a ~30-line registration, not a new binary.
 #pragma once
 
@@ -254,11 +253,5 @@ void print_experiment_usage(std::ostream& out, const ExperimentSpec* spec);
 /// Exit codes: 0 success, 1 experiment result-contract failure or runtime
 /// error, 2 usage error.
 [[nodiscard]] int experiment_main(int argc, char** argv);
-
-/// Compatibility entry point for the per-experiment thin wrappers
-/// (bench_e1_thm1_weak & co.): behaves like
-/// `sfs_bench --run <name> <argv[1..]>`.
-[[nodiscard]] int experiment_main_for(std::string_view name, int argc,
-                                      char** argv);
 
 }  // namespace sfs::sim

@@ -10,12 +10,12 @@
 #include <utility>
 
 #include "base/check.hpp"
+#include "base/parallel.hpp"
 #include "base/sync.hpp"
 #include "base/thread_annotations.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
 #include "sim/csv.hpp"
-#include "sim/parallel.hpp"
 #include "sim/worker_context.hpp"
 
 namespace sfs::sim {
@@ -338,7 +338,7 @@ std::size_t run_scaling_cells(const std::vector<std::size_t>& sizes,
   // keeps workers busy across size boundaries. Each cell's seed depends
   // only on (i, r), and each cell writes its own slot, so the series is
   // identical for any thread count.
-  parallel_for(pending.size(), options.threads,
+  base::parallel_for(pending.size(), options.threads,
                [&](std::size_t idx, std::size_t worker) {
                  const std::size_t task = pending[idx];
                  const std::size_t i = task / reps;
@@ -399,33 +399,13 @@ ScalingSeries measure_scaling(
   // One WorkerContext per worker (sim/worker_context.hpp) — the same
   // per-worker scratch state sim/sweep and search/QueryEngine use; this
   // harness only exercises its generator scratch.
-  std::vector<WorkerContext> workers(resolve_worker_count(options.threads));
+  std::vector<WorkerContext> workers(
+      base::resolve_worker_count(options.threads));
   return measure_scaling_impl(
       sizes, reps, seed, options,
       [&](std::size_t n, std::uint64_t cell_seed, std::size_t worker) {
         return measure(n, cell_seed, workers[worker].gen_scratch);
       });
-}
-
-ScalingSeries measure_scaling(
-    const std::vector<std::size_t>& sizes, std::size_t reps,
-    std::uint64_t seed,
-    const std::function<double(std::size_t, std::uint64_t)>& measure,
-    std::size_t threads) {
-  ScalingOptions options;
-  options.threads = threads;
-  return measure_scaling(sizes, reps, seed, measure, options);
-}
-
-ScalingSeries measure_scaling(
-    const std::vector<std::size_t>& sizes, std::size_t reps,
-    std::uint64_t seed,
-    const std::function<double(std::size_t, std::uint64_t,
-                               gen::GenScratch&)>& measure,
-    std::size_t threads) {
-  ScalingOptions options;
-  options.threads = threads;
-  return measure_scaling(sizes, reps, seed, measure, options);
 }
 
 namespace {
@@ -470,7 +450,8 @@ std::size_t measure_scaling_shard(
                                gen::GenScratch&)>& measure,
     const ScalingOptions& options, std::size_t shard_index,
     std::size_t shard_count) {
-  std::vector<WorkerContext> workers(resolve_worker_count(options.threads));
+  std::vector<WorkerContext> workers(
+      base::resolve_worker_count(options.threads));
   return measure_scaling_shard_impl(
       sizes, reps, seed, options, shard_index, shard_count,
       [&](std::size_t n, std::uint64_t cell_seed, std::size_t worker) {

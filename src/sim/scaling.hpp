@@ -123,7 +123,7 @@ struct ScalingOptions {
     const std::vector<std::size_t>& sizes, std::size_t reps,
     std::uint64_t seed,
     const std::function<double(std::size_t n, std::uint64_t seed)>& measure,
-    const ScalingOptions& options);
+    const ScalingOptions& options = {});
 
 /// Scratch-aware variant: `measure` additionally receives a per-worker
 /// gen::GenScratch so graph construction inside the measure callback can
@@ -135,7 +135,7 @@ struct ScalingOptions {
     std::uint64_t seed,
     const std::function<double(std::size_t n, std::uint64_t seed,
                                gen::GenScratch& scratch)>& measure,
-    const ScalingOptions& options);
+    const ScalingOptions& options = {});
 
 /// Sharded sweep: computes only the grid cells this shard owns and
 /// streams them to ScalingOptions::checkpoint_path (required — the
@@ -177,19 +177,6 @@ std::size_t measure_scaling_shard(
 /// number of distinct cells in the merged file.
 std::size_t merge_checkpoints(const std::vector<std::string>& inputs,
                               const std::string& output);
-
-/// Back-compat conveniences: options defaulted except the thread count.
-[[nodiscard]] ScalingSeries measure_scaling(
-    const std::vector<std::size_t>& sizes, std::size_t reps,
-    std::uint64_t seed,
-    const std::function<double(std::size_t n, std::uint64_t seed)>& measure,
-    std::size_t threads = 1);
-[[nodiscard]] ScalingSeries measure_scaling(
-    const std::vector<std::size_t>& sizes, std::size_t reps,
-    std::uint64_t seed,
-    const std::function<double(std::size_t n, std::uint64_t seed,
-                               gen::GenScratch& scratch)>& measure,
-    std::size_t threads = 1);
 
 /// Stratified bootstrap CI of the fitted OLS slope of `series`: each
 /// resample draws, within every point, `raw.size()` values with

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <limits>
 #include <span>
-#include <type_traits>
 
 #include "base/check.hpp"
+#include "base/parallel.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
 #include "search/policy.hpp"
-#include "sim/parallel.hpp"
 #include "sim/worker_context.hpp"
 
 namespace sfs::sim {
@@ -57,9 +56,9 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
   std::vector<std::vector<search::SearchResult>> results(reps);
 
   using State = WorkerState<decltype(portfolio_factory())>;
-  std::vector<State> workers(resolve_worker_count(threads));
+  std::vector<State> workers(base::resolve_worker_count(threads));
 
-  parallel_for(reps, threads, [&](std::size_t rep, std::size_t worker) {
+  base::parallel_for(reps, threads, [&](std::size_t rep, std::size_t worker) {
     State& st = workers[worker];
     if (!st.initialized) {
       st.policies = portfolio_factory();
@@ -250,70 +249,6 @@ PortfolioCost measure_portfolio(const RunPlan& plan) {
   return measure_strong_plan(specs, plan.scratch_factory, plan.endpoints,
                              plan.reps, plan.seed, plan.stream_plan,
                              plan.budget, plan.threads);
-}
-
-namespace {
-
-template <typename Factory>
-RunPlan compat_plan(search::KnowledgeModel model, const Factory& factory,
-                    const EndpointSelector& endpoints, std::size_t reps,
-                    std::uint64_t seed, const search::RunBudget& budget,
-                    std::size_t threads) {
-  RunPlan plan;
-  plan.model = model;
-  if constexpr (std::is_same_v<Factory, GraphFactory>) {
-    plan.factory = factory;
-  } else {
-    plan.scratch_factory = factory;
-  }
-  plan.endpoints = endpoints;
-  plan.reps = reps;
-  plan.seed = seed;
-  plan.budget = budget;
-  plan.threads = threads;
-  return plan;
-}
-
-}  // namespace
-
-PortfolioCost measure_weak_portfolio(const GraphFactory& factory,
-                                     const EndpointSelector& endpoints,
-                                     std::size_t reps, std::uint64_t seed,
-                                     const search::RunBudget& budget,
-                                     std::size_t threads) {
-  return measure_portfolio(compat_plan(search::KnowledgeModel::kWeak, factory,
-                                       endpoints, reps, seed, budget,
-                                       threads));
-}
-
-PortfolioCost measure_weak_portfolio(const ScratchGraphFactory& factory,
-                                     const EndpointSelector& endpoints,
-                                     std::size_t reps, std::uint64_t seed,
-                                     const search::RunBudget& budget,
-                                     std::size_t threads) {
-  return measure_portfolio(compat_plan(search::KnowledgeModel::kWeak, factory,
-                                       endpoints, reps, seed, budget,
-                                       threads));
-}
-
-PortfolioCost measure_strong_portfolio(const GraphFactory& factory,
-                                       const EndpointSelector& endpoints,
-                                       std::size_t reps, std::uint64_t seed,
-                                       const search::RunBudget& budget,
-                                       std::size_t threads) {
-  return measure_portfolio(compat_plan(search::KnowledgeModel::kStrong,
-                                       factory, endpoints, reps, seed, budget,
-                                       threads));
-}
-
-PortfolioCost measure_strong_portfolio(const ScratchGraphFactory& factory,
-                                       const EndpointSelector& endpoints,
-                                       std::size_t reps, std::uint64_t seed,
-                                       const search::RunBudget& budget,
-                                       std::size_t threads) {
-  return measure_portfolio(compat_plan(search::KnowledgeModel::kStrong,
-                                       factory, endpoints, reps, seed, budget,
-                                       threads));
 }
 
 EndpointSelector oldest_to_newest() {

@@ -3,18 +3,14 @@
 // charged-request cost per policy. The minimum over the portfolio is the
 // empirical stand-in for "any algorithm" in the lower-bound experiments.
 //
-// V2 API: one RunPlan describes the whole measurement — knowledge model,
-// policy filter (names resolved against the policy registry,
-// search/policy.hpp), graph factory variant, endpoint selector,
-// replications, seed, budget and thread fan-out — and one
-// measure_portfolio(plan) runs it. The four v1 entry points
-// (measure_weak_portfolio / measure_strong_portfolio × plain/scratch
-// factory) survive as thin compat wrappers that build a plan; they are
-// bit-identical to the pre-redesign implementation (same seed derivation,
-// same fold order — pinned-seed golden test in tests/test_sweep_compat).
+// One RunPlan describes the whole measurement — knowledge model, policy
+// filter (names resolved against the policy registry, search/policy.hpp),
+// graph factory variant, endpoint selector, replications, seed, budget and
+// thread fan-out — and one measure_portfolio(plan) runs it. Pinned-seed
+// goldens in tests/test_sweep_compat hold its outputs bit for bit.
 //
 // Replications can be fanned out over the deterministic parallel executor
-// (sim/parallel.hpp). Because every replication derives its own seeds from
+// (base/parallel.hpp). Because every replication derives its own seeds from
 // (seed, rep) and results are folded in replication order, the summaries
 // are bit-identical for any thread count, including 1. Parallelism is
 // opt-in (`threads` defaults to 1): passing 0 or >1 requires the caller's
@@ -80,14 +76,12 @@ struct PortfolioCost {
   std::size_t best = 0;
 
   /// The entry at `best`. Throws std::invalid_argument on an empty
-  /// portfolio (a default-constructed PortfolioCost) instead of the v1
-  /// behavior of surfacing a bare std::out_of_range from vector::at.
+  /// portfolio (a default-constructed PortfolioCost).
   [[nodiscard]] const PolicyCost& best_policy() const;
 };
 
-/// The v2 portfolio measurement: everything one measurement needs, in one
-/// value. Defaults reproduce the v1 entry points (full portfolio of the
-/// model, sequential, default budget).
+/// A portfolio measurement: everything one measurement needs, in one value.
+/// Defaults: the model's full portfolio, sequential, default budget.
 struct RunPlan {
   /// Knowledge model to run; every selected policy must be of this model.
   search::KnowledgeModel model = search::KnowledgeModel::kWeak;
@@ -99,7 +93,7 @@ struct RunPlan {
   /// errors. NOTE: each policy's RNG stream is tagged by its index in
   /// this selected portfolio, so a filtered run is paired (same graphs,
   /// same endpoints) with the full-portfolio run, and a policy keeps its
-  /// exact v1 stream only while its index matches the full-portfolio
+  /// full-portfolio stream only while its index matches its full-portfolio
   /// position (prefix selections do; reorderings do not).
   std::vector<std::string> policies;
 
@@ -134,37 +128,6 @@ struct RunPlan {
 /// endpoints set, exactly one factory variant set, reps >= 1, and a
 /// non-empty resolved portfolio.
 [[nodiscard]] PortfolioCost measure_portfolio(const RunPlan& plan);
-
-// ---------------------------------------------------------------------
-// V1 compat wrappers. Each builds the equivalent RunPlan; outputs are
-// bit-identical to the pre-redesign four-overload implementation. New
-// code should build a RunPlan directly (see docs/SEARCH.md for the
-// migration table).
-// ---------------------------------------------------------------------
-
-/// Full weak portfolio on `reps` fresh graphs (plain factory).
-[[nodiscard]] PortfolioCost measure_weak_portfolio(
-    const GraphFactory& factory, const EndpointSelector& endpoints,
-    std::size_t reps, std::uint64_t seed,
-    const search::RunBudget& budget = {}, std::size_t threads = 1);
-
-/// Same for the strong portfolio.
-[[nodiscard]] PortfolioCost measure_strong_portfolio(
-    const GraphFactory& factory, const EndpointSelector& endpoints,
-    std::size_t reps, std::uint64_t seed,
-    const search::RunBudget& budget = {}, std::size_t threads = 1);
-
-/// Scratch-aware variants: identical measurement (same seeds, same fold,
-/// bit-identical PortfolioCost when the factory generates the same graphs)
-/// with zero-realloc graph construction per replication.
-[[nodiscard]] PortfolioCost measure_weak_portfolio(
-    const ScratchGraphFactory& factory, const EndpointSelector& endpoints,
-    std::size_t reps, std::uint64_t seed,
-    const search::RunBudget& budget = {}, std::size_t threads = 1);
-[[nodiscard]] PortfolioCost measure_strong_portfolio(
-    const ScratchGraphFactory& factory, const EndpointSelector& endpoints,
-    std::size_t reps, std::uint64_t seed,
-    const search::RunBudget& budget = {}, std::size_t threads = 1);
 
 /// Selector: start at vertex 0 (the paper's oldest vertex), target the last
 /// vertex (the paper's vertex n).

@@ -8,40 +8,6 @@
 
 namespace sfs::stats {
 
-BootstrapCi bootstrap_ci(
-    std::span<const double> data,
-    const std::function<double(std::span<const double>)>& statistic,
-    std::size_t replicates, double alpha, rng::Rng& rng) {
-  SFS_REQUIRE(!data.empty(), "bootstrap of empty sample");
-  SFS_REQUIRE(replicates >= 2, "need at least 2 bootstrap replicates");
-  SFS_REQUIRE(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-
-  BootstrapCi ci;
-  ci.replicates = replicates;
-  ci.point = statistic(data);
-
-  std::vector<double> resample(data.size());
-  std::vector<double> stats;
-  stats.reserve(replicates);
-  for (std::size_t r = 0; r < replicates; ++r) {
-    for (double& x : resample) {
-      x = data[static_cast<std::size_t>(rng.uniform_index(data.size()))];
-    }
-    stats.push_back(statistic(resample));
-  }
-  ci.lo = quantile(stats, alpha / 2.0);
-  ci.hi = quantile(stats, 1.0 - alpha / 2.0);
-  return ci;
-}
-
-BootstrapCi bootstrap_mean_ci(std::span<const double> data,
-                              std::size_t replicates, double alpha,
-                              rng::Rng& rng) {
-  return bootstrap_ci(
-      data, [](std::span<const double> xs) { return summarize(xs).mean; },
-      replicates, alpha, rng);
-}
-
 BootstrapCi bootstrap_grouped_ci(
     std::span<const std::vector<double>> groups,
     const std::function<double(std::span<const std::vector<double>>)>&

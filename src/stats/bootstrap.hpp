@@ -20,19 +20,6 @@ struct BootstrapCi {
   std::size_t replicates = 0;
 };
 
-/// Computes the statistic on `replicates` resamples (with replacement) of
-/// `data` and returns the [alpha/2, 1-alpha/2] percentile interval.
-/// `statistic` must accept any non-empty sample of the same size.
-[[nodiscard]] BootstrapCi bootstrap_ci(
-    std::span<const double> data,
-    const std::function<double(std::span<const double>)>& statistic,
-    std::size_t replicates, double alpha, rng::Rng& rng);
-
-/// Convenience: bootstrap CI of the sample mean.
-[[nodiscard]] BootstrapCi bootstrap_mean_ci(std::span<const double> data,
-                                            std::size_t replicates,
-                                            double alpha, rng::Rng& rng);
-
 /// Stratified (group-wise) percentile bootstrap for statistics of grouped
 /// data — e.g. a scaling exponent fitted over per-size replication
 /// samples, where resampling must respect the grouping (resample

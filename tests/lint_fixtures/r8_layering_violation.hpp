@@ -7,4 +7,4 @@
 
 #include "rng/random.hpp"
 #include "base/check.hpp"
-#include "sim/parallel.hpp"
+#include "sim/sweep.hpp"

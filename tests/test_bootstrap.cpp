@@ -12,64 +12,6 @@
 namespace {
 
 using sfs::rng::Rng;
-using sfs::stats::bootstrap_ci;
-using sfs::stats::bootstrap_mean_ci;
-
-TEST(Bootstrap, MeanCiBracketsSampleMean) {
-  Rng data_rng(1);
-  std::vector<double> data;
-  for (int i = 0; i < 200; ++i) data.push_back(data_rng.uniform(0.0, 10.0));
-  Rng rng(2);
-  const auto ci = bootstrap_mean_ci(data, 2000, 0.05, rng);
-  const double mean = sfs::stats::summarize(data).mean;
-  EXPECT_DOUBLE_EQ(ci.point, mean);
-  EXPECT_LE(ci.lo, mean);
-  EXPECT_GE(ci.hi, mean);
-  EXPECT_LT(ci.hi - ci.lo, 2.0);
-  EXPECT_GT(ci.hi - ci.lo, 0.1);
-}
-
-TEST(Bootstrap, DegenerateSampleHasZeroWidth) {
-  const std::vector<double> data(50, 3.0);
-  Rng rng(3);
-  const auto ci = bootstrap_mean_ci(data, 500, 0.05, rng);
-  EXPECT_DOUBLE_EQ(ci.lo, 3.0);
-  EXPECT_DOUBLE_EQ(ci.hi, 3.0);
-}
-
-TEST(Bootstrap, CustomStatistic) {
-  std::vector<double> data;
-  for (int i = 1; i <= 101; ++i) data.push_back(static_cast<double>(i));
-  Rng rng(4);
-  const auto ci = bootstrap_ci(
-      data,
-      [](std::span<const double> xs) { return sfs::stats::median(xs); },
-      1000, 0.1, rng);
-  EXPECT_DOUBLE_EQ(ci.point, 51.0);
-  EXPECT_GT(ci.lo, 35.0);
-  EXPECT_LT(ci.hi, 67.0);
-}
-
-TEST(Bootstrap, DeterministicForSameSeed) {
-  std::vector<double> data{1.0, 5.0, 2.0, 8.0, 3.0, 9.0, 4.0};
-  Rng a(5);
-  Rng b(5);
-  const auto ca = bootstrap_mean_ci(data, 200, 0.05, a);
-  const auto cb = bootstrap_mean_ci(data, 200, 0.05, b);
-  EXPECT_DOUBLE_EQ(ca.lo, cb.lo);
-  EXPECT_DOUBLE_EQ(ca.hi, cb.hi);
-}
-
-TEST(Bootstrap, Preconditions) {
-  Rng rng(6);
-  const std::vector<double> data{1.0, 2.0};
-  EXPECT_THROW((void)bootstrap_mean_ci({}, 100, 0.05, rng),
-               std::invalid_argument);
-  EXPECT_THROW((void)bootstrap_mean_ci(data, 1, 0.05, rng),
-               std::invalid_argument);
-  EXPECT_THROW((void)bootstrap_mean_ci(data, 100, 0.0, rng),
-               std::invalid_argument);
-}
 
 TEST(BootstrapGrouped, ResamplesWithinGroupsOnly) {
   // Two well-separated groups; a difference-of-means statistic. Group-wise

@@ -1,4 +1,4 @@
-// Tests for the departure-tolerant runner layer: failed probes absorbed
+// Tests for liveness-masked runs (search/runner.hpp): failed probes absorbed
 // by the RetryBudget, policy restarts, abandonment, and the empty-mask ==
 // static bit-identity invariant that makes churn-rate-0 exact.
 #include <gtest/gtest.h>
@@ -46,37 +46,39 @@ void expect_identical(const SearchResult& a, const SearchResult& b) {
 
 TEST(TolerantRunner, EmptyMaskIsBitIdenticalToStaticRun) {
   // The churn-rate-0 invariant at the runner level: with no mask the
-  // failure branch is unreachable and consumes no randomness, so the
-  // tolerant loop must reproduce the static loop bit for bit — including
-  // for randomized policies, the hardest case.
+  // failure branch is unreachable and consumes no randomness, so a masked
+  // run must reproduce the static run bit for bit — including for
+  // randomized policies, the hardest case. Both an empty mask and an
+  // all-alive mask are checked against the plain static overload.
   sfs::rng::Rng gen_rng(77);
   const Graph g =
       sfs::gen::merged_mori_graph(250, 2, sfs::gen::MoriParams{0.5}, gen_rng);
+  const Masks all_alive(g);
   RunBudget budget;
   budget.max_raw_requests = 15000;
   SearchWorkspace ws;
   const auto& registry = PolicyRegistry::instance();
 
-  for (const char* name : {"random-walk", "bfs", "degree-greedy"}) {
-    auto s1 = registry.find(name)->make_weak();
-    auto s2 = registry.find(name)->make_weak();
-    sfs::rng::Rng r1(0xBEEF), r2(0xBEEF);
-    const SearchResult fixed =
-        run_weak(g, 3, 200, *s1, r1, budget, ws);
-    const SearchResult tolerant = run_weak_tolerant(
-        g, LivenessView{}, 3, 200, *s2, r2, budget, RetryBudget{}, ws);
-    expect_identical(fixed, tolerant);
-    EXPECT_EQ(tolerant.failed_requests, 0u);
-  }
-  for (const char* name : {"random-strong", "degree-greedy-strong"}) {
-    auto s1 = registry.find(name)->make_strong();
-    auto s2 = registry.find(name)->make_strong();
-    sfs::rng::Rng r1(0xF00D), r2(0xF00D);
-    const SearchResult fixed =
-        run_strong(g, 3, 200, *s1, r1, budget, ws);
-    const SearchResult tolerant = run_strong_tolerant(
-        g, LivenessView{}, 3, 200, *s2, r2, budget, RetryBudget{}, ws);
-    expect_identical(fixed, tolerant);
+  for (const LivenessView liveness : {LivenessView{}, all_alive.view()}) {
+    for (const char* name : {"random-walk", "bfs", "degree-greedy"}) {
+      auto s1 = registry.find(name)->make_weak();
+      auto s2 = registry.find(name)->make_weak();
+      sfs::rng::Rng r1(0xBEEF), r2(0xBEEF);
+      const SearchResult fixed = run_weak(g, 3, 200, *s1, r1, budget);
+      const SearchResult masked = run_weak(g, 3, 200, *s2, r2, budget, ws,
+                                           liveness, RetryBudget{});
+      expect_identical(fixed, masked);
+      EXPECT_EQ(masked.failed_requests, 0u);
+    }
+    for (const char* name : {"random-strong", "degree-greedy-strong"}) {
+      auto s1 = registry.find(name)->make_strong();
+      auto s2 = registry.find(name)->make_strong();
+      sfs::rng::Rng r1(0xF00D), r2(0xF00D);
+      const SearchResult fixed = run_strong(g, 3, 200, *s1, r1, budget);
+      const SearchResult masked = run_strong(g, 3, 200, *s2, r2, budget, ws,
+                                             liveness, RetryBudget{});
+      expect_identical(fixed, masked);
+    }
   }
 }
 
@@ -98,8 +100,8 @@ TEST(TolerantRunner, WeakSearchRestartsPastDeadLinksAndSucceeds) {
   RetryBudget retry;
   retry.max_consecutive_failures = 2;
   retry.max_restarts = 5;
-  const SearchResult r = run_weak_tolerant(g, m.view(), 0, 6, *searcher, rng,
-                                           RunBudget{}, retry, ws);
+  const SearchResult r =
+      run_weak(g, 0, 6, *searcher, rng, RunBudget{}, ws, m.view(), retry);
   EXPECT_TRUE(r.found);
   EXPECT_FALSE(r.abandoned);
   EXPECT_EQ(r.failed_requests, 5u);  // every dead spoke probed exactly once
@@ -122,8 +124,8 @@ TEST(TolerantRunner, AbandonsWhenRetryBudgetRunsDry) {
   RetryBudget retry;
   retry.max_consecutive_failures = 2;
   retry.max_restarts = 0;  // no second chances
-  const SearchResult r = run_weak_tolerant(g, m.view(), 0, 6, *searcher, rng,
-                                           RunBudget{}, retry, ws);
+  const SearchResult r =
+      run_weak(g, 0, 6, *searcher, rng, RunBudget{}, ws, m.view(), retry);
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.abandoned);
   EXPECT_EQ(r.restarts, 0u);
@@ -148,8 +150,8 @@ TEST(TolerantRunner, StrongSearchSpendsProbesDiscoveringDepartures) {
   auto searcher = PolicyRegistry::instance().find("bfs-strong")->make_strong();
   sfs::rng::Rng rng(2);
   SearchWorkspace ws;
-  const SearchResult r = run_strong_tolerant(g, m.view(), 0, 4, *searcher, rng,
-                                             RunBudget{}, RetryBudget{}, ws);
+  const SearchResult r =
+      run_strong(g, 0, 4, *searcher, rng, RunBudget{}, ws, m.view());
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.failed_requests, 2u);
   EXPECT_EQ(r.restarts, 0u);  // default streak budget absorbs both
@@ -172,8 +174,8 @@ TEST(TolerantRunner, StrongSearchAbandonsUnreachableTarget) {
   RetryBudget retry;
   retry.max_consecutive_failures = 2;
   retry.max_restarts = 0;
-  const SearchResult r = run_strong_tolerant(g, m.view(), 0, 5, *searcher, rng,
-                                             RunBudget{}, retry, ws);
+  const SearchResult r =
+      run_strong(g, 0, 5, *searcher, rng, RunBudget{}, ws, m.view(), retry);
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.abandoned);
   EXPECT_EQ(r.failed_requests, 3u);

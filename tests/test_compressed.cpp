@@ -1,5 +1,5 @@
 // Tests for the compressed CSR substrate (graph/compressed.hpp): the
-// Elias-Fano sequence primitives, both row codecs, and the headline
+// Elias-Fano sequence primitives, the varint row codec, and the headline
 // contract — Graph ⇄ CompressedGraph round-trips bit-exactly for every
 // generator in the tree, and decode_adjacent reproduces Graph::adjacent
 // slot for slot.
@@ -27,11 +27,8 @@ using sfs::graph::CompressedGraph;
 using sfs::graph::EliasFanoSequence;
 using sfs::graph::Graph;
 using sfs::graph::GraphBuilder;
-using sfs::graph::RowCodec;
 using sfs::graph::VertexId;
 using sfs::rng::Rng;
-
-constexpr RowCodec kCodecs[] = {RowCodec::kVarint, RowCodec::kEliasFano};
 
 void expect_graph_equal(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices());
@@ -52,11 +49,11 @@ void expect_graph_equal(const Graph& a, const Graph& b) {
   }
 }
 
-/// The full contract for one graph and codec: row decode matches
+/// The full contract for one graph: row decode matches
 /// adjacent(v) slot for slot, and decompress() rebuilds the Graph
 /// bit-exactly.
-void expect_round_trip(const Graph& g, RowCodec codec) {
-  const CompressedGraph c = CompressedGraph::from_graph(g, codec);
+void expect_round_trip(const Graph& g) {
+  const CompressedGraph c = CompressedGraph::from_graph(g);
   ASSERT_EQ(c.num_vertices(), g.num_vertices());
   ASSERT_EQ(c.num_edges(), g.num_edges());
   AdjacencyDecodeBuffer buffer;
@@ -66,8 +63,7 @@ void expect_round_trip(const Graph& g, RowCodec codec) {
     const auto expected = g.adjacent(v);
     ASSERT_EQ(decoded.size(), expected.size()) << "vertex " << v;
     EXPECT_TRUE(std::equal(decoded.begin(), decoded.end(), expected.begin()))
-        << "row mismatch at vertex " << v << " codec "
-        << sfs::graph::row_codec_name(codec);
+        << "row mismatch at vertex " << v;
   }
   expect_graph_equal(g, c.decompress());
 }
@@ -118,10 +114,8 @@ TEST(EliasFano, RejectsDecreasingInputAndBadIndex) {
 // ------------------------------------------------------ hand-built edges
 
 TEST(CompressedGraph, EmptyAndEdgelessGraphs) {
-  for (const RowCodec codec : kCodecs) {
-    expect_round_trip(Graph{}, codec);
-    expect_round_trip(GraphBuilder(5).build(), codec);
-  }
+  expect_round_trip(Graph{});
+  expect_round_trip(GraphBuilder(5).build());
 }
 
 TEST(CompressedGraph, SelfLoopsAndParallelEdges) {
@@ -137,7 +131,7 @@ TEST(CompressedGraph, SelfLoopsAndParallelEdges) {
   (void)b.add_edge(3, 3);
   (void)b.add_edge(0, 3);
   const Graph g = b.build();
-  for (const RowCodec codec : kCodecs) expect_round_trip(g, codec);
+  expect_round_trip(g);
 }
 
 TEST(CompressedGraph, NonMonotoneTailOrder) {
@@ -150,7 +144,7 @@ TEST(CompressedGraph, NonMonotoneTailOrder) {
   (void)b.add_edge(1, 1);
   (void)b.add_edge(4, 0);
   const Graph g = b.build();
-  for (const RowCodec codec : kCodecs) expect_round_trip(g, codec);
+  expect_round_trip(g);
 }
 
 // --------------------------------------------------- all seven generators
@@ -160,7 +154,7 @@ TEST(CompressedGraph, RoundTripsBarabasiAlbert) {
     Rng rng(41 + distinct);
     const Graph g = sfs::gen::barabasi_albert(
         400, {.m = 3, .distinct_targets = distinct}, rng);
-    for (const RowCodec codec : kCodecs) expect_round_trip(g, codec);
+    expect_round_trip(g);
   }
 }
 
@@ -170,7 +164,7 @@ TEST(CompressedGraph, RoundTripsConfigurationModel) {
     Rng rng(42 + erase);
     const Graph g = sfs::gen::power_law_configuration_graph(
         400, seq, {.erase_defects = erase}, rng);
-    for (const RowCodec codec : kCodecs) expect_round_trip(g, codec);
+    expect_round_trip(g);
   }
 }
 
@@ -179,7 +173,7 @@ TEST(CompressedGraph, RoundTripsCooperFrieze) {
   params.p = {0.5, 0.5};
   Rng rng(43);
   const auto g = sfs::gen::cooper_frieze(300, params, rng);
-  for (const RowCodec codec : kCodecs) expect_round_trip(g.graph, codec);
+  expect_round_trip(g.graph);
 }
 
 TEST(CompressedGraph, RoundTripsErdosRenyi) {
@@ -187,31 +181,27 @@ TEST(CompressedGraph, RoundTripsErdosRenyi) {
   const Graph gnm = sfs::gen::erdos_renyi_gnm(300, 900, r1);
   Rng r2(45);
   const Graph gnp = sfs::gen::erdos_renyi_gnp(300, 0.02, r2);
-  for (const RowCodec codec : kCodecs) {
-    expect_round_trip(gnm, codec);
-    expect_round_trip(gnp, codec);
-  }
+  expect_round_trip(gnm);
+  expect_round_trip(gnp);
 }
 
 TEST(CompressedGraph, RoundTripsKleinberg) {
   Rng rng(46);
   const sfs::gen::KleinbergGrid grid(12, {.r = 2.0, .q = 2}, rng);
-  for (const RowCodec codec : kCodecs) {
-    expect_round_trip(grid.graph(), codec);
-  }
+  expect_round_trip(grid.graph());
 }
 
 TEST(CompressedGraph, RoundTripsMoriTree) {
   Rng rng(47);
   const Graph g = sfs::gen::mori_tree(400, sfs::gen::MoriParams{0.5}, rng);
-  for (const RowCodec codec : kCodecs) expect_round_trip(g, codec);
+  expect_round_trip(g);
 }
 
 TEST(CompressedGraph, RoundTripsMergedMori) {
   Rng rng(48);
   const Graph g =
       sfs::gen::merged_mori_graph(400, 3, sfs::gen::MoriParams{0.6}, rng);
-  for (const RowCodec codec : kCodecs) expect_round_trip(g, codec);
+  expect_round_trip(g);
 }
 
 // ----------------------------------------------------- memory accounting
@@ -224,13 +214,10 @@ TEST(CompressedGraph, CompressesPreferentialAttachmentSubstantially) {
   const Graph g =
       sfs::gen::merged_mori_graph(20000, 1, sfs::gen::MoriParams{0.5}, rng);
   const std::size_t raw = sfs::graph::graph_memory_bytes(g);
-  for (const RowCodec codec : kCodecs) {
-    const CompressedGraph c = CompressedGraph::from_graph(g, codec);
-    EXPECT_GT(c.memory_bytes(), 0u);
-    EXPECT_GT(static_cast<double>(raw) / static_cast<double>(c.memory_bytes()),
-              2.0)
-        << sfs::graph::row_codec_name(codec);
-  }
+  const CompressedGraph c = CompressedGraph::from_graph(g);
+  EXPECT_GT(c.memory_bytes(), 0u);
+  EXPECT_GT(static_cast<double>(raw) / static_cast<double>(c.memory_bytes()),
+            2.0);
 }
 
 TEST(CompressedGraph, DecodeBufferIsReusedAcrossRows) {

@@ -10,7 +10,6 @@ namespace {
 
 using sfs::rng::AliasTable;
 using sfs::rng::CdfSampler;
-using sfs::rng::FenwickSampler;
 using sfs::rng::RepeatArray;
 using sfs::rng::Rng;
 
@@ -101,90 +100,6 @@ TEST(CdfSampler, SkipsZeroWeightOutcomes) {
   CdfSampler s{std::span<const double>(w)};
   Rng rng(6);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(s.sample(rng), 1u);
-}
-
-// --------------------------------------------------------- FenwickSampler
-
-TEST(FenwickSampler, WeightRoundTrip) {
-  FenwickSampler f(5);
-  f.set_weight(0, 1.5);
-  f.set_weight(3, 2.5);
-  EXPECT_DOUBLE_EQ(f.weight(0), 1.5);
-  EXPECT_DOUBLE_EQ(f.weight(1), 0.0);
-  EXPECT_DOUBLE_EQ(f.weight(3), 2.5);
-  EXPECT_NEAR(f.total_weight(), 4.0, 1e-12);
-}
-
-TEST(FenwickSampler, AddAccumulates) {
-  FenwickSampler f(3);
-  f.add(1, 1.0);
-  f.add(1, 2.0);
-  EXPECT_DOUBLE_EQ(f.weight(1), 3.0);
-}
-
-TEST(FenwickSampler, SampleMatchesWeights) {
-  FenwickSampler f(4);
-  f.set_weight(0, 1.0);
-  f.set_weight(1, 2.0);
-  f.set_weight(2, 3.0);
-  f.set_weight(3, 4.0);
-  Rng rng(7);
-  const auto freq = empirical_freq(
-      [&](Rng& r) { return f.sample(r); }, 4, 200000, rng);
-  EXPECT_NEAR(freq[0], 0.1, 0.01);
-  EXPECT_NEAR(freq[1], 0.2, 0.01);
-  EXPECT_NEAR(freq[2], 0.3, 0.01);
-  EXPECT_NEAR(freq[3], 0.4, 0.01);
-}
-
-TEST(FenwickSampler, DynamicUpdateShiftsMass) {
-  FenwickSampler f(2);
-  f.set_weight(0, 1.0);
-  f.set_weight(1, 1.0);
-  f.set_weight(0, 0.0);
-  Rng rng(8);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(f.sample(rng), 1u);
-}
-
-TEST(FenwickSampler, PushBackGrows) {
-  FenwickSampler f;
-  EXPECT_EQ(f.push_back(1.0), 0u);
-  EXPECT_EQ(f.push_back(2.0), 1u);
-  EXPECT_EQ(f.push_back(3.0), 2u);
-  EXPECT_EQ(f.size(), 3u);
-  EXPECT_DOUBLE_EQ(f.weight(0), 1.0);
-  EXPECT_DOUBLE_EQ(f.weight(1), 2.0);
-  EXPECT_DOUBLE_EQ(f.weight(2), 3.0);
-  EXPECT_NEAR(f.total_weight(), 6.0, 1e-12);
-}
-
-TEST(FenwickSampler, PushBackManyKeepsPrefixSums) {
-  FenwickSampler f;
-  for (int i = 1; i <= 100; ++i) f.push_back(static_cast<double>(i));
-  for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_NEAR(f.weight(i), static_cast<double>(i + 1), 1e-9);
-  }
-  EXPECT_NEAR(f.total_weight(), 5050.0, 1e-9);
-}
-
-TEST(FenwickSampler, PushBackThenSample) {
-  FenwickSampler f;
-  f.push_back(0.0);
-  f.push_back(5.0);
-  Rng rng(9);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(f.sample(rng), 1u);
-}
-
-TEST(FenwickSampler, SampleEmptyThrows) {
-  FenwickSampler f(3);
-  Rng rng(10);
-  EXPECT_THROW((void)f.sample(rng), std::invalid_argument);
-}
-
-TEST(FenwickSampler, OutOfRangeThrows) {
-  FenwickSampler f(2);
-  EXPECT_THROW((void)f.weight(2), std::invalid_argument);
-  EXPECT_THROW(f.add(2, 1.0), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ RepeatArray

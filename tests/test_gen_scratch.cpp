@@ -237,8 +237,7 @@ TEST(ScalingSeeds, NearbySeedsDoNotAliasAcrossSizeIndices) {
         [&](std::size_t, std::uint64_t s) {
           cell_seeds.push_back(s);
           return 1.0;
-        },
-        /*threads=*/1);
+        });
     return cell_seeds;
   };
   const auto a = capture(7);
@@ -332,9 +331,9 @@ TEST(ScalingScratchOverload, MatchesPlainOverload) {
     sfs::gen::mori_tree(n, sfs::gen::MoriParams{0.5}, rng, scratch, g);
     return static_cast<double>(g.num_edges());
   };
-  const auto a = sfs::sim::measure_scaling(sizes, 5, 31, plain, /*threads=*/1);
+  const auto a = sfs::sim::measure_scaling(sizes, 5, 31, plain);
   const auto b =
-      sfs::sim::measure_scaling(sizes, 5, 31, reusing, /*threads=*/4);
+      sfs::sim::measure_scaling(sizes, 5, 31, reusing, {.threads = 4});
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i) {
     EXPECT_EQ(a.points[i].raw, b.points[i].raw);

@@ -206,9 +206,7 @@ TEST(Overlay, CompactionEpochInvalidatesMasksBySize) {
   EXPECT_LT(o.edge_alive_mask().size(), m_before);
 }
 
-// ------------------------------------------------- join sampler backends
-
-using sfs::graph::OverlaySampler;
+// ------------------------------------------------------- join sampler
 
 // The incremental live mass must track live_degree(v) + 1 exactly through
 // an arbitrary interleaving of joins, departures, edge failures and
@@ -222,7 +220,7 @@ void expect_mass_matches_live_degree(Overlay& o) {
 }
 
 TEST(Overlay, BucketedMassTracksLiveDegreeThroughMutationStorm) {
-  Overlay o(mori(80, 21), OverlaySampler::kBucketed);
+  Overlay o(mori(80, 21));
   sfs::rng::Rng rng(22);
   expect_mass_matches_live_degree(o);
   for (int round = 0; round < 60; ++round) {
@@ -259,78 +257,31 @@ TEST(Overlay, BucketedMassTracksLiveDegreeThroughMutationStorm) {
   expect_mass_matches_live_degree(o);
 }
 
-TEST(Overlay, BagModeReproducesReferenceDraws) {
-  // kBag is the frozen PR 6 draw stream: target i of a join is
-  // bag[uniform_index(bag.size())] over the id-ordered live bag. Verify
-  // against an independent reconstruction of that bag.
-  Overlay o(diamond(), OverlaySampler::kBag);
-  EXPECT_EQ(o.sampler(), OverlaySampler::kBag);
-  o.depart(3);
-  // Reference bag after departing 3: id order, one baseline entry per live
-  // vertex plus one entry per live incidence slot.
-  // degrees: 0 -> {1,2}, 1 -> {0,2}, 2 -> {0,1} (slot to 3 is dead).
-  const std::vector<VertexId> reference{0, 0, 0, 1, 1, 1, 2, 2, 2};
-  sfs::rng::Rng draw_rng(77);
-  sfs::rng::Rng check_rng(77);
-  const VertexId joined = o.join(2, draw_rng);
-  EXPECT_EQ(joined, 4u);
-  // The join drew exactly two uniform indices from the bag. Each live
-  // vertex had live degree 2 before the join and gains one per edge drawn
-  // to it, which pins the drawn targets exactly.
-  const auto t0 = reference[static_cast<std::size_t>(
-      check_rng.uniform_index(reference.size()))];
-  const auto t1 = reference[static_cast<std::size_t>(
-      check_rng.uniform_index(reference.size()))];
-  for (VertexId v = 0; v < 3; ++v) {
-    const std::size_t drawn = (v == t0 ? 1u : 0u) + (v == t1 ? 1u : 0u);
-    EXPECT_EQ(o.live_degree(v), 2u + drawn) << "vertex " << v;
-  }
-  EXPECT_EQ(o.join_mass(joined), 3u);  // baseline + two staged edges
-}
-
-TEST(Overlay, SamplerBackendsAgreeOnJoinDistribution) {
-  // Same live mass, same target distribution: empirical join-target
-  // frequencies from both backends must match the live_degree + 1 law.
-  // (The draw streams differ by design; the distribution must not.)
+TEST(Overlay, JoinTargetsFollowLiveDegreePlusOne) {
+  // Empirical join-target frequencies must match the live_degree + 1 law.
   constexpr int kJoins = 30000;
   const Graph base = diamond();
-  std::vector<std::size_t> hits_bucketed(4, 0);
-  std::vector<std::size_t> hits_bag(4, 0);
-  std::size_t total_bucketed = 0;
-  std::size_t total_bag = 0;
+  std::vector<std::size_t> hits(4, 0);
+  std::size_t total = 0;
   for (int trial = 0; trial < kJoins; ++trial) {
-    Overlay ob(base, OverlaySampler::kBucketed);
-    Overlay og(base, OverlaySampler::kBag);
-    sfs::rng::Rng rb(1000 + trial);
-    sfs::rng::Rng rg(5000 + trial);
-    const VertexId jb = ob.join(1, rb);
-    const VertexId jg = og.join(1, rg);
+    Overlay o(base);
+    sfs::rng::Rng rng(1000 + trial);
+    (void)o.join(1, rng);
     for (VertexId v = 0; v < 4; ++v) {
-      const std::size_t db = ob.live_degree(v);
-      const std::size_t dg = og.live_degree(v);
       // The single join target is the vertex whose live degree grew.
+      const std::size_t d = o.live_degree(v);
       const std::size_t base_deg = base.degree(v);
-      if (db > base_deg) {
-        hits_bucketed[v] += db - base_deg;
-        total_bucketed += db - base_deg;
-      }
-      if (dg > base_deg) {
-        hits_bag[v] += dg - base_deg;
-        total_bag += dg - base_deg;
+      if (d > base_deg) {
+        hits[v] += d - base_deg;
+        total += d - base_deg;
       }
     }
-    (void)jb;
-    (void)jg;
   }
   // Expected mass: degree+1 over total 4 + 8 = 12 -> {3,3,4,2}/12.
   const double expected[4] = {3.0 / 12, 3.0 / 12, 4.0 / 12, 2.0 / 12};
   for (VertexId v = 0; v < 4; ++v) {
-    EXPECT_NEAR(static_cast<double>(hits_bucketed[v]) / total_bucketed,
-                expected[v], 0.02)
-        << "bucketed, vertex " << v;
-    EXPECT_NEAR(static_cast<double>(hits_bag[v]) / total_bag, expected[v],
-                0.02)
-        << "bag, vertex " << v;
+    EXPECT_NEAR(static_cast<double>(hits[v]) / total, expected[v], 0.02)
+        << "vertex " << v;
   }
 }
 

@@ -2,7 +2,7 @@
 // zero-allocation search workspace: parallel results must be bit-identical
 // to sequential, and workspace-reusing runs must match fresh-LocalView
 // runs request-for-request.
-#include "sim/parallel.hpp"
+#include "base/parallel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -59,7 +59,7 @@ RunPlan mori_plan(KnowledgeModel model, std::size_t n, double p,
 // ------------------------------------------------------------ thread pool
 
 TEST(ThreadPool, CoversEveryTaskExactlyOnce) {
-  sfs::sim::ThreadPool pool(4);
+  sfs::base::ThreadPool pool(4);
   EXPECT_EQ(pool.worker_count(), 4u);
   std::vector<std::atomic<int>> hits(257);
   pool.parallel_for(hits.size(), [&](std::size_t task, std::size_t worker) {
@@ -70,7 +70,7 @@ TEST(ThreadPool, CoversEveryTaskExactlyOnce) {
 }
 
 TEST(ThreadPool, SingleWorkerRunsInline) {
-  sfs::sim::ThreadPool pool(1);
+  sfs::base::ThreadPool pool(1);
   std::vector<std::size_t> order;
   pool.parallel_for(8, [&](std::size_t task, std::size_t worker) {
     EXPECT_EQ(worker, 0u);
@@ -82,7 +82,7 @@ TEST(ThreadPool, SingleWorkerRunsInline) {
 }
 
 TEST(ThreadPool, PropagatesTaskException) {
-  sfs::sim::ThreadPool pool(3);
+  sfs::base::ThreadPool pool(3);
   EXPECT_THROW(
       pool.parallel_for(64,
                         [](std::size_t task, std::size_t) {
@@ -96,7 +96,7 @@ TEST(ThreadPool, PropagatesTaskException) {
 }
 
 TEST(ThreadPool, NestedParallelForRunsInline) {
-  sfs::sim::ThreadPool pool(4);
+  sfs::base::ThreadPool pool(4);
   std::vector<std::atomic<int>> inner_hits(16);
   pool.parallel_for(4, [&](std::size_t outer, std::size_t) {
     pool.parallel_for(4, [&](std::size_t inner, std::size_t worker) {
@@ -108,7 +108,7 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
 }
 
 TEST(ThreadPool, ReusableAcrossJobs) {
-  sfs::sim::ThreadPool pool(3);
+  sfs::base::ThreadPool pool(3);
   for (int round = 0; round < 5; ++round) {
     std::atomic<int> sum{0};
     pool.parallel_for(
@@ -180,10 +180,9 @@ TEST(ParallelScaling, BitIdenticalToSequential) {
                               search_rng)
             .requests);
   };
-  const auto seq =
-      sfs::sim::measure_scaling(sizes, 5, 99, measure, /*threads=*/1);
+  const auto seq = sfs::sim::measure_scaling(sizes, 5, 99, measure);
   const auto par =
-      sfs::sim::measure_scaling(sizes, 5, 99, measure, /*threads=*/4);
+      sfs::sim::measure_scaling(sizes, 5, 99, measure, {.threads = 4});
   ASSERT_EQ(seq.points.size(), par.points.size());
   for (std::size_t i = 0; i < seq.points.size(); ++i) {
     EXPECT_EQ(seq.points[i].raw, par.points[i].raw);

@@ -202,17 +202,6 @@ TEST(Rng, SampleWithoutReplacementRejectsOverdraw) {
                std::invalid_argument);
 }
 
-TEST(Rng, ForkDecorrelates) {
-  Rng parent(71);
-  Rng childA = parent.fork(1);
-  Rng childB = parent.fork(1);  // same tag, later parent state
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (childA.u64() == childB.u64()) ++equal;
-  }
-  EXPECT_LE(equal, 1);
-}
-
 TEST(Rng, DeriveSeedSpreadsReps) {
   std::set<std::uint64_t> seeds;
   for (std::uint64_t r = 0; r < 1000; ++r) seeds.insert(derive_seed(9, r));

@@ -88,8 +88,8 @@ TEST(MeasureScaling, SeedsAreDeterministic) {
       return static_cast<double>(n);
     };
   };
-  (void)measure_scaling({10, 20}, 2, 7, run(seen_a), /*threads=*/1);
-  (void)measure_scaling({10, 20}, 2, 7, run(seen_b), /*threads=*/1);
+  (void)measure_scaling({10, 20}, 2, 7, run(seen_a));
+  (void)measure_scaling({10, 20}, 2, 7, run(seen_b));
   EXPECT_EQ(seen_a, seen_b);
   // Distinct seeds across reps and sizes.
   std::set<double> unique(seen_a.begin(), seen_a.end());
@@ -422,8 +422,7 @@ TEST(MeasureScalingCheckpoint, ResumeMatchesAnyThreadCount) {
   const std::vector<std::size_t> sizes{16, 32, 64, 128};
   const std::size_t reps = 4;
 
-  const auto reference =
-      measure_scaling(sizes, reps, 0x7D, measure, /*threads=*/1);
+  const auto reference = measure_scaling(sizes, reps, 0x7D, measure);
 
   // Partial sequential run: interrupt by keeping only 3 data rows.
   ScalingOptions seq;

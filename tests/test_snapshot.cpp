@@ -1,9 +1,8 @@
 // Tests for the mmap-able snapshot format (graph/snapshot.hpp): write →
-// map round-trips for both row codecs, and — the satellite contract —
-// every failure path (truncated file, flipped payload byte, bad magic /
-// version / endianness, mid-write interrupt fragment, cache identity
-// collision) is rejected with a context-carrying error instead of
-// decoding garbage.
+// map round-trips, and every failure path (truncated file, flipped payload
+// byte, bad magic / version / endianness / row codec, mid-write interrupt
+// fragment, cache identity collision) is rejected with a context-carrying
+// error instead of decoding garbage.
 #include "graph/snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -24,7 +23,6 @@ using sfs::graph::AdjacencyDecodeBuffer;
 using sfs::graph::CompressedGraph;
 using sfs::graph::Graph;
 using sfs::graph::MappedSnapshot;
-using sfs::graph::RowCodec;
 using sfs::graph::SnapshotMeta;
 using sfs::graph::VertexId;
 using sfs::rng::Rng;
@@ -66,38 +64,33 @@ std::string corrupted_snapshot(const std::string& name, MutateFn&& mutate) {
 
 // ------------------------------------------------------------ round trip
 
-TEST(Snapshot, WriteThenMapRoundTripsBothCodecs) {
+TEST(Snapshot, WriteThenMapRoundTrips) {
   const Graph g = make_graph();
-  for (const RowCodec codec : {RowCodec::kVarint, RowCodec::kEliasFano}) {
-    const std::string path =
-        temp_path(std::string("rt_") + sfs::graph::row_codec_name(codec) +
-                  ".sfsnap");
-    const CompressedGraph c = CompressedGraph::from_graph(g, codec);
-    const SnapshotMeta meta{.generator = "ba_m3", .seed = 0xABCDEF};
-    sfs::graph::write_snapshot(path, c.view(), meta);
+  const std::string path = temp_path("rt_varint.sfsnap");
+  const CompressedGraph c = CompressedGraph::from_graph(g);
+  const SnapshotMeta meta{.generator = "ba_m3", .seed = 0xABCDEF};
+  sfs::graph::write_snapshot(path, c.view(), meta);
 
-    const MappedSnapshot snap(path);
-    EXPECT_EQ(snap.meta().generator, meta.generator);
-    EXPECT_EQ(snap.meta().seed, meta.seed);
-    ASSERT_EQ(snap.view().num_vertices, g.num_vertices());
-    ASSERT_EQ(snap.view().num_edges, g.num_edges());
-    EXPECT_EQ(snap.view().codec, codec);
+  const MappedSnapshot snap(path);
+  EXPECT_EQ(snap.meta().generator, meta.generator);
+  EXPECT_EQ(snap.meta().seed, meta.seed);
+  ASSERT_EQ(snap.view().num_vertices, g.num_vertices());
+  ASSERT_EQ(snap.view().num_edges, g.num_edges());
 
-    // Decode straight off the mapping: every row matches the source graph.
-    AdjacencyDecodeBuffer buffer;
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      const auto row = sfs::graph::decode_adjacent(snap.view(), v, buffer);
-      const auto expected = g.adjacent(v);
-      ASSERT_EQ(row.size(), expected.size()) << "vertex " << v;
-      EXPECT_TRUE(std::equal(row.begin(), row.end(), expected.begin()));
-    }
-    // And the full decompression reproduces the edge log bit-exactly.
-    const Graph back = sfs::graph::decompress(snap.view());
-    ASSERT_EQ(back.num_edges(), g.num_edges());
-    const auto ea = g.edges();
-    const auto eb = back.edges();
-    EXPECT_TRUE(std::equal(ea.begin(), ea.end(), eb.begin()));
+  // Decode straight off the mapping: every row matches the source graph.
+  AdjacencyDecodeBuffer buffer;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto row = sfs::graph::decode_adjacent(snap.view(), v, buffer);
+    const auto expected = g.adjacent(v);
+    ASSERT_EQ(row.size(), expected.size()) << "vertex " << v;
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), expected.begin()));
   }
+  // And the full decompression reproduces the edge log bit-exactly.
+  const Graph back = sfs::graph::decompress(snap.view());
+  ASSERT_EQ(back.num_edges(), g.num_edges());
+  const auto ea = g.edges();
+  const auto eb = back.edges();
+  EXPECT_TRUE(std::equal(ea.begin(), ea.end(), eb.begin()));
 }
 
 TEST(Snapshot, MoveTransfersTheMapping) {
@@ -183,10 +176,22 @@ TEST(SnapshotFailure, RejectsForeignEndianness) {
 }
 
 TEST(SnapshotFailure, RejectsUnknownRowCodec) {
-  // Header word 6 holds the codec; 0x7f is not a RowCodec value.
-  const std::string path = corrupted_snapshot(
-      "codec.sfsnap", [](std::vector<char>& bytes) { bytes[48] = 0x7f; });
-  EXPECT_THROW(MappedSnapshot{path}, std::invalid_argument);
+  // Header word 6 holds the row codec, and varint (0) is the only one. 1
+  // is the id older writers gave per-row Elias-Fano rows: a cached
+  // snapshot in that format must be rejected, never decoded as varint.
+  for (const char codec : {'\x01', '\x7f'}) {
+    const std::string path = corrupted_snapshot(
+        "codec.sfsnap",
+        [codec](std::vector<char>& bytes) { bytes[48] = codec; });
+    try {
+      MappedSnapshot snap(path);
+      FAIL() << "row codec " << int{codec} << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown row codec"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SnapshotFailure, InterruptedWriteLeavesNoSnapshot) {

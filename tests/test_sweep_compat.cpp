@@ -1,16 +1,10 @@
-// Bit-identity contract of the v1 compat wrappers and the paired design of
-// the portfolio engine.
-//
-// This is the ONLY file (outside src/sim/sweep.*) that may still call the
-// legacy 4-overload measure_*_portfolio surface: it exists to prove the
-// wrappers reproduce the pre-redesign outputs exactly. CI greps for other
-// callers (the api-guard job).
+// Bit-identity goldens of the portfolio engine, plus its paired design.
 //
 // The golden numbers below were captured by running the pre-redesign
 // sweep.cpp (PR 4 tree) with the exact configuration in golden_*_cost():
 // merged Mori graph n=200 m=2 p=0.5, reps=6, seed 0xD0C5EED. Exact
-// double equality is intentional — the redesign promises bit-identity,
-// not approximate agreement.
+// double equality is intentional — measure_portfolio(RunPlan) promises
+// bit-identity with those outputs, not approximate agreement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,15 +35,24 @@ sfs::sim::GraphFactory golden_factory() {
 }
 
 PortfolioCost golden_weak_cost() {
-  return sfs::sim::measure_weak_portfolio(
-      golden_factory(), sfs::sim::oldest_to_newest(), 6, kGoldenSeed,
-      sfs::search::RunBudget{.max_raw_requests = 8000});
+  return measure_portfolio({
+      .model = KnowledgeModel::kWeak,
+      .factory = golden_factory(),
+      .endpoints = sfs::sim::oldest_to_newest(),
+      .reps = 6,
+      .seed = kGoldenSeed,
+      .budget = {.max_raw_requests = 8000},
+  });
 }
 
 PortfolioCost golden_strong_cost() {
-  return sfs::sim::measure_strong_portfolio(
-      golden_factory(), sfs::sim::random_to_newest(), 6, kGoldenSeed,
-      sfs::search::RunBudget{}, /*threads=*/1);
+  return measure_portfolio({
+      .model = KnowledgeModel::kStrong,
+      .factory = golden_factory(),
+      .endpoints = sfs::sim::random_to_newest(),
+      .reps = 6,
+      .seed = kGoldenSeed,
+  });
 }
 
 struct Golden {
@@ -79,7 +82,7 @@ void expect_matches_golden(const PortfolioCost& cost,
   }
 }
 
-TEST(SweepCompat, WeakWrapperReproducesPreRedesignGolden) {
+TEST(SweepCompat, WeakPortfolioReproducesPreRedesignGolden) {
   const std::vector<Golden> golden{
       {"bfs", 153.33333333333331, 153.33333333333331, 175.5, 226.5, 1},
       {"dfs", 354.5, 354.5, 361.5, 378, 1},
@@ -100,7 +103,7 @@ TEST(SweepCompat, WeakWrapperReproducesPreRedesignGolden) {
   expect_matches_golden(golden_weak_cost(), golden, /*expected_best=*/4);
 }
 
-TEST(SweepCompat, StrongWrapperReproducesPreRedesignGolden) {
+TEST(SweepCompat, StrongPortfolioReproducesPreRedesignGolden) {
   const std::vector<Golden> golden{
       {"degree-greedy-strong", 13.833333333333332, 13.833333333333332, 9.5,
        29.5, 1},
@@ -110,38 +113,6 @@ TEST(SweepCompat, StrongWrapperReproducesPreRedesignGolden) {
       {"max-id-strong", 49.5, 49.5, 49.5, 85.5, 1},
   };
   expect_matches_golden(golden_strong_cost(), golden, /*expected_best=*/0);
-}
-
-void expect_identical(const PortfolioCost& a, const PortfolioCost& b) {
-  ASSERT_EQ(a.policies.size(), b.policies.size());
-  EXPECT_EQ(a.best, b.best);
-  for (std::size_t i = 0; i < a.policies.size(); ++i) {
-    EXPECT_EQ(a.policies[i].name, b.policies[i].name);
-    EXPECT_EQ(a.policies[i].requests.mean, b.policies[i].requests.mean);
-    EXPECT_EQ(a.policies[i].raw_requests.mean,
-              b.policies[i].raw_requests.mean);
-    EXPECT_EQ(a.policies[i].median_requests, b.policies[i].median_requests);
-    EXPECT_EQ(a.policies[i].p90_requests, b.policies[i].p90_requests);
-    EXPECT_EQ(a.policies[i].found_fraction, b.policies[i].found_fraction);
-  }
-}
-
-TEST(SweepCompat, WrapperEqualsEquivalentRunPlan) {
-  RunPlan plan;
-  plan.factory = golden_factory();
-  plan.endpoints = sfs::sim::oldest_to_newest();
-  plan.reps = 6;
-  plan.seed = kGoldenSeed;
-  plan.budget.max_raw_requests = 8000;
-  expect_identical(golden_weak_cost(), measure_portfolio(plan));
-
-  RunPlan strong_plan;
-  strong_plan.model = KnowledgeModel::kStrong;
-  strong_plan.factory = golden_factory();
-  strong_plan.endpoints = sfs::sim::random_to_newest();
-  strong_plan.reps = 6;
-  strong_plan.seed = kGoldenSeed;
-  expect_identical(golden_strong_cost(), measure_portfolio(strong_plan));
 }
 
 // ------------------------------------------------ paired-design contract
