@@ -80,23 +80,6 @@ struct CellAgg {
   }
 };
 
-bool identical(const std::vector<SearchResult>& a,
-               const std::vector<SearchResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].found != b[i].found || a[i].requests != b[i].requests ||
-        a[i].raw_requests != b[i].raw_requests ||
-        a[i].failed_requests != b[i].failed_requests ||
-        a[i].path_length != b[i].path_length ||
-        a[i].budget_exhausted != b[i].budget_exhausted ||
-        a[i].gave_up != b[i].gave_up || a[i].restarts != b[i].restarts ||
-        a[i].abandoned != b[i].abandoned) {
-      return false;
-    }
-  }
-  return true;
-}
-
 int run_d1(ExperimentContext& ctx) {
   const bool quick = ctx.options.quick;
   const auto sizes = ctx.sizes_or(
@@ -213,7 +196,7 @@ int run_d1(ExperimentContext& ctx) {
             static_twins[pi]->set_seed(round_seed);
             const auto expected =
                 static_twins[pi]->run_batch(queries, ctx.threads());
-            if (!identical(results, expected)) rate0_identical = false;
+            if (results != expected) rate0_identical = false;
           }
         }
 

@@ -31,23 +31,7 @@ namespace {
 
 using sfs::graph::VertexId;
 using sfs::search::Query;
-using sfs::search::SearchResult;
 using sfs::sim::ExperimentContext;
-
-bool same_results(const std::vector<SearchResult>& a,
-                  const std::vector<SearchResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].found != b[i].found || a[i].requests != b[i].requests ||
-        a[i].raw_requests != b[i].raw_requests ||
-        a[i].path_length != b[i].path_length ||
-        a[i].budget_exhausted != b[i].budget_exhausted ||
-        a[i].gave_up != b[i].gave_up) {
-      return false;
-    }
-  }
-  return true;
-}
 
 int run_m5(ExperimentContext& ctx) {
   const std::size_t n = ctx.n_or(ctx.options.quick ? 4000 : 20000);
@@ -111,7 +95,8 @@ int run_m5(ExperimentContext& ctx) {
     const auto pooled = engine.run_batch(queries, ctx.threads());
     const double pool_s = std::max(timer.seconds(), 1e-9);
 
-    if (!same_results(seq, pooled)) {
+    const bool bit_identical = seq == pooled;
+    if (!bit_identical) {
       ctx.console() << "AUDIT FAILURE: policy '" << name
                     << "': pooled batch diverged from the sequential "
                        "batch\n";
@@ -149,14 +134,12 @@ int run_m5(ExperimentContext& ctx) {
     json.num_field("speedup", seq_s / pool_s);
     json.num_field("mean_requests", mean_requests);
     json.num_field("found_frac", found_frac);
-    json.bool_field("bit_identical", same_results(seq, pooled));
+    json.bool_field("bit_identical", bit_identical);
     // Provenance: which stream-plan version derived the per-query streams
-    // (rng/stream_plan.hpp) and the lane width of the interleaved
-    // executor. Neither changes results; both change what an external
-    // replayer must configure to reproduce them.
+    // (rng/stream_plan.hpp). An external replayer must configure it to
+    // reproduce the results.
     json.int_field("stream_plan",
                    sfs::rng::stream_plan_number(options.stream_plan));
-    json.int_field("interleave", options.interleave);
     ctx.emitter->emit_object(json.str());
   }
   t.print(ctx.console());

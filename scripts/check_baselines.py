@@ -68,7 +68,7 @@ BENCH_SCHEMA = {
         "required": {
             "bench", "policy", "model", "n", "queries", "seq_qps",
             "pool_qps", "speedup", "mean_requests", "found_frac",
-            "bit_identical", "stream_plan", "interleave",
+            "bit_identical", "stream_plan",
         },
     },
     "m6_compression": {
@@ -184,8 +184,7 @@ GOOD_M2 = {"bench": "m2", "case": "strong/4096", "iterations": 10,
 GOOD_M5 = {"bench": "m5_query_engine", "policy": "bfs", "model": "weak",
            "n": 1000, "queries": 64, "seq_qps": 500.0, "pool_qps": 900.0,
            "speedup": 1.8, "mean_requests": 10.0, "found_frac": 1.0,
-           "bit_identical": True, "stream_plan": "kCounter",
-           "interleave": 1}
+           "bit_identical": True, "stream_plan": "kCounter"}
 GOOD_M6 = {"bench": "m6_compression", "case": "varint", "n": 65536,
            "edges": 65535, "graph_bytes": 2621424.0,
            "compressed_bytes": 468554.0, "ratio": 5.59,

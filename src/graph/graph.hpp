@@ -63,7 +63,7 @@ class Graph {
 
   /// Undirected incidence list of `v`: every edge id with `v` as an
   /// endpoint, self-loops listed twice. Order: by edge id, tail occurrences
-  /// and head occurrences interleaved by construction order.
+  /// and head occurrences mixed in construction order.
   [[nodiscard]] std::span<const EdgeId> incident(VertexId v) const {
     SFS_REQUIRE(v < num_vertices(), "vertex id out of range");
     return {incidence_.data() + offsets_[v],

@@ -41,22 +41,6 @@ Xoshiro256::result_type Xoshiro256::operator()() noexcept {
   return result;
 }
 
-void Xoshiro256::jump() noexcept {
-  static constexpr std::array<std::uint64_t, 4> kJump = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> acc{};
-  for (const std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (1ULL << bit)) {
-        for (std::size_t i = 0; i < 4; ++i) acc[i] ^= state_[i];
-      }
-      (void)(*this)();
-    }
-  }
-  state_ = acc;
-}
-
 std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
   // Lemire's nearly-divisionless method with rejection for exactness.
   SFS_CHECK(n > 0, "uniform_index(0)");

@@ -44,14 +44,6 @@ class Xoshiro256 {
 
   result_type operator()() noexcept;
 
-  /// Equivalent to 2^128 calls of operator(); used to derive independent
-  /// substreams.
-  void jump() noexcept;
-
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
-    return state_;
-  }
-
  private:
   std::array<std::uint64_t, 4> state_{};
 };
@@ -110,8 +102,6 @@ class Rng {
   /// (Floyd's algorithm; order is not uniform, membership is).
   [[nodiscard]] std::vector<std::uint64_t> sample_without_replacement(
       std::uint64_t n, std::uint64_t k);
-
-  [[nodiscard]] Xoshiro256& engine() noexcept { return engine_; }
 
  private:
   Xoshiro256 engine_;

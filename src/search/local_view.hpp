@@ -326,7 +326,7 @@ class LocalView {
 // ---------------------------------------------------------------------
 // Inline hot-path accessors. These sit on the per-probe path of every
 // weak-model policy (one slot scan + one incidence read per decision);
-// keeping them header-inline lets the drive loop fold them into the
+// keeping them header-inline lets the runner loop fold them into the
 // probe instead of paying an out-of-line call each.
 // ---------------------------------------------------------------------
 

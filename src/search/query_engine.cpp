@@ -1,13 +1,10 @@
 #include "search/query_engine.hpp"
 
-#include <algorithm>
-#include <optional>
 #include <string>
 
 #include "base/check.hpp"
 #include "base/parallel.hpp"
 #include "graph/overlay.hpp"
-#include "search/drive.hpp"
 #include "search/local_view.hpp"
 
 namespace sfs::search {
@@ -22,33 +19,18 @@ const std::uint64_t kQueryStream = rng::mix64(0x10e57ULL);  // "lookup query"
 
 }  // namespace
 
-/// One suspended search's worth of state. A worker session owns
-/// options.interleave lanes and steps the live ones round-robin, so each
-/// lane's dependent cache misses (stamp-array probes inside the drive
-/// step) overlap the other lanes' work.
-struct QueryEngine::Lane {
+/// One worker's state: a searcher instance and the search scratch every
+/// query on that worker reuses.
+struct QueryEngine::Session {
   std::unique_ptr<WeakSearcher> weak;      // set iff model == kWeak
   std::unique_ptr<StrongSearcher> strong;  // set iff model == kStrong
-  /// Per-lane search scratch (stamp arrays, frontier). Owned directly —
-  /// search/ sits below sim/ in the include-layering DAG (sfs_lint R8),
-  /// so a Lane cannot carry a sim::WorkerContext; the engine only ever
-  /// used its workspace member anyway.
+  /// Stamp arrays and frontier. Owned directly: search/ sits below sim/
+  /// in the include-layering DAG (sfs_lint R8), so a session cannot carry
+  /// a sim::WorkerContext.
   SearchWorkspace workspace;
-  /// Per-query engine; reseeded before each search. A member (not a drive
-  /// local) because the suspended drive borrows it across step() calls.
-  rng::Rng rng{0};
-  /// The suspended search. Emplaced per query; exactly one of the two is
-  /// engaged while a query is in flight (matching the model).
-  std::optional<LocalView> view;
-  std::optional<WeakDrive> weak_drive;
-  std::optional<StrongDrive> strong_drive;
-};
-
-struct QueryEngine::Session {
-  std::vector<std::unique_ptr<Lane>> lanes;
   /// Overlay epoch this session last served (0 = fresh; overlay epochs
   /// start at 1, so a fresh session over an overlay always rebuilds its
-  /// searchers into a counted, known-good state).
+  /// searcher into a counted, known-good state).
   std::uint64_t overlay_epoch = 0;
 };
 
@@ -62,16 +44,12 @@ void QueryEngine::bind_policy(std::string_view policy) {
 QueryEngine::QueryEngine(const graph::Graph& g, std::string_view policy,
                          QueryEngineOptions options)
     : graph_(&g), options_(options) {
-  SFS_REQUIRE(options_.interleave > 0,
-              "QueryEngine: options.interleave must be positive");
   bind_policy(policy);
 }
 
 QueryEngine::QueryEngine(const graph::Overlay& overlay,
                          std::string_view policy, QueryEngineOptions options)
     : graph_(&overlay.snapshot()), overlay_(&overlay), options_(options) {
-  SFS_REQUIRE(options_.interleave > 0,
-              "QueryEngine: options.interleave must be positive");
   bind_policy(policy);
 }
 
@@ -86,36 +64,23 @@ void QueryEngine::ensure_sessions(std::size_t workers) {
   while (sessions_.size() < workers) {
     sessions_.push_back(std::make_unique<Session>());
   }
-  const bool weak = spec_->model == KnowledgeModel::kWeak;
+  // A session gets a searcher when it is fresh and, over an overlay, again
+  // whenever it last served an older epoch. Sequential on purpose — it
+  // runs before the fan-out, so the rebuild counter needs no locking.
+  const std::uint64_t epoch = overlay_ != nullptr ? overlay_->epoch() : 0;
   for (std::size_t w = 0; w < workers; ++w) {
     Session& session = *sessions_[w];
-    while (session.lanes.size() < options_.interleave) {
-      auto lane = std::make_unique<Lane>();
-      if (weak) {
-        lane->weak = spec_->make_weak();
-      } else {
-        lane->strong = spec_->make_strong();
-      }
-      session.lanes.push_back(std::move(lane));
+    const bool fresh = session.weak == nullptr && session.strong == nullptr;
+    if (!fresh && session.overlay_epoch == epoch) continue;
+    if (spec_->model == KnowledgeModel::kWeak) {
+      session.weak = spec_->make_weak();
+    } else {
+      session.strong = spec_->make_strong();
     }
-  }
-  if (overlay_ == nullptr) return;
-  // Invalidation: any session that last served an older overlay epoch gets
-  // fresh searchers before this batch touches it. Sequential on purpose —
-  // it runs before the fan-out, so the rebuild counter needs no locking.
-  const std::uint64_t epoch = overlay_->epoch();
-  for (std::size_t w = 0; w < workers; ++w) {
-    Session& session = *sessions_[w];
-    if (session.overlay_epoch == epoch) continue;
-    for (auto& lane : session.lanes) {
-      if (weak) {
-        lane->weak = spec_->make_weak();
-      } else {
-        lane->strong = spec_->make_strong();
-      }
+    if (session.overlay_epoch != epoch) {
+      session.overlay_epoch = epoch;
+      ++sessions_rebuilt_;
     }
-    session.overlay_epoch = epoch;
-    ++sessions_rebuilt_;
   }
 }
 
@@ -157,54 +122,21 @@ void QueryEngine::run_batch(std::span<const Query> queries,
                                          overlay_->edge_alive_mask()}
                           : LivenessView{};
   const bool weak = spec_->model == KnowledgeModel::kWeak;
-  // Fan out over blocks of `interleave` queries. Each worker suspends its
-  // block's searches and steps them round-robin: one drive step per lane
-  // per sweep, so up to `interleave` independent walks keep their memory
-  // accesses in flight at once. Streams depend only on (seed, plan, batch
-  // index): identical results for any thread count or interleave width,
-  // and replayable for a fixed batch.
-  const std::size_t width = options_.interleave;
-  const std::size_t blocks = (queries.size() + width - 1) / width;
-  base::parallel_for(blocks, threads, [&](std::size_t b, std::size_t worker) {
+  // One task per query. Streams depend only on (seed, plan, batch index):
+  // identical results for any thread count, and replayable for a fixed
+  // batch.
+  base::parallel_for(queries.size(), threads, [&](std::size_t i,
+                                                  std::size_t worker) {
     Session& session = *sessions_[worker];
-    const std::size_t lo = b * width;
-    const std::size_t count = std::min(width, queries.size() - lo);
-    for (std::size_t k = 0; k < count; ++k) {
-      Lane& lane = *session.lanes[k];
-      const Query& q = queries[lo + k];
-      lane.rng = rng::Rng(query_stream_seed(lo + k));
-      // Drop any previous drive before re-emplacing the view it borrows.
-      lane.weak_drive.reset();
-      lane.strong_drive.reset();
-      lane.view.emplace(*graph_, spec_->model, q.start, q.target,
-                        lane.workspace, liveness);
-      if (weak) {
-        lane.weak_drive.emplace(*lane.view, *lane.weak, lane.rng,
-                                options_.budget, options_.retry);
-      } else {
-        lane.strong_drive.emplace(*lane.view, *lane.strong, lane.rng,
-                                  options_.budget, options_.retry);
-      }
-    }
-    std::size_t active = count;
-    while (active > 0) {
-      for (std::size_t k = 0; k < count; ++k) {
-        Lane& lane = *session.lanes[k];
-        if (weak) {
-          if (lane.weak_drive->done()) continue;
-          if (!lane.weak_drive->step()) {
-            results[lo + k] = lane.weak_drive->result();
-            --active;
-          }
-        } else {
-          if (lane.strong_drive->done()) continue;
-          if (!lane.strong_drive->step()) {
-            results[lo + k] = lane.strong_drive->result();
-            --active;
-          }
-        }
-      }
-    }
+    const Query& q = queries[i];
+    rng::Rng rng(query_stream_seed(i));
+    results[i] =
+        weak ? run_weak(*graph_, q.start, q.target, *session.weak, rng,
+                        options_.budget, session.workspace, liveness,
+                        options_.retry)
+             : run_strong(*graph_, q.start, q.target, *session.strong, rng,
+                          options_.budget, session.workspace, liveness,
+                          options_.retry);
   });
   if (overlay_ != nullptr) {
     SFS_CHECK(overlay_->epoch() == epoch_at_start,

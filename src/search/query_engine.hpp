@@ -51,7 +51,7 @@
 //
 // Threading: a QueryEngine is externally serialized — run_batch must not
 // race itself or any other member call. Inside a batch, worker w touches
-// only sessions_[w] (lanes, workspaces, RNGs), so no engine state is ever
+// only sessions_[w] (searcher, workspace), so no engine state is ever
 // shared between two workers and the class carries no mutex and no
 // capability annotations; the session/epoch bookkeeping above is the
 // whole concurrency contract. See docs/ANALYSIS.md ("Capability
@@ -91,19 +91,6 @@ struct QueryEngineOptions {
   /// Failure tolerance per query; only consulted by overlay-bound engines
   /// (static-graph queries cannot fail probes).
   RetryBudget retry;
-  /// Searches interleaved per worker: each worker advances up to this many
-  /// suspended searches round-robin, one drive step at a time, so the next
-  /// dependent cache miss of one walk overlaps the others' work. Results
-  /// are bit-identical for every width (per-query streams are positional);
-  /// 1 = the classic run-to-completion loop. Must be positive.
-  ///
-  /// Default 1: widths > 1 multiply the per-worker view working set by the
-  /// width and pay round-robin bookkeeping per probe, which measured as a
-  /// net loss (0.7-0.9x) on the single-core capture host at every graph
-  /// size tried — see "Interleaved batch search" in docs/PERF.md. Raise it
-  /// only where a measurement on the deployment host shows the miss
-  /// overlap winning (deep out-of-order cores, DRAM-resident graphs).
-  std::size_t interleave = 1;
   /// Stream-plan version of the per-query streams (rng/stream_plan.hpp).
   /// kCounter (v2) is the default for new work; kLegacy reproduces the
   /// pre-versioning stream derivation bit for bit.
@@ -158,11 +145,10 @@ class QueryEngine {
   /// Runs every query; results[i] answers queries[i]. `threads` selects
   /// the fan-out: 1 (default) = sequential, 0 = the shared pool, n = a
   /// pool of n workers — bit-identical in all cases (per-query streams
-  /// depend only on the batch index). Workers execute blocks of
-  /// options.interleave queries as round-robin-stepped suspended searches
-  /// (search/drive.hpp); the width changes execution order only, never
-  /// results. Validates every query's endpoints against the graph before
-  /// running anything. `results` must be exactly queries.size() long.
+  /// depend only on the batch index). Each query is one task running the
+  /// runner loop (search/runner.hpp) with its worker's session. Validates
+  /// every query's endpoints against the graph before running anything.
+  /// `results` must be exactly queries.size() long.
   void run_batch(std::span<const Query> queries,
                  std::span<SearchResult> results, std::size_t threads = 1);
 
@@ -171,7 +157,6 @@ class QueryEngine {
       std::span<const Query> queries, std::size_t threads = 1);
 
  private:
-  struct Lane;
   struct Session;
   void ensure_sessions(std::size_t workers);
   void bind_policy(std::string_view policy);
@@ -181,10 +166,9 @@ class QueryEngine {
   const graph::Overlay* overlay_ = nullptr;  // null for static engines
   const PolicySpec* spec_;
   QueryEngineOptions options_;
-  /// One session per worker index, holding options.interleave lanes (each
-  /// a searcher instance + SearchWorkspace + drive slot), grown on demand
-  /// and reused across batches: steady-state batches allocate nothing in
-  /// the engine itself.
+  /// One session per worker index (a searcher instance + SearchWorkspace),
+  /// grown on demand and reused across batches: steady-state batches
+  /// allocate nothing in the engine itself.
   std::vector<std::unique_ptr<Session>> sessions_;
   std::size_t queries_served_ = 0;
   std::size_t sessions_rebuilt_ = 0;

@@ -1,33 +1,74 @@
 #include "search/runner.hpp"
 
-#include "search/drive.hpp"
-
 namespace sfs::search {
 
 namespace {
 
-// One loop serves both static and liveness-masked runs. The failure
-// branch keys off view.failed_requests(), which never moves without a
-// liveness mask, so a static run takes the exact pre-churn path (same
-// calls, same RNG draws) — bit-identity by construction, not by testing.
-// The loop body lives in search/drive.hpp's step machines (so QueryEngine
-// can interleave suspended searches); driving one to completion here IS
-// the closed loop.
-SearchResult drive_weak(LocalView& view, WeakSearcher& searcher, rng::Rng& rng,
-                        const RunBudget& budget, const RetryBudget& retry) {
-  WeakDrive drive(view, searcher, rng, budget, retry);
-  while (drive.step()) {
-  }
-  return drive.result();
+// The probe, the only model-dependent call of the search loop.
+graph::VertexId probe(LocalView& view, const WeakRequest& request) {
+  return view.request_edge(request);
 }
 
-SearchResult drive_strong(LocalView& view, StrongSearcher& searcher,
-                          rng::Rng& rng, const RunBudget& budget,
-                          const RetryBudget& retry) {
-  StrongDrive drive(view, searcher, rng, budget, retry);
-  while (drive.step()) {
+std::span<const graph::VertexId> probe(LocalView& view, graph::VertexId u) {
+  return view.request_vertex_span(u);
+}
+
+// The one search loop in the tree. It serves both models: the only call
+// that depends on the model is the probe above. It also serves both
+// static and liveness-masked runs: the failure branch keys off
+// view.failed_requests(), which never moves without a liveness mask, so a
+// static run takes the exact pre-churn path (same calls, same RNG
+// draws) — bit-identity by construction, not by testing.
+//
+// The branch order per iteration (target check, budgets, one policy
+// decision, one probe, failure/restart/abandon, observe) fixes the calls
+// and RNG draws a search makes; reordering it changes results.
+template <typename Searcher>
+SearchResult drive(LocalView& view, Searcher& searcher, rng::Rng& rng,
+                   const RunBudget& budget, const RetryBudget& retry) {
+  SearchResult r;
+  std::size_t consecutive_failures = 0;
+  searcher.start(view, rng);
+  while (!view.target_found()) {
+    if (view.requests() >= budget.max_requests ||
+        view.raw_requests() >= budget.max_raw_requests) {
+      r.budget_exhausted = true;
+      break;
+    }
+    const auto req = searcher.next(view, rng);
+    if (!req) {
+      r.gave_up = true;
+      break;
+    }
+    const std::size_t failures_before = view.failed_requests();
+    const auto answer = probe(view, *req);
+    if (view.failed_requests() != failures_before) {
+      // Stranded probe: the policy never observes it (the view already
+      // marked the link or peer dead). Too many in a row -> restart the
+      // policy on the retained knowledge; out of restarts -> abandon.
+      if (++consecutive_failures > retry.max_consecutive_failures) {
+        if (r.restarts >= retry.max_restarts) {
+          r.abandoned = true;
+          break;
+        }
+        ++r.restarts;
+        consecutive_failures = 0;
+        searcher.start(view, rng);
+      }
+      continue;
+    }
+    consecutive_failures = 0;
+    searcher.observe(view, *req, answer);
   }
-  return drive.result();
+  r.found = view.target_found();
+  r.requests = view.requests();
+  r.raw_requests = view.raw_requests();
+  r.failed_requests = view.failed_requests();
+  if (r.found) {
+    const auto path = view.discovery_path();
+    r.path_length = path.empty() ? 0 : path.size() - 1;
+  }
+  return r;
 }
 
 }  // namespace
@@ -36,14 +77,14 @@ SearchResult run_weak(const graph::Graph& g, graph::VertexId start,
                       graph::VertexId target, WeakSearcher& searcher,
                       rng::Rng& rng, const RunBudget& budget) {
   LocalView view(g, KnowledgeModel::kWeak, start, target);
-  return drive_weak(view, searcher, rng, budget, RetryBudget{});
+  return drive(view, searcher, rng, budget, RetryBudget{});
 }
 
 SearchResult run_strong(const graph::Graph& g, graph::VertexId start,
                         graph::VertexId target, StrongSearcher& searcher,
                         rng::Rng& rng, const RunBudget& budget) {
   LocalView view(g, KnowledgeModel::kStrong, start, target);
-  return drive_strong(view, searcher, rng, budget, RetryBudget{});
+  return drive(view, searcher, rng, budget, RetryBudget{});
 }
 
 SearchResult run_weak(const graph::Graph& g, graph::VertexId start,
@@ -52,7 +93,7 @@ SearchResult run_weak(const graph::Graph& g, graph::VertexId start,
                       SearchWorkspace& workspace, LivenessView liveness,
                       const RetryBudget& retry) {
   LocalView view(g, KnowledgeModel::kWeak, start, target, workspace, liveness);
-  return drive_weak(view, searcher, rng, budget, retry);
+  return drive(view, searcher, rng, budget, retry);
 }
 
 SearchResult run_strong(const graph::Graph& g, graph::VertexId start,
@@ -62,7 +103,7 @@ SearchResult run_strong(const graph::Graph& g, graph::VertexId start,
                         const RetryBudget& retry) {
   LocalView view(g, KnowledgeModel::kStrong, start, target, workspace,
                  liveness);
-  return drive_strong(view, searcher, rng, budget, retry);
+  return drive(view, searcher, rng, budget, retry);
 }
 
 }  // namespace sfs::search

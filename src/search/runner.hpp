@@ -61,6 +61,7 @@ struct SearchResult {
   std::size_t restarts = 0;
   /// True if the run stopped because the RetryBudget ran dry.
   bool abandoned = false;
+  friend bool operator==(const SearchResult&, const SearchResult&) = default;
 };
 
 /// Runs a weak-model search for `target` from `start` on `g`.

@@ -1,7 +1,7 @@
 // Deterministic churn schedules over a graph::Overlay.
 //
 // A ChurnSchedule turns a rate specification into a reproducible stream of
-// overlay mutations, split into the two phases a live system interleaves
+// overlay mutations, split into the two phases a live system alternates
 // with lookup traffic:
 //
 //   inject(step) — each live peer departs with probability `rate`

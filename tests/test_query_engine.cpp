@@ -86,62 +86,30 @@ TEST(QueryEngine, ExhaustivePolicyAnswersEveryQuery) {
 
 TEST(QueryEngine, BatchBitIdenticalAcrossThreadCounts) {
   // The acceptance-criteria audit: threads=1 vs threads=4 vs the shared
-  // pool, all under SFS_RNG_AUDIT, for a weak (randomized walk) policy —
-  // the hardest case, since every step consumes RNG.
+  // pool, all under SFS_RNG_AUDIT, for both knowledge models. random-walk
+  // is the hardest weak case, since every step consumes RNG.
   auto& audit = sfs::rng::StreamAudit::instance();
   const bool was_enabled = audit.enabled();
   audit.set_enabled(true);
-  audit.reset();
 
   const Graph g = test_graph();
-  QueryEngineOptions options;
-  options.seed = 0xCAFE;
-  options.budget.max_raw_requests = 20000;
-  QueryEngine engine(g, "random-walk", options);
   const auto queries = test_queries(g, 30, 13);
-
-  const auto seq = engine.run_batch(queries, /*threads=*/1);
-  const auto par = engine.run_batch(queries, /*threads=*/4);
-  const auto pool = engine.run_batch(queries, /*threads=*/0);
-  expect_identical(seq, par);
-  expect_identical(seq, pool);
-  EXPECT_EQ(engine.queries_served(), 90u);
-  // One audited derivation per distinct (seed, stream, batch index);
-  // re-running the same batch re-records the same triples.
-  EXPECT_EQ(audit.recorded_count(), queries.size());
-
-  audit.reset();
-  audit.set_enabled(was_enabled);
-}
-
-TEST(QueryEngine, InterleaveWidthNeverChangesResults) {
-  // The interleaved executor (search/drive.hpp lanes) is an execution-order
-  // optimization only: widths 1 (run-to-completion), 3 (partial blocks),
-  // and 8 (default) must agree bit for bit, across thread counts, under
-  // the stream audit. Covers both knowledge models; random-walk is the
-  // hardest case (every step consumes RNG).
-  auto& audit = sfs::rng::StreamAudit::instance();
-  const bool was_enabled = audit.enabled();
-  audit.set_enabled(true);
-  audit.reset();
-
-  const Graph g = test_graph();
-  const auto queries = test_queries(g, 29, 17);  // not a multiple of 8
   for (const char* policy : {"random-walk", "degree-greedy-strong"}) {
-    std::vector<std::vector<SearchResult>> runs;
-    for (const std::size_t width : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{8}}) {
-      QueryEngineOptions options;
-      options.seed = 0xBEEF;
-      options.budget.max_raw_requests = 20000;
-      options.interleave = width;
-      QueryEngine engine(g, policy, options);
-      runs.push_back(engine.run_batch(queries, /*threads=*/1));
-      runs.push_back(engine.run_batch(queries, /*threads=*/4));
-    }
-    for (std::size_t r = 1; r < runs.size(); ++r) {
-      expect_identical(runs[0], runs[r]);
-    }
+    audit.reset();
+    QueryEngineOptions options;
+    options.seed = 0xCAFE;
+    options.budget.max_raw_requests = 20000;
+    QueryEngine engine(g, policy, options);
+
+    const auto seq = engine.run_batch(queries, /*threads=*/1);
+    const auto par = engine.run_batch(queries, /*threads=*/4);
+    const auto pool = engine.run_batch(queries, /*threads=*/0);
+    expect_identical(seq, par);
+    expect_identical(seq, pool);
+    EXPECT_EQ(engine.queries_served(), 90u) << policy;
+    // One audited derivation per distinct (seed, stream, batch index);
+    // re-running the same batch re-records the same triples.
+    EXPECT_EQ(audit.recorded_count(), queries.size()) << policy;
   }
 
   audit.reset();
@@ -260,6 +228,56 @@ TEST(QueryEngineOverlay, PristineOverlayMatchesStaticEngineBitForBit) {
     QueryEngine dynamic(overlay, policy, options);
     QueryEngine fixed(overlay.snapshot(), policy, options);
     expect_identical(dynamic.run_batch(queries, 2), fixed.run_batch(queries));
+  }
+}
+
+TEST(QueryEngineOverlay, MaskedBatchEqualsPerQueryRunner) {
+  // The churn path at the engine level: over departed peers and failed
+  // links, a pooled batch must equal hand-rolled workspace runs over the
+  // same snapshot, masks and retry budget, each with a fresh searcher and
+  // the query's own stream.
+  sfs::graph::Overlay overlay(test_graph());
+  for (const VertexId v : {1u, 3u, 6u, 10u}) overlay.depart(v);
+  for (sfs::graph::EdgeId e = 0; e < overlay.snapshot().num_edges(); e += 9) {
+    overlay.fail_edge(e);
+  }
+  auto queries = test_queries(overlay.snapshot(), 40, 41);
+  for (auto& q : queries) {  // steer clear of the departed vertices
+    while (!overlay.alive(q.start)) ++q.start;
+    while (!overlay.alive(q.target) || q.target == q.start) ++q.target;
+  }
+  const sfs::search::LivenessView liveness{overlay.vertex_alive_mask(),
+                                           overlay.edge_alive_mask()};
+
+  for (const char* policy : {"random-walk", "degree-greedy-strong"}) {
+    QueryEngineOptions options;
+    options.seed = 0xFA11;
+    options.budget.max_raw_requests = 20000;
+    options.retry = {.max_consecutive_failures = 2, .max_restarts = 1};
+    QueryEngine engine(overlay, policy, options);
+    const auto results = engine.run_batch(queries, /*threads=*/4);
+
+    const sfs::rng::StreamPlan plan(options.seed, sfs::rng::mix64(0x10e57ULL),
+                                    sfs::rng::StreamPlanVersion::kCounter);
+    const sfs::search::PolicySpec& spec = engine.policy();
+    sfs::search::SearchWorkspace ws;
+    bool any_failed = false;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      sfs::rng::Rng rng(plan.stream_seed(i));
+      const Query& q = queries[i];
+      const SearchResult expected =
+          spec.model == sfs::search::KnowledgeModel::kWeak
+              ? sfs::search::run_weak(overlay.snapshot(), q.start, q.target,
+                                      *spec.make_weak(), rng, options.budget,
+                                      ws, liveness, options.retry)
+              : sfs::search::run_strong(overlay.snapshot(), q.start,
+                                        q.target, *spec.make_strong(), rng,
+                                        options.budget, ws, liveness,
+                                        options.retry);
+      EXPECT_TRUE(results[i] == expected) << policy << " query " << i;
+      any_failed |= results[i].failed_requests > 0;
+    }
+    EXPECT_TRUE(any_failed) << policy << ": no probe hit the masks";
   }
 }
 

@@ -39,13 +39,6 @@ TEST(Xoshiro, ReseedResets) {
   EXPECT_EQ(a(), first);
 }
 
-TEST(Xoshiro, JumpChangesState) {
-  Xoshiro256 a(3);
-  Xoshiro256 b(3);
-  b.jump();
-  EXPECT_NE(a(), b());
-}
-
 TEST(Xoshiro, SatisfiesUniformRandomBitGenerator) {
   static_assert(std::uniform_random_bit_generator<Xoshiro256>);
   SUCCEED();
