@@ -37,9 +37,14 @@ void ablate(ExperimentContext& ctx, const std::string& title,
   sfs::sim::Table t(title, {"policy", "mean requests", "median", "p90",
                             "found frac"});
   for (const auto& pol : cost.policies) {
-    t.row()
-        .cell(pol.name)
-        .num(pol.requests.mean, 1)
+    t.row().cell(pol.name);
+    // With --reps 1 a policy stopped by the min-path ceiling has only
+    // truncated counts and no found status.
+    if (pol.pruned) {
+      t.cell("pruned").cell("pruned").cell("pruned").cell("-");
+      continue;
+    }
+    t.num(pol.requests.mean, 1)
         .num(pol.median_requests, 1)
         .num(pol.p90_requests, 1)
         .num(pol.found_fraction, 2);

@@ -41,18 +41,22 @@ void report(ExperimentContext& ctx, const std::string& model,
         .budget = {.max_raw_requests = 40 * n},
         .threads = ctx.threads(),
     });
-    double greedy = 0.0;
-    double bfs = 0.0;
-    for (const auto& pol : cost.policies) {
-      if (pol.name == "degree-greedy") greedy = pol.requests.mean;
-      if (pol.name == "bfs") bfs = pol.requests.mean;
-    }
+    // With --reps 1 a policy stopped by the min-path ceiling has only a
+    // truncated count.
+    const auto mean_cost = [&](const std::string& name) {
+      for (const auto& pol : cost.policies) {
+        if (pol.name != name) continue;
+        return pol.pruned ? std::string("pruned")
+                          : sfs::sim::format_double(pol.requests.mean, 1);
+      }
+      return sfs::sim::format_double(0.0, 1);
+    };
     t.row()
         .integer(target)
         .cell(cost.best_policy().name)
         .num(cost.best_policy().requests.mean, 1)
-        .num(greedy, 1)
-        .num(bfs, 1);
+        .cell(mean_cost("degree-greedy"))
+        .cell(mean_cost("bfs"));
   }
   t.print(ctx.console());
   ctx.console() << '\n';

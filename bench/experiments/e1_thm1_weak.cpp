@@ -74,9 +74,14 @@ void run_config(ExperimentContext& ctx, double p, std::size_t m,
                         std::to_string(sizes.back()) + " (" + tag + ")",
                     {"policy", "mean requests", "stderr", "found frac"});
   for (const auto& pol : big.policies) {
-    t.row()
-        .cell(pol.name)
-        .num(pol.requests.mean, 1)
+    t.row().cell(pol.name);
+    // With --reps 1 a policy stopped by the min-path ceiling has only
+    // truncated counts and no found status.
+    if (pol.pruned) {
+      t.cell("pruned").cell("pruned").cell("-");
+      continue;
+    }
+    t.num(pol.requests.mean, 1)
         .num(pol.requests.stderr_mean, 1)
         .num(pol.found_fraction, 2);
   }

@@ -41,6 +41,12 @@ std::optional<WeakRequest> NoBacktrackWalkWeak::next(const LocalView& view,
   const auto inc = view.incident(current_);
   if (inc.empty()) return std::nullopt;
   if (inc.size() == 1) return WeakRequest{current_, inc[0], 0};
+  // A self-loop fills two slots with one edge, so a vertex whose only edge
+  // is a self-loop it arrived by has no other edge to choose: take it
+  // again, without a draw, like the degree-1 case.
+  if (inc.size() == 2 && inc[0] == arrival_edge_ && inc[1] == arrival_edge_) {
+    return WeakRequest{current_, inc[0], 0};
+  }
   // Choose uniformly among incident edges other than the arrival edge.
   std::uint32_t slot;
   do {

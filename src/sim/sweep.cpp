@@ -26,6 +26,27 @@ const PolicyCost& PortfolioCost::best_policy() const {
 
 namespace {
 
+// PortfolioCost::best's ordering, shared by the fold over replications and
+// the per-replication ceiling, so both apply one rule. A candidate beats
+// the lead when it is in a better success class (found the target in every
+// replication), or in the same class with a strictly lower mean of charged
+// requests. Candidates are offered in portfolio order and an equal one does
+// not replace the lead, so a tie keeps the lowest index.
+struct Lead {
+  bool full = false;
+  double mean = std::numeric_limits<double>::infinity();
+
+  // Returns true, and takes the candidate's place, when it beats the lead.
+  bool offer(bool cand_full, double cand_mean) {
+    if (!((cand_full && !full) || (cand_full == full && cand_mean < mean))) {
+      return false;
+    }
+    full = cand_full;
+    mean = cand_mean;
+    return true;
+  }
+};
+
 // Per-worker reusable state: the shared WorkerContext (search workspace,
 // generator scratch, recycled graph slot — sim/worker_context.hpp) plus
 // one portfolio instance (policies fully reset in start()).
@@ -43,6 +64,7 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
                                      const EndpointSelector& endpoints,
                                      std::size_t reps, std::uint64_t seed,
                                      rng::StreamPlanVersion stream_plan,
+                                     const search::RunBudget& budget,
                                      const Portfolio& portfolio_factory,
                                      const RunOne& run_one,
                                      std::size_t threads) {
@@ -85,14 +107,29 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
             .stream_seed(rep));
     const auto [start, target] = endpoints(g, endpoint_rng);
 
+    // Min-path ceiling. With one replication a policy's mean is its single
+    // run's count, so once some policy has found the target with c charged
+    // requests, a later policy wins only by finding it with fewer: it is
+    // capped at c. A capped run makes the same calls and RNG draws as the
+    // full run up to the cap, and one that reaches c can at best tie, which
+    // keeps the earlier policy, so `best` and its PolicyCost are exactly
+    // those of uncapped runs. With reps >= 2 no single run bounds a mean,
+    // so every policy runs in full.
+    Lead lead;
     auto& row = results[rep];
     row.resize(num_policies);
     for (std::size_t i = 0; i < num_policies; ++i) {
       rng::Rng search_rng(
           rng::StreamPlan(seed, rng::mix64(0x5ea7c4 + i), stream_plan)
               .stream_seed(rep));
-      row[i] = run_one(g, start, target, *st.policies[i], search_rng,
+      search::RunBudget capped = budget;
+      if (reps == 1 && lead.full) {
+        capped.max_requests = std::min(capped.max_requests,
+                                       static_cast<std::size_t>(lead.mean));
+      }
+      row[i] = run_one(g, start, target, *st.policies[i], search_rng, capped,
                        st.ctx.workspace);
+      lead.offer(row[i].found, static_cast<double>(row[i].requests));
     }
   });
 
@@ -110,6 +147,11 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
   for (std::size_t rep = 0; rep < reps; ++rep) {
     for (std::size_t i = 0; i < num_policies; ++i) {
       const search::SearchResult& r = results[rep][i];
+      // A budget stop below both of the plan's own caps is the ceiling's.
+      if (r.budget_exhausted && r.requests < budget.max_requests &&
+          r.raw_requests < budget.max_raw_requests) {
+        out.policies[i].pruned = true;
+      }
       req_acc[i].add(static_cast<double>(r.requests));
       raw_acc[i].add(static_cast<double>(r.raw_requests));
       req_values[i].push_back(static_cast<double>(r.requests));
@@ -139,19 +181,13 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
         static_cast<double>(abandoned[i]) / static_cast<double>(reps);
   }
 
-  // Best: lowest mean charged requests, preferring always-successful
-  // policies over ones that missed the target in some replication; an
-  // exactly equal mean keeps the earlier (lower-index) policy — see
-  // PortfolioCost::best.
-  bool best_full = false;
-  double best_mean = std::numeric_limits<double>::infinity();
+  // Best: PortfolioCost::best's ordering, through the same Lead as the
+  // ceiling above.
+  Lead lead;
   for (std::size_t i = 0; i < out.policies.size(); ++i) {
-    const bool full = out.policies[i].found_fraction >= 1.0;
-    const double mean = out.policies[i].requests.mean;
-    if ((full && !best_full) || (full == best_full && mean < best_mean)) {
+    if (lead.offer(out.policies[i].found_fraction >= 1.0,
+                   out.policies[i].requests.mean)) {
       out.best = i;
-      best_full = full;
-      best_mean = mean;
     }
   }
   return out;
@@ -187,12 +223,12 @@ PortfolioCost measure_weak_plan(PolicySpecs specs, const Factory& factory,
       [&](rng::Rng& rng, auto& st) -> const graph::Graph& {
         return remake_graph(factory, rng, st);
       },
-      endpoints, reps, seed, stream_plan,
+      endpoints, reps, seed, stream_plan, budget,
       [specs] { return search::make_weak_searchers(specs); },
-      [&](const graph::Graph& g, VertexId s, VertexId t,
-          search::WeakSearcher& policy, rng::Rng& rng,
-          search::SearchWorkspace& ws) {
-        return search::run_weak(g, s, t, policy, rng, budget, ws);
+      [](const graph::Graph& g, VertexId s, VertexId t,
+         search::WeakSearcher& policy, rng::Rng& rng,
+         const search::RunBudget& run_budget, search::SearchWorkspace& ws) {
+        return search::run_weak(g, s, t, policy, rng, run_budget, ws);
       },
       threads);
 }
@@ -208,12 +244,12 @@ PortfolioCost measure_strong_plan(PolicySpecs specs, const Factory& factory,
       [&](rng::Rng& rng, auto& st) -> const graph::Graph& {
         return remake_graph(factory, rng, st);
       },
-      endpoints, reps, seed, stream_plan,
+      endpoints, reps, seed, stream_plan, budget,
       [specs] { return search::make_strong_searchers(specs); },
-      [&](const graph::Graph& g, VertexId s, VertexId t,
-          search::StrongSearcher& policy, rng::Rng& rng,
-          search::SearchWorkspace& ws) {
-        return search::run_strong(g, s, t, policy, rng, budget, ws);
+      [](const graph::Graph& g, VertexId s, VertexId t,
+         search::StrongSearcher& policy, rng::Rng& rng,
+         const search::RunBudget& run_budget, search::SearchWorkspace& ws) {
+        return search::run_strong(g, s, t, policy, rng, run_budget, ws);
       },
       threads);
 }

@@ -62,6 +62,11 @@ struct PolicyCost {
   double mean_failed_requests = 0.0;
   double mean_restarts = 0.0;
   double abandoned_fraction = 0.0;
+  // True when the min-path ceiling (RunPlan::reps) stopped this policy
+  // because it could no longer beat the best. Its request counts are then
+  // those at the stop, lower bounds of a full run's, and found_fraction is
+  // 0 whether or not a full run would have found the target.
+  bool pruned = false;
 };
 
 struct PortfolioCost {
@@ -72,7 +77,9 @@ struct PortfolioCost {
   /// mean charged requests wins. Tie-break: on an exactly equal mean
   /// (and equal success class), the policy earliest in portfolio order —
   /// i.e. the lowest index, which for a full portfolio is registration
-  /// order — is kept.
+  /// order — is kept. With reps == 1 the later policies run under the
+  /// min-path ceiling (see RunPlan::reps); `best` and its PolicyCost are
+  /// exactly those of a run without it.
   std::size_t best = 0;
 
   /// The entry at `best`. Throws std::invalid_argument on an empty
@@ -103,6 +110,13 @@ struct RunPlan {
 
   EndpointSelector endpoints;
 
+  /// Replications. With reps == 1, once a policy has found the target
+  /// with c charged requests, each later policy runs with max_requests
+  /// capped at c (the min-path ceiling): reaching c it can at best tie,
+  /// and a tie keeps the earlier policy. A policy the ceiling stopped is
+  /// marked PolicyCost::pruned; every other cost is exact. With reps >= 2
+  /// every policy runs in full: `best` compares means, and no single
+  /// replication bounds a mean.
   std::size_t reps = 1;
   std::uint64_t seed = 0;
   search::RunBudget budget;

@@ -4,15 +4,28 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "gen/barabasi_albert.hpp"
+#include "gen/config_model.hpp"
+#include "gen/cooper_frieze.hpp"
+#include "gen/erdos_renyi.hpp"
+#include "gen/kleinberg.hpp"
 #include "gen/mori.hpp"
+#include "graph/builder.hpp"
+#include "rng/random.hpp"
+#include "rng/stream_plan.hpp"
+#include "search/policy.hpp"
 
 namespace {
 
 using sfs::graph::Graph;
 using sfs::graph::VertexId;
 using sfs::search::KnowledgeModel;
+using sfs::search::SearchResult;
 using sfs::sim::measure_portfolio;
 using sfs::sim::newest_to_paper_id;
 using sfs::sim::oldest_to_newest;
@@ -211,6 +224,271 @@ TEST(MeasurePortfolio, SearchingRootIsCheaperThanNewest) {
   const auto to_newest = measure_portfolio(weak_plan(400, 0.5, 6, 10));
   EXPECT_LT(to_root.best_policy().requests.mean,
             to_newest.best_policy().requests.mean);
+}
+
+// ------------------------------------------------- min-path ceiling
+//
+// With reps == 1, policies after the first one to find the target run
+// capped at the best charged count so far. The oracle below runs every
+// policy in full, by hand, on the graph, endpoints and RNG streams
+// measure_portfolio derives for replication `rep`.
+
+std::vector<SearchResult> full_runs(const RunPlan& plan, std::uint64_t rep) {
+  const auto stream = [&](std::uint64_t tag) {
+    return sfs::rng::Rng(
+        sfs::rng::StreamPlan(plan.seed, tag, plan.stream_plan)
+            .stream_seed(rep));
+  };
+  auto graph_rng = stream(0);
+  const Graph g = plan.factory(graph_rng);
+  auto endpoint_rng = stream(sfs::rng::mix64(0xabcdef));
+  const auto [start, target] = plan.endpoints(g, endpoint_rng);
+  const auto specs = sfs::search::resolve_policies(plan.model, plan.policies);
+  std::vector<SearchResult> out;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    auto rng = stream(sfs::rng::mix64(0x5ea7c4 + i));
+    if (plan.model == KnowledgeModel::kWeak) {
+      auto policies = sfs::search::make_weak_searchers(specs);
+      out.push_back(sfs::search::run_weak(g, start, target, *policies[i], rng,
+                                          plan.budget));
+    } else {
+      auto policies = sfs::search::make_strong_searchers(specs);
+      out.push_back(sfs::search::run_strong(g, start, target, *policies[i],
+                                            rng, plan.budget));
+    }
+  }
+  return out;
+}
+
+// PortfolioCost::best over single runs, from its documented rule: the
+// lowest charged count among the runs that found the target (among all
+// runs if none did), earliest index on a tie.
+std::size_t best_of(const std::vector<SearchResult>& runs) {
+  const bool any_found = std::any_of(runs.begin(), runs.end(),
+                                     [](const auto& r) { return r.found; });
+  std::size_t best = runs.size();
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].found != any_found) continue;
+    if (best == runs.size() || runs[i].requests < runs[best].requests) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+void expect_summary_of(const sfs::stats::Summary& got,
+                       const std::vector<double>& values,
+                       const std::string& what) {
+  const auto want = sfs::stats::summarize(values);
+  EXPECT_EQ(got.count, want.count) << what;
+  EXPECT_EQ(got.mean, want.mean) << what;
+  EXPECT_EQ(got.variance, want.variance) << what;
+  EXPECT_EQ(got.stddev, want.stddev) << what;
+  EXPECT_EQ(got.stderr_mean, want.stderr_mean) << what;
+  EXPECT_EQ(got.min, want.min) << what;
+  EXPECT_EQ(got.max, want.max) << what;
+}
+
+// Every field of a one-replication PolicyCost against the full run.
+void expect_cost_of(const sfs::sim::PolicyCost& got, const SearchResult& full,
+                    const std::string& what) {
+  const auto req = static_cast<double>(full.requests);
+  expect_summary_of(got.requests, {req}, what);
+  expect_summary_of(got.raw_requests,
+                    {static_cast<double>(full.raw_requests)}, what);
+  EXPECT_EQ(got.median_requests, req) << what;
+  EXPECT_EQ(got.p90_requests, req) << what;
+  EXPECT_EQ(got.found_fraction, full.found ? 1.0 : 0.0) << what;
+  EXPECT_EQ(got.mean_failed_requests,
+            static_cast<double>(full.failed_requests))
+      << what;
+  EXPECT_EQ(got.mean_restarts, static_cast<double>(full.restarts)) << what;
+  EXPECT_EQ(got.abandoned_fraction, full.abandoned ? 1.0 : 0.0) << what;
+  EXPECT_FALSE(got.pruned) << what;
+}
+
+// measure_portfolio(plan) at reps == 1 against the full runs. Returns the
+// number of pruned policies.
+std::size_t expect_ceiling_exact(const RunPlan& plan,
+                                 const std::string& what) {
+  const auto cost = measure_portfolio(plan);
+  const auto full = full_runs(plan, 0);
+  EXPECT_EQ(cost.policies.size(), full.size()) << what;
+  if (cost.policies.size() != full.size()) return 0;
+  const std::size_t best = best_of(full);
+  EXPECT_EQ(cost.best, best) << what;
+  std::size_t pruned = 0;
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    const auto& pol = cost.policies[i];
+    const std::string who = what + " " + pol.name;
+    if (!pol.pruned) {
+      expect_cost_of(pol, full[i], who);
+      continue;
+    }
+    ++pruned;
+    // Counts at the stop: lower bounds of the full run's, at or above the
+    // best count. The full run either misses the target or needs more
+    // than the best, so the policy could not have won.
+    EXPECT_NE(i, best) << who;
+    EXPECT_EQ(pol.found_fraction, 0.0) << who;
+    EXPECT_LE(pol.requests.mean, static_cast<double>(full[i].requests))
+        << who;
+    EXPECT_LE(pol.raw_requests.mean,
+              static_cast<double>(full[i].raw_requests))
+        << who;
+    EXPECT_GE(pol.requests.mean, static_cast<double>(full[best].requests))
+        << who;
+    EXPECT_TRUE(!full[i].found || full[i].requests > full[best].requests)
+        << who;
+  }
+  return pruned;
+}
+
+struct Family {
+  std::string name;
+  sfs::sim::GraphFactory factory;
+};
+
+// The seven generator families, at test size.
+std::vector<Family> families(std::size_t n) {
+  return {
+      {"barabasi-albert",
+       [n](sfs::rng::Rng& rng) {
+         return sfs::gen::barabasi_albert(n, {.m = 2}, rng);
+       }},
+      {"configuration",
+       [n](sfs::rng::Rng& rng) {
+         // Not erased: self-loops and multi-edges stay.
+         return sfs::gen::power_law_configuration_graph(
+             n, {.exponent = 2.3, .d_min = 1}, {.erase_defects = false}, rng);
+       }},
+      {"cooper-frieze",
+       [n](sfs::rng::Rng& rng) {
+         sfs::gen::CooperFriezeParams params;
+         return sfs::gen::cooper_frieze(n, params, rng).graph;
+       }},
+      {"erdos-renyi",
+       [n](sfs::rng::Rng& rng) {
+         return sfs::gen::erdos_renyi_gnm(n, 2 * n, rng);
+       }},
+      {"kleinberg",
+       [](sfs::rng::Rng& rng) {
+         const sfs::gen::KleinbergGrid grid(16, {.r = 2.0, .q = 1}, rng);
+         return grid.graph();
+       }},
+      {"mori-tree",
+       [n](sfs::rng::Rng& rng) {
+         return sfs::gen::mori_tree(n, sfs::gen::MoriParams{0.5}, rng);
+       }},
+      {"merged-mori",
+       [n](sfs::rng::Rng& rng) {
+         return sfs::gen::merged_mori_graph(n, 2, sfs::gen::MoriParams{0.5},
+                                            rng);
+       }},
+  };
+}
+
+TEST(MinPathCeiling, BestAndUnprunedCostsMatchFullRunsOnEveryFamily) {
+  const std::size_t n = 256;
+  std::size_t pruned = 0;
+  for (const auto& family : families(n)) {
+    for (const auto model : {KnowledgeModel::kWeak, KnowledgeModel::kStrong}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        RunPlan plan;
+        plan.model = model;
+        plan.factory = family.factory;
+        plan.endpoints = oldest_to_newest();
+        plan.seed = seed;
+        plan.budget.max_raw_requests = 40 * n;
+        pruned += expect_ceiling_exact(
+            plan, family.name + " " +
+                      std::string(sfs::search::model_name(model)) +
+                      " seed " + std::to_string(seed));
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0u);  // the ceiling was exercised
+}
+
+TEST(MinPathCeiling, TieKeepsTheEarlierPolicy) {
+  // On an m = 1 Mori tree, dfs and max-id-greedy pay the same count, so
+  // whichever runs second reaches the ceiling exactly as it finds the
+  // target: found, not pruned, and the earlier policy stays best.
+  for (const std::vector<std::string>& order :
+       {std::vector<std::string>{"dfs", "max-id-greedy"},
+        std::vector<std::string>{"max-id-greedy", "dfs"}}) {
+    auto plan = weak_plan(300, 0.5, 1, 11);
+    plan.policies = order;
+    const auto full = full_runs(plan, 0);
+    ASSERT_TRUE(full[0].found);
+    ASSERT_EQ(full[0].requests, full[1].requests);
+    EXPECT_EQ(expect_ceiling_exact(plan, order[0] + " first"), 0u);
+    const auto cost = measure_portfolio(plan);
+    EXPECT_EQ(cost.best, 0u);
+    EXPECT_EQ(cost.policies[1].found_fraction, 1.0);
+  }
+}
+
+TEST(MinPathCeiling, PlanBudgetAtTheCeilingIsNotPruning) {
+  // Unbounded, some later policies are pruned at the best count c. With
+  // the plan's own max_requests at c they stop on that budget instead,
+  // exactly as their full runs under the same plan do.
+  auto plan = weak_plan(300, 0.5, 1, 12);
+  ASSERT_GT(expect_ceiling_exact(plan, "unbounded"), 0u);
+  const auto full = full_runs(plan, 0);
+  plan.budget.max_requests = full[best_of(full)].requests;
+  EXPECT_EQ(expect_ceiling_exact(plan, "max_requests = best"), 0u);
+  std::size_t stopped = 0;
+  for (const auto& r : full_runs(plan, 0)) stopped += r.budget_exhausted;
+  EXPECT_GT(stopped, 0u);
+}
+
+TEST(MinPathCeiling, NoPruningWhenNoPolicyReachesTheTarget) {
+  // Two components: the target is unreachable, so no policy sets a
+  // ceiling and every one runs until it gives up or exhausts its budget.
+  RunPlan plan;
+  plan.factory = [](sfs::rng::Rng&) {
+    sfs::graph::GraphBuilder b(8);
+    for (VertexId v = 0; v < 5; ++v) b.add_edge(v, (v + 1) % 5);
+    b.add_edge(5, 6);
+    b.add_edge(6, 7);
+    return b.build();
+  };
+  plan.endpoints = oldest_to_newest();
+  plan.seed = 13;
+  plan.budget.max_raw_requests = 200;
+  for (const auto model : {KnowledgeModel::kWeak, KnowledgeModel::kStrong}) {
+    plan.model = model;
+    const auto full = full_runs(plan, 0);
+    for (const auto& r : full) ASSERT_FALSE(r.found);
+    EXPECT_EQ(expect_ceiling_exact(plan, "unreachable"), 0u);
+  }
+}
+
+TEST(MinPathCeiling, TwoReplicationsRunEveryPolicyInFull) {
+  for (const auto model : {KnowledgeModel::kWeak, KnowledgeModel::kStrong}) {
+    auto plan = weak_plan(300, 0.5, 2, 14);
+    plan.model = model;
+    const auto cost = measure_portfolio(plan);
+    const auto rep0 = full_runs(plan, 0);
+    const auto rep1 = full_runs(plan, 1);
+    ASSERT_EQ(cost.policies.size(), rep0.size());
+    for (std::size_t i = 0; i < rep0.size(); ++i) {
+      const auto& pol = cost.policies[i];
+      EXPECT_FALSE(pol.pruned) << pol.name;
+      expect_summary_of(pol.requests,
+                        {static_cast<double>(rep0[i].requests),
+                         static_cast<double>(rep1[i].requests)},
+                        pol.name);
+      expect_summary_of(pol.raw_requests,
+                        {static_cast<double>(rep0[i].raw_requests),
+                         static_cast<double>(rep1[i].raw_requests)},
+                        pol.name);
+      EXPECT_EQ(pol.found_fraction,
+                (rep0[i].found + rep1[i].found) / 2.0)
+          << pol.name;
+    }
+  }
 }
 
 }  // namespace

@@ -196,6 +196,23 @@ TEST(NoBacktrackWalk, NeverImmediatelyReturnsOnDegreeTwo) {
   EXPECT_LE(r.raw_requests, 9u);
 }
 
+TEST(NoBacktrackWalk, TakesAnArrivalSelfLoopAgainAtItsOnlyEdge) {
+  // Vertex 0's only edge is a self-loop, listed twice in its incidence.
+  // Having arrived by it, the walk has no other edge, so it keeps taking
+  // it (one charged request, then repeats) until the raw budget runs out.
+  GraphBuilder b(3);
+  b.add_edge(0, 0);
+  b.add_edge(1, 2);
+  sfs::search::NoBacktrackWalkWeak walk;
+  Rng rng(16);
+  const SearchResult r = run_weak(b.build(), 0, 2, walk, rng,
+                                  RunBudget{.max_raw_requests = 1000});
+  EXPECT_FALSE(r.found);
+  EXPECT_TRUE(r.budget_exhausted);
+  EXPECT_EQ(r.requests, 1u);
+  EXPECT_EQ(r.raw_requests, 1000u);
+}
+
 TEST(RandomFrontierWeak, CoversDisconnectedComponentGracefully) {
   GraphBuilder b(4);
   b.add_edge(0, 1);
