@@ -134,6 +134,12 @@ void merge_consecutive(const Graph& g, std::size_t m, GenScratch& scratch,
   SFS_REQUIRE(g.num_vertices() % m == 0,
               "vertex count must be a multiple of the merge factor");
   SFS_REQUIRE(&g != &out, "in-place merge is not supported");
+  if (m == 1) {
+    // GraphBuilder is the only way to make a Graph, so `g` already is the
+    // CSR a rebuild from its edge list would pack: copy it instead.
+    out = g;
+    return;
+  }
   const std::size_t n = g.num_vertices() / m;
   scratch.builder.reset(n);
   scratch.builder.reserve_edges(g.num_edges());

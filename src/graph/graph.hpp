@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "base/check.hpp"
+#include "base/prefetch.hpp"
 
 namespace sfs::graph {
 
@@ -85,6 +86,12 @@ class Graph {
   [[nodiscard]] std::size_t degree(VertexId v) const {
     SFS_REQUIRE(v < num_vertices(), "vertex id out of range");
     return offsets_[v + 1] - offsets_[v];
+  }
+
+  /// Cache hint for a coming degree(v) call. Requires v < num_vertices(),
+  /// unchecked; no effect on results.
+  void prefetch_degree(VertexId v) const noexcept {
+    base::prefetch(offsets_.data() + v);
   }
 
   /// Indegree under the construction orientation.

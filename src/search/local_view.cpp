@@ -86,11 +86,6 @@ LocalView::LocalView(const graph::Graph& g, KnowledgeModel model,
   make_known(start, kNoVertex);
 }
 
-std::size_t LocalView::degree(VertexId v) const {
-  SFS_REQUIRE(is_known(v), "degree of an unknown vertex");
-  return graph_->degree(v);
-}
-
 bool LocalView::edge_explored(EdgeId e) const {
   SFS_REQUIRE(e < graph_->num_edges(), "edge out of range");
   return explored(e);
@@ -211,14 +206,6 @@ std::span<const VertexId> LocalView::request_vertex_span(VertexId u) {
 std::vector<VertexId> LocalView::request_vertex(VertexId u) {
   const auto adj = request_vertex_span(u);
   return {adj.begin(), adj.end()};
-}
-
-bool LocalView::vertex_requested(VertexId u) const {
-  SFS_REQUIRE(u < graph_->num_vertices(), "vertex out of range");
-  if (model_ == KnowledgeModel::kStrong) {
-    return ws_->requested_stamp_[u] == ws_->epoch_;
-  }
-  return known(u) && !first_unexplored(u).has_value();
 }
 
 bool LocalView::target_found() const { return known(target_); }

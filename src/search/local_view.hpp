@@ -190,6 +190,11 @@ class LocalView {
   /// Degree of a known vertex (self-loops count twice, as in Graph).
   [[nodiscard]] std::size_t degree(graph::VertexId v) const;
 
+  /// Cache hint for a coming degree(v) call; no effect on results.
+  void prefetch_degree(graph::VertexId v) const noexcept {
+    graph_->prefetch_degree(v);
+  }
+
   /// Incident edge ids of a known vertex.
   [[nodiscard]] std::span<const graph::EdgeId> incident(
       graph::VertexId v) const;
@@ -325,14 +330,21 @@ class LocalView {
 
 // ---------------------------------------------------------------------
 // Inline hot-path accessors. These sit on the per-probe path of every
-// weak-model policy (one slot scan + one incidence read per decision);
-// keeping them header-inline lets the runner loop fold them into the
-// probe instead of paying an out-of-line call each.
+// weak-model policy (one slot scan + one incidence read per decision) and
+// of the strong priority policies (a degree per discovered vertex, a
+// requested check per decision); keeping them header-inline lets the
+// runner loop fold them into the probe instead of paying an out-of-line
+// call each.
 // ---------------------------------------------------------------------
 
 inline bool LocalView::is_known(graph::VertexId v) const {
   SFS_REQUIRE(v < graph_->num_vertices(), "vertex out of range");
   return known(v);
+}
+
+inline std::size_t LocalView::degree(graph::VertexId v) const {
+  SFS_REQUIRE(is_known(v), "degree of an unknown vertex");
+  return graph_->degree(v);
 }
 
 inline std::span<const graph::EdgeId> LocalView::incident(
@@ -356,6 +368,14 @@ inline std::optional<std::uint32_t> LocalView::first_unexplored_slot(
   }
   if (cur >= inc.size()) return std::nullopt;
   return cur;
+}
+
+inline bool LocalView::vertex_requested(graph::VertexId u) const {
+  SFS_REQUIRE(u < graph_->num_vertices(), "vertex out of range");
+  if (model_ == KnowledgeModel::kStrong) {
+    return ws_->requested_stamp_[u] == ws_->epoch_;
+  }
+  return known(u) && !first_unexplored(u).has_value();
 }
 
 inline std::optional<graph::EdgeId> LocalView::first_unexplored(

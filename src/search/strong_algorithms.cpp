@@ -4,30 +4,28 @@ namespace sfs::search {
 
 using graph::VertexId;
 
-PriorityStrong::PriorityStrong(Key key, std::string name)
-    : key_(std::move(key)), name_(std::move(name)) {}
+PriorityStrong::PriorityStrong(FrontierOrder order, std::string name)
+    : frontier_(order), name_(std::move(name)) {}
 
 void PriorityStrong::start(const LocalView& view, rng::Rng&) {
-  heap_ = {};
+  frontier_.reset(view.num_vertices());
   enqueued_upto_ = 0;
   sync(view);
 }
 
 void PriorityStrong::sync(const LocalView& view) {
   const auto known = view.known_vertices();
-  for (; enqueued_upto_ < known.size(); ++enqueued_upto_) {
-    const VertexId v = known[enqueued_upto_];
-    heap_.push(Entry{key_(view, v), v});
-  }
+  frontier_.push(view, known.subspan(enqueued_upto_));
+  enqueued_upto_ = known.size();
 }
 
 std::optional<VertexId> PriorityStrong::next(const LocalView& view,
                                              rng::Rng&) {
   sync(view);
-  while (!heap_.empty()) {
-    const VertexId v = heap_.top().v;
+  while (!frontier_.empty()) {
+    const VertexId v = frontier_.top();
     if (!view.vertex_requested(v)) return v;
-    heap_.pop();
+    frontier_.pop();
   }
   return std::nullopt;
 }
@@ -38,23 +36,18 @@ void PriorityStrong::observe(const LocalView& view, VertexId,
 }
 
 std::unique_ptr<StrongSearcher> make_degree_greedy_strong() {
-  return std::make_unique<PriorityStrong>(
-      [](const LocalView& view, VertexId v) {
-        return static_cast<double>(view.degree(v));
-      },
-      "degree-greedy-strong");
+  return std::make_unique<PriorityStrong>(FrontierOrder::kDegree,
+                                          "degree-greedy-strong");
 }
 
 std::unique_ptr<StrongSearcher> make_min_id_strong() {
-  return std::make_unique<PriorityStrong>(
-      [](const LocalView&, VertexId v) { return -static_cast<double>(v); },
-      "min-id-strong");
+  return std::make_unique<PriorityStrong>(FrontierOrder::kMinId,
+                                          "min-id-strong");
 }
 
 std::unique_ptr<StrongSearcher> make_max_id_strong() {
-  return std::make_unique<PriorityStrong>(
-      [](const LocalView&, VertexId v) { return static_cast<double>(v); },
-      "max-id-strong");
+  return std::make_unique<PriorityStrong>(FrontierOrder::kMaxId,
+                                          "max-id-strong");
 }
 
 void BfsStrong::start(const LocalView&, rng::Rng&) { cursor_ = 0; }

@@ -11,22 +11,19 @@
 //  * MinIdStrong / MaxIdStrong — oldest-first / youngest-first.
 #pragma once
 
-#include <deque>
-#include <functional>
-#include <queue>
 #include <vector>
 
+#include "search/frontier.hpp"
 #include "search/searcher.hpp"
 
 namespace sfs::search {
 
 /// Priority-driven strong searcher: request the known, unrequested vertex
-/// maximizing a key.
+/// that comes first in `order` (key descending, then id ascending; see
+/// search/frontier.hpp).
 class PriorityStrong : public StrongSearcher {
  public:
-  using Key = std::function<double(const LocalView&, graph::VertexId)>;
-
-  PriorityStrong(Key key, std::string name);
+  PriorityStrong(FrontierOrder order, std::string name);
 
   void start(const LocalView& view, rng::Rng& rng) override;
   std::optional<graph::VertexId> next(const LocalView& view,
@@ -36,18 +33,8 @@ class PriorityStrong : public StrongSearcher {
   [[nodiscard]] std::string name() const override { return name_; }
 
  private:
-  struct Entry {
-    double key;
-    graph::VertexId v;
-    bool operator<(const Entry& other) const {
-      if (key != other.key) return key < other.key;
-      return v > other.v;
-    }
-  };
-
-  Key key_;
+  Frontier frontier_;
   std::string name_;
-  std::priority_queue<Entry> heap_;
   std::size_t enqueued_upto_ = 0;  // cursor into view.known_vertices()
   void sync(const LocalView& view);
 };

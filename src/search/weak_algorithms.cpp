@@ -64,9 +64,12 @@ void NoBacktrackWalkWeak::observe(const LocalView&,
 
 // ---------------------------------------------------------------- bfs/dfs
 
+// The frontier policies seed from every known vertex in discovery order:
+// on a fresh search that is just the start, and a RetryBudget restart
+// (search/runner.hpp) must re-plan on all the knowledge the view kept.
 void BfsWeak::start(const LocalView& view, rng::Rng&) {
-  queue_.clear();
-  queue_.push_back(view.start());
+  const auto known = view.known_vertices();
+  queue_.assign(known.begin(), known.end());
 }
 
 std::optional<WeakRequest> BfsWeak::next(const LocalView& view, rng::Rng&) {
@@ -88,8 +91,8 @@ void BfsWeak::observe(const LocalView&, const WeakRequest&,
 }
 
 void DfsWeak::start(const LocalView& view, rng::Rng&) {
-  stack_.clear();
-  stack_.push_back(view.start());
+  const auto known = view.known_vertices();
+  stack_.assign(known.begin(), known.end());
 }
 
 std::optional<WeakRequest> DfsWeak::next(const LocalView& view, rng::Rng&) {
@@ -110,55 +113,46 @@ void DfsWeak::observe(const LocalView&, const WeakRequest&,
 
 // ---------------------------------------------------------------- greedy
 
-PriorityGreedyWeak::PriorityGreedyWeak(Key key, std::string name)
-    : key_(std::move(key)), name_(std::move(name)) {}
+PriorityGreedyWeak::PriorityGreedyWeak(FrontierOrder order, std::string name)
+    : frontier_(order), name_(std::move(name)) {}
 
 void PriorityGreedyWeak::start(const LocalView& view, rng::Rng&) {
-  heap_ = {};
-  push(view, view.start());
-}
-
-void PriorityGreedyWeak::push(const LocalView& view, VertexId v) {
-  heap_.push(Entry{key_(view, v), v});
+  frontier_.reset(view.num_vertices());
+  frontier_.push(view, view.known_vertices());
 }
 
 std::optional<WeakRequest> PriorityGreedyWeak::next(const LocalView& view,
                                                     rng::Rng&) {
-  while (!heap_.empty()) {
-    const Entry top = heap_.top();
-    if (const auto s = view.first_unexplored_slot(top.v)) {
-      return WeakRequest{top.v, view.incident(top.v)[*s], *s};
+  while (!frontier_.empty()) {
+    const VertexId v = frontier_.top();
+    if (const auto s = view.first_unexplored_slot(v)) {
+      return WeakRequest{v, view.incident(v)[*s], *s};
     }
-    heap_.pop();  // exhausted vertex
+    frontier_.pop();  // exhausted vertex
   }
   return std::nullopt;
 }
 
 void PriorityGreedyWeak::observe(const LocalView& view, const WeakRequest&,
                                  VertexId revealed) {
-  // A vertex may be pushed more than once (revealed via several edges);
-  // the exhaustion check in next() makes duplicates harmless.
-  push(view, revealed);
+  // A vertex revealed again over another edge is already a member, and an
+  // exhausted one re-enters only to be dropped by next() again.
+  frontier_.push(view, revealed);
 }
 
 std::unique_ptr<WeakSearcher> make_degree_greedy_weak() {
-  return std::make_unique<PriorityGreedyWeak>(
-      [](const LocalView& view, VertexId v) {
-        return static_cast<double>(view.degree(v));
-      },
-      "degree-greedy");
+  return std::make_unique<PriorityGreedyWeak>(FrontierOrder::kDegree,
+                                              "degree-greedy");
 }
 
 std::unique_ptr<WeakSearcher> make_min_id_greedy_weak() {
-  return std::make_unique<PriorityGreedyWeak>(
-      [](const LocalView&, VertexId v) { return -static_cast<double>(v); },
-      "min-id-greedy");
+  return std::make_unique<PriorityGreedyWeak>(FrontierOrder::kMinId,
+                                              "min-id-greedy");
 }
 
 std::unique_ptr<WeakSearcher> make_max_id_greedy_weak() {
-  return std::make_unique<PriorityGreedyWeak>(
-      [](const LocalView&, VertexId v) { return static_cast<double>(v); },
-      "max-id-greedy");
+  return std::make_unique<PriorityGreedyWeak>(FrontierOrder::kMaxId,
+                                              "max-id-greedy");
 }
 
 // ---------------------------------------------------------------- frontier
@@ -185,7 +179,8 @@ void FrontierWalkWeak::observe(const LocalView&, const WeakRequest&,
 }
 
 void RandomFrontierWeak::start(const LocalView& view, rng::Rng&) {
-  frontier_ = {view.start()};
+  const auto known = view.known_vertices();
+  frontier_.assign(known.begin(), known.end());
 }
 
 std::optional<WeakRequest> RandomFrontierWeak::next(const LocalView& view,

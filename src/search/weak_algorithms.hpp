@@ -26,10 +26,9 @@
 #pragma once
 
 #include <deque>
-#include <functional>
-#include <queue>
 #include <vector>
 
+#include "search/frontier.hpp"
 #include "search/searcher.hpp"
 
 namespace sfs::search {
@@ -96,13 +95,11 @@ class DfsWeak final : public WeakSearcher {
 };
 
 /// Priority-driven frontier expansion shared by the greedy policies: expand
-/// the first unexplored edge of the discovered vertex maximizing a key.
+/// the first unexplored edge of the discovered vertex that comes first in
+/// `order` (key descending, then id ascending; see search/frontier.hpp).
 class PriorityGreedyWeak : public WeakSearcher {
  public:
-  /// Key function: larger key = expanded first.
-  using Key = std::function<double(const LocalView&, graph::VertexId)>;
-
-  PriorityGreedyWeak(Key key, std::string name);
+  PriorityGreedyWeak(FrontierOrder order, std::string name);
 
   void start(const LocalView& view, rng::Rng& rng) override;
   std::optional<WeakRequest> next(const LocalView& view,
@@ -112,21 +109,8 @@ class PriorityGreedyWeak : public WeakSearcher {
   [[nodiscard]] std::string name() const override { return name_; }
 
  private:
-  void push(const LocalView& view, graph::VertexId v);
-
-  struct Entry {
-    double key;
-    graph::VertexId v;
-    bool operator<(const Entry& other) const {
-      // max-heap by key; ties broken toward smaller id for determinism.
-      if (key != other.key) return key < other.key;
-      return v > other.v;
-    }
-  };
-
-  Key key_;
+  Frontier frontier_;
   std::string name_;
-  std::priority_queue<Entry> heap_;
 };
 
 /// Expand the highest-degree discovered vertex first (Adamic-style).

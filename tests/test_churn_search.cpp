@@ -110,6 +110,38 @@ TEST(TolerantRunner, WeakSearchRestartsPastDeadLinksAndSucceeds) {
   EXPECT_EQ(r.path_length, 1u);
 }
 
+TEST(TolerantRunner, WeakFrontierPoliciesResumeFromKnownVerticesOnRestart) {
+  // Edges 0-1, 0-2, 0-3, dead links 1-4 .. 1-8, then the live link 1-9.
+  // Every frontier policy reaches 1 and strands on its dead links, so the
+  // runner restarts it. A restart re-plans on the retained knowledge: the
+  // policy resumes from every known vertex, finds 1's live link and
+  // reaches the target, instead of giving up once the start is exhausted.
+  GraphBuilder b(10);
+  for (VertexId v = 1; v <= 3; ++v) b.add_edge(0, v);
+  for (VertexId v = 4; v <= 9; ++v) b.add_edge(1, v);  // edges 3..8
+  const Graph g = b.build();
+  Masks m(g);
+  for (std::size_t e = 3; e <= 7; ++e) m.e[e] = 0;
+
+  RetryBudget retry;
+  retry.max_consecutive_failures = 2;
+  retry.max_restarts = 5;
+  SearchWorkspace ws;
+  for (const char* name : {"bfs", "dfs", "degree-greedy", "min-id-greedy",
+                           "max-id-greedy", "random-frontier"}) {
+    auto searcher = PolicyRegistry::instance().find(name)->make_weak();
+    sfs::rng::Rng rng(4);
+    const SearchResult r =
+        run_weak(g, 0, 9, *searcher, rng, RunBudget{}, ws, m.view(), retry);
+    EXPECT_TRUE(r.found) << name;
+    EXPECT_FALSE(r.gave_up) << name;
+    EXPECT_FALSE(r.abandoned) << name;
+    EXPECT_GE(r.restarts, 1u) << name;
+    EXPECT_EQ(r.failed_requests, 5u) << name;  // each dead link once
+    EXPECT_EQ(r.path_length, 2u) << name;      // 0 -> 1 -> 9
+  }
+}
+
 TEST(TolerantRunner, AbandonsWhenRetryBudgetRunsDry) {
   GraphBuilder b(7);
   for (VertexId v = 1; v <= 5; ++v) b.add_edge(0, v);

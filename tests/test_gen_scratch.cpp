@@ -21,6 +21,7 @@
 #include "gen/erdos_renyi.hpp"
 #include "gen/kleinberg.hpp"
 #include "gen/mori.hpp"
+#include "generator_families.hpp"
 #include "graph/builder.hpp"
 #include "sim/scaling.hpp"
 #include "sim/sweep.hpp"
@@ -173,6 +174,24 @@ TEST(GenScratch, MoriMatchesFresh) {
     sfs::gen::merged_mori_graph(n, 3, sfs::gen::MoriParams{0.6}, r4, scratch,
                                 reused);
     expect_graph_equal(fresh_m, reused);
+  }
+}
+
+TEST(MergeConsecutive, FactorOneCopiesTheGraphOfEveryFamily) {
+  // A merge factor of 1 copies the graph. That equals a rebuild from its
+  // edge list because GraphBuilder is the only way to make a Graph.
+  GenScratch scratch;
+  Graph reused;
+  for (const auto& family : sfs::test::generator_families(300)) {
+    SCOPED_TRACE(family.name);
+    Rng rng(9);
+    const Graph g = family.make(rng);
+    expect_graph_equal(sfs::gen::merge_consecutive(g, 1), g);
+    sfs::gen::merge_consecutive(g, 1, scratch, reused);  // recycles `reused`
+    expect_graph_equal(reused, g);
+    GraphBuilder rebuild(g.num_vertices());
+    for (const auto& e : g.edges()) rebuild.add_edge(e.tail, e.head);
+    expect_graph_equal(rebuild.build(), g);
   }
 }
 

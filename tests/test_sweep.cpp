@@ -9,12 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "gen/barabasi_albert.hpp"
-#include "gen/config_model.hpp"
-#include "gen/cooper_frieze.hpp"
-#include "gen/erdos_renyi.hpp"
-#include "gen/kleinberg.hpp"
 #include "gen/mori.hpp"
+#include "generator_families.hpp"
 #include "graph/builder.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_plan.hpp"
@@ -344,59 +340,15 @@ std::size_t expect_ceiling_exact(const RunPlan& plan,
   return pruned;
 }
 
-struct Family {
-  std::string name;
-  sfs::sim::GraphFactory factory;
-};
-
-// The seven generator families, at test size.
-std::vector<Family> families(std::size_t n) {
-  return {
-      {"barabasi-albert",
-       [n](sfs::rng::Rng& rng) {
-         return sfs::gen::barabasi_albert(n, {.m = 2}, rng);
-       }},
-      {"configuration",
-       [n](sfs::rng::Rng& rng) {
-         // Not erased: self-loops and multi-edges stay.
-         return sfs::gen::power_law_configuration_graph(
-             n, {.exponent = 2.3, .d_min = 1}, {.erase_defects = false}, rng);
-       }},
-      {"cooper-frieze",
-       [n](sfs::rng::Rng& rng) {
-         sfs::gen::CooperFriezeParams params;
-         return sfs::gen::cooper_frieze(n, params, rng).graph;
-       }},
-      {"erdos-renyi",
-       [n](sfs::rng::Rng& rng) {
-         return sfs::gen::erdos_renyi_gnm(n, 2 * n, rng);
-       }},
-      {"kleinberg",
-       [](sfs::rng::Rng& rng) {
-         const sfs::gen::KleinbergGrid grid(16, {.r = 2.0, .q = 1}, rng);
-         return grid.graph();
-       }},
-      {"mori-tree",
-       [n](sfs::rng::Rng& rng) {
-         return sfs::gen::mori_tree(n, sfs::gen::MoriParams{0.5}, rng);
-       }},
-      {"merged-mori",
-       [n](sfs::rng::Rng& rng) {
-         return sfs::gen::merged_mori_graph(n, 2, sfs::gen::MoriParams{0.5},
-                                            rng);
-       }},
-  };
-}
-
 TEST(MinPathCeiling, BestAndUnprunedCostsMatchFullRunsOnEveryFamily) {
   const std::size_t n = 256;
   std::size_t pruned = 0;
-  for (const auto& family : families(n)) {
+  for (const auto& family : sfs::test::generator_families(n)) {
     for (const auto model : {KnowledgeModel::kWeak, KnowledgeModel::kStrong}) {
       for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         RunPlan plan;
         plan.model = model;
-        plan.factory = family.factory;
+        plan.factory = family.make;
         plan.endpoints = oldest_to_newest();
         plan.seed = seed;
         plan.budget.max_raw_requests = 40 * n;
