@@ -1,7 +1,12 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "graph/builder.hpp"
 
@@ -28,6 +33,28 @@ bool next_line(std::istream& in, std::string& line) {
   return false;
 }
 
+/// Parses `line` as exactly out.size() space- or tab-separated unsigned
+/// decimal integers, each token read whole by std::from_chars: a sign,
+/// trailing junk, an out-of-range value or a missing or extra token all
+/// return false.
+bool parse_fields(std::string_view line, std::span<std::uint64_t> out) {
+  std::size_t k = 0;
+  std::size_t pos = 0;
+  while (pos < line.size()) {
+    const std::size_t end =
+        std::min(line.find_first_of(" \t", pos), line.size());
+    if (end > pos) {
+      if (k == out.size()) return false;
+      const char* last = line.data() + end;
+      const auto [ptr, ec] = std::from_chars(line.data() + pos, last, out[k]);
+      if (ec != std::errc() || ptr != last) return false;
+      ++k;
+    }
+    pos = end + 1;
+  }
+  return k == out.size();
+}
+
 }  // namespace
 
 void write_edge_list(std::ostream& out, const Graph& g) {
@@ -42,22 +69,34 @@ Graph read_edge_list(std::istream& in) {
   SFS_REQUIRE(line == kMagic, "bad magic line: expected 'sfsearch-graph v1'");
 
   SFS_REQUIRE(next_line(in, line), "missing header line");
-  std::istringstream header(line);
-  std::size_t n = 0;
-  std::size_t m = 0;
-  SFS_REQUIRE(static_cast<bool>(header >> n >> m), "malformed header line");
+  std::array<std::uint64_t, 2> header{};
+  SFS_REQUIRE(parse_fields(line, header),
+              "malformed header line '" + line +
+                  "': expected '<num_vertices> <num_edges>'");
+  const auto [n, m] = header;
+  // Checked before anything is sized. The edge log grows as lines are
+  // read, never from the header's claim, so a huge m with a short body
+  // fails as truncated instead of allocating.
+  validate_edge_capacity(m);
 
   GraphBuilder b(n);
-  b.reserve_edges(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    SFS_REQUIRE(next_line(in, line), "truncated edge list");
-    std::istringstream row(line);
-    std::uint64_t tail = 0;
-    std::uint64_t head = 0;
-    SFS_REQUIRE(static_cast<bool>(row >> tail >> head), "malformed edge line");
-    SFS_REQUIRE(tail < n && head < n, "edge endpoint out of range");
-    b.add_edge(static_cast<VertexId>(tail), static_cast<VertexId>(head));
+  for (std::uint64_t i = 0; i < m; ++i) {
+    SFS_REQUIRE(next_line(in, line),
+                "truncated edge list: header declares " + std::to_string(m) +
+                    " edges, found " + std::to_string(i));
+    std::array<std::uint64_t, 2> edge{};
+    SFS_REQUIRE(parse_fields(line, edge),
+                "malformed edge line " + std::to_string(i) + " '" + line +
+                    "': expected '<tail> <head>'");
+    SFS_REQUIRE(edge[0] < n && edge[1] < n,
+                "edge " + std::to_string(i) + " '" + line +
+                    "': endpoint out of range for " + std::to_string(n) +
+                    " vertices");
+    b.add_edge(static_cast<VertexId>(edge[0]), static_cast<VertexId>(edge[1]));
   }
+  SFS_REQUIRE(!next_line(in, line),
+              "content after the " + std::to_string(m) +
+                  " edges the header declares: '" + line + "'");
   return b.build();
 }
 

@@ -20,9 +20,8 @@
 // (stream_audit.hpp): every derivation records its
 // (seed, tag, index) -> derived mapping, so a run under SFS_RNG_AUDIT=1
 // verifies the whole plan for cross-stream collisions regardless of
-// version. Harnesses that stamp results (BENCH_JSON) should emit
-// stream_plan_number(version) so the plan in effect is explicit in the
-// artifact.
+// version. Artifacts that record a plan record its enum value (1 or 2),
+// as perfbench's manifest does.
 #pragma once
 
 #include <cstdint>
@@ -35,12 +34,6 @@ enum class StreamPlanVersion : std::uint32_t {
   kLegacy = 1,   // derive_stream_seed mix chain (pre-versioning artifacts)
   kCounter = 2,  // Philox counter-offset derivation (default for new work)
 };
-
-/// The integer stamped into BENCH_JSON ("stream_plan" key).
-[[nodiscard]] constexpr std::uint32_t stream_plan_number(
-    StreamPlanVersion v) noexcept {
-  return static_cast<std::uint32_t>(v);
-}
 
 /// One (experiment seed, stream tag) family of per-index streams under a
 /// fixed plan version. Cheap to construct (no allocation); copyable.

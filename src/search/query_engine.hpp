@@ -22,8 +22,8 @@
 // pure function of (graph, policy, options.seed, options.stream_plan,
 // queries) —
 // bit-identical for any thread count, including sequential, and replayable
-// (re-running the same batch reproduces it — the property the seq-vs-pool
-// audits in m5_query_engine and tests/test_query_engine rely on).
+// (re-running the same batch reproduces it — the property the
+// thread-count audits in tests/test_query_engine rely on).
 // Corollary: the stream index is the position WITHIN a batch, not a
 // session-global counter, so query i of batch A and query i of batch B
 // share randomness. Do not pool statistics across repeated same-seed

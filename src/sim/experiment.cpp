@@ -22,10 +22,10 @@ std::uint64_t fnv1a64(std::string_view s) noexcept {
   return h;
 }
 
-/// Catalog order: family rank (e, a, m, then everything else), numeric
+/// Catalog order: family rank (e, a, then everything else), numeric
 /// suffix within a family ("e2" before "e10"), name as tiebreak.
 struct CatalogKey {
-  int family = 3;
+  int family = 2;
   std::uint64_t number = 0;
   std::string_view name;
 };
@@ -37,14 +37,13 @@ CatalogKey catalog_key(std::string_view name) {
     switch (name[0]) {
       case 'e': key.family = 0; break;
       case 'a': key.family = 1; break;
-      case 'm': key.family = 2; break;
       default: return key;
     }
     const auto digits = name.substr(1);
     const auto end = digits.data() + digits.size();
     const auto [ptr, ec] = std::from_chars(digits.data(), end, key.number);
     if (ec != std::errc{} || ptr != end) {
-      key.family = 3;
+      key.family = 2;
       key.number = 0;
     }
   }
@@ -115,7 +114,6 @@ std::string flag_names(unsigned caps) {
   append(kCapThreads, "--threads");
   append(kCapPolicies, "--policies");
   append(kCapShard, "--shard");
-  append(kCapGbenchFlags, "--benchmark_*");
   if (!out.empty()) out += ' ';
   out += "--json";
   return out;
@@ -328,10 +326,6 @@ bool parse_experiment_cli(const std::vector<std::string>& args,
         error = "--json requires a non-empty path";
         return false;
       }
-    } else if (arg.rfind("--benchmark_", 0) == 0) {
-      // Opaque pass-through for the google-benchmark experiments;
-      // validation rejects these unless the spec has kCapGbenchFlags.
-      out.options.gbench_flags.push_back(arg);
     } else {
       error = "unknown flag: " + arg;
       return false;
@@ -384,9 +378,6 @@ bool validate_experiment_options(const ExperimentSpec& spec,
   }
   if (!options.policies.empty() && !(spec.caps & kCapPolicies)) {
     return reject("--policies");
-  }
-  if (!options.gbench_flags.empty() && !(spec.caps & kCapGbenchFlags)) {
-    return reject(options.gbench_flags.front().c_str());
   }
   // Checkpointing streams sweep cells, which only the grid modes produce;
   // silently ignoring the flag elsewhere would run a sweep with no

@@ -1,11 +1,11 @@
 // Unified experiment engine: a registry of named experiment scenarios plus
 // the shared CLI layer behind the single `sfs_bench` driver.
 //
-// Every experiment that used to be its own bench binary (e1-e12 the paper
-// claims, a1-a3 the ablations, m1-m4 the machine benchmarks) registers an
-// ExperimentSpec — name, one-line claim, parameter schema with typed
-// defaults, capability set, and a run function — via a static
-// ExperimentRegistrar in its own translation unit. The driver then offers
+// Every experiment (e1-e12 the paper claims, a1-a3 the ablations, d1 the
+// churn study) registers an ExperimentSpec — name, one-line claim,
+// parameter schema with typed defaults, capability set, and a run
+// function — via a static ExperimentRegistrar in its own translation
+// unit. The driver then offers
 //
 //   sfs_bench --list                      catalog of registered experiments
 //   sfs_bench --list-names                bare names, one per line (CI loop)
@@ -52,14 +52,12 @@ enum ExperimentCaps : unsigned {
   kCapThreads = 1u << 6,     // --threads: worker count for the fan-out
   kCapSingleSize = 1u << 7,  // --n (or a one-element --sizes): experiments
                              // with one problem size; longer lists exit 2
-  kCapGbenchFlags = 1u << 8,  // --benchmark_*: passed through verbatim to
-                              // google-benchmark (m1/m2)
-  kCapPolicies = 1u << 9,  // --policies a,b,c: run only the named search
+  kCapPolicies = 1u << 8,  // --policies a,b,c: run only the named search
                            // policies (resolved against the policy
                            // registry, search/policy.hpp)
-  kCapShard = 1u << 10,  // --shard i/k: compute only shard i of the grid
-                         // (sim::measure_scaling_shard); requires a grid
-                         // mode and --checkpoint
+  kCapShard = 1u << 9,  // --shard i/k: compute only shard i of the grid
+                        // (sim::measure_scaling_shard); requires a grid
+                        // mode and --checkpoint
 };
 
 /// Parsed shared-flag values for one run. Flags the user did not pass are
@@ -87,9 +85,6 @@ struct ExperimentOptions {
   /// RunPlan/QueryEngine policy filter; unknown names fail inside the run
   /// with the registry's diagnostic.
   std::vector<std::string> policies;
-  /// --benchmark_* flags, forwarded verbatim to google-benchmark by the
-  /// gbench experiments (rejected unless the spec has kCapGbenchFlags).
-  std::vector<std::string> gbench_flags;
 };
 
 struct ExperimentSpec;
@@ -141,7 +136,7 @@ struct ExperimentContext {
 
 /// A registered experiment scenario.
 struct ExperimentSpec {
-  std::string name;   // short id: "e1", "a2", "m3", ...
+  std::string name;   // short id: "e1", "a2", "d1_churn", ...
   std::string title;  // one-line description for --list
   std::string claim;  // the paper claim / reference the run regenerates
 
@@ -152,12 +147,6 @@ struct ExperimentSpec {
   std::uint64_t default_seed = 0;
 
   unsigned caps = kCapQuick | kCapSeed;
-
-  /// Include in the registry-wide smoke loop (tests/test_experiment_smoke
-  /// runs every smoke experiment under a tiny --quick budget). The
-  /// google-benchmark microbench experiments opt out; CI still runs them
-  /// through the driver loop.
-  bool smoke = true;
 
   std::vector<ParamSpec> params;
 
@@ -197,8 +186,8 @@ class ExperimentRegistry {
   /// Looks up a spec by name; nullptr when absent.
   [[nodiscard]] const ExperimentSpec* find(std::string_view name) const;
 
-  /// All specs in catalog order: e* before a* before m*, numerically
-  /// within a family ("e2" < "e10"), other names alphabetically last.
+  /// All specs in catalog order: e* before a*, numerically within a
+  /// family ("e2" < "e10"), other names alphabetically last.
   [[nodiscard]] std::vector<const ExperimentSpec*> all() const;
 
   [[nodiscard]] std::size_t size() const noexcept { return specs_.size(); }

@@ -397,8 +397,8 @@ ScalingSeries measure_scaling(
                                gen::GenScratch&)>& measure,
     const ScalingOptions& options) {
   // One WorkerContext per worker (sim/worker_context.hpp) — the same
-  // per-worker scratch state sim/sweep and search/QueryEngine use; this
-  // harness only exercises its generator scratch.
+  // per-worker scratch state sim/sweep uses; this harness only exercises
+  // its generator scratch.
   std::vector<WorkerContext> workers(
       base::resolve_worker_count(options.threads));
   return measure_scaling_impl(

@@ -1,11 +1,11 @@
-// Per-worker reusable scratch state shared by every replication harness.
+// Per-worker reusable scratch state for the replication harnesses.
 //
-// The parallel harnesses (sim/sweep, sim/scaling, search/QueryEngine) hand
-// each worker thread a stable worker index and give it one WorkerContext:
-// an epoch-stamped search workspace (O(1) reset between runs), a generator
-// scratch arena, and a Graph whose CSR buffers are recycled across
-// replications. Before this header, sweep.cpp and scaling.cpp each grew
-// their own private per-worker struct; this is the one shared definition.
+// The parallel harnesses in sim/ (sweep, scaling) hand each worker thread a
+// stable worker index and give it one WorkerContext: an epoch-stamped
+// search workspace (O(1) reset between runs), a generator scratch arena,
+// and a Graph whose CSR buffers are recycled across replications.
+// search::QueryEngine sits below sim/ and keeps its own per-worker
+// sessions instead.
 //
 // A WorkerContext is bound to one worker thread at a time; it is not
 // thread-safe and (like SearchWorkspace) not movable, so harnesses build
@@ -14,7 +14,6 @@
 #pragma once
 
 #include "gen/scratch.hpp"
-#include "graph/compressed.hpp"
 #include "graph/graph.hpp"
 #include "search/local_view.hpp"
 
@@ -29,10 +28,6 @@ struct WorkerContext {
   /// factories, which regenerate it in place, and the plain factories,
   /// which park their result here so callers get a stable reference).
   graph::Graph graph;
-  /// Row decode scratch for workloads reading a CompressedGraph or an
-  /// mmap'd snapshot (graph/compressed.hpp): one buffer per worker keeps
-  /// compressed-row iteration zero-alloc past the high-water degree.
-  graph::AdjacencyDecodeBuffer decode_buffer;
 
   WorkerContext() = default;
   WorkerContext(const WorkerContext&) = delete;

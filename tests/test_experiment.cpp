@@ -76,13 +76,13 @@ TEST(ExperimentRegistry, DefaultSeedCollisionRejected) {
 
 TEST(ExperimentRegistry, CatalogOrderIsFamilyThenNumber) {
   ExperimentRegistry reg;
-  for (const char* name : {"m2", "e10", "a1", "e2", "zz", "e1", "m1"}) {
+  for (const char* name : {"a2", "e10", "a1", "e2", "zz", "e1", "d1"}) {
     reg.add(make_spec(name));
   }
   std::vector<std::string> names;
   for (const auto* spec : reg.all()) names.push_back(spec->name);
-  EXPECT_EQ(names, (std::vector<std::string>{"e1", "e2", "e10", "a1", "m1",
-                                             "m2", "zz"}));
+  EXPECT_EQ(names, (std::vector<std::string>{"e1", "e2", "e10", "a1", "a2",
+                                             "d1", "zz"}));
 }
 
 // ------------------------------------------------------------------- seeds
@@ -164,9 +164,11 @@ TEST(ExperimentCli, NIsSingleElementSizes) {
 TEST(ExperimentCli, UnknownFlagRejected) {
   CliRequest req;
   std::string error;
-  EXPECT_FALSE(parse_experiment_cli({"--run", "e1", "--frobnicate"}, req,
-                                    error));
-  EXPECT_NE(error.find("--frobnicate"), std::string::npos);
+  for (const char* flag : {"--frobnicate", "--benchmark_filter=x"}) {
+    EXPECT_FALSE(parse_experiment_cli({"--run", "e1", flag}, req, error))
+        << flag;
+    EXPECT_NE(error.find(flag), std::string::npos) << error;
+  }
 }
 
 TEST(ExperimentCli, TypeErrorsRejected) {
@@ -345,33 +347,6 @@ TEST(ExperimentValidation, SingleSizeExperimentsRejectSizeLists) {
   EXPECT_NE(error.find("single size"), std::string::npos);
 }
 
-TEST(ExperimentValidation, GbenchFlagsGatedByCapability) {
-  std::string error;
-  ExperimentSpec plain = make_spec("x1");
-  plain.caps = sfs::sim::kCapQuick;
-  ExperimentOptions opts;
-  opts.gbench_flags = {"--benchmark_filter=BM_MoriTree"};
-  EXPECT_FALSE(validate_experiment_options(plain, opts, error));
-  EXPECT_NE(error.find("--benchmark_filter"), std::string::npos);
-
-  ExperimentSpec gbench = make_spec("x2");
-  gbench.caps = sfs::sim::kCapQuick | sfs::sim::kCapGbenchFlags;
-  EXPECT_TRUE(validate_experiment_options(gbench, opts, error)) << error;
-}
-
-TEST(ExperimentCli, BenchmarkFlagsCollectedAsPassthrough) {
-  CliRequest req;
-  std::string error;
-  ASSERT_TRUE(parse_experiment_cli(
-      {"--run", "m1", "--benchmark_filter=BM_MoriTree",
-       "--benchmark_repetitions=3"},
-      req, error))
-      << error;
-  EXPECT_EQ(req.options.gbench_flags,
-            (std::vector<std::string>{"--benchmark_filter=BM_MoriTree",
-                                      "--benchmark_repetitions=3"}));
-}
-
 TEST(ExperimentValidation, CheckpointRequiresGridMode) {
   ExperimentSpec spec = make_spec("x1");
   spec.caps = sfs::sim::kCapQuick | sfs::sim::kCapLarge |
@@ -435,17 +410,13 @@ TEST(ResultsEmitter, OpenFailureThrows) {
 
 TEST(GlobalRegistry, CatalogContainsTheExperimentSuite) {
   const auto& reg = ExperimentRegistry::instance();
-  // e1-e12, a1-a3, m3, m4 are always registered; m1/m2 additionally when
-  // the build has google-benchmark.
   const std::vector<std::string> required{
       "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11",
-      "e12", "a1", "a2", "a3", "m3", "m4"};
+      "e12", "a1", "a2", "a3"};
   for (const auto& name : required) {
     ASSERT_NE(reg.find(name), nullptr) << "missing experiment " << name;
   }
   EXPECT_GE(reg.size(), required.size());
-  // m1 and m2 travel together.
-  EXPECT_EQ(reg.find("m1") != nullptr, reg.find("m2") != nullptr);
 
   for (const auto* spec : reg.all()) {
     EXPECT_TRUE(static_cast<bool>(spec->run)) << spec->name;

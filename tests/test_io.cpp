@@ -77,6 +77,52 @@ TEST(Io, RejectsMalformedHeader) {
                std::invalid_argument);
 }
 
+// Hostile numbers and framing must raise a checked error, never load as
+// some other graph or reach an unchecked allocation.
+TEST(Io, RejectsNegativeEndpoint) {
+  // A sign must not wrap to a valid id (here 1).
+  EXPECT_THROW(
+      (void)from_string("sfsearch-graph v1\n2 1\n0 -18446744073709551615\n"),
+      std::invalid_argument);
+}
+
+TEST(Io, RejectsNegativeVertexCount) {
+  // A sign must not wrap to a valid count (here 3).
+  EXPECT_THROW(
+      (void)from_string("sfsearch-graph v1\n-18446744073709551613 1\n0 1\n"),
+      std::invalid_argument);
+}
+
+TEST(Io, RejectsEdgesBeyondTheDeclaredCount) {
+  EXPECT_THROW(
+      (void)from_string("sfsearch-graph v1\n3 1\n0 1\n1 2\n2 0\n"),
+      std::invalid_argument);
+}
+
+TEST(Io, RejectsTrailingTokens) {
+  EXPECT_THROW((void)from_string("sfsearch-graph v1\n2 1\n0 1 junk\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)from_string("sfsearch-graph v1\n2 1\n0 1junk\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)from_string("sfsearch-graph v1\n2 1 7\n0 1\n"),
+               std::invalid_argument);
+}
+
+TEST(Io, RejectsEdgeCountBeyondEdgeIdBeforeAllocating) {
+  // Checked before anything is sized from the header.
+  EXPECT_THROW(
+      (void)from_string("sfsearch-graph v1\n2 18446744073709551615\n0 1\n"),
+      std::invalid_argument);
+}
+
+TEST(Io, LargeVertexCountWithFewEdgesIsValid) {
+  // The format allows isolated vertices, so n alone is not capped.
+  const Graph g = from_string(
+      "sfsearch-graph v1\n100000 1\n0 99999\n# trailing comment\n\n");
+  EXPECT_EQ(g.num_vertices(), 100000u);
+  EXPECT_EQ(g.num_edges(), 1u);
+}
+
 TEST(Io, RejectsEmptyInput) {
   EXPECT_THROW((void)from_string(""), std::invalid_argument);
 }

@@ -9,7 +9,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "gen/config_model.hpp"
 #include "gen/mori.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/overlay.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
@@ -84,32 +86,60 @@ TEST(QueryEngine, ExhaustivePolicyAnswersEveryQuery) {
   }
 }
 
+// The fixed-overlay lookup shape: the largest component of a gamma = 2.3
+// configuration-model graph at n = 4000.
+Graph lookup_overlay() {
+  sfs::rng::Rng rng(0x2824d73b02b89383ULL);
+  const Graph full = sfs::gen::power_law_configuration_graph(
+      4000, sfs::gen::PowerLawSequenceParams{2.3, 1, 0},
+      sfs::gen::ConfigModelOptions{false}, rng);
+  return sfs::graph::largest_component(full).graph;
+}
+
 TEST(QueryEngine, BatchBitIdenticalAcrossThreadCounts) {
   // The acceptance-criteria audit: threads=1 vs threads=4 vs the shared
   // pool, all under SFS_RNG_AUDIT, for both knowledge models. random-walk
-  // is the hardest weak case, since every step consumes RNG.
+  // is the hardest weak case, since every step consumes RNG. Two inputs:
+  // a small Móri graph, and a 200-lookup batch on the fixed overlay with a
+  // 50 * peers budget, whose long walks keep every worker busy. Both are
+  // built, and the overlay's size checked, before the audit is switched on.
+  struct Input {
+    Graph graph;
+    std::vector<Query> queries;
+    std::uint64_t budget;
+    std::vector<const char*> policies;
+  };
+  std::vector<Input> inputs;
+  const Graph mori = test_graph();
+  inputs.push_back({mori, test_queries(mori, 30, 13), 20000,
+                    {"random-walk", "degree-greedy-strong"}});
+  const Graph overlay = lookup_overlay();
+  ASSERT_EQ(overlay.num_vertices(), 2892u);
+  inputs.push_back({overlay, test_queries(overlay, 200, 17),
+                    50 * overlay.num_vertices(),
+                    {"degree-greedy-strong", "bfs-strong", "random-walk"}});
+
   auto& audit = sfs::rng::StreamAudit::instance();
   const bool was_enabled = audit.enabled();
   audit.set_enabled(true);
+  for (const Input& input : inputs) {
+    for (const char* policy : input.policies) {
+      audit.reset();
+      QueryEngineOptions options;
+      options.seed = 0xCAFE;
+      options.budget.max_raw_requests = input.budget;
+      QueryEngine engine(input.graph, policy, options);
 
-  const Graph g = test_graph();
-  const auto queries = test_queries(g, 30, 13);
-  for (const char* policy : {"random-walk", "degree-greedy-strong"}) {
-    audit.reset();
-    QueryEngineOptions options;
-    options.seed = 0xCAFE;
-    options.budget.max_raw_requests = 20000;
-    QueryEngine engine(g, policy, options);
-
-    const auto seq = engine.run_batch(queries, /*threads=*/1);
-    const auto par = engine.run_batch(queries, /*threads=*/4);
-    const auto pool = engine.run_batch(queries, /*threads=*/0);
-    expect_identical(seq, par);
-    expect_identical(seq, pool);
-    EXPECT_EQ(engine.queries_served(), 90u) << policy;
-    // One audited derivation per distinct (seed, stream, batch index);
-    // re-running the same batch re-records the same triples.
-    EXPECT_EQ(audit.recorded_count(), queries.size()) << policy;
+      const auto seq = engine.run_batch(input.queries, /*threads=*/1);
+      const auto par = engine.run_batch(input.queries, /*threads=*/4);
+      const auto pool = engine.run_batch(input.queries, /*threads=*/0);
+      expect_identical(seq, par);
+      expect_identical(seq, pool);
+      EXPECT_EQ(engine.queries_served(), 3 * input.queries.size()) << policy;
+      // One audited derivation per distinct (seed, stream, batch index);
+      // re-running the same batch re-records the same triples.
+      EXPECT_EQ(audit.recorded_count(), input.queries.size()) << policy;
+    }
   }
 
   audit.reset();

@@ -15,12 +15,12 @@ using sfs::rng::Philox4x64;
 using sfs::rng::StreamAudit;
 using sfs::rng::StreamPlan;
 using sfs::rng::StreamPlanVersion;
-using sfs::rng::stream_plan_number;
 
 TEST(StreamPlan, VersionNumbersAreStable) {
-  // These integers are stamped into BENCH_JSON artifacts; they are frozen.
-  EXPECT_EQ(stream_plan_number(StreamPlanVersion::kLegacy), 1u);
-  EXPECT_EQ(stream_plan_number(StreamPlanVersion::kCounter), 2u);
+  // Artifacts record the plan as its enum value (perfbench's manifest
+  // among them); these integers are frozen.
+  EXPECT_EQ(static_cast<std::uint32_t>(StreamPlanVersion::kLegacy), 1u);
+  EXPECT_EQ(static_cast<std::uint32_t>(StreamPlanVersion::kCounter), 2u);
 }
 
 TEST(StreamPlan, LegacyMatchesDeriveStreamSeedExactly) {
