@@ -15,8 +15,8 @@
 #include "gen/mori.hpp"
 #include "graph/algorithms.hpp"
 #include "search/kleinberg_routing.hpp"
+#include "search/policy.hpp"
 #include "search/runner.hpp"
-#include "search/weak_algorithms.hpp"
 #include "sim/table.hpp"
 #include "stats/summary.hpp"
 
@@ -43,7 +43,9 @@ double best_weak_cost(std::size_t n, std::uint64_t seed) {
   sfs::rng::Rng rng(seed);
   const auto g = sfs::gen::mori_tree(n, sfs::gen::MoriParams{0.5}, rng);
   double best = 1e18;
-  for (auto& searcher : sfs::search::weak_portfolio()) {
+  const auto portfolio = sfs::search::make_weak_searchers(
+      sfs::search::resolve_policies(sfs::search::KnowledgeModel::kWeak, {}));
+  for (const auto& searcher : portfolio) {
     sfs::rng::Rng search_rng(seed + 1);
     const auto r = sfs::search::run_weak(
         g, 0, static_cast<VertexId>(n - 1), *searcher, search_rng,

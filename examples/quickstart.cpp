@@ -12,8 +12,8 @@
 #include "core/lower_bound.hpp"
 #include "gen/mori.hpp"
 #include "graph/algorithms.hpp"
+#include "search/policy.hpp"
 #include "search/runner.hpp"
-#include "search/weak_algorithms.hpp"
 
 int main(int argc, char** argv) {
   const std::size_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4096;
@@ -36,7 +36,9 @@ int main(int argc, char** argv) {
   //    with every portfolio policy under the weak knowledge model.
   const auto target = static_cast<sfs::graph::VertexId>(n - 1);
   std::cout << "\nweak-model search for vertex " << n << " from vertex 1:\n";
-  for (auto& searcher : sfs::search::weak_portfolio()) {
+  const auto portfolio = sfs::search::make_weak_searchers(
+      sfs::search::resolve_policies(sfs::search::KnowledgeModel::kWeak, {}));
+  for (const auto& searcher : portfolio) {
     sfs::rng::Rng search_rng(seed + 1);
     const auto r = sfs::search::run_weak(
         g, 0, target, *searcher, search_rng,

@@ -23,8 +23,10 @@
 //       --shard i/k --checkpoint shard_i.csv) into one checkpoint; point
 //       an unsharded rerun at <out.csv> to replay the merged grid.
 //
-// Exit status: 0 on success, 1 on usage error, 2 on runtime failure.
-#include <cstdlib>
+// Exit status: 0 on success, 1 on usage error (including a malformed
+// number), 2 on runtime failure.
+#include <charconv>
+#include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -70,14 +72,31 @@ int usage() {
   return 1;
 }
 
+/// Reports an argument that is not a number of the expected kind.
+int bad_number(const std::string& what, const std::string& token) {
+  std::cerr << "error: " << what << ": '" << token
+            << "' is not a valid number\n";
+  return 1;
+}
+
+/// Parses a whole token as a double (locale-independent); false on an
+/// empty token or any trailing character.
+bool parse_double(const std::string& text, double& out) {
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, out);
+  return !text.empty() && ec == std::errc{} && ptr == last;
+}
+
 /// Splits "name:a,b" into the name and numeric parameters.
 struct ModelSpec {
   std::string name;
   std::vector<double> params;
+  std::vector<std::string> tokens;  // params as written
 };
 
-ModelSpec parse_model(const std::string& arg) {
-  ModelSpec spec;
+/// Parses `arg` into `spec`; false with the offending token in `bad` when
+/// a parameter is not a number.
+bool parse_model(const std::string& arg, ModelSpec& spec, std::string& bad) {
   const auto colon = arg.find(':');
   spec.name = arg.substr(0, colon);
   if (colon != std::string::npos) {
@@ -86,25 +105,52 @@ ModelSpec parse_model(const std::string& arg) {
     while (pos < rest.size()) {
       const auto comma = rest.find(',', pos);
       const std::string tok = rest.substr(pos, comma - pos);
-      spec.params.push_back(std::strtod(tok.c_str(), nullptr));
+      double value = 0.0;
+      if (!parse_double(tok, value)) {
+        bad = tok;
+        return false;
+      }
+      spec.params.push_back(value);
+      spec.tokens.push_back(tok);
       if (comma == std::string::npos) break;
       pos = comma + 1;
     }
   }
-  return spec;
+  return true;
 }
 
 double param(const ModelSpec& spec, std::size_t i, double fallback) {
   return i < spec.params.size() ? spec.params[i] : fallback;
 }
 
+/// Parameter i as a count (`fallback` when absent); false when it is not
+/// a whole number in [0, 2^53], which a size_t cast could not represent.
+bool count_param(const ModelSpec& spec, std::size_t i, std::size_t fallback,
+                 std::size_t& out) {
+  if (i >= spec.params.size()) {
+    out = fallback;
+    return true;
+  }
+  const double v = spec.params[i];
+  if (!(v >= 0.0 && v <= 0x1p53 && v == std::floor(v))) return false;
+  out = static_cast<std::size_t>(v);
+  return true;
+}
+
 int cmd_generate(const std::vector<std::string>& args) {
   if (args.size() < 3) return usage();
-  const ModelSpec spec = parse_model(args[0]);
-  const std::size_t n = std::strtoull(args[1].c_str(), nullptr, 10);
+  ModelSpec spec;
+  std::string bad;
+  if (!parse_model(args[0], spec, bad)) {
+    return bad_number("model parameter", bad);
+  }
+  std::size_t n = 0;
+  if (!sfs::sim::parse_size(args[1], n)) return bad_number("<n>", args[1]);
   const std::string out = args[2];
-  const std::uint64_t seed =
-      args.size() > 3 ? std::strtoull(args[3].c_str(), nullptr, 10) : 1;
+  std::uint64_t seed = 1;
+  if (args.size() > 3 && !sfs::sim::parse_u64(args[3], seed)) {
+    return bad_number("[seed]", args[3]);
+  }
   Rng rng(seed);
 
   Graph g;
@@ -112,19 +158,23 @@ int cmd_generate(const std::vector<std::string>& args) {
     g = sfs::gen::mori_tree(n, sfs::gen::MoriParams{param(spec, 0, 0.5)},
                             rng);
   } else if (spec.name == "merged-mori") {
+    std::size_t m = 0;
+    if (!count_param(spec, 1, 2, m)) {
+      return bad_number("model count parameter", spec.tokens[1]);
+    }
     g = sfs::gen::merged_mori_graph(
-        n, static_cast<std::size_t>(param(spec, 1, 2)),
-        sfs::gen::MoriParams{param(spec, 0, 0.5)}, rng);
+        n, m, sfs::gen::MoriParams{param(spec, 0, 0.5)}, rng);
   } else if (spec.name == "cf") {
     sfs::gen::CooperFriezeParams params;
     params.alpha = param(spec, 0, 0.5);
     g = sfs::gen::cooper_frieze(n, params, rng).graph;
   } else if (spec.name == "ba") {
+    std::size_t m = 0;
+    if (!count_param(spec, 0, 2, m)) {
+      return bad_number("model count parameter", spec.tokens[0]);
+    }
     g = sfs::gen::barabasi_albert(
-        n,
-        sfs::gen::BarabasiAlbertParams{
-            static_cast<std::size_t>(param(spec, 0, 2)), true},
-        rng);
+        n, sfs::gen::BarabasiAlbertParams{m, true}, rng);
   } else if (spec.name == "config") {
     g = sfs::gen::power_law_configuration_graph(
         n, sfs::gen::PowerLawSequenceParams{param(spec, 0, 2.3), 1, 0},
@@ -223,10 +273,15 @@ int cmd_stats(const std::vector<std::string>& args) {
 
 int cmd_search(const std::vector<std::string>& args) {
   if (args.size() < 3) return usage();
+  std::size_t start_paper = 0;
+  std::size_t target_paper = 0;
+  if (!sfs::sim::parse_size(args[1], start_paper)) {
+    return bad_number("<start>", args[1]);
+  }
+  if (!sfs::sim::parse_size(args[2], target_paper)) {
+    return bad_number("<target>", args[2]);
+  }
   const Graph g = sfs::graph::load(args[0]);
-  const std::size_t start_paper = std::strtoull(args[1].c_str(), nullptr, 10);
-  const std::size_t target_paper =
-      std::strtoull(args[2].c_str(), nullptr, 10);
   std::string model_arg = "weak";
   std::vector<std::string> policy_names;
   for (std::size_t i = 3; i < args.size(); ++i) {
@@ -253,7 +308,7 @@ int cmd_search(const std::vector<std::string>& args) {
                                          : sfs::search::KnowledgeModel::kStrong;
 
   // Policy selection by registry name (empty = the model's full
-  // portfolio), replacing the hard-coded portfolio list calls.
+  // portfolio).
   const auto specs = sfs::search::resolve_policies(model, policy_names);
   sfs::sim::Table t("search " + std::to_string(start_paper) + " -> " +
                         std::to_string(target_paper) + " (" + model_arg + ")",
@@ -315,8 +370,10 @@ int cmd_policies(const std::vector<std::string>& args) {
 
 int cmd_bound(const std::vector<std::string>& args) {
   if (args.size() != 2) return usage();
-  const double p = std::strtod(args[0].c_str(), nullptr);
-  const std::size_t n = std::strtoull(args[1].c_str(), nullptr, 10);
+  double p = 0.0;
+  if (!parse_double(args[0], p)) return bad_number("<p>", args[0]);
+  std::size_t n = 0;
+  if (!sfs::sim::parse_size(args[1], n)) return bad_number("<n>", args[1]);
   const auto est = sfs::core::mori_lower_bound(p, n, 3000, 99);
   std::cout << "Theorem 1 (weak model), Mori p=" << p << ", target vertex "
             << n << ":\n  equivalent window (" << est.a << ", " << est.b

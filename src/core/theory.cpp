@@ -50,10 +50,6 @@ double lemma1_bound(std::size_t equivalent_vertices,
   return static_cast<double>(equivalent_vertices) * event_probability / 2.0;
 }
 
-bool kleinberg_navigable(double r, std::size_t dim) {
-  return r == static_cast<double>(dim);
-}
-
 double kleinberg_routing_exponent(double r) {
   SFS_REQUIRE(r >= 0.0, "exponent must be >= 0");
   if (r < 2.0) return (2.0 - r) / 3.0;

@@ -45,10 +45,6 @@ namespace sfs::core::theory {
 [[nodiscard]] double lemma1_bound(std::size_t equivalent_vertices,
                                   double event_probability);
 
-/// Kleinberg (2000): greedy routing on a d-dimensional lattice with
-/// long-range exponent r is polylogarithmic iff r == d.
-[[nodiscard]] bool kleinberg_navigable(double r, std::size_t dim = 2);
-
 /// Kleinberg's lower-bound exponent for greedy routing away from the
 /// navigable point (2-D): (2 - r) / 3 for 0 <= r < 2 and
 /// (r - 2) / (r - 1) for r > 2. Returns 0 at r == 2.

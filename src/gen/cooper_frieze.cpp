@@ -150,20 +150,6 @@ void CooperFriezeProcess::graph_into(GenScratch& scratch,
   scratch.builder.build_into(out);
 }
 
-namespace {
-
-void finalize_cf(CooperFriezeProcess& proc, GenScratch& scratch,
-                 CooperFriezeGraph& out) {
-  proc.graph_into(scratch, out.graph);
-  proc.release_scratch(scratch);
-  out.steps = proc.num_steps();
-  out.birth_order.resize(out.graph.num_vertices());
-  for (VertexId v = 0; v < out.graph.num_vertices(); ++v)
-    out.birth_order[v] = v;
-}
-
-}  // namespace
-
 CooperFriezeGraph cooper_frieze(std::size_t n_vertices,
                                 const CooperFriezeParams& params,
                                 rng::Rng& rng) {
@@ -179,24 +165,12 @@ void cooper_frieze(std::size_t n_vertices, const CooperFriezeParams& params,
   SFS_REQUIRE(n_vertices >= 1, "need at least one vertex");
   CooperFriezeProcess proc(params, scratch);
   while (proc.num_vertices() < n_vertices) (void)proc.step(rng);
-  finalize_cf(proc, scratch, out);
-}
-
-CooperFriezeGraph cooper_frieze_steps(std::size_t steps,
-                                      const CooperFriezeParams& params,
-                                      rng::Rng& rng) {
-  GenScratch scratch;
-  CooperFriezeGraph out;
-  cooper_frieze_steps(steps, params, rng, scratch, out);
-  return out;
-}
-
-void cooper_frieze_steps(std::size_t steps, const CooperFriezeParams& params,
-                         rng::Rng& rng, GenScratch& scratch,
-                         CooperFriezeGraph& out) {
-  CooperFriezeProcess proc(params, scratch);
-  for (std::size_t s = 0; s < steps; ++s) (void)proc.step(rng);
-  finalize_cf(proc, scratch, out);
+  proc.graph_into(scratch, out.graph);
+  proc.release_scratch(scratch);
+  out.steps = proc.num_steps();
+  out.birth_order.resize(out.graph.num_vertices());
+  for (VertexId v = 0; v < out.graph.num_vertices(); ++v)
+    out.birth_order[v] = v;
 }
 
 }  // namespace sfs::gen

@@ -78,18 +78,11 @@ struct CooperFriezeGraph {
                                               const CooperFriezeParams& params,
                                               rng::Rng& rng);
 
-/// Runs the process for exactly `steps` steps regardless of vertex count.
-[[nodiscard]] CooperFriezeGraph cooper_frieze_steps(
-    std::size_t steps, const CooperFriezeParams& params, rng::Rng& rng);
-
-/// Scratch-reusing overloads: regenerate `out` in place, recycling the
+/// Scratch-reusing overload: regenerates `out` in place, recycling the
 /// process edge log, preference bag, birth-order vector and CSR buffers.
-/// Bit-identical to the fresh paths.
+/// Bit-identical to the fresh path.
 void cooper_frieze(std::size_t n_vertices, const CooperFriezeParams& params,
                    rng::Rng& rng, GenScratch& scratch, CooperFriezeGraph& out);
-void cooper_frieze_steps(std::size_t steps, const CooperFriezeParams& params,
-                         rng::Rng& rng, GenScratch& scratch,
-                         CooperFriezeGraph& out);
 
 /// Incremental form, mirroring MoriProcess, used by the Cooper–Frieze
 /// equivalence experiment (E3/E10) to observe edge endpoints as drawn.

@@ -1,6 +1,9 @@
 #include "gen/kleinberg.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.hpp"
 
@@ -11,25 +14,6 @@ using graph::VertexId;
 KleinbergGrid::KleinbergGrid(std::size_t L, const KleinbergParams& params,
                              rng::Rng& rng)
     : L_(L), params_(params) {
-  GenScratch scratch;
-  build_graph(rng, scratch);
-}
-
-KleinbergGrid::KleinbergGrid(std::size_t L, const KleinbergParams& params,
-                             rng::Rng& rng, GenScratch& scratch)
-    : L_(L), params_(params) {
-  build_graph(rng, scratch);
-}
-
-void KleinbergGrid::rebuild(std::size_t L, const KleinbergParams& params,
-                            rng::Rng& rng, GenScratch& scratch) {
-  L_ = L;
-  params_ = params;
-  build_graph(rng, scratch);
-}
-
-void KleinbergGrid::build_graph(rng::Rng& rng, GenScratch& scratch) {
-  const std::size_t L = L_;
   SFS_REQUIRE(L >= 2, "grid side must be >= 2");
   SFS_REQUIRE(params_.r >= 0.0, "long-range exponent must be >= 0");
   const std::size_t n = checked_mul(L, L, "Kleinberg L*L overflows");
@@ -37,10 +21,8 @@ void KleinbergGrid::build_graph(rng::Rng& rng, GenScratch& scratch) {
   // Enumerate all non-zero torus offsets once, weighted dist^{-r}; sampling
   // a long-range contact is then one alias-table draw. Exact law, O(L^2)
   // memory.
-  std::vector<double>& weights = scratch.weights;
-  auto& offsets = scratch.offsets;
-  weights.clear();
-  offsets.clear();
+  std::vector<double> weights;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> offsets;
   weights.reserve(n - 1);
   offsets.reserve(n - 1);
   for (std::size_t dx = 0; dx < L; ++dx) {
@@ -56,8 +38,8 @@ void KleinbergGrid::build_graph(rng::Rng& rng, GenScratch& scratch) {
   }
   const rng::AliasTable offset_dist{std::span<const double>(weights)};
 
-  scratch.builder.reset(n);
-  scratch.builder.reserve_edges(checked_add(
+  graph::GraphBuilder builder(n);
+  builder.reserve_edges(checked_add(
       checked_mul(2, n, "Kleinberg local edge count overflows"),
       checked_mul(params_.q, n, "Kleinberg long-range edge count overflows"),
       "Kleinberg edge count overflows"));
@@ -66,8 +48,8 @@ void KleinbergGrid::build_graph(rng::Rng& rng, GenScratch& scratch) {
   for (std::size_t x = 0; x < L; ++x) {
     for (std::size_t y = 0; y < L; ++y) {
       const VertexId v = vertex_at(x, y);
-      scratch.builder.add_edge(v, vertex_at(x + 1, y));
-      scratch.builder.add_edge(v, vertex_at(x, y + 1));
+      builder.add_edge(v, vertex_at(x + 1, y));
+      builder.add_edge(v, vertex_at(x, y + 1));
     }
   }
   // Long-range edges.
@@ -76,11 +58,11 @@ void KleinbergGrid::build_graph(rng::Rng& rng, GenScratch& scratch) {
       const VertexId v = vertex_at(x, y);
       for (std::size_t k = 0; k < params_.q; ++k) {
         const auto [dx, dy] = offsets[offset_dist.sample(rng)];
-        scratch.builder.add_edge(v, vertex_at(x + dx, y + dy));
+        builder.add_edge(v, vertex_at(x + dx, y + dy));
       }
     }
   }
-  scratch.builder.build_into(graph_);
+  builder.build_into(graph_);
 }
 
 std::pair<std::size_t, std::size_t> KleinbergGrid::coords(VertexId v) const {

@@ -12,8 +12,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
-#include "gen/scratch.hpp"
 #include "graph/graph.hpp"
 #include "rng/discrete.hpp"
 #include "rng/random.hpp"
@@ -35,17 +35,6 @@ class KleinbergGrid {
   /// Builds the grid; requires L >= 2.
   KleinbergGrid(std::size_t L, const KleinbergParams& params, rng::Rng& rng);
 
-  /// Scratch-reusing constructor: same grid, but the offset/weight tables
-  /// and CSR packing buffers come from `scratch`.
-  KleinbergGrid(std::size_t L, const KleinbergParams& params, rng::Rng& rng,
-                GenScratch& scratch);
-
-  /// Regenerates the grid in place (new L/params/draws), recycling both
-  /// the scratch buffers and this grid's own Graph storage. Bit-identical
-  /// to constructing a fresh grid with the same arguments and rng state.
-  void rebuild(std::size_t L, const KleinbergParams& params, rng::Rng& rng,
-               GenScratch& scratch);
-
   [[nodiscard]] const graph::Graph& graph() const noexcept { return graph_; }
   [[nodiscard]] std::size_t side() const noexcept { return L_; }
   [[nodiscard]] std::size_t num_vertices() const noexcept { return L_ * L_; }
@@ -64,8 +53,6 @@ class KleinbergGrid {
                                              graph::VertexId v) const;
 
  private:
-  void build_graph(rng::Rng& rng, GenScratch& scratch);
-
   std::size_t L_;
   KleinbergParams params_;
   graph::Graph graph_;

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -50,10 +49,6 @@ struct GenScratch {
   std::vector<std::uint32_t> in_degree;
   /// Power-law degree sequence.
   std::vector<std::uint32_t> degrees;
-  /// Kleinberg long-range offset weights.
-  std::vector<double> weights;
-  /// Kleinberg torus offsets, slot-aligned with `weights`.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> offsets;
   /// Unordered-pair dedup set (Erdős–Rényi G(n,m), erased configuration
   /// model). clear() keeps the bucket array, so steady-state reuse does
   /// not re-hash from scratch.

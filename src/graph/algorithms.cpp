@@ -4,7 +4,6 @@
 #include <deque>
 
 #include "graph/builder.hpp"
-#include "rng/discrete.hpp"
 
 namespace sfs::graph {
 
@@ -43,16 +42,6 @@ BfsResult bfs(const Graph& g, VertexId source) {
 std::uint32_t distance(const Graph& g, VertexId s, VertexId t) {
   SFS_REQUIRE(t < g.num_vertices(), "target out of range");
   return bfs(g, s).distance[t];
-}
-
-std::vector<VertexId> shortest_path(const Graph& g, VertexId s, VertexId t) {
-  const BfsResult r = bfs(g, s);
-  if (r.distance[t] == kUnreachable) return {};
-  std::vector<VertexId> path;
-  for (VertexId v = t; v != kNoVertex; v = r.parent[v]) path.push_back(v);
-  std::reverse(path.begin(), path.end());
-  SFS_CHECK(path.front() == s, "path reconstruction broke");
-  return path;
 }
 
 std::vector<std::size_t> Components::sizes() const {
@@ -167,43 +156,6 @@ DistanceStats sample_distances(const Graph& g, std::size_t samples,
   if (dist_count > 0) st.mean_distance = dist_sum / static_cast<double>(dist_count);
   if (samples > 0) st.mean_eccentricity = ecc_sum / static_cast<double>(samples);
   return st;
-}
-
-double sample_clustering(const Graph& g, std::size_t samples, rng::Rng& rng) {
-  // Simple-graph neighbor sets per vertex, dropping loops and duplicates.
-  const std::size_t n = g.num_vertices();
-  std::vector<std::vector<VertexId>> adj(n);
-  for (VertexId v = 0; v < n; ++v) {
-    auto nb = g.neighbors(v);
-    std::sort(nb.begin(), nb.end());
-    nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
-    nb.erase(std::remove(nb.begin(), nb.end(), v), nb.end());
-    adj[v] = std::move(nb);
-  }
-  // Wedge weights: deg*(deg-1)/2 on the simple degrees.
-  std::vector<double> wedges(n, 0.0);
-  double total = 0.0;
-  for (VertexId v = 0; v < n; ++v) {
-    const double d = static_cast<double>(adj[v].size());
-    wedges[v] = d * (d - 1.0) / 2.0;
-    total += wedges[v];
-  }
-  if (total <= 0.0) return 0.0;
-  const rng::CdfSampler centers{wedges};
-
-  std::size_t closed = 0;
-  for (std::size_t i = 0; i < samples; ++i) {
-    const auto v = static_cast<VertexId>(centers.sample(rng));
-    const auto& nb = adj[v];
-    // Uniform unordered pair of distinct neighbors.
-    const auto a = static_cast<std::size_t>(rng.uniform_index(nb.size()));
-    auto b = static_cast<std::size_t>(rng.uniform_index(nb.size() - 1));
-    if (b >= a) ++b;
-    const VertexId x = nb[a];
-    const VertexId y = nb[b];
-    if (std::binary_search(adj[x].begin(), adj[x].end(), y)) ++closed;
-  }
-  return static_cast<double>(closed) / static_cast<double>(samples);
 }
 
 }  // namespace sfs::graph

@@ -33,11 +33,6 @@ struct BfsResult {
 /// Shortest-path distance between two vertices (kUnreachable if none).
 [[nodiscard]] std::uint32_t distance(const Graph& g, VertexId s, VertexId t);
 
-/// Extracts the path s -> t implied by a BFS from s (empty if unreachable;
-/// otherwise starts with s and ends with t).
-[[nodiscard]] std::vector<VertexId> shortest_path(const Graph& g, VertexId s,
-                                                  VertexId t);
-
 /// Component label per vertex (labels are 0..k-1 in discovery order) and
 /// component count.
 struct Components {
@@ -87,12 +82,5 @@ struct DistanceStats {
 
 [[nodiscard]] DistanceStats sample_distances(const Graph& g, std::size_t samples,
                                              rng::Rng& rng);
-
-/// Global clustering coefficient estimated by sampling `samples` wedge
-/// centers (vertices chosen proportionally to the number of wedges they
-/// center) and checking closure. Self-loops and parallel edges are ignored
-/// for wedge purposes. Returns 0 for graphs with no wedges.
-[[nodiscard]] double sample_clustering(const Graph& g, std::size_t samples,
-                                       rng::Rng& rng);
 
 }  // namespace sfs::graph

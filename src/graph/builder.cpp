@@ -1,6 +1,5 @@
 #include "graph/builder.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace sfs::graph {
@@ -20,22 +19,6 @@ void GraphBuilder::reset(std::size_t n) {
   edges_.clear();
 }
 
-VertexId GraphBuilder::add_vertex() {
-  SFS_REQUIRE(num_vertices_ < kNoVertex, "vertex count overflow");
-  return static_cast<VertexId>(num_vertices_++);
-}
-
-VertexId GraphBuilder::add_vertices(std::size_t count) {
-  const auto first = static_cast<VertexId>(num_vertices_);
-  // Subtraction form: `num_vertices_ + count < kNoVertex` wraps for count
-  // near SIZE_MAX and lets the check pass. num_vertices_ <= kNoVertex is a
-  // class invariant, so the difference below cannot itself wrap.
-  SFS_REQUIRE(count < static_cast<std::size_t>(kNoVertex) - num_vertices_,
-              "vertex count overflow");
-  num_vertices_ += count;
-  return first;
-}
-
 EdgeId GraphBuilder::add_edge(VertexId tail, VertexId head) {
   SFS_REQUIRE(tail < num_vertices_, "edge tail does not exist");
   SFS_REQUIRE(head < num_vertices_, "edge head does not exist");
@@ -48,54 +31,6 @@ Graph GraphBuilder::build() {
   Graph g;
   build_into(g);
   return g;
-}
-
-void GraphBuilder::build_into(Graph& g, CsrLayout layout,
-                              std::vector<VertexId>* to_new) {
-  if (layout == CsrLayout::kDegreeSorted) {
-    const std::size_t n = num_vertices_;
-    // Undirected degree from the edge log (loops count twice, matching
-    // the incidence layout the sort is optimizing).
-    deg_scratch_.assign(n, 0);
-    for (const Edge& e : edges_) {
-      ++deg_scratch_[e.tail];
-      ++deg_scratch_[e.head];
-    }
-    // Rank vertices by (degree desc, old id asc) — fully deterministic.
-    perm_scratch_.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      perm_scratch_[v] = static_cast<VertexId>(v);
-    }
-    std::sort(perm_scratch_.begin(), perm_scratch_.end(),
-              [&](VertexId a, VertexId b) {
-                if (deg_scratch_[a] != deg_scratch_[b]) {
-                  return deg_scratch_[a] > deg_scratch_[b];
-                }
-                return a < b;
-              });
-    // Invert rank order into old -> new, reusing cursor_scratch_ to avoid
-    // aliasing the caller's to_new vector.
-    cursor_scratch_.assign(n, 0);
-    for (std::size_t rank = 0; rank < n; ++rank) {
-      cursor_scratch_[perm_scratch_[rank]] = rank;
-    }
-    for (Edge& e : edges_) {
-      e.tail = static_cast<VertexId>(cursor_scratch_[e.tail]);
-      e.head = static_cast<VertexId>(cursor_scratch_[e.head]);
-    }
-    if (to_new != nullptr) {
-      to_new->resize(n);
-      for (std::size_t v = 0; v < n; ++v) {
-        (*to_new)[v] = static_cast<VertexId>(cursor_scratch_[v]);
-      }
-    }
-  } else if (to_new != nullptr) {
-    to_new->resize(num_vertices_);
-    for (std::size_t v = 0; v < num_vertices_; ++v) {
-      (*to_new)[v] = static_cast<VertexId>(v);
-    }
-  }
-  build_into(g);
 }
 
 void GraphBuilder::build_into(Graph& g) {

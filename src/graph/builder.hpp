@@ -1,13 +1,13 @@
 // Mutable construction interface for Graph.
 //
-// Generators append vertices and directed edges in construction order and
-// finalize with build(), which packs the undirected incidence structure into
-// CSR form. Edge ids are assigned in insertion order, which matters: the
+// Generators size the builder to their vertex count, append directed edges
+// in construction order and finalize with build(), which packs the
+// undirected incidence structure into CSR form. Edge ids are assigned in insertion order, which matters: the
 // evolving-graph models and the equivalence machinery rely on "edge id order
 // == time order".
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -22,20 +22,6 @@ namespace sfs::graph {
 /// can never be sized from a wrapped value, and high-degree generators can
 /// pre-validate a planned edge count before paying for construction.
 void validate_edge_capacity(std::size_t num_edges);
-
-/// Vertex-id layout of the packed CSR.
-enum class CsrLayout : std::uint8_t {
-  /// Ids as inserted (the default everywhere): edge id order == time order
-  /// and vertex ids are the caller's.
-  kInsertionOrder,
-  /// Vertices relabeled by (undirected degree desc, old id asc) before
-  /// packing. Hubs — where searches spend most slots — get the low ids,
-  /// so their offset/incidence/mask entries share a handful of cache
-  /// lines instead of scattering across the arrays. Changes every vertex
-  /// id (the permutation is reported to the caller); edge ids still
-  /// follow insertion order.
-  kDegreeSorted,
-};
 
 class GraphBuilder {
  public:
@@ -53,12 +39,6 @@ class GraphBuilder {
 
   /// Pre-allocates for `m` edges.
   void reserve_edges(std::size_t m) { edges_.reserve(m); }
-
-  /// Appends an isolated vertex; returns its id.
-  VertexId add_vertex();
-
-  /// Appends `count` isolated vertices; returns the id of the first.
-  VertexId add_vertices(std::size_t count);
 
   /// Appends the directed edge tail -> head; returns its id.
   /// Both endpoints must already exist. Parallel edges and loops allowed.
@@ -81,21 +61,12 @@ class GraphBuilder {
   /// after build(). Equivalent to `g = build()` — same Graph, bit for bit.
   void build_into(Graph& g);
 
-  /// build_into with an explicit id layout. For kDegreeSorted the edge
-  /// log's endpoints are relabeled through the degree-sorted permutation
-  /// before packing; when `to_new` is non-null it receives the mapping
-  /// old id -> new id (size num_vertices()). kInsertionOrder is exactly
-  /// build_into(g) (and fills `to_new` with the identity).
-  void build_into(Graph& g, CsrLayout layout,
-                  std::vector<VertexId>* to_new = nullptr);
-
  private:
   std::size_t num_vertices_ = 0;
   std::vector<Edge> edges_;
   // CSR packing scratch reused across build_into() calls.
   std::vector<std::size_t> deg_scratch_;
   std::vector<std::size_t> cursor_scratch_;
-  std::vector<VertexId> perm_scratch_;  // degree-sorted relabeling
 };
 
 }  // namespace sfs::graph

@@ -2,11 +2,6 @@
 
 namespace sfs::graph {
 
-std::vector<VertexId> Graph::neighbors(VertexId v) const {
-  const auto adj = adjacent(v);
-  return {adj.begin(), adj.end()};
-}
-
 bool Graph::has_edge(VertexId u, VertexId v) const {
   SFS_REQUIRE(u < num_vertices() && v < num_vertices(),
               "vertex id out of range");

@@ -114,11 +114,6 @@ class Graph {
     return ed.tail == v ? ed.head : ed.tail;
   }
 
-  /// Materializes the (multiset of) neighbors of `v` in the unoriented
-  /// graph; a self-loop contributes `v` twice, parallel edges repeat the
-  /// neighbor.
-  [[nodiscard]] std::vector<VertexId> neighbors(VertexId v) const;
-
   /// True if some edge joins `u` and `v` in the unoriented graph
   /// (O(min(deg u, deg v))).
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const;

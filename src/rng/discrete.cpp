@@ -107,16 +107,6 @@ std::uint64_t BucketedSampler::weight(std::size_t id) const {
   return weight_[id];
 }
 
-void BucketedSampler::clear() noexcept {
-  for (auto& b : buckets_) {
-    b.ids.clear();
-    b.total = 0;
-  }
-  weight_.clear();
-  pos_.clear();
-  total_ = 0;
-}
-
 void BucketedSampler::resize(std::size_t n) {
   SFS_REQUIRE(n >= weight_.size(), "BucketedSampler cannot shrink");
   SFS_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max(),

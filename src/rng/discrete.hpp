@@ -121,8 +121,6 @@ class BucketedSampler {
   [[nodiscard]] std::uint64_t total_weight() const noexcept { return total_; }
   [[nodiscard]] std::uint64_t weight(std::size_t id) const;
 
-  /// Drops all outcomes and weights.
-  void clear() noexcept;
   /// Grows to `n` outcomes (new ids get weight 0). Shrinking is not
   /// supported; set weights to 0 instead.
   void resize(std::size_t n);

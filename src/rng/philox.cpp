@@ -21,12 +21,6 @@ inline std::uint64_t mulhilo(std::uint64_t a, std::uint64_t b,
 
 }  // namespace
 
-void Philox4x64::seek(std::uint64_t draw) noexcept {
-  block_ = draw / kBlockSize;
-  buffer_ = block_at(block_);
-  sub_ = static_cast<std::uint32_t>(draw % kBlockSize);
-}
-
 std::array<std::uint64_t, 4> Philox4x64::block_at(
     std::uint64_t block) const noexcept {
   std::array<std::uint64_t, 4> c{block, 0, 0, 0};

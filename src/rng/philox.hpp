@@ -2,88 +2,45 @@
 //
 // Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
 // easy as 1, 2, 3", SC'11) is a bijective keyed permutation of a 256-bit
-// counter. Unlike the sequential xoshiro engine in random.hpp, the k-th
-// output is a pure function of (key, k), which gives two properties the
-// stream-plan machinery wants:
+// counter. Unlike the sequential xoshiro engine in random.hpp, the block at
+// counter k is a pure function of (key, k), which gives two properties the
+// stream-plan machinery (rng/stream_plan.hpp) wants:
 //
-//  * O(1) seek(draw): jumping to draw index k costs one block encryption,
-//    not k advances. A per-query stream is "the draws at counter offset q"
-//    of one keyed engine instead of a freshly constructed engine per query.
+//  * O(1) random access: the block at any counter costs one block
+//    encryption, not k advances, so per-index stream seeds need no
+//    per-index derivation state.
 //  * keyed independence: streams for different (seed, stream tag) pairs use
 //    different keys, so they are decorrelated by construction rather than
 //    by tempering the seed.
 //
-// The engine satisfies std::uniform_random_bit_generator, so it can be used
-// anywhere Xoshiro256 can. Statistical quality: Philox4x64-10 passes
-// BigCrush/PractRand (it is the reference counter-based generator shipped
-// by Random123, NumPy and JAX).
+// Statistical quality: Philox4x64-10 passes BigCrush/PractRand (it is the
+// reference counter-based generator shipped by Random123, NumPy and JAX).
 //
-// Period: the engine exposes a 64-bit block counter = 2^66 draws per key,
-// far beyond any run in this codebase; the remaining 192 counter bits are
-// zero and reserved for future stream substructure.
+// Only the low 64 bits of the counter are addressable; the remaining 192
+// counter bits are zero and reserved for future stream substructure.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <limits>
 
 namespace sfs::rng {
 
-/// Philox4x64-10 counter-based engine with O(1) seek.
+/// Philox4x64-10 keyed block cipher over a 64-bit block counter.
 class Philox4x64 {
  public:
-  using result_type = std::uint64_t;
-
-  /// Draws produced per block encryption.
-  static constexpr std::size_t kBlockSize = 4;
   /// Number of bump-key rounds (the standard, crush-resistant choice).
   static constexpr unsigned kRounds = 10;
 
   explicit Philox4x64(std::uint64_t key0 = 0, std::uint64_t key1 = 0) noexcept
-      : key_{key0, key1} {
-    seek(0);
-  }
+      : key_{key0, key1} {}
 
-  [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
-  [[nodiscard]] static constexpr result_type max() noexcept {
-    return std::numeric_limits<result_type>::max();
-  }
-
-  /// Jumps to draw index `draw`: the next operator() call returns the same
-  /// value as the (draw+1)-th call on a freshly constructed engine with the
-  /// same key. O(1) — one block encryption.
-  void seek(std::uint64_t draw) noexcept;
-
-  /// Index of the next draw (the value `seek` would need to reproduce the
-  /// current position).
-  [[nodiscard]] std::uint64_t position() const noexcept {
-    return block_ * kBlockSize + sub_;
-  }
-
-  /// Encrypts the 4-word block at block index `block` (i.e. draws
-  /// [4*block, 4*block+4)) without touching the engine position. This is
-  /// the stateless core used by StreamPlan v2 derivations.
+  /// Encrypts the 4-word block at block index `block`. Stateless: the same
+  /// (key, block) always gives the same words.
   [[nodiscard]] std::array<std::uint64_t, 4> block_at(
       std::uint64_t block) const noexcept;
 
-  result_type operator()() noexcept {
-    if (sub_ == kBlockSize) {
-      ++block_;
-      buffer_ = block_at(block_);
-      sub_ = 0;
-    }
-    return buffer_[sub_++];
-  }
-
-  [[nodiscard]] std::array<std::uint64_t, 2> key() const noexcept {
-    return key_;
-  }
-
  private:
   std::array<std::uint64_t, 2> key_;
-  std::array<std::uint64_t, 4> buffer_{};
-  std::uint64_t block_ = 0;  // block index of buffer_
-  std::uint32_t sub_ = 0;    // next unread word of buffer_
 };
 
 }  // namespace sfs::rng

@@ -1,7 +1,5 @@
 #include "rng/random.hpp"
 
-#include <cmath>
-
 namespace sfs::rng {
 namespace {
 
@@ -58,15 +56,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  SFS_CHECK(lo <= hi, "uniform_int: empty range");
-  const auto span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  // span == 0 means the full 64-bit range: return raw bits.
-  if (span == 0) return static_cast<std::int64_t>(u64());
-  return lo + static_cast<std::int64_t>(uniform_index(span));
-}
-
 double Rng::uniform() noexcept {
   return static_cast<double>(u64() >> 11) * 0x1.0p-53;
 }
@@ -79,20 +68,6 @@ bool Rng::bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform() < p;
-}
-
-double Rng::exponential() noexcept {
-  // -log(1 - U); 1 - U is in (0, 1] so the log is finite.
-  return -std::log(1.0 - uniform());
-}
-
-std::uint64_t Rng::geometric(double p) noexcept {
-  SFS_CHECK(p > 0.0 && p <= 1.0, "geometric: p out of (0,1]");
-  if (p >= 1.0) return 0;
-  // Inversion: floor(log(1-U) / log(1-p)).
-  const double u = uniform();
-  return static_cast<std::uint64_t>(std::floor(std::log1p(-u) /
-                                               std::log1p(-p)));
 }
 
 std::vector<std::uint64_t> Rng::sample_without_replacement(std::uint64_t n,

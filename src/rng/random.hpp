@@ -63,10 +63,6 @@ class Rng {
   /// multiply-shift rejection method.
   [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  [[nodiscard]] std::int64_t uniform_int(std::int64_t lo,
-                                         std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1) with 53 random bits.
   [[nodiscard]] double uniform() noexcept;
 
@@ -75,13 +71,6 @@ class Rng {
 
   /// True with probability p (p clamped to [0,1]).
   [[nodiscard]] bool bernoulli(double p) noexcept;
-
-  /// Standard exponential variate (rate 1) via inversion.
-  [[nodiscard]] double exponential() noexcept;
-
-  /// Geometric variate: number of failures before first success with success
-  /// probability p in (0, 1]. Mean (1-p)/p.
-  [[nodiscard]] std::uint64_t geometric(double p) noexcept;
 
   /// Uniformly chosen element of a non-empty span.
   template <typename T>

@@ -1,6 +1,7 @@
 #include "rng/stream_plan.hpp"
 
 #include "base/check.hpp"
+#include "rng/philox.hpp"
 #include "rng/stream_audit.hpp"
 
 namespace sfs::rng {
@@ -24,12 +25,6 @@ std::uint64_t StreamPlan::stream_seed(std::uint64_t index) const {
   }
   SFS_CHECK(false, "StreamPlan: unknown version");
   return 0;
-}
-
-Philox4x64 StreamPlan::counter_engine() const {
-  SFS_REQUIRE(version_ == StreamPlanVersion::kCounter,
-              "StreamPlan::counter_engine requires the kCounter plan");
-  return Philox4x64(seed_, stream_);
 }
 
 }  // namespace sfs::rng

@@ -10,11 +10,14 @@
 //    harness replaying those outputs must keep requesting kLegacy.
 //  * kCounter (v2) — counter-based derivation through Philox4x64
 //    (philox.hpp): the index-th stream seed is word 0 of the Philox block
-//    at counter `index` under key (seed, tag). Seeking to any index is
-//    O(1) and the per-(seed, tag) plan is a single keyed object instead of
-//    a per-use mix chain, which is what lets batch engines hand out
-//    millions of per-query streams without per-query derivation state.
-//    New experiments default to v2.
+//    at counter `index` under key (seed, tag). Any index costs one block
+//    encryption and the per-(seed, tag) plan is a single keyed object
+//    instead of a per-use mix chain, which is what lets batch engines hand
+//    out millions of per-query streams without per-query derivation state.
+//
+// Neither version is a run-time option: the portfolio sweeps
+// (sim/sweep.cpp) derive under v1 and the QueryEngine
+// (search/query_engine.cpp) under v2.
 //
 // Both versions route through the SFS_RNG_AUDIT machinery
 // (stream_audit.hpp): every derivation records its
@@ -26,13 +29,11 @@
 
 #include <cstdint>
 
-#include "rng/philox.hpp"
-
 namespace sfs::rng {
 
 enum class StreamPlanVersion : std::uint32_t {
   kLegacy = 1,   // derive_stream_seed mix chain (pre-versioning artifacts)
-  kCounter = 2,  // Philox counter-offset derivation (default for new work)
+  kCounter = 2,  // Philox counter-offset derivation (QueryEngine)
 };
 
 /// One (experiment seed, stream tag) family of per-index streams under a
@@ -52,15 +53,9 @@ class StreamPlan {
   /// Seed of stream `index` (the rep index for replication harnesses, the
   /// batch index for query engines). Audited: records
   /// (seed, tag, index) -> derived when SFS_RNG_AUDIT is on. O(1) for both
-  /// versions; for kCounter this is a single Philox block, seekable to any
-  /// index without deriving its predecessors.
+  /// versions; for kCounter this is a single Philox block at any index,
+  /// without deriving its predecessors.
   [[nodiscard]] std::uint64_t stream_seed(std::uint64_t index) const;
-
-  /// The keyed counter engine backing kCounter derivations, positioned at
-  /// draw 0. Callers that want raw counter-offset draws (rather than a
-  /// derived seed for a sequential engine) seek it directly. Requires
-  /// version() == kCounter.
-  [[nodiscard]] Philox4x64 counter_engine() const;
 
  private:
   std::uint64_t seed_;

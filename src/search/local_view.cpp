@@ -153,7 +153,7 @@ VertexId LocalView::request_incident(VertexId u, std::uint32_t slot,
 
 std::span<const VertexId> LocalView::request_vertex_span(VertexId u) {
   SFS_REQUIRE(model_ == KnowledgeModel::kStrong,
-              "request_vertex is a strong-model request");
+              "request_vertex_span is a strong-model request");
   SFS_REQUIRE(is_known(u),
               "strong requests must name a vertex whose identity is known");
 
@@ -201,11 +201,6 @@ std::span<const VertexId> LocalView::request_vertex_span(VertexId u) {
     }
   }
   return graph_->adjacent(u);
-}
-
-std::vector<VertexId> LocalView::request_vertex(VertexId u) {
-  const auto adj = request_vertex_span(u);
-  return {adj.begin(), adj.end()};
 }
 
 bool LocalView::target_found() const { return known(target_); }

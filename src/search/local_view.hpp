@@ -249,25 +249,20 @@ class LocalView {
 
   /// Strong-model request: requires model() == kStrong and `u` known (the
   /// start vertex is known from the outset). All neighbors of `u` become
-  /// known. Returns the neighbor identities (multiset, loop gives u).
-  /// Charged once per vertex.
+  /// known. Returns the neighbor identities (multiset, loop gives u) as a
+  /// span aliasing the graph's CSR neighbor payload, valid for the graph's
+  /// lifetime. Charged once per vertex.
   ///
   /// Under a liveness mask, requesting a departed vertex FAILS (empty
-  /// result, failed_requests()++, never charged; `u` is marked requested
+  /// span, failed_requests()++, never charged; `u` is marked requested
   /// so policies skip it from then on). Opening a live vertex skips
   /// dead-link slots — their endpoints stay invisible — but DOES reveal
   /// departed endpoints reachable over live edges: neighbor tables are
   /// stale, so the searcher learns those identities and only discovers
-  /// the departure by probing them.
-  std::vector<graph::VertexId> request_vertex(graph::VertexId u);
-
-  /// Allocation-free variant of request_vertex: the returned span aliases
-  /// the graph's CSR neighbor payload and stays valid for the graph's
-  /// lifetime. Note: under a liveness mask the span is the *stale* CSR
-  /// neighbor table (it still lists endpoints behind dead links, which are
-  /// not revealed); consult is_known()/known_vertices() for what a failed
-  /// or filtered request actually disclosed. On a failed request the span
-  /// is empty.
+  /// the departure by probing them. The returned span is that *stale*
+  /// table (it still lists endpoints behind dead links, which are not
+  /// revealed); consult is_known()/known_vertices() for what a request
+  /// actually disclosed.
   std::span<const graph::VertexId> request_vertex_span(graph::VertexId u);
 
   /// Whether `u` is "fully opened": in the strong model, already the

@@ -118,8 +118,7 @@ std::vector<std::unique_ptr<StrongSearcher>> make_strong_searchers(
 // --------------------------------------------------------------- built-ins
 //
 // Registration order within each model IS the model's full-portfolio order
-// and reproduces the legacy weak_portfolio() / strong_portfolio() lists
-// bit-for-bit (the portfolio engine tags each policy's RNG stream by its
+// and is frozen (the portfolio engine tags each policy's RNG stream by its
 // portfolio index). Append new policies at the end of their model's block.
 
 namespace {
@@ -145,7 +144,7 @@ PolicySpec strong_spec(std::string name, std::string description,
 }
 
 const PolicyRegistrar reg_builtins[] = {
-    // Weak model, legacy weak_portfolio() order.
+    // Weak model.
     PolicyRegistrar(weak_spec(
         "bfs", "exhaustive breadth-first frontier expansion",
         [] { return std::make_unique<BfsWeak>(); })),
@@ -187,7 +186,7 @@ const PolicyRegistrar reg_builtins[] = {
         "(equivalence theorem construction)",
         make_simulated_degree_greedy)),
 
-    // Strong model, legacy strong_portfolio() order.
+    // Strong model.
     PolicyRegistrar(strong_spec(
         "degree-greedy-strong",
         "request the highest-known-degree vertex first (Adamic et al. "
@@ -208,26 +207,5 @@ const PolicyRegistrar reg_builtins[] = {
 };
 
 }  // namespace
-
-// The legacy portfolio lists, now registry-backed: one source of truth for
-// portfolio membership and order.
-
-std::vector<std::unique_ptr<WeakSearcher>> weak_portfolio() {
-  return make_weak_searchers(
-      resolve_policies(KnowledgeModel::kWeak, {}));
-}
-
-std::vector<std::string> weak_portfolio_names() {
-  std::vector<std::string> names;
-  for (const auto* spec : resolve_policies(KnowledgeModel::kWeak, {})) {
-    names.push_back(spec->name);
-  }
-  return names;
-}
-
-std::vector<std::unique_ptr<StrongSearcher>> strong_portfolio() {
-  return make_strong_searchers(
-      resolve_policies(KnowledgeModel::kStrong, {}));
-}
 
 }  // namespace sfs::search

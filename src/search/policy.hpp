@@ -1,25 +1,21 @@
-// Search-policy registry: the v2 policy surface of the search API.
+// Search-policy registry: the policy surface of the search API.
 //
 // The paper's statements quantify over "any search algorithm" in the weak
-// and strong knowledge models. V1 of the API hard-coded that quantifier as
-// two raw function-pointer typedefs (WeakSearcherFactory /
-// StrongSearcherFactory) plus two hand-maintained portfolio lists
-// (weak_portfolio() / strong_portfolio()); selecting a subset, listing what
-// exists, or adding a policy meant editing those lists and relinking every
-// caller. V2 replaces them with a model-tagged registry mirroring the
-// experiment registry (sim/experiment.hpp): each policy registers a
-// PolicySpec — name, one-line description, knowledge model, and a stateful
-// std::function factory — via a static PolicyRegistrar, and every consumer
-// (the portfolio engine in sim/sweep, the QueryEngine, sfsearch_cli,
-// sfs_bench --policies) selects policies by name.
+// and strong knowledge models. The registry makes that quantifier a list
+// consumers can select from, mirroring the experiment registry
+// (sim/experiment.hpp): each policy registers a PolicySpec — name,
+// one-line description, knowledge model, and a stateful std::function
+// factory — via a static PolicyRegistrar, and every consumer (the
+// portfolio engine in sim/sweep, the QueryEngine, sfsearch_cli,
+// sfs_bench --policies) selects policies by name. A model's full
+// portfolio is make_*_searchers(resolve_policies(model, {})).
 //
 // Registration order is load-bearing: the full-portfolio order per model is
-// the registration order, which reproduces the legacy weak_portfolio() /
-// strong_portfolio() order exactly — the portfolio measurement engine
-// derives each policy's RNG stream from its index in the selected
-// portfolio, so reordering registrations would silently change every
-// pinned-seed experiment output. Append new policies at the end of their
-// model's block in policy.cpp.
+// the registration order, and the portfolio measurement engine derives
+// each policy's RNG stream from its index in the selected portfolio, so
+// reordering registrations would silently change every pinned-seed
+// experiment output. Append new policies at the end of their model's block
+// in policy.cpp.
 #pragma once
 
 #include <deque>
@@ -39,9 +35,7 @@ namespace sfs::search {
 
 /// A registered search policy. Exactly one of the two factories is set,
 /// matching `model`; the factories are stateful std::functions (they may
-/// capture parameters — see the priority-greedy registrations), replacing
-/// the raw function-pointer WeakSearcherFactory/StrongSearcherFactory
-/// typedefs of the v1 API.
+/// capture parameters — see the priority-greedy registrations).
 struct PolicySpec {
   /// Unique id across BOTH models (the weak and strong built-ins already
   /// use distinct name() strings, e.g. "bfs" vs "bfs-strong"). Used by
@@ -74,7 +68,7 @@ class PolicyRegistry {
   [[nodiscard]] std::vector<const PolicySpec*> all() const;
 
   /// The specs of one model in registration order — the model's full
-  /// portfolio (bit-compatible with the legacy portfolio lists).
+  /// portfolio.
   [[nodiscard]] std::vector<const PolicySpec*> all(KnowledgeModel model) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return specs_.size(); }

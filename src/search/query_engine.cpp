@@ -5,6 +5,7 @@
 #include "base/check.hpp"
 #include "base/parallel.hpp"
 #include "graph/overlay.hpp"
+#include "rng/stream_plan.hpp"
 #include "search/local_view.hpp"
 
 namespace sfs::search {
@@ -56,7 +57,8 @@ QueryEngine::QueryEngine(const graph::Overlay& overlay,
 QueryEngine::~QueryEngine() = default;
 
 std::uint64_t QueryEngine::query_stream_seed(std::uint64_t index) const {
-  return rng::StreamPlan(options_.seed, kQueryStream, options_.stream_plan)
+  return rng::StreamPlan(options_.seed, kQueryStream,
+                         rng::StreamPlanVersion::kCounter)
       .stream_seed(index);
 }
 

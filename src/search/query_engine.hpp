@@ -14,13 +14,11 @@
 // runs query batches with deterministic per-query RNG streams:
 //
 //   query i of a batch draws its randomness from
-//   StreamPlan(options.seed, kQueryStream, options.stream_plan).stream_seed(i)
+//   StreamPlan(options.seed, kQueryStream, kCounter).stream_seed(i)
 //
-// (rng/stream_plan.hpp; the default plan is kCounter/v2 — O(1) seekable
-// Philox derivation. options.stream_plan = kLegacy reproduces the
-// pre-versioning derive_stream_seed streams bit for bit.) So a batch is a
-// pure function of (graph, policy, options.seed, options.stream_plan,
-// queries) —
+// (rng/stream_plan.hpp: the v2 plan, one Philox block per query, with no
+// per-query derivation state). So a batch is a pure function of (graph,
+// policy, options.seed, queries) —
 // bit-identical for any thread count, including sequential, and replayable
 // (re-running the same batch reproduces it — the property the
 // thread-count audits in tests/test_query_engine rely on).
@@ -64,7 +62,6 @@
 #include <string_view>
 #include <vector>
 
-#include "rng/stream_plan.hpp"
 #include "search/policy.hpp"
 #include "search/runner.hpp"
 
@@ -91,10 +88,6 @@ struct QueryEngineOptions {
   /// Failure tolerance per query; only consulted by overlay-bound engines
   /// (static-graph queries cannot fail probes).
   RetryBudget retry;
-  /// Stream-plan version of the per-query streams (rng/stream_plan.hpp).
-  /// kCounter (v2) is the default for new work; kLegacy reproduces the
-  /// pre-versioning stream derivation bit for bit.
-  rng::StreamPlanVersion stream_plan = rng::StreamPlanVersion::kCounter;
 };
 
 class QueryEngine {

@@ -91,7 +91,4 @@ std::optional<VertexId> RandomStrong::next(const LocalView& view,
 void RandomStrong::observe(const LocalView&, VertexId,
                            std::span<const VertexId>) {}
 
-// strong_portfolio() is defined in policy.cpp, backed by the policy
-// registry.
-
 }  // namespace sfs::search

@@ -75,9 +75,4 @@ class RandomStrong final : public StrongSearcher {
   std::size_t synced_upto_ = 0;
 };
 
-/// The strong-model portfolio used by the experiments: every strong
-/// policy in the policy registry (search/policy.hpp), in registration
-/// order.
-[[nodiscard]] std::vector<std::unique_ptr<StrongSearcher>> strong_portfolio();
-
 }  // namespace sfs::search

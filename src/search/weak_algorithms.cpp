@@ -204,7 +204,4 @@ void RandomFrontierWeak::observe(const LocalView&, const WeakRequest&,
   frontier_.push_back(revealed);
 }
 
-// The portfolio lists (weak_portfolio, weak_portfolio_names) are defined
-// in policy.cpp, backed by the policy registry.
-
 }  // namespace sfs::search

@@ -155,12 +155,4 @@ class RandomFrontierWeak final : public WeakSearcher {
   std::vector<graph::VertexId> frontier_;
 };
 
-/// The full weak-model portfolio used by the experiments: every weak
-/// policy in the policy registry (search/policy.hpp), in registration
-/// order. Equivalent to make_weak_searchers(resolve_policies(kWeak, {})).
-[[nodiscard]] std::vector<std::unique_ptr<WeakSearcher>> weak_portfolio();
-
-/// Names in the same order as weak_portfolio().
-[[nodiscard]] std::vector<std::string> weak_portfolio_names();
-
 }  // namespace sfs::search

@@ -107,11 +107,4 @@ void ChurnSchedule::repair(graph::Overlay& overlay, std::uint64_t step,
   stats.compacted = overlay.maybe_compact(params_.compact_threshold);
 }
 
-ChurnStepStats ChurnSchedule::apply_step(graph::Overlay& overlay,
-                                         std::uint64_t step) const {
-  ChurnStepStats stats = inject(overlay, step);
-  repair(overlay, step, stats);
-  return stats;
-}
-
 }  // namespace sfs::sim

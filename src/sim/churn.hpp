@@ -13,7 +13,7 @@
 //     join with `join_edges` preferential-attachment links, then the
 //     overlay may compact (Overlay::maybe_compact).
 //
-// apply_step = inject + repair. With replacement on, the live population
+// A step is inject then repair. With replacement on, the live population
 // is stationary in expectation — the "steady-state churn" regime the
 // d1_churn experiment family measures.
 //
@@ -28,13 +28,13 @@
 // mutated overlay.
 //
 // A zero schedule (rate == 0 and edge_failure_rate == 0) is an exact
-// no-op: apply_step returns without touching the overlay or drawing any
-// randomness, so the overlay epoch is unchanged and downstream search is
+// no-op: inject and repair return without touching the overlay or drawing
+// any randomness, so the overlay epoch is unchanged and downstream search is
 // bit-identical to the static-graph pipeline — the churn-rate-0 acceptance
 // check in bench/experiments/d1_churn.cpp relies on this.
 //
-// Threading: apply_step mutates the overlay and must not race overlay
-// readers; drive it from the orchestrating thread between search batches
+// Threading: inject and repair mutate the overlay and must not race
+// overlay readers; drive it from the orchestrating thread between search batches
 // (the QueryEngine epoch contract).
 #pragma once
 
@@ -60,7 +60,7 @@ struct ChurnParams {
   double compact_threshold = 0.25;
 };
 
-/// What one apply_step did, for experiment reporting.
+/// What one step (inject + repair) did, for experiment reporting.
 struct ChurnStepStats {
   std::size_t departures = 0;
   std::size_t joins = 0;
@@ -106,11 +106,6 @@ class ChurnSchedule {
   /// so injection and repair of one step are independent.
   void repair(graph::Overlay& overlay, std::uint64_t step,
               ChurnStepStats& stats) const;
-
-  /// inject + repair back to back: the whole step with no window in which
-  /// tombstones are observable. A null schedule returns immediately with
-  /// all-zero stats and does not bump the overlay epoch.
-  ChurnStepStats apply_step(graph::Overlay& overlay, std::uint64_t step) const;
 
  private:
   ChurnParams params_;

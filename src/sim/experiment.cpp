@@ -58,27 +58,6 @@ bool catalog_less(const ExperimentSpec& a, const ExperimentSpec& b) {
   return ka.name < kb.name;
 }
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  int base = 10;
-  std::size_t start = 0;
-  if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
-    base = 16;
-    start = 2;
-  }
-  const char* first = text.data() + start;
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out, base);
-  return ec == std::errc{} && ptr == last;
-}
-
-bool parse_size(const std::string& text, std::size_t& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(text, v)) return false;
-  out = static_cast<std::size_t>(v);
-  return true;
-}
-
 bool parse_size_list(const std::string& text, std::vector<std::size_t>& out) {
   out.clear();
   std::size_t pos = 0;
@@ -120,6 +99,27 @@ std::string flag_names(unsigned caps) {
 }
 
 }  // namespace
+
+bool parse_u64(const std::string& text, std::uint64_t& out) {
+  if (text.empty()) return false;
+  int base = 10;
+  std::size_t start = 0;
+  if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+    base = 16;
+    start = 2;
+  }
+  const char* first = text.data() + start;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(first, last, out, base);
+  return ec == std::errc{} && ptr == last;
+}
+
+bool parse_size(const std::string& text, std::size_t& out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(text, v)) return false;
+  out = static_cast<std::size_t>(v);
+  return true;
+}
 
 bool parse_name_list(const std::string& text, std::vector<std::string>& out) {
   out.clear();

@@ -212,6 +212,15 @@ struct CliRequest {
   ExperimentOptions options;
 };
 
+/// Parses a whole token as an unsigned integer: decimal, or hexadecimal
+/// with a 0x/0X prefix. False (with `out` unspecified) on an empty token,
+/// any character that is not a digit of the base, or overflow. The
+/// driver's number parser, shared with sfsearch_cli.
+[[nodiscard]] bool parse_u64(const std::string& text, std::uint64_t& out);
+
+/// parse_u64 into a std::size_t.
+[[nodiscard]] bool parse_size(const std::string& text, std::size_t& out);
+
 /// Parses a comma-separated list of non-empty names ("rw,degree-greedy")
 /// into `out`; false (with `out` unspecified) on an empty string or an
 /// empty token. The --policies value parser, shared with sfsearch_cli.

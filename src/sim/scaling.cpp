@@ -104,35 +104,36 @@ std::vector<std::string> meta_row(const std::vector<std::size_t>& sizes,
           std::to_string(reps), join_sizes(sizes)};
 }
 
-// Restores completed cells from `path` into raw slots / the done mask.
-// Returns true when the file existed with a valid meta row (the appender
-// must not rewrite it).
-bool load_checkpoint(const std::string& path,
-                     const std::vector<std::size_t>& sizes, std::size_t reps,
-                     std::uint64_t seed, ScalingSeries& series,
-                     std::vector<char>& done) {
-  std::ifstream in(path);
-  if (!in) return false;
+// The lines of `in`, each without a trailing '\r'.
+std::vector<std::string> read_lines(std::istream& in) {
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     lines.push_back(line);
   }
-  if (lines.empty()) return false;
+  return lines;
+}
 
+// The cell-row grammar, shared by resume and merge. Each line of `lines`
+// after the meta row is one of:
+//  - a row a previous resume repaired (a torn fragment closed with a
+//    ",torn" marker): junk by construction, skipped;
+//  - a cell row: 5 fields ending in the "end" sentinel, naming a size
+//    index of `sizes`, that index's n and a rep below `reps`; handed to
+//    on_cell(size_index, rep, value, value_text), where value_text is the
+//    value field verbatim;
+//  - the header row, tolerated only as the first line after the meta row;
+//  - otherwise corrupt: rows are flushed whole, so only the final line
+//    (one torn by an interrupted append) is skipped, and a bad row
+//    anywhere else throws std::invalid_argument naming `path`.
+template <typename OnCell>
+void read_cell_rows(const std::vector<std::string>& lines,
+                    const std::vector<std::size_t>& sizes, std::size_t reps,
+                    const std::string& path, const OnCell& on_cell) {
   std::vector<std::string> fields;
-  SFS_REQUIRE(parse_csv_row(lines[0], fields) &&
-                  fields == meta_row(sizes, reps, seed),
-              "checkpoint file does not match this sweep "
-              "(seed/reps/sizes differ): " +
-                  path);
-
   for (std::size_t k = 1; k < lines.size(); ++k) {
-    const bool is_last = k + 1 == lines.size();
     const bool parsed = parse_csv_row(lines[k], fields);
-    // A row a previous resume repaired (torn fragment closed with a
-    // ",torn" marker): junk by construction, skip it.
     if (parsed && !fields.empty() && fields.back() == "torn") continue;
     std::size_t i = 0;
     std::size_t n = 0;
@@ -143,19 +144,42 @@ bool load_checkpoint(const std::string& path,
         parse_index(fields[0], i) && parse_index(fields[1], n) &&
         parse_index(fields[2], rep) && parse_value(fields[3], value) &&
         i < sizes.size() && sizes[i] == n && rep < reps;
-    if (!well_formed) {
-      // The header row, or the one torn line an interrupted append may
-      // leave at the very end.
-      if (k == 1 && parsed && !fields.empty() && fields[0] == "size_index") {
-        continue;
-      }
-      SFS_REQUIRE(is_last, "corrupt checkpoint row " + std::to_string(k) +
-                               " in " + path);
+    if (well_formed) {
+      on_cell(i, rep, value, fields[3]);
       continue;
     }
-    series.points[i].raw[rep] = value;
-    done[i * reps + rep] = 1;
+    if (k == 1 && parsed && !fields.empty() && fields[0] == "size_index") {
+      continue;
+    }
+    SFS_REQUIRE(k + 1 == lines.size(), "corrupt checkpoint row " +
+                                           std::to_string(k) + " in " + path);
   }
+}
+
+// Restores completed cells from `path` into raw slots / the done mask.
+// Returns true when the file existed with a valid meta row (the appender
+// must not rewrite it).
+bool load_checkpoint(const std::string& path,
+                     const std::vector<std::size_t>& sizes, std::size_t reps,
+                     std::uint64_t seed, ScalingSeries& series,
+                     std::vector<char>& done) {
+  std::ifstream in(path);
+  if (!in) return false;
+  const std::vector<std::string> lines = read_lines(in);
+  if (lines.empty()) return false;
+
+  std::vector<std::string> fields;
+  SFS_REQUIRE(parse_csv_row(lines[0], fields) &&
+                  fields == meta_row(sizes, reps, seed),
+              "checkpoint file does not match this sweep "
+              "(seed/reps/sizes differ): " +
+                  path);
+  read_cell_rows(lines, sizes, reps, path,
+                 [&](std::size_t i, std::size_t rep, double value,
+                     const std::string&) {
+                   series.points[i].raw[rep] = value;
+                   done[i * reps + rep] = 1;
+                 });
   return true;
 }
 
@@ -408,41 +432,6 @@ ScalingSeries measure_scaling(
       });
 }
 
-namespace {
-
-// Shared body of the sharded entry points: the checkpoint is mandatory
-// (it IS the shard's output — without it the computed cells would be
-// thrown away) and the raw series is discarded.
-template <typename Invoke>
-std::size_t measure_scaling_shard_impl(const std::vector<std::size_t>& sizes,
-                                       std::size_t reps, std::uint64_t seed,
-                                       const ScalingOptions& options,
-                                       std::size_t shard_index,
-                                       std::size_t shard_count,
-                                       const Invoke& invoke) {
-  SFS_REQUIRE(!options.checkpoint_path.empty(),
-              "sharded sweeps require a checkpoint path: the per-shard "
-              "checkpoint file is the shard's only output");
-  ScalingSeries series;
-  return run_scaling_cells(sizes, reps, seed, options, shard_index,
-                           shard_count, invoke, series);
-}
-
-}  // namespace
-
-std::size_t measure_scaling_shard(
-    const std::vector<std::size_t>& sizes, std::size_t reps,
-    std::uint64_t seed,
-    const std::function<double(std::size_t, std::uint64_t)>& measure,
-    const ScalingOptions& options, std::size_t shard_index,
-    std::size_t shard_count) {
-  return measure_scaling_shard_impl(
-      sizes, reps, seed, options, shard_index, shard_count,
-      [&](std::size_t n, std::uint64_t cell_seed, std::size_t) {
-        return measure(n, cell_seed);
-      });
-}
-
 std::size_t measure_scaling_shard(
     const std::vector<std::size_t>& sizes, std::size_t reps,
     std::uint64_t seed,
@@ -450,13 +439,20 @@ std::size_t measure_scaling_shard(
                                gen::GenScratch&)>& measure,
     const ScalingOptions& options, std::size_t shard_index,
     std::size_t shard_count) {
+  // The checkpoint is mandatory (it IS the shard's output — without it the
+  // computed cells would be thrown away) and the raw series is discarded.
+  SFS_REQUIRE(!options.checkpoint_path.empty(),
+              "sharded sweeps require a checkpoint path: the per-shard "
+              "checkpoint file is the shard's only output");
   std::vector<WorkerContext> workers(
       base::resolve_worker_count(options.threads));
-  return measure_scaling_shard_impl(
+  ScalingSeries series;
+  return run_scaling_cells(
       sizes, reps, seed, options, shard_index, shard_count,
       [&](std::size_t n, std::uint64_t cell_seed, std::size_t worker) {
         return measure(n, cell_seed, workers[worker].gen_scratch);
-      });
+      },
+      series);
 }
 
 std::size_t merge_checkpoints(const std::vector<std::string>& inputs,
@@ -474,12 +470,7 @@ std::size_t merge_checkpoints(const std::vector<std::string>& inputs,
   for (const std::string& path : inputs) {
     std::ifstream in(path);
     SFS_REQUIRE(in.good(), "cannot open shard checkpoint: " + path);
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      lines.push_back(line);
-    }
+    const std::vector<std::string> lines = read_lines(in);
     SFS_REQUIRE(!lines.empty(), "empty shard checkpoint: " + path);
 
     std::vector<std::string> fields;
@@ -511,35 +502,17 @@ std::size_t merge_checkpoints(const std::vector<std::string>& inputs,
                       path);
     }
 
-    for (std::size_t k = 1; k < lines.size(); ++k) {
-      const bool is_last = k + 1 == lines.size();
-      const bool parsed = parse_csv_row(lines[k], fields);
-      if (parsed && !fields.empty() && fields.back() == "torn") continue;
-      std::size_t i = 0;
-      std::size_t n = 0;
-      std::size_t rep = 0;
-      double value = 0.0;
-      const bool well_formed =
-          parsed && fields.size() == 5 && fields[4] == kCkptEnd &&
-          parse_index(fields[0], i) && parse_index(fields[1], n) &&
-          parse_index(fields[2], rep) && parse_value(fields[3], value) &&
-          i < sizes.size() && sizes[i] == n && rep < reps;
-      if (!well_formed) {
-        if (k == 1 && parsed && !fields.empty() && fields[0] == "size_index") {
-          continue;
-        }
-        // Same tolerance as resume: rows are flushed whole, so only the
-        // final line of a shard may be torn.
-        SFS_REQUIRE(is_last, "corrupt checkpoint row " + std::to_string(k) +
-                                 " in " + path);
-        continue;
-      }
-      const auto [it, inserted] = cells.emplace(std::make_pair(i, rep),
-                                                fields[3]);
-      SFS_REQUIRE(inserted || it->second == fields[3],
-                  "shards disagree on cell (size_index=" + std::to_string(i) +
-                      ", rep=" + std::to_string(rep) + "): " + path);
-    }
+    read_cell_rows(lines, sizes, reps, path,
+                   [&](std::size_t i, std::size_t rep, double,
+                       const std::string& value_text) {
+                     const auto [it, inserted] =
+                         cells.emplace(std::make_pair(i, rep), value_text);
+                     SFS_REQUIRE(inserted || it->second == value_text,
+                                 "shards disagree on cell (size_index=" +
+                                     std::to_string(i) +
+                                     ", rep=" + std::to_string(rep) +
+                                     "): " + path);
+                   });
   }
 
   std::ofstream out(output, std::ios::trunc);

@@ -148,15 +148,9 @@ struct ScalingOptions {
 /// at the merged file, produce a ScalingSeries bit-identical to one
 /// process computing the whole grid, at any thread count per shard.
 /// Resumable like any checkpointed run: cells already in this shard's
-/// file are skipped. Returns the number of cells measured by this call.
-std::size_t measure_scaling_shard(
-    const std::vector<std::size_t>& sizes, std::size_t reps,
-    std::uint64_t seed,
-    const std::function<double(std::size_t n, std::uint64_t seed)>& measure,
-    const ScalingOptions& options, std::size_t shard_index,
-    std::size_t shard_count);
-
-/// Scratch-aware shard variant (see the scratch measure_scaling overload).
+/// file are skipped. `measure` receives a per-worker gen::GenScratch, as
+/// in the scratch measure_scaling overload. Returns the number of cells
+/// measured by this call.
 std::size_t measure_scaling_shard(
     const std::vector<std::size_t>& sizes, std::size_t reps,
     std::uint64_t seed,

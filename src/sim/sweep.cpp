@@ -8,6 +8,7 @@
 #include "base/parallel.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
+#include "rng/stream_plan.hpp"
 #include "search/policy.hpp"
 #include "sim/worker_context.hpp"
 
@@ -25,6 +26,12 @@ const PolicyCost& PortfolioCost::best_policy() const {
 }
 
 namespace {
+
+// Stream-plan version of every per-replication stream: the frozen v1 mix
+// chain, because every committed sweep artifact (e1/e2 pinned-seed
+// goldens, checkpoint meta rows, test_sweep_compat) was produced under it
+// and must replay bit for bit.
+constexpr rng::StreamPlanVersion kStreamPlan = rng::StreamPlanVersion::kLegacy;
 
 // PortfolioCost::best's ordering, shared by the fold over replications and
 // the per-replication ceiling, so both apply one rule. A candidate beats
@@ -63,7 +70,6 @@ template <typename Portfolio, typename RunOne, typename MakeGraph>
 PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
                                      const EndpointSelector& endpoints,
                                      std::size_t reps, std::uint64_t seed,
-                                     rng::StreamPlanVersion stream_plan,
                                      const search::RunBudget& budget,
                                      const Portfolio& portfolio_factory,
                                      const RunOne& run_one,
@@ -95,15 +101,12 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
     // stream audit caught exactly that in-tree: seeds 17 and 29 (delta
     // 0x0c) shared policy streams 0x5ea7c4+4 and 0x5ea7c4+0.
     // Derivations go through the versioned, audited stream plan
-    // (rng/stream_plan.hpp): under kLegacy each call is exactly the
-    // historical audited_stream_seed mix chain, so v1 artifacts replay bit
-    // for bit; under kCounter the same tags key O(1) Philox derivations.
-    // Either way a sweep run under SFS_RNG_AUDIT=1 fails fast on stream
-    // collisions (rng/stream_audit).
-    rng::Rng graph_rng(rng::StreamPlan(seed, 0, stream_plan).stream_seed(rep));
+    // (rng/stream_plan.hpp) at kStreamPlan, so a sweep run under
+    // SFS_RNG_AUDIT=1 fails fast on stream collisions (rng/stream_audit).
+    rng::Rng graph_rng(rng::StreamPlan(seed, 0, kStreamPlan).stream_seed(rep));
     const graph::Graph& g = make_graph(graph_rng, st);
     rng::Rng endpoint_rng(
-        rng::StreamPlan(seed, rng::mix64(0xabcdef), stream_plan)
+        rng::StreamPlan(seed, rng::mix64(0xabcdef), kStreamPlan)
             .stream_seed(rep));
     const auto [start, target] = endpoints(g, endpoint_rng);
 
@@ -120,7 +123,7 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
     row.resize(num_policies);
     for (std::size_t i = 0; i < num_policies; ++i) {
       rng::Rng search_rng(
-          rng::StreamPlan(seed, rng::mix64(0x5ea7c4 + i), stream_plan)
+          rng::StreamPlan(seed, rng::mix64(0x5ea7c4 + i), kStreamPlan)
               .stream_seed(rep));
       search::RunBudget capped = budget;
       if (reps == 1 && lead.full) {
@@ -216,14 +219,13 @@ template <typename Factory>
 PortfolioCost measure_weak_plan(PolicySpecs specs, const Factory& factory,
                                 const EndpointSelector& endpoints,
                                 std::size_t reps, std::uint64_t seed,
-                                rng::StreamPlanVersion stream_plan,
                                 const search::RunBudget& budget,
                                 std::size_t threads) {
   return measure_portfolio_impl(
       [&](rng::Rng& rng, auto& st) -> const graph::Graph& {
         return remake_graph(factory, rng, st);
       },
-      endpoints, reps, seed, stream_plan, budget,
+      endpoints, reps, seed, budget,
       [specs] { return search::make_weak_searchers(specs); },
       [](const graph::Graph& g, VertexId s, VertexId t,
          search::WeakSearcher& policy, rng::Rng& rng,
@@ -237,14 +239,13 @@ template <typename Factory>
 PortfolioCost measure_strong_plan(PolicySpecs specs, const Factory& factory,
                                   const EndpointSelector& endpoints,
                                   std::size_t reps, std::uint64_t seed,
-                                  rng::StreamPlanVersion stream_plan,
-                                  const search::RunBudget& budget,
+                                    const search::RunBudget& budget,
                                   std::size_t threads) {
   return measure_portfolio_impl(
       [&](rng::Rng& rng, auto& st) -> const graph::Graph& {
         return remake_graph(factory, rng, st);
       },
-      endpoints, reps, seed, stream_plan, budget,
+      endpoints, reps, seed, budget,
       [specs] { return search::make_strong_searchers(specs); },
       [](const graph::Graph& g, VertexId s, VertexId t,
          search::StrongSearcher& policy, rng::Rng& rng,
@@ -270,21 +271,17 @@ PortfolioCost measure_portfolio(const RunPlan& plan) {
   if (plan.model == search::KnowledgeModel::kWeak) {
     if (plain) {
       return measure_weak_plan(specs, plan.factory, plan.endpoints, plan.reps,
-                               plan.seed, plan.stream_plan, plan.budget,
-                               plan.threads);
+                               plan.seed, plan.budget, plan.threads);
     }
     return measure_weak_plan(specs, plan.scratch_factory, plan.endpoints,
-                             plan.reps, plan.seed, plan.stream_plan,
-                             plan.budget, plan.threads);
+                             plan.reps, plan.seed, plan.budget, plan.threads);
   }
   if (plain) {
     return measure_strong_plan(specs, plan.factory, plan.endpoints, plan.reps,
-                               plan.seed, plan.stream_plan, plan.budget,
-                               plan.threads);
+                               plan.seed, plan.budget, plan.threads);
   }
   return measure_strong_plan(specs, plan.scratch_factory, plan.endpoints,
-                             plan.reps, plan.seed, plan.stream_plan,
-                             plan.budget, plan.threads);
+                             plan.reps, plan.seed, plan.budget, plan.threads);
 }
 
 EndpointSelector oldest_to_newest() {

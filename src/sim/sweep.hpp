@@ -24,7 +24,6 @@
 
 #include "gen/scratch.hpp"
 #include "graph/graph.hpp"
-#include "rng/stream_plan.hpp"
 #include "search/runner.hpp"
 #include "stats/summary.hpp"
 
@@ -126,14 +125,6 @@ struct RunPlan {
   /// Any value other than 1 requires the factory and endpoint selector to
   /// be safe to call concurrently.
   std::size_t threads = 1;
-
-  /// Stream-plan version of the per-replication streams
-  /// (rng/stream_plan.hpp). Defaults to kLegacy — the frozen v1 mix chain
-  /// — because every committed sweep artifact (e1/e2 pinned-seed goldens,
-  /// checkpoint meta rows, test_sweep_compat) was produced under it and
-  /// must replay bit for bit. Fresh experiments with no replay obligation
-  /// should opt into kCounter (O(1) seekable Philox derivation).
-  rng::StreamPlanVersion stream_plan = rng::StreamPlanVersion::kLegacy;
 };
 
 /// Runs `plan`: every selected policy on `plan.reps` fresh graphs. Every

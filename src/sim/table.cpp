@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "base/check.hpp"
-#include "sim/csv.hpp"
 
 namespace sfs::sim {
 
@@ -68,11 +67,6 @@ void Table::print(std::ostream& out) const {
   out << std::string(total, '-') << '\n';
   for (const auto& row : rows_) print_row(row);
   out.flush();
-}
-
-void Table::write_csv(std::ostream& out) const {
-  write_csv_row(out, headers_);
-  for (const auto& row : rows_) write_csv_row(out, row);
 }
 
 }  // namespace sfs::sim

@@ -32,9 +32,6 @@ class Table {
   /// Renders with column alignment, a title line and a rule.
   void print(std::ostream& out) const;
 
-  /// Renders as CSV (headers + rows, RFC-4180 quoting).
-  void write_csv(std::ostream& out) const;
-
  private:
   std::string title_;
   std::vector<std::string> headers_;

@@ -9,7 +9,6 @@
 namespace {
 
 using sfs::gen::cooper_frieze;
-using sfs::gen::cooper_frieze_steps;
 using sfs::gen::CooperFriezeParams;
 using sfs::gen::CooperFriezeProcess;
 using sfs::gen::Preference;
@@ -105,14 +104,6 @@ TEST(CooperFrieze, SeedLoopPresent) {
   const auto out = cooper_frieze(50, defaults(), rng);
   EXPECT_TRUE(out.graph.edge(0).is_loop());
   EXPECT_EQ(out.graph.edge(0).tail, 0u);
-}
-
-TEST(CooperFriezeSteps, RunsExactStepCount) {
-  Rng rng(6);
-  const auto out = cooper_frieze_steps(400, defaults(), rng);
-  EXPECT_EQ(out.steps, 400u);
-  EXPECT_GE(out.graph.num_vertices(), 1u);
-  EXPECT_LE(out.graph.num_vertices(), 401u);
 }
 
 TEST(CooperFriezeProcess, LastHeadsTracksEmittedEdges) {

@@ -266,9 +266,6 @@ TEST(BucketedSampler, Validation) {
   EXPECT_THROW(s.set_weight(2, 1), std::invalid_argument);
   EXPECT_THROW(s.add(0, -1), std::invalid_argument);
   EXPECT_THROW(s.resize(1), std::invalid_argument);  // shrink
-  s.clear();
-  EXPECT_EQ(s.size(), 0u);
-  EXPECT_EQ(s.total_weight(), 0u);
 }
 
 }  // namespace

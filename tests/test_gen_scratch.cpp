@@ -19,7 +19,6 @@
 #include "gen/cooper_frieze.hpp"
 #include "gen/degree_sequence.hpp"
 #include "gen/erdos_renyi.hpp"
-#include "gen/kleinberg.hpp"
 #include "gen/mori.hpp"
 #include "generator_families.hpp"
 #include "graph/builder.hpp"
@@ -107,13 +106,6 @@ TEST(GenScratch, CooperFriezeMatchesFresh) {
     EXPECT_EQ(fresh.steps, reused.steps);
     EXPECT_EQ(fresh.birth_order, reused.birth_order);
   }
-  // The fixed-step entry point shares the scratch machinery.
-  Rng r1(11);
-  Rng r2(11);
-  const auto fresh = sfs::gen::cooper_frieze_steps(300, params, r1);
-  sfs::gen::cooper_frieze_steps(300, params, r2, scratch, reused);
-  expect_graph_equal(fresh.graph, reused.graph);
-  EXPECT_EQ(fresh.steps, reused.steps);
 }
 
 TEST(GenScratch, ErdosRenyiMatchesFresh) {
@@ -131,29 +123,6 @@ TEST(GenScratch, ErdosRenyiMatchesFresh) {
     const Graph fresh_p = sfs::gen::erdos_renyi_gnp(n, 0.02, r3);
     sfs::gen::erdos_renyi_gnp(n, 0.02, r4, scratch, reused);
     expect_graph_equal(fresh_p, reused);
-  }
-}
-
-TEST(GenScratch, KleinbergMatchesFresh) {
-  GenScratch scratch;
-  const sfs::gen::KleinbergParams params{.r = 2.0, .q = 2};
-  // Scratch constructor and in-place rebuild both match a fresh grid.
-  Rng r0(1);
-  sfs::gen::KleinbergGrid reused(8, params, r0, scratch);
-  {
-    Rng r1(1);
-    Rng r2(1);
-    const sfs::gen::KleinbergGrid fresh(8, params, r1);
-    sfs::gen::KleinbergGrid scratch_built(8, params, r2, scratch);
-    expect_graph_equal(fresh.graph(), scratch_built.graph());
-  }
-  for (const std::size_t L : {12u, 5u, 16u}) {
-    Rng r1(L);
-    Rng r2(L);
-    const sfs::gen::KleinbergGrid fresh(L, params, r1);
-    reused.rebuild(L, params, r2, scratch);
-    EXPECT_EQ(reused.side(), L);
-    expect_graph_equal(fresh.graph(), reused.graph());
   }
 }
 
@@ -208,21 +177,6 @@ TEST(GenScratch, DegreeSequenceMatchesFresh) {
 }
 
 // --------------------------------------------------- overflow hardening
-
-TEST(GraphBuilderOverflow, AddVerticesRejectsWrapAroundCount) {
-  GraphBuilder b;
-  (void)b.add_vertices(5);
-  // 5 + (SIZE_MAX - 2) wraps to 2 < kNoVertex, so the old additive guard
-  // passed; the subtraction form must reject it.
-  EXPECT_THROW((void)b.add_vertices(std::numeric_limits<std::size_t>::max() - 2),
-               std::invalid_argument);
-  // Sane growth still works and ids stay contiguous.
-  EXPECT_EQ(b.add_vertices(3), 5u);
-  EXPECT_EQ(b.num_vertices(), 8u);
-  // Directly over the id range, no wrap involved.
-  EXPECT_THROW((void)b.add_vertices(static_cast<std::size_t>(kNoVertex)),
-               std::invalid_argument);
-}
 
 TEST(GraphBuilderOverflow, ConstructorAndResetRejectOverflowingCounts) {
   EXPECT_THROW(GraphBuilder(std::numeric_limits<std::size_t>::max()),

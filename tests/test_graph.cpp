@@ -31,14 +31,6 @@ TEST(GraphBuilder, EmptyGraph) {
   EXPECT_EQ(g.num_edges(), 0u);
 }
 
-TEST(GraphBuilder, AddVertexReturnsSequentialIds) {
-  GraphBuilder b;
-  EXPECT_EQ(b.add_vertex(), 0u);
-  EXPECT_EQ(b.add_vertex(), 1u);
-  EXPECT_EQ(b.add_vertices(3), 2u);
-  EXPECT_EQ(b.num_vertices(), 5u);
-}
-
 TEST(GraphBuilder, RejectsDanglingEdge) {
   GraphBuilder b(2);
   EXPECT_THROW(b.add_edge(0, 2), std::invalid_argument);
@@ -113,7 +105,8 @@ TEST(Graph, NeighborsMultiset) {
   b.add_edge(0, 0);
   b.add_edge(2, 0);
   const Graph g = b.build();
-  auto nb = g.neighbors(0);
+  const auto adj = g.adjacent(0);
+  std::vector<VertexId> nb(adj.begin(), adj.end());
   std::sort(nb.begin(), nb.end());
   // Self-loop contributes 0 twice, two parallel edges to 1, one edge to 2.
   const std::vector<VertexId> expected{0, 0, 1, 1, 2};

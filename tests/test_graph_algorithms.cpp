@@ -1,4 +1,4 @@
-// Tests for BFS, connectivity, distance estimation and clustering.
+// Tests for BFS, connectivity, subgraphs and distance estimation.
 #include "graph/algorithms.hpp"
 
 #include <gtest/gtest.h>
@@ -19,9 +19,7 @@ using sfs::graph::kNoVertex;
 using sfs::graph::kUnreachable;
 using sfs::graph::largest_component;
 using sfs::graph::pseudo_diameter;
-using sfs::graph::sample_clustering;
 using sfs::graph::sample_distances;
-using sfs::graph::shortest_path;
 using sfs::graph::VertexId;
 
 Graph path_graph(std::size_t n) {
@@ -91,24 +89,6 @@ TEST(Distance, MatchesBfs) {
   const Graph g = cycle_graph(10);
   EXPECT_EQ(distance(g, 0, 5), 5u);
   EXPECT_EQ(distance(g, 2, 2), 0u);
-}
-
-TEST(ShortestPath, ValidPath) {
-  const Graph g = cycle_graph(7);
-  const auto path = shortest_path(g, 0, 3);
-  ASSERT_EQ(path.size(), 4u);
-  EXPECT_EQ(path.front(), 0u);
-  EXPECT_EQ(path.back(), 3u);
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    EXPECT_TRUE(g.has_edge(path[i], path[i + 1]));
-  }
-}
-
-TEST(ShortestPath, EmptyWhenUnreachable) {
-  GraphBuilder b(3);
-  b.add_edge(0, 1);
-  const Graph g = b.build();
-  EXPECT_TRUE(shortest_path(g, 0, 2).empty());
 }
 
 TEST(Components, CountsAndLabels) {
@@ -209,30 +189,6 @@ TEST(SampleDistances, PathMeanReasonable) {
   EXPECT_LT(st.mean_distance, 7.0);
   EXPECT_GE(st.max_observed, 5u);
   EXPECT_LE(st.max_observed, 10u);
-}
-
-TEST(SampleClustering, TriangleIsOne) {
-  GraphBuilder b(3);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 0);
-  sfs::rng::Rng rng(3);
-  EXPECT_DOUBLE_EQ(sample_clustering(b.build(), 200, rng), 1.0);
-}
-
-TEST(SampleClustering, StarIsZero) {
-  sfs::rng::Rng rng(4);
-  EXPECT_DOUBLE_EQ(sample_clustering(star_graph(8), 200, rng), 0.0);
-}
-
-TEST(SampleClustering, CompleteGraphIsOne) {
-  sfs::rng::Rng rng(5);
-  EXPECT_DOUBLE_EQ(sample_clustering(complete_graph(6), 200, rng), 1.0);
-}
-
-TEST(SampleClustering, NoWedgesGivesZero) {
-  sfs::rng::Rng rng(6);
-  EXPECT_DOUBLE_EQ(sample_clustering(path_graph(2), 100, rng), 0.0);
 }
 
 }  // namespace

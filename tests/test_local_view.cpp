@@ -142,7 +142,7 @@ TEST(LocalViewWeak, DiscoveryPathEmptyBeforeFound) {
 TEST(LocalViewWeak, StrongRequestRejected) {
   const Graph g = path4();
   LocalView view(g, KnowledgeModel::kWeak, 0, 3);
-  EXPECT_THROW((void)view.request_vertex(0), std::invalid_argument);
+  EXPECT_THROW((void)view.request_vertex_span(0), std::invalid_argument);
 }
 
 TEST(LocalViewWeak, SelfLoopReveal) {
@@ -178,7 +178,7 @@ TEST(LocalViewWeak, DiscovererTracksFirstReveal) {
 TEST(LocalViewStrong, RequestOpensAllEdges) {
   const Graph g = path4();
   LocalView view(g, KnowledgeModel::kStrong, 1, 3);
-  const auto neighbors = view.request_vertex(1);
+  const auto neighbors = view.request_vertex_span(1);
   ASSERT_EQ(neighbors.size(), 2u);
   EXPECT_TRUE(view.is_known(0));
   EXPECT_TRUE(view.is_known(2));
@@ -188,11 +188,11 @@ TEST(LocalViewStrong, RequestOpensAllEdges) {
 TEST(LocalViewStrong, ChainToTarget) {
   const Graph g = path4();
   LocalView view(g, KnowledgeModel::kStrong, 0, 3);
-  (void)view.request_vertex(0);
+  (void)view.request_vertex_span(0);
   EXPECT_FALSE(view.target_found());
-  (void)view.request_vertex(1);
+  (void)view.request_vertex_span(1);
   EXPECT_FALSE(view.target_found());
-  (void)view.request_vertex(2);
+  (void)view.request_vertex_span(2);
   EXPECT_TRUE(view.target_found());
   EXPECT_EQ(view.requests(), 3u);
 }
@@ -200,14 +200,14 @@ TEST(LocalViewStrong, ChainToTarget) {
 TEST(LocalViewStrong, UnknownVertexNotRequestable) {
   const Graph g = path4();
   LocalView view(g, KnowledgeModel::kStrong, 0, 3);
-  EXPECT_THROW((void)view.request_vertex(2), std::invalid_argument);
+  EXPECT_THROW((void)view.request_vertex_span(2), std::invalid_argument);
 }
 
 TEST(LocalViewStrong, RepeatRequestsFree) {
   const Graph g = path4();
   LocalView view(g, KnowledgeModel::kStrong, 0, 3);
-  (void)view.request_vertex(0);
-  (void)view.request_vertex(0);
+  (void)view.request_vertex_span(0);
+  (void)view.request_vertex_span(0);
   EXPECT_EQ(view.requests(), 1u);
   EXPECT_EQ(view.raw_requests(), 2u);
   EXPECT_TRUE(view.vertex_requested(0));
@@ -223,9 +223,9 @@ TEST(LocalViewStrong, WeakRequestRejected) {
 TEST(LocalViewStrong, DiscoveryPathValid) {
   const Graph g = path4();
   LocalView view(g, KnowledgeModel::kStrong, 0, 3);
-  (void)view.request_vertex(0);
-  (void)view.request_vertex(1);
-  (void)view.request_vertex(2);
+  (void)view.request_vertex_span(0);
+  (void)view.request_vertex_span(1);
+  (void)view.request_vertex_span(2);
   const auto path = view.discovery_path();
   ASSERT_EQ(path.size(), 4u);
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -239,7 +239,7 @@ TEST(LocalViewStrong, NeighborsIncludeMultiplicity) {
   b.add_edge(0, 1);
   const Graph g = b.build();
   LocalView view(g, KnowledgeModel::kStrong, 0, 1);
-  const auto neighbors = view.request_vertex(0);
+  const auto neighbors = view.request_vertex_span(0);
   EXPECT_EQ(neighbors.size(), 2u);
 }
 
@@ -296,7 +296,7 @@ TEST(SearchWorkspaceEpoch, SurvivesRunsStraddlingTheWrap) {
   for (int run = 0; run < 4; ++run) {
     LocalView view(g, KnowledgeModel::kStrong, 0, 3, ws);
     EXPECT_FALSE(view.is_known(1)) << "run " << run;
-    (void)view.request_vertex(0);
+    (void)view.request_vertex_span(0);
     EXPECT_TRUE(view.is_known(1)) << "run " << run;
     EXPECT_EQ(view.requests(), 1u) << "run " << run;
   }
@@ -368,9 +368,9 @@ TEST(LocalViewLiveness, StrongRequestOfDepartedVertexFails) {
   LocalView view(g, KnowledgeModel::kStrong, 0, 3, m.view());
   // Opening 0 over live edges still lists departed neighbor 1: routing
   // tables are stale, identities leak before liveness does.
-  (void)view.request_vertex(0);
+  (void)view.request_vertex_span(0);
   ASSERT_TRUE(view.is_known(1));
-  const auto dead = view.request_vertex(1);
+  const auto dead = view.request_vertex_span(1);
   EXPECT_TRUE(dead.empty());
   EXPECT_EQ(view.failed_requests(), 1u);
   EXPECT_EQ(view.requests(), 1u);  // only the live open was charged
@@ -387,7 +387,7 @@ TEST(LocalViewLiveness, StrongOpenSkipsDeadEdgeSlots) {
   Masks m(g);
   m.e[1] = 0;  // link 0-2 failed; vertex 2 alive but unreachable via it
   LocalView view(g, KnowledgeModel::kStrong, 0, 2, m.view());
-  (void)view.request_vertex(0);
+  (void)view.request_vertex_span(0);
   EXPECT_TRUE(view.is_known(1));
   EXPECT_FALSE(view.is_known(2));  // endpoint behind a dead link invisible
   EXPECT_FALSE(view.target_found());

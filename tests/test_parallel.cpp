@@ -15,8 +15,8 @@
 
 #include "gen/mori.hpp"
 #include "graph/builder.hpp"
+#include "search/policy.hpp"
 #include "search/runner.hpp"
-#include "search/strong_algorithms.hpp"
 #include "search/weak_algorithms.hpp"
 #include "sim/scaling.hpp"
 #include "sim/sweep.hpp"
@@ -202,6 +202,16 @@ void expect_same_result(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.gave_up, b.gave_up);
 }
 
+std::vector<std::unique_ptr<sfs::search::WeakSearcher>> weak_searchers() {
+  return sfs::search::make_weak_searchers(
+      sfs::search::resolve_policies(KnowledgeModel::kWeak, {}));
+}
+
+std::vector<std::unique_ptr<sfs::search::StrongSearcher>> strong_searchers() {
+  return sfs::search::make_strong_searchers(
+      sfs::search::resolve_policies(KnowledgeModel::kStrong, {}));
+}
+
 TEST(SearchWorkspace, WeakReuseMatchesFreshRunForRun) {
   SearchWorkspace ws;
   // Sequence of graphs of varying size, including shrinking ones: the
@@ -211,13 +221,13 @@ TEST(SearchWorkspace, WeakReuseMatchesFreshRunForRun) {
       sfs::rng::Rng g_rng(seed);
       const Graph g =
           sfs::gen::mori_tree(n, sfs::gen::MoriParams{0.5}, g_rng);
-      const auto portfolio = sfs::search::weak_portfolio();
+      const auto portfolio = weak_searchers();
       for (std::size_t i = 0; i < portfolio.size(); ++i) {
         const auto budget =
             sfs::search::RunBudget{.max_raw_requests = 100000};
         sfs::rng::Rng r1(seed ^ (i + 17));
         sfs::rng::Rng r2(seed ^ (i + 17));
-        const auto fresh_portfolio = sfs::search::weak_portfolio();
+        const auto fresh_portfolio = weak_searchers();
         const SearchResult fresh = sfs::search::run_weak(
             g, 0, static_cast<VertexId>(n - 1), *fresh_portfolio[i], r1,
             budget);
@@ -235,11 +245,11 @@ TEST(SearchWorkspace, StrongReuseMatchesFresh) {
   for (const std::size_t n : {150, 60, 300}) {
     sfs::rng::Rng g_rng(n);
     const Graph g = sfs::gen::mori_tree(n, sfs::gen::MoriParams{0.4}, g_rng);
-    const auto portfolio = sfs::search::strong_portfolio();
+    const auto portfolio = strong_searchers();
     for (std::size_t i = 0; i < portfolio.size(); ++i) {
       sfs::rng::Rng r1(i + 3);
       sfs::rng::Rng r2(i + 3);
-      const auto fresh_portfolio = sfs::search::strong_portfolio();
+      const auto fresh_portfolio = strong_searchers();
       const SearchResult fresh = sfs::search::run_strong(
           g, 0, static_cast<VertexId>(n - 1), *fresh_portfolio[i], r1);
       const SearchResult reused = sfs::search::run_strong(

@@ -1,6 +1,6 @@
 // Tests for the search-policy registry (search/policy.hpp): registration
-// rules, name resolution, and the bit-compatibility contract that the
-// registry order reproduces the legacy portfolio lists.
+// rules, name resolution, and the bit-compatibility contract that pins
+// the registry order (the order the pinned-seed outputs were made in).
 #include "search/policy.hpp"
 
 #include <gtest/gtest.h>
@@ -92,9 +92,10 @@ TEST(GlobalPolicyRegistry, HoldsTheBuiltInPortfolios) {
 }
 
 TEST(GlobalPolicyRegistry, WeakOrderMatchesLegacyPortfolio) {
-  // Bit-compatibility contract: the registry order IS the legacy
-  // weak_portfolio() order (the sweep engine tags per-policy RNG streams
-  // by portfolio index, so this order is pinned).
+  // Bit-compatibility contract: the registry order is the portfolio
+  // order the pinned-seed outputs were produced with (the sweep engine
+  // tags per-policy RNG streams by portfolio index, so this order is
+  // pinned).
   const std::vector<std::string> legacy{
       "bfs",           "dfs",           "degree-greedy",
       "min-id-greedy", "max-id-greedy", "random-frontier",
@@ -106,8 +107,13 @@ TEST(GlobalPolicyRegistry, WeakOrderMatchesLegacyPortfolio) {
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(specs[i]->name, legacy[i]) << "index " << i;
   }
-  // And weak_portfolio() (now registry-backed) agrees.
-  EXPECT_EQ(sfs::search::weak_portfolio_names(), legacy);
+  // And the full-portfolio factory path agrees.
+  const auto portfolio = sfs::search::make_weak_searchers(
+      resolve_policies(KnowledgeModel::kWeak, {}));
+  ASSERT_EQ(portfolio.size(), legacy.size());
+  for (std::size_t i = 0; i < legacy.size(); ++i) {
+    EXPECT_EQ(portfolio[i]->name(), legacy[i]) << "index " << i;
+  }
 }
 
 TEST(GlobalPolicyRegistry, StrongOrderMatchesLegacyPortfolio) {
@@ -120,7 +126,8 @@ TEST(GlobalPolicyRegistry, StrongOrderMatchesLegacyPortfolio) {
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(specs[i]->name, legacy[i]) << "index " << i;
   }
-  const auto portfolio = sfs::search::strong_portfolio();
+  const auto portfolio = sfs::search::make_strong_searchers(
+      resolve_policies(KnowledgeModel::kStrong, {}));
   ASSERT_EQ(portfolio.size(), legacy.size());
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(portfolio[i]->name(), legacy[i]) << "index " << i;

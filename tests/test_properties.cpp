@@ -8,8 +8,8 @@
 #include "gen/cooper_frieze.hpp"
 #include "gen/mori.hpp"
 #include "graph/algorithms.hpp"
+#include "search/policy.hpp"
 #include "search/runner.hpp"
-#include "search/weak_algorithms.hpp"
 #include "sim/sweep.hpp"
 
 namespace {
@@ -61,7 +61,8 @@ TEST_P(ModelPolicyProperty, SearchInvariants) {
   const Graph g = make_model(model, 250, graph_rng);
   ASSERT_TRUE(sfs::graph::is_connected(g)) << model_name(model);
 
-  auto portfolio = sfs::search::weak_portfolio();
+  auto portfolio = sfs::search::make_weak_searchers(
+      sfs::search::resolve_policies(sfs::search::KnowledgeModel::kWeak, {}));
   auto& policy = *portfolio.at(policy_idx);
   Rng rng(0xF00D);
   const auto target = static_cast<VertexId>(g.num_vertices() - 1);

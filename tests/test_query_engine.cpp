@@ -15,7 +15,7 @@
 #include "graph/overlay.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
-#include "search/weak_algorithms.hpp"
+#include "rng/stream_plan.hpp"
 
 namespace {
 
@@ -144,56 +144,6 @@ TEST(QueryEngine, BatchBitIdenticalAcrossThreadCounts) {
 
   audit.reset();
   audit.set_enabled(was_enabled);
-}
-
-TEST(QueryEngine, LegacyStreamPlanReproducesPreVersioningStreams) {
-  // options.stream_plan = kLegacy must reproduce the historical
-  // derive_stream_seed-based engine exactly: a batch under the legacy plan
-  // equals a hand-rolled run seeded with audited_stream_seed per index.
-  const Graph g = test_graph(120);
-  QueryEngineOptions options;
-  options.seed = 0x5EED;
-  options.budget.max_raw_requests = 20000;
-  options.stream_plan = sfs::rng::StreamPlanVersion::kLegacy;
-  QueryEngine engine(g, "bfs", options);
-  const auto queries = test_queries(g, 8, 9);
-  const auto results = engine.run_batch(queries);
-  const std::uint64_t tag = sfs::rng::mix64(0x10e57ULL);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    // SFS_LINT_ALLOW(raw-derive): replays the frozen kLegacy per-query stream by hand
-    sfs::rng::Rng rng(sfs::rng::derive_stream_seed(options.seed, tag, i));
-    sfs::search::BfsWeak searcher;
-    sfs::search::SearchWorkspace ws;
-    const auto expected = sfs::search::run_weak(
-        g, queries[i].start, queries[i].target, searcher, rng,
-        options.budget, ws);
-    EXPECT_EQ(results[i].requests, expected.requests) << i;
-    EXPECT_EQ(results[i].raw_requests, expected.raw_requests) << i;
-    EXPECT_EQ(results[i].path_length, expected.path_length) << i;
-  }
-}
-
-TEST(QueryEngine, StreamPlansDecorrelate) {
-  // v1 and v2 give different randomness for the same seed (same policy,
-  // same queries): at least one walk must diverge.
-  const Graph g = test_graph();
-  const auto queries = test_queries(g, 12, 23);
-  std::vector<std::vector<SearchResult>> by_plan;
-  for (const auto plan : {sfs::rng::StreamPlanVersion::kLegacy,
-                          sfs::rng::StreamPlanVersion::kCounter}) {
-    QueryEngineOptions options;
-    options.seed = 7;
-    options.budget.max_raw_requests = 20000;
-    options.stream_plan = plan;
-    QueryEngine engine(g, "random-walk", options);
-    by_plan.push_back(engine.run_batch(queries));
-  }
-  bool any_different = false;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    any_different |=
-        by_plan[0][i].raw_requests != by_plan[1][i].raw_requests;
-  }
-  EXPECT_TRUE(any_different);
 }
 
 TEST(QueryEngine, TwoEnginesSameSeedAgree) {

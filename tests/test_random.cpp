@@ -75,18 +75,6 @@ TEST(Rng, UniformIndexRoughlyUniform) {
   }
 }
 
-TEST(Rng, UniformIntCoversInclusiveRange) {
-  Rng rng(13);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = rng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 7u);
-}
-
 TEST(Rng, UniformRealInHalfOpenUnitInterval) {
   Rng rng(17);
   for (int i = 0; i < 10000; ++i) {
@@ -129,30 +117,6 @@ TEST(Rng, BernoulliFrequency) {
   constexpr int kDraws = 100000;
   for (int i = 0; i < kDraws; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / kDraws, 0.3, 0.01);
-}
-
-TEST(Rng, ExponentialMeanOne) {
-  Rng rng(37);
-  double sum = 0.0;
-  constexpr int kDraws = 200000;
-  for (int i = 0; i < kDraws; ++i) sum += rng.exponential();
-  EXPECT_NEAR(sum / kDraws, 1.0, 0.02);
-}
-
-TEST(Rng, GeometricMeanMatches) {
-  Rng rng(41);
-  const double p = 0.25;
-  double sum = 0.0;
-  constexpr int kDraws = 100000;
-  for (int i = 0; i < kDraws; ++i)
-    sum += static_cast<double>(rng.geometric(p));
-  // Mean failures before success = (1-p)/p = 3.
-  EXPECT_NEAR(sum / kDraws, 3.0, 0.1);
-}
-
-TEST(Rng, GeometricPOneIsZero) {
-  Rng rng(43);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.geometric(1.0), 0u);
 }
 
 TEST(Rng, ShuffleIsPermutation) {

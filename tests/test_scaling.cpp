@@ -17,6 +17,7 @@ namespace {
 
 using sfs::sim::geometric_sizes;
 using sfs::sim::measure_scaling;
+using sfs::sim::merge_checkpoints;
 using sfs::sim::ScalingOptions;
 using sfs::sim::ScalingSeries;
 
@@ -48,6 +49,14 @@ std::string temp_checkpoint(const char* name) {
   const std::string path = ::testing::TempDir() + "sfs_ckpt_" + name + ".csv";
   std::remove(path.c_str());
   return path;
+}
+
+// The whole content of a file.
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
 }
 
 TEST(MeasureScaling, RecoversExactExponent) {
@@ -443,6 +452,64 @@ TEST(MeasureScalingCheckpoint, ResumeMatchesAnyThreadCount) {
   par.threads = 3;
   const auto resumed = measure_scaling(sizes, reps, 0x7D, measure, par);
   expect_bit_identical(reference, resumed);
+}
+
+TEST(MeasureScalingCheckpoint, ResumeAndMergeIgnoreRowOrder) {
+  // Workers append cells in completion order, so the order of a
+  // checkpoint's cell rows is not fixed: resume and merge must give the
+  // same result for any order.
+  const std::string path = temp_checkpoint("order");
+  const std::string reversed = temp_checkpoint("order_rev");
+  auto measure = [](std::size_t n, std::uint64_t seed) {
+    sfs::rng::Rng rng(seed);
+    return static_cast<double>(n) * rng.uniform(0.5, 1.5);
+  };
+  const std::vector<std::size_t> sizes{16, 32, 64};
+  const std::size_t reps = 3;
+  const std::size_t cells = sizes.size() * reps;
+
+  ScalingOptions options;
+  options.bootstrap_replicates = 50;
+  const auto reference = measure_scaling(sizes, reps, 0x0DE, measure, options);
+  options.checkpoint_path = path;
+  (void)measure_scaling(sizes, reps, 0x0DE, measure, options);
+
+  // The same checkpoint with its cell rows reversed; the meta and header
+  // rows stay first.
+  {
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+    ASSERT_EQ(lines.size(), 2 + cells);
+    std::ofstream out(reversed);
+    out << lines[0] << '\n' << lines[1] << '\n';
+    for (std::size_t k = lines.size(); k-- > 2;) out << lines[k] << '\n';
+  }
+  const std::string reversed_bytes = file_bytes(reversed);
+  ASSERT_NE(reversed_bytes, file_bytes(path));
+
+  // Resume restores every cell, measures and appends nothing, and folds
+  // the uninterrupted run's bits.
+  std::atomic<int> calls{0};
+  options.checkpoint_path = reversed;
+  const auto resumed = measure_scaling(
+      sizes, reps, 0x0DE,
+      [&](std::size_t n, std::uint64_t seed) {
+        ++calls;
+        return measure(n, seed);
+      },
+      options);
+  EXPECT_EQ(calls.load(), 0);
+  expect_bit_identical(reference, resumed);
+  EXPECT_EQ(file_bytes(reversed), reversed_bytes);
+
+  // Merge writes the same bytes for either row order.
+  const std::string merged = temp_checkpoint("order_merged");
+  const std::string merged_rev = temp_checkpoint("order_merged_rev");
+  EXPECT_EQ(merge_checkpoints({path}, merged), cells);
+  EXPECT_EQ(merge_checkpoints({reversed}, merged_rev), cells);
+  EXPECT_EQ(file_bytes(merged_rev), file_bytes(merged));
 }
 
 TEST(MeasureScalingCheckpoint, MismatchedGridIsRejected) {

@@ -61,6 +61,12 @@ double synthetic_measure(std::size_t n, std::uint64_t seed) {
   return static_cast<double>(n) * (1.0 + 0.25 * jitter);
 }
 
+// synthetic_measure in the scratch-aware shape measure_scaling_shard takes.
+double synthetic_scratch_measure(std::size_t n, std::uint64_t seed,
+                                 sfs::gen::GenScratch&) {
+  return synthetic_measure(n, seed);
+}
+
 const std::vector<std::size_t> kSizes = {100, 200, 400, 800};
 constexpr std::size_t kReps = 3;
 constexpr std::uint64_t kSeed = 0x5AAD5EED;
@@ -85,7 +91,7 @@ std::string run_shard(const char* tag, std::size_t index, std::size_t count,
   options.checkpoint_path = path;
   const std::size_t measured = measure_scaling_shard(
       kSizes, kReps, seed,
-      [&](std::size_t n, std::uint64_t s) {
+      [&](std::size_t n, std::uint64_t s, sfs::gen::GenScratch&) {
         if (calls != nullptr) calls->fetch_add(1);
         return synthetic_measure(n, s);
       },
@@ -181,7 +187,7 @@ TEST(ScalingShard, ShardResumeSkipsCompletedCells) {
   options.checkpoint_path = path;
   const std::size_t measured = measure_scaling_shard(
       kSizes, kReps, kSeed,
-      [&](std::size_t n, std::uint64_t s) {
+      [&](std::size_t n, std::uint64_t s, sfs::gen::GenScratch&) {
         calls.fetch_add(1);
         return synthetic_measure(n, s);
       },
@@ -194,15 +200,18 @@ TEST(ScalingShard, RejectsBadShardArguments) {
   ScalingOptions with_ckpt = base_options();
   with_ckpt.checkpoint_path = temp_path("args");
   // Checkpoint path is mandatory: it is the shard's only output.
-  EXPECT_THROW(measure_scaling_shard(kSizes, kReps, kSeed, synthetic_measure,
+  EXPECT_THROW(measure_scaling_shard(kSizes, kReps, kSeed,
+                                     synthetic_scratch_measure,
                                      base_options(), 0, 2),
                std::invalid_argument);
   // shard_index must be < shard_count, and shard_count nonzero.
-  EXPECT_THROW(measure_scaling_shard(kSizes, kReps, kSeed, synthetic_measure,
-                                     with_ckpt, 2, 2),
+  EXPECT_THROW(measure_scaling_shard(kSizes, kReps, kSeed,
+                                     synthetic_scratch_measure, with_ckpt, 2,
+                                     2),
                std::invalid_argument);
-  EXPECT_THROW(measure_scaling_shard(kSizes, kReps, kSeed, synthetic_measure,
-                                     with_ckpt, 0, 0),
+  EXPECT_THROW(measure_scaling_shard(kSizes, kReps, kSeed,
+                                     synthetic_scratch_measure, with_ckpt, 0,
+                                     0),
                std::invalid_argument);
 }
 

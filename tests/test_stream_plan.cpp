@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <stdexcept>
 
+#include "rng/philox.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
 
@@ -82,15 +82,6 @@ TEST(StreamPlan, VersionsAndStreamsDecorrelate) {
     }
   }
   EXPECT_EQ(seen.size(), derivations);
-}
-
-TEST(StreamPlan, CounterEngineRequiresCounterVersion) {
-  const StreamPlan legacy(1, 2, StreamPlanVersion::kLegacy);
-  EXPECT_THROW((void)legacy.counter_engine(), std::invalid_argument);
-  const StreamPlan counter(1, 2, StreamPlanVersion::kCounter);
-  Philox4x64 eng = counter.counter_engine();
-  eng.seek(5);
-  EXPECT_EQ(eng.position(), 5u);
 }
 
 TEST(StreamPlan, BothVersionsRecordInTheAudit) {

@@ -7,6 +7,7 @@
 
 #include "gen/mori.hpp"
 #include "graph/builder.hpp"
+#include "search/policy.hpp"
 #include "search/runner.hpp"
 
 namespace {
@@ -17,7 +18,12 @@ using sfs::graph::VertexId;
 using sfs::rng::Rng;
 using sfs::search::run_strong;
 using sfs::search::SearchResult;
-using sfs::search::strong_portfolio;
+
+// The full strong portfolio, in registration order.
+std::vector<std::unique_ptr<sfs::search::StrongSearcher>> strong_searchers() {
+  return sfs::search::make_strong_searchers(sfs::search::resolve_policies(
+      sfs::search::KnowledgeModel::kStrong, {}));
+}
 
 Graph path_graph(std::size_t n) {
   GraphBuilder b(n);
@@ -28,7 +34,7 @@ Graph path_graph(std::size_t n) {
 class StrongPortfolio : public ::testing::TestWithParam<std::size_t> {
  protected:
   std::unique_ptr<sfs::search::StrongSearcher> make() {
-    auto portfolio = strong_portfolio();
+    auto portfolio = strong_searchers();
     return std::move(portfolio.at(GetParam()));
   }
 };
@@ -84,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, StrongPortfolio,
                          ::testing::Range<std::size_t>(0, 5));
 
 TEST(StrongPortfolioMeta, NamesUnique) {
-  auto portfolio = strong_portfolio();
+  auto portfolio = strong_searchers();
   std::set<std::string> names;
   for (const auto& s : portfolio) names.insert(s->name());
   EXPECT_EQ(names.size(), portfolio.size());

@@ -63,14 +63,6 @@ TEST(Table, EmptyHeadersRejected) {
   EXPECT_THROW(Table("x", {}), std::invalid_argument);
 }
 
-TEST(Table, CsvOutput) {
-  Table t("t", {"a", "b"});
-  t.row().cell("1").cell("with,comma");
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,\"with,comma\"\n");
-}
-
 TEST(CsvEscape, QuotingRules) {
   EXPECT_EQ(csv_escape("plain"), "plain");
   EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");

@@ -80,12 +80,6 @@ TEST(Theory, Lemma1Bound) {
   EXPECT_THROW((void)th::lemma1_bound(10, 1.5), std::invalid_argument);
 }
 
-TEST(Theory, KleinbergNavigability) {
-  EXPECT_TRUE(th::kleinberg_navigable(2.0, 2));
-  EXPECT_FALSE(th::kleinberg_navigable(1.5, 2));
-  EXPECT_TRUE(th::kleinberg_navigable(3.0, 3));
-}
-
 TEST(Theory, KleinbergRoutingExponent) {
   EXPECT_DOUBLE_EQ(th::kleinberg_routing_exponent(2.0), 0.0);
   EXPECT_NEAR(th::kleinberg_routing_exponent(0.0), 2.0 / 3.0, 1e-12);

@@ -7,6 +7,7 @@
 
 #include "gen/mori.hpp"
 #include "graph/builder.hpp"
+#include "search/policy.hpp"
 #include "search/runner.hpp"
 
 namespace {
@@ -18,8 +19,12 @@ using sfs::rng::Rng;
 using sfs::search::run_weak;
 using sfs::search::RunBudget;
 using sfs::search::SearchResult;
-using sfs::search::weak_portfolio;
-using sfs::search::weak_portfolio_names;
+
+// The full weak portfolio, in registration order.
+std::vector<std::unique_ptr<sfs::search::WeakSearcher>> weak_searchers() {
+  return sfs::search::make_weak_searchers(sfs::search::resolve_policies(
+      sfs::search::KnowledgeModel::kWeak, {}));
+}
 
 Graph path_graph(std::size_t n) {
   GraphBuilder b(n);
@@ -40,7 +45,7 @@ Graph star_with_tail() {
 class WeakPortfolio : public ::testing::TestWithParam<std::size_t> {
  protected:
   std::unique_ptr<sfs::search::WeakSearcher> make() {
-    auto portfolio = weak_portfolio();
+    auto portfolio = weak_searchers();
     return std::move(portfolio.at(GetParam()));
   }
 };
@@ -103,7 +108,8 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, WeakPortfolio,
                          ::testing::Range<std::size_t>(0, 10));
 
 TEST(WeakPortfolioMeta, NamesAreUniqueAndNonEmpty) {
-  const auto names = weak_portfolio_names();
+  std::vector<std::string> names;
+  for (const auto& s : weak_searchers()) names.push_back(s->name());
   EXPECT_EQ(names.size(), 10u);
   std::set<std::string> unique(names.begin(), names.end());
   EXPECT_EQ(unique.size(), names.size());
