@@ -77,7 +77,7 @@ int run_e6(ExperimentContext& ctx) {
   {
     sfs::rng::Rng rng(ctx.stream_seed("ba m=2"));
     const Graph g = sfs::gen::barabasi_albert(
-        n, sfs::gen::BarabasiAlbertParams{2, true}, rng);
+        n, sfs::gen::BarabasiAlbertParams{2}, rng);
     fit_row(t, "Barabasi-Albert m=2", g,
             sfs::graph::DegreeKind::kUndirected, 3.0);
   }

@@ -69,7 +69,7 @@ int run_e9(ExperimentContext& ctx) {
   });
   report(ctx, "Barabasi-Albert m=2", sizes, [](std::size_t n, Rng& rng) {
     return sfs::gen::barabasi_albert(
-        n, sfs::gen::BarabasiAlbertParams{2, true}, rng);
+        n, sfs::gen::BarabasiAlbertParams{2}, rng);
   });
   return 0;
 }

@@ -7,19 +7,24 @@
 // is a leaf hidden among ~sqrt(n) statistical twins (Lemma 2). This example
 // prints search cost as a function of target age, plus the degree/age
 // profile that explains it.
-#include <cstdlib>
 #include <iostream>
 
 #include "gen/mori.hpp"
 #include "graph/degree.hpp"
 #include "search/runner.hpp"
 #include "search/weak_algorithms.hpp"
+#include "sim/experiment.hpp"
 #include "sim/table.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 8192;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 21;
+  std::size_t n = 8192;
+  std::uint64_t seed = 21;
+  if (argc > 1 && !sfs::sim::parse_size(argv[1], n)) {
+    return sfs::sim::bad_number("[n]", argv[1]);
+  }
+  if (argc > 2 && !sfs::sim::parse_u64(argv[2], seed)) {
+    return sfs::sim::bad_number("[seed]", argv[2]);
+  }
 
   sfs::rng::Rng rng(seed);
   const auto g = sfs::gen::mori_tree(n, sfs::gen::MoriParams{0.5}, rng);

@@ -8,7 +8,6 @@
 // vertex, despite the diameter being just as small. This example measures
 // both on comparable sizes side by side.
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 
 #include "gen/kleinberg.hpp"
@@ -17,6 +16,7 @@
 #include "search/kleinberg_routing.hpp"
 #include "search/policy.hpp"
 #include "search/runner.hpp"
+#include "sim/experiment.hpp"
 #include "sim/table.hpp"
 #include "stats/summary.hpp"
 
@@ -58,10 +58,14 @@ double best_weak_cost(std::size_t n, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t scale =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 3;
+  std::size_t scale = 4;
+  std::uint64_t seed = 3;
+  if (argc > 1 && !sfs::sim::parse_size(argv[1], scale)) {
+    return sfs::sim::bad_number("[scale]", argv[1]);
+  }
+  if (argc > 2 && !sfs::sim::parse_u64(argv[2], seed)) {
+    return sfs::sim::bad_number("[seed]", argv[2]);
+  }
 
   std::cout << "navigability_study: Kleinberg grid (r=2, navigable) vs "
                "Mori scale-free graph (non-searchable), matched sizes.\n\n";

@@ -11,7 +11,6 @@
 // fan-out over the shared pool). Percolation search keeps its own loop —
 // replication+broadcast is a different primitive, not a registered
 // searcher policy.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -21,15 +20,23 @@
 #include "rng/stream_audit.hpp"
 #include "search/percolation.hpp"
 #include "search/query_engine.hpp"
+#include "sim/experiment.hpp"
 #include "sim/table.hpp"
 #include "stats/summary.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t n =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20000;
-  const double k = argc > 2 ? std::strtod(argv[2], nullptr) : 2.3;
-  const std::uint64_t seed =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 11;
+  std::size_t n = 20000;
+  double k = 2.3;
+  std::uint64_t seed = 11;
+  if (argc > 1 && !sfs::sim::parse_size(argv[1], n)) {
+    return sfs::sim::bad_number("[n]", argv[1]);
+  }
+  if (argc > 2 && !sfs::sim::parse_double(argv[2], k)) {
+    return sfs::sim::bad_number("[k]", argv[2]);
+  }
+  if (argc > 3 && !sfs::sim::parse_u64(argv[3], seed)) {
+    return sfs::sim::bad_number("[seed]", argv[3]);
+  }
 
   std::cout << "p2p_lookup: power-law overlay, n=" << n << ", exponent k="
             << k << "\n";

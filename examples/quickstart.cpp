@@ -6,7 +6,6 @@
 //
 // Walks through the core API: generator -> LocalView/searcher -> result,
 // plus the Lemma-1 lower bound for context.
-#include <cstdlib>
 #include <iostream>
 
 #include "core/lower_bound.hpp"
@@ -14,12 +13,21 @@
 #include "graph/algorithms.hpp"
 #include "search/policy.hpp"
 #include "search/runner.hpp"
+#include "sim/experiment.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4096;
-  const double p = argc > 2 ? std::strtod(argv[2], nullptr) : 0.5;
-  const std::uint64_t seed =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 7;
+  std::size_t n = 4096;
+  double p = 0.5;
+  std::uint64_t seed = 7;
+  if (argc > 1 && !sfs::sim::parse_size(argv[1], n)) {
+    return sfs::sim::bad_number("[n]", argv[1]);
+  }
+  if (argc > 2 && !sfs::sim::parse_double(argv[2], p)) {
+    return sfs::sim::bad_number("[p]", argv[2]);
+  }
+  if (argc > 3 && !sfs::sim::parse_u64(argv[3], seed)) {
+    return sfs::sim::bad_number("[seed]", argv[3]);
+  }
 
   std::cout << "sfsearch quickstart: Mori tree, n=" << n << ", p=" << p
             << ", seed=" << seed << "\n\n";

@@ -25,7 +25,6 @@
 //
 // Exit status: 0 on success, 1 on usage error (including a malformed
 // number), 2 on runtime failure.
-#include <charconv>
 #include <cmath>
 #include <iostream>
 #include <string>
@@ -55,6 +54,7 @@ namespace {
 using sfs::graph::Graph;
 using sfs::graph::VertexId;
 using sfs::rng::Rng;
+using sfs::sim::bad_number;
 
 int usage() {
   std::cerr
@@ -70,21 +70,6 @@ int usage() {
          "  sfsearch_cli merge-checkpoints <out.csv> <in.csv> "
          "[<in.csv>...]\n";
   return 1;
-}
-
-/// Reports an argument that is not a number of the expected kind.
-int bad_number(const std::string& what, const std::string& token) {
-  std::cerr << "error: " << what << ": '" << token
-            << "' is not a valid number\n";
-  return 1;
-}
-
-/// Parses a whole token as a double (locale-independent); false on an
-/// empty token or any trailing character.
-bool parse_double(const std::string& text, double& out) {
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), last, out);
-  return !text.empty() && ec == std::errc{} && ptr == last;
 }
 
 /// Splits "name:a,b" into the name and numeric parameters.
@@ -106,7 +91,7 @@ bool parse_model(const std::string& arg, ModelSpec& spec, std::string& bad) {
       const auto comma = rest.find(',', pos);
       const std::string tok = rest.substr(pos, comma - pos);
       double value = 0.0;
-      if (!parse_double(tok, value)) {
+      if (!sfs::sim::parse_double(tok, value)) {
         bad = tok;
         return false;
       }
@@ -174,7 +159,7 @@ int cmd_generate(const std::vector<std::string>& args) {
       return bad_number("model count parameter", spec.tokens[0]);
     }
     g = sfs::gen::barabasi_albert(
-        n, sfs::gen::BarabasiAlbertParams{m, true}, rng);
+        n, sfs::gen::BarabasiAlbertParams{m}, rng);
   } else if (spec.name == "config") {
     g = sfs::gen::power_law_configuration_graph(
         n, sfs::gen::PowerLawSequenceParams{param(spec, 0, 2.3), 1, 0},
@@ -371,7 +356,7 @@ int cmd_policies(const std::vector<std::string>& args) {
 int cmd_bound(const std::vector<std::string>& args) {
   if (args.size() != 2) return usage();
   double p = 0.0;
-  if (!parse_double(args[0], p)) return bad_number("<p>", args[0]);
+  if (!sfs::sim::parse_double(args[0], p)) return bad_number("<p>", args[0]);
   std::size_t n = 0;
   if (!sfs::sim::parse_size(args[1], n)) return bad_number("<n>", args[1]);
   const auto est = sfs::core::mori_lower_bound(p, n, 3000, 99);

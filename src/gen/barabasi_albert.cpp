@@ -1,6 +1,7 @@
 #include "gen/barabasi_albert.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/builder.hpp"
 
@@ -11,14 +12,6 @@ using graph::VertexId;
 
 Graph barabasi_albert(std::size_t n, const BarabasiAlbertParams& params,
                       rng::Rng& rng) {
-  GenScratch scratch;
-  Graph g;
-  barabasi_albert(n, params, rng, scratch, g);
-  return g;
-}
-
-void barabasi_albert(std::size_t n, const BarabasiAlbertParams& params,
-                     rng::Rng& rng, GenScratch& scratch, graph::Graph& out) {
   SFS_REQUIRE(n >= 1, "need at least one vertex");
   SFS_REQUIRE(params.m >= 1, "BA needs m >= 1");
   // Checked reserve math: (n - 1) * m wraps for large n and would silently
@@ -29,40 +22,38 @@ void barabasi_albert(std::size_t n, const BarabasiAlbertParams& params,
   SFS_REQUIRE(total_edges <= static_cast<std::size_t>(graph::kNoEdge),
               "BA edge count exceeds the edge id range");
 
-  scratch.builder.reset(n);
-  scratch.builder.reserve_edges(total_edges);
+  graph::GraphBuilder b(n);
+  b.reserve_edges(total_edges);
   // Total-degree bag: one entry per edge endpoint.
-  std::vector<VertexId>& bag = scratch.pref_bag;
-  bag.clear();
+  std::vector<VertexId> bag;
   bag.reserve(checked_mul(2, total_edges, "BA bag size overflows"));
 
   // Seed: vertex 0 with a self-loop (degree 2).
-  scratch.builder.add_edge(0, 0);
+  b.add_edge(0, 0);
   bag.push_back(0);
   bag.push_back(0);
 
-  std::vector<VertexId>& targets = scratch.targets;
+  std::vector<VertexId> targets;
   for (VertexId v = 1; v < n; ++v) {
     targets.clear();
     const std::size_t want = std::min<std::size_t>(params.m, v);
-    // With distinct_targets we can ask for at most v distinct older
-    // vertices; resample duplicates (degree mass >> m makes retries rare).
+    // At most v distinct older vertices exist; resample duplicates (degree
+    // mass >> m makes retries rare).
     while (targets.size() < want) {
       const VertexId t =
           bag[static_cast<std::size_t>(rng.uniform_index(bag.size()))];
-      if (params.distinct_targets &&
-          std::find(targets.begin(), targets.end(), t) != targets.end()) {
+      if (std::find(targets.begin(), targets.end(), t) != targets.end()) {
         continue;
       }
       targets.push_back(t);
     }
     for (const VertexId t : targets) {
-      scratch.builder.add_edge(v, t);
+      b.add_edge(v, t);
       bag.push_back(v);
       bag.push_back(t);
     }
   }
-  scratch.builder.build_into(out);
+  return b.build();
 }
 
 }  // namespace sfs::gen

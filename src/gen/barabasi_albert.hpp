@@ -5,18 +5,15 @@
 
 #include <cstddef>
 
-#include "gen/scratch.hpp"
 #include "graph/graph.hpp"
 #include "rng/random.hpp"
 
 namespace sfs::gen {
 
 struct BarabasiAlbertParams {
-  /// Out-edges per new vertex (>= 1).
+  /// Out-edges per new vertex (>= 1). The m targets of one vertex are
+  /// resampled until distinct (classic BA), so vertex v gets min(m, v).
   std::size_t m = 1;
-  /// If true, the m targets of one vertex are resampled until distinct
-  /// (classic BA); if false parallel edges may occur.
-  bool distinct_targets = true;
 };
 
 /// Generates a BA graph with n vertices. The seed is a single vertex with a
@@ -25,11 +22,5 @@ struct BarabasiAlbertParams {
 [[nodiscard]] graph::Graph barabasi_albert(std::size_t n,
                                            const BarabasiAlbertParams& params,
                                            rng::Rng& rng);
-
-/// Scratch-reusing overload: regenerates `out` in place, recycling the
-/// preference bag, target list and CSR buffers. Bit-identical to the
-/// fresh-allocation overload for the same (n, params, rng state).
-void barabasi_albert(std::size_t n, const BarabasiAlbertParams& params,
-                     rng::Rng& rng, GenScratch& scratch, graph::Graph& out);
 
 }  // namespace sfs::gen

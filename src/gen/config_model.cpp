@@ -1,6 +1,7 @@
 #include "gen/config_model.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "graph/builder.hpp"
 
@@ -11,21 +12,11 @@ using graph::VertexId;
 
 Graph configuration_model(const std::vector<std::uint32_t>& degrees,
                           const ConfigModelOptions& opts, rng::Rng& rng) {
-  GenScratch scratch;
-  Graph g;
-  configuration_model(degrees, opts, rng, scratch, g);
-  return g;
-}
-
-void configuration_model(const std::vector<std::uint32_t>& degrees,
-                         const ConfigModelOptions& opts, rng::Rng& rng,
-                         GenScratch& scratch, graph::Graph& out) {
   SFS_REQUIRE(!degrees.empty(), "empty degree sequence");
   const std::size_t stubs = stub_count(degrees);
   SFS_REQUIRE(stubs % 2 == 0, "stub count must be even");
 
-  std::vector<VertexId>& stub_list = scratch.stubs;
-  stub_list.clear();
+  std::vector<VertexId> stub_list;
   stub_list.reserve(stubs);
   for (std::size_t v = 0; v < degrees.size(); ++v) {
     for (std::uint32_t k = 0; k < degrees[v]; ++k)
@@ -33,16 +24,15 @@ void configuration_model(const std::vector<std::uint32_t>& degrees,
   }
   rng.shuffle(stub_list);
 
-  scratch.builder.reset(degrees.size());
-  scratch.builder.reserve_edges(stubs / 2);
+  graph::GraphBuilder b(degrees.size());
+  b.reserve_edges(stubs / 2);
   if (!opts.erase_defects) {
     for (std::size_t i = 0; i + 1 < stub_list.size(); i += 2) {
-      scratch.builder.add_edge(stub_list[i], stub_list[i + 1]);
+      b.add_edge(stub_list[i], stub_list[i + 1]);
     }
   } else {
     // Erased model: skip loops and repeated unordered pairs.
-    auto& seen = scratch.seen;
-    seen.clear();
+    std::unordered_set<std::uint64_t> seen;
     seen.reserve(stubs / 2);
     for (std::size_t i = 0; i + 1 < stub_list.size(); i += 2) {
       const VertexId u = stub_list[i];
@@ -52,29 +42,18 @@ void configuration_model(const std::vector<std::uint32_t>& degrees,
           (static_cast<std::uint64_t>(std::min(u, v)) << 32) |
           std::max(u, v);
       if (!seen.insert(key).second) continue;
-      scratch.builder.add_edge(u, v);
+      b.add_edge(u, v);
     }
   }
-  scratch.builder.build_into(out);
+  return b.build();
 }
 
 Graph power_law_configuration_graph(std::size_t n,
                                     const PowerLawSequenceParams& seq_params,
                                     const ConfigModelOptions& opts,
                                     rng::Rng& rng) {
-  GenScratch scratch;
-  Graph g;
-  power_law_configuration_graph(n, seq_params, opts, rng, scratch, g);
-  return g;
-}
-
-void power_law_configuration_graph(std::size_t n,
-                                   const PowerLawSequenceParams& seq_params,
-                                   const ConfigModelOptions& opts,
-                                   rng::Rng& rng, GenScratch& scratch,
-                                   graph::Graph& out) {
-  power_law_degree_sequence(n, seq_params, rng, scratch.degrees);
-  configuration_model(scratch.degrees, opts, rng, scratch, out);
+  return configuration_model(power_law_degree_sequence(n, seq_params, rng),
+                             opts, rng);
 }
 
 }  // namespace sfs::gen

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "gen/degree_sequence.hpp"
-#include "gen/scratch.hpp"
 #include "graph/graph.hpp"
 #include "rng/random.hpp"
 
@@ -36,17 +35,5 @@ struct ConfigModelOptions {
 [[nodiscard]] graph::Graph power_law_configuration_graph(
     std::size_t n, const PowerLawSequenceParams& seq_params,
     const ConfigModelOptions& opts, rng::Rng& rng);
-
-/// Scratch-reusing overloads: regenerate `out` in place, recycling the
-/// stub list, dedup set, degree buffer and CSR arrays. Bit-identical to
-/// the fresh path.
-void configuration_model(const std::vector<std::uint32_t>& degrees,
-                         const ConfigModelOptions& opts, rng::Rng& rng,
-                         GenScratch& scratch, graph::Graph& out);
-void power_law_configuration_graph(std::size_t n,
-                                   const PowerLawSequenceParams& seq_params,
-                                   const ConfigModelOptions& opts,
-                                   rng::Rng& rng, GenScratch& scratch,
-                                   graph::Graph& out);
 
 }  // namespace sfs::gen

@@ -42,23 +42,6 @@ CooperFriezeProcess::CooperFriezeProcess(const CooperFriezeParams& params)
       p_dist_(std::span<const double>(params.p)),
       q_dist_(std::span<const double>(params.q)) {
   params_.validate();
-  init_seed_state();
-}
-
-CooperFriezeProcess::CooperFriezeProcess(const CooperFriezeParams& params,
-                                         GenScratch& scratch)
-    : params_(params),
-      p_dist_(std::span<const double>(params.p)),
-      q_dist_(std::span<const double>(params.q)) {
-  params_.validate();
-  edges_.swap(scratch.edges);
-  pref_bag_.swap(scratch.pref_bag);
-  edges_.clear();
-  pref_bag_.clear();
-  init_seed_state();
-}
-
-void CooperFriezeProcess::init_seed_state() {
   // Seed graph: one vertex with a self-loop, so every degree notion starts
   // positive and preferential choice is well defined from step one.
   num_vertices_ = 1;
@@ -67,11 +50,6 @@ void CooperFriezeProcess::init_seed_state() {
   if (params_.preference == Preference::kTotalDegree) {
     pref_bag_.push_back(0);  // tail unit as well
   }
-}
-
-void CooperFriezeProcess::release_scratch(GenScratch& scratch) noexcept {
-  edges_.swap(scratch.edges);
-  pref_bag_.swap(scratch.pref_bag);
 }
 
 std::size_t CooperFriezeProcess::sample_count(const rng::CdfSampler& dist,
@@ -142,35 +120,19 @@ Graph CooperFriezeProcess::graph() const {
   return b.build();
 }
 
-void CooperFriezeProcess::graph_into(GenScratch& scratch,
-                                     Graph& out) const {
-  scratch.builder.reset(num_vertices_);
-  scratch.builder.reserve_edges(edges_.size());
-  for (const Edge& e : edges_) scratch.builder.add_edge(e.tail, e.head);
-  scratch.builder.build_into(out);
-}
-
 CooperFriezeGraph cooper_frieze(std::size_t n_vertices,
                                 const CooperFriezeParams& params,
                                 rng::Rng& rng) {
-  GenScratch scratch;
-  CooperFriezeGraph out;
-  cooper_frieze(n_vertices, params, rng, scratch, out);
-  return out;
-}
-
-void cooper_frieze(std::size_t n_vertices, const CooperFriezeParams& params,
-                   rng::Rng& rng, GenScratch& scratch,
-                   CooperFriezeGraph& out) {
   SFS_REQUIRE(n_vertices >= 1, "need at least one vertex");
-  CooperFriezeProcess proc(params, scratch);
+  CooperFriezeProcess proc(params);
   while (proc.num_vertices() < n_vertices) (void)proc.step(rng);
-  proc.graph_into(scratch, out.graph);
-  proc.release_scratch(scratch);
+  CooperFriezeGraph out;
+  out.graph = proc.graph();
   out.steps = proc.num_steps();
   out.birth_order.resize(out.graph.num_vertices());
   for (VertexId v = 0; v < out.graph.num_vertices(); ++v)
     out.birth_order[v] = v;
+  return out;
 }
 
 }  // namespace sfs::gen

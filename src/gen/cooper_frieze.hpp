@@ -27,7 +27,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "gen/scratch.hpp"
 #include "graph/graph.hpp"
 #include "rng/discrete.hpp"
 #include "rng/random.hpp"
@@ -78,22 +77,11 @@ struct CooperFriezeGraph {
                                               const CooperFriezeParams& params,
                                               rng::Rng& rng);
 
-/// Scratch-reusing overload: regenerates `out` in place, recycling the
-/// process edge log, preference bag, birth-order vector and CSR buffers.
-/// Bit-identical to the fresh path.
-void cooper_frieze(std::size_t n_vertices, const CooperFriezeParams& params,
-                   rng::Rng& rng, GenScratch& scratch, CooperFriezeGraph& out);
-
 /// Incremental form, mirroring MoriProcess, used by the Cooper–Frieze
 /// equivalence experiment (E3/E10) to observe edge endpoints as drawn.
 class CooperFriezeProcess {
  public:
   explicit CooperFriezeProcess(const CooperFriezeParams& params);
-
-  /// Same, but borrows the edge log and preference bag from `scratch` so
-  /// repeated processes recycle capacity. Call release_scratch(scratch)
-  /// when done; the scratch must outlive the process.
-  CooperFriezeProcess(const CooperFriezeParams& params, GenScratch& scratch);
 
   /// Performs one evolution step. Returns true if the step executed
   /// procedure NEW (added a vertex).
@@ -119,16 +107,7 @@ class CooperFriezeProcess {
   /// Materializes the current graph (including the seed self-loop).
   [[nodiscard]] graph::Graph graph() const;
 
-  /// Materializes into `out`, recycling its buffers via scratch.builder.
-  void graph_into(GenScratch& scratch, graph::Graph& out) const;
-
-  /// Returns borrowed buffers to `scratch` (pair of the scratch-borrowing
-  /// constructor). The process must not be used afterwards.
-  void release_scratch(GenScratch& scratch) noexcept;
-
  private:
-  void init_seed_state();
-
   [[nodiscard]] graph::VertexId pick_terminal(double uniform_prob,
                                               rng::Rng& rng);
   [[nodiscard]] graph::VertexId pick_initial(rng::Rng& rng);

@@ -9,15 +9,6 @@ namespace sfs::gen {
 
 std::vector<std::uint32_t> power_law_degree_sequence(
     std::size_t n, const PowerLawSequenceParams& params, rng::Rng& rng) {
-  std::vector<std::uint32_t> degrees;
-  power_law_degree_sequence(n, params, rng, degrees);
-  return degrees;
-}
-
-void power_law_degree_sequence(std::size_t n,
-                               const PowerLawSequenceParams& params,
-                               rng::Rng& rng,
-                               std::vector<std::uint32_t>& out) {
   SFS_REQUIRE(n >= 2, "need at least two vertices");
   SFS_REQUIRE(params.exponent > 1.0, "degree exponent must exceed 1");
   const std::uint32_t d_max =
@@ -27,11 +18,12 @@ void power_law_degree_sequence(std::size_t n,
               "inconsistent degree bounds");
   const rng::BoundedZipf dist(params.d_min, d_max, params.exponent);
 
-  out.resize(n);
-  for (auto& d : out) d = dist.sample(rng);
-  if (stub_count(out) % 2 != 0) {
-    out[static_cast<std::size_t>(rng.uniform_index(n))] += 1;
+  std::vector<std::uint32_t> degrees(n);
+  for (auto& d : degrees) d = dist.sample(rng);
+  if (stub_count(degrees) % 2 != 0) {
+    degrees[static_cast<std::size_t>(rng.uniform_index(n))] += 1;
   }
+  return degrees;
 }
 
 std::size_t stub_count(const std::vector<std::uint32_t>& degrees) {

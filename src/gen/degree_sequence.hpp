@@ -27,12 +27,6 @@ struct PowerLawSequenceParams {
 [[nodiscard]] std::vector<std::uint32_t> power_law_degree_sequence(
     std::size_t n, const PowerLawSequenceParams& params, rng::Rng& rng);
 
-/// Buffer-reusing overload: fills `out` (resized to n) in place.
-/// Bit-identical to the allocating overload for the same rng state.
-void power_law_degree_sequence(std::size_t n,
-                               const PowerLawSequenceParams& params,
-                               rng::Rng& rng, std::vector<std::uint32_t>& out);
-
 /// Sum of a degree sequence (the stub count; must be even to wire).
 [[nodiscard]] std::size_t stub_count(const std::vector<std::uint32_t>& degrees);
 

@@ -1,6 +1,8 @@
 #include "gen/erdos_renyi.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <unordered_set>
 
 #include "graph/builder.hpp"
 
@@ -10,24 +12,15 @@ using graph::Graph;
 using graph::VertexId;
 
 Graph erdos_renyi_gnm(std::size_t n, std::size_t m, rng::Rng& rng) {
-  GenScratch scratch;
-  Graph g;
-  erdos_renyi_gnm(n, m, rng, scratch, g);
-  return g;
-}
-
-void erdos_renyi_gnm(std::size_t n, std::size_t m, rng::Rng& rng,
-                     GenScratch& scratch, graph::Graph& out) {
   SFS_REQUIRE(n >= 2, "need at least two vertices");
   const std::size_t max_edges = n * (n - 1) / 2;
   SFS_REQUIRE(m <= max_edges, "too many edges requested");
 
-  scratch.builder.reset(n);
-  scratch.builder.reserve_edges(m);
+  graph::GraphBuilder b(n);
+  b.reserve_edges(m);
   // Rejection over unordered pairs; fine for m well under the maximum, and
   // still correct (if slow) near it.
-  auto& seen = scratch.seen;
-  seen.clear();
+  std::unordered_set<std::uint64_t> seen;
   seen.reserve(m);
   while (seen.size() < m) {
     const auto u = static_cast<VertexId>(rng.uniform_index(n));
@@ -35,32 +28,20 @@ void erdos_renyi_gnm(std::size_t n, std::size_t m, rng::Rng& rng,
     if (v >= u) ++v;
     const std::uint64_t key =
         (static_cast<std::uint64_t>(std::min(u, v)) << 32) | std::max(u, v);
-    if (seen.insert(key).second) scratch.builder.add_edge(u, v);
+    if (seen.insert(key).second) b.add_edge(u, v);
   }
-  scratch.builder.build_into(out);
+  return b.build();
 }
 
 Graph erdos_renyi_gnp(std::size_t n, double prob, rng::Rng& rng) {
-  GenScratch scratch;
-  Graph g;
-  erdos_renyi_gnp(n, prob, rng, scratch, g);
-  return g;
-}
-
-void erdos_renyi_gnp(std::size_t n, double prob, rng::Rng& rng,
-                     GenScratch& scratch, graph::Graph& out) {
   SFS_REQUIRE(n >= 1, "need at least one vertex");
   SFS_REQUIRE(prob >= 0.0 && prob <= 1.0, "probability out of range");
-  scratch.builder.reset(n);
-  if (prob <= 0.0) {
-    scratch.builder.build_into(out);
-    return;
-  }
+  graph::GraphBuilder b(n);
+  if (prob <= 0.0) return b.build();
   if (prob >= 1.0) {
     for (VertexId u = 0; u < n; ++u)
-      for (VertexId v = u + 1; v < n; ++v) scratch.builder.add_edge(u, v);
-    scratch.builder.build_into(out);
-    return;
+      for (VertexId v = u + 1; v < n; ++v) b.add_edge(u, v);
+    return b.build();
   }
   // Batagelj–Brandes geometric skipping over the lexicographic pair order.
   const double log_q = std::log(1.0 - prob);
@@ -75,11 +56,10 @@ void erdos_renyi_gnp(std::size_t n, double prob, rng::Rng& rng,
       ++u;
     }
     if (u < nn) {
-      scratch.builder.add_edge(static_cast<VertexId>(u),
-                               static_cast<VertexId>(v));
+      b.add_edge(static_cast<VertexId>(u), static_cast<VertexId>(v));
     }
   }
-  scratch.builder.build_into(out);
+  return b.build();
 }
 
 }  // namespace sfs::gen

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 
-#include "gen/scratch.hpp"
 #include "graph/graph.hpp"
 #include "rng/random.hpp"
 
@@ -20,12 +19,5 @@ namespace sfs::gen {
 /// Uses geometric skipping, O(n + m) expected time.
 [[nodiscard]] graph::Graph erdos_renyi_gnp(std::size_t n, double prob,
                                            rng::Rng& rng);
-
-/// Scratch-reusing overloads: regenerate `out` in place, recycling the
-/// pair-dedup set and CSR buffers. Bit-identical to the fresh path.
-void erdos_renyi_gnm(std::size_t n, std::size_t m, rng::Rng& rng,
-                     GenScratch& scratch, graph::Graph& out);
-void erdos_renyi_gnp(std::size_t n, double prob, rng::Rng& rng,
-                     GenScratch& scratch, graph::Graph& out);
 
 }  // namespace sfs::gen

@@ -25,9 +25,7 @@ const std::uint64_t kQueryStream = rng::mix64(0x10e57ULL);  // "lookup query"
 struct QueryEngine::Session {
   std::unique_ptr<WeakSearcher> weak;      // set iff model == kWeak
   std::unique_ptr<StrongSearcher> strong;  // set iff model == kStrong
-  /// Stamp arrays and frontier. Owned directly: search/ sits below sim/
-  /// in the include-layering DAG (sfs_lint R8), so a session cannot carry
-  /// a sim::WorkerContext.
+  /// Stamp arrays and frontier, reused by every query on this worker.
   SearchWorkspace workspace;
   /// Overlay epoch this session last served (0 = fresh; overlay epochs
   /// start at 1, so a fresh session over an overlay always rebuilds its

@@ -121,6 +121,19 @@ bool parse_size(const std::string& text, std::size_t& out) {
   return true;
 }
 
+bool parse_double(const std::string& text, double& out) {
+  if (text.empty()) return false;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, out);
+  return ec == std::errc{} && ptr == last;
+}
+
+int bad_number(const std::string& what, const std::string& token) {
+  std::cerr << "error: " << what << ": '" << token
+            << "' is not a valid number\n";
+  return 1;
+}
+
 bool parse_name_list(const std::string& text, std::vector<std::string>& out) {
   out.clear();
   std::size_t pos = 0;

@@ -221,6 +221,20 @@ struct CliRequest {
 /// parse_u64 into a std::size_t.
 [[nodiscard]] bool parse_size(const std::string& text, std::size_t& out);
 
+/// Parses a whole token as a double with std::from_chars (locale-
+/// independent, no leading whitespace or '+'). False (with `out`
+/// unspecified) on an empty token, any trailing character, or a value out
+/// of range. Shared by sfsearch_cli, the examples and the checkpoint
+/// reader.
+[[nodiscard]] bool parse_double(const std::string& text, double& out);
+
+/// Reports a command-line argument that is not a number of the expected
+/// kind: prints "error: <what>: '<token>' is not a valid number" to
+/// std::cerr and returns exit status 1. Shared by sfsearch_cli and the
+/// examples.
+[[nodiscard]] int bad_number(const std::string& what,
+                             const std::string& token);
+
 /// Parses a comma-separated list of non-empty names ("rw,degree-greedy")
 /// into `out`; false (with `out` unspecified) on an empty string or an
 /// empty token. The --policies value parser, shared with sfsearch_cli.

@@ -16,7 +16,7 @@
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
 #include "sim/csv.hpp"
-#include "sim/worker_context.hpp"
+#include "sim/experiment.hpp"
 
 namespace sfs::sim {
 
@@ -48,6 +48,11 @@ namespace {
 std::uint64_t size_stream(std::size_t i) {
   return rng::mix64(0x9e37ULL + i);
 }
+
+// bootstrap_slope_ci's two-sided miscoverage (a 95% CI) and the seed of its
+// resampling stream, which is independent of the measurement seed.
+constexpr double kBootstrapAlpha = 0.05;
+constexpr std::uint64_t kBootstrapSeed = 0xB007CAFEULL;
 
 // ------------------------------------------------------------ checkpoint
 //
@@ -89,13 +94,6 @@ bool parse_index(const std::string& s, std::size_t& out) {
   const char* last = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(first, last, out);
   return ec == std::errc() && ptr == last && !s.empty();
-}
-
-bool parse_value(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), last, out);
-  return ec == std::errc() && ptr == last;
 }
 
 std::vector<std::string> meta_row(const std::vector<std::size_t>& sizes,
@@ -142,7 +140,7 @@ void read_cell_rows(const std::vector<std::string>& lines,
     const bool well_formed =
         parsed && fields.size() == 5 && fields[4] == kCkptEnd &&
         parse_index(fields[0], i) && parse_index(fields[1], n) &&
-        parse_index(fields[2], rep) && parse_value(fields[3], value) &&
+        parse_index(fields[2], rep) && parse_double(fields[3], value) &&
         i < sizes.size() && sizes[i] == n && rep < reps;
     if (well_formed) {
       on_cell(i, rep, value, fields[3]);
@@ -393,9 +391,7 @@ ScalingSeries measure_scaling_impl(const std::vector<std::size_t>& sizes,
   // Only CI a slope that exists: without a usable point fit, quoting an
   // interval for the "exponent" would dress up a non-measurement.
   if (options.bootstrap_replicates > 0 && series.has_fit()) {
-    series.slope_ci =
-        bootstrap_slope_ci(series, options.bootstrap_replicates,
-                           options.bootstrap_alpha, options.bootstrap_seed);
+    series.slope_ci = bootstrap_slope_ci(series, options.bootstrap_replicates);
   }
   return series;
 }
@@ -420,15 +416,13 @@ ScalingSeries measure_scaling(
     const std::function<double(std::size_t, std::uint64_t,
                                gen::GenScratch&)>& measure,
     const ScalingOptions& options) {
-  // One WorkerContext per worker (sim/worker_context.hpp) — the same
-  // per-worker scratch state sim/sweep uses; this harness only exercises
-  // its generator scratch.
-  std::vector<WorkerContext> workers(
+  // One generator scratch per worker, as in sim/sweep's WorkerState.
+  std::vector<gen::GenScratch> scratch(
       base::resolve_worker_count(options.threads));
   return measure_scaling_impl(
       sizes, reps, seed, options,
       [&](std::size_t n, std::uint64_t cell_seed, std::size_t worker) {
-        return measure(n, cell_seed, workers[worker].gen_scratch);
+        return measure(n, cell_seed, scratch[worker]);
       });
 }
 
@@ -444,13 +438,13 @@ std::size_t measure_scaling_shard(
   SFS_REQUIRE(!options.checkpoint_path.empty(),
               "sharded sweeps require a checkpoint path: the per-shard "
               "checkpoint file is the shard's only output");
-  std::vector<WorkerContext> workers(
+  std::vector<gen::GenScratch> scratch(
       base::resolve_worker_count(options.threads));
   ScalingSeries series;
   return run_scaling_cells(
       sizes, reps, seed, options, shard_index, shard_count,
       [&](std::size_t n, std::uint64_t cell_seed, std::size_t worker) {
-        return measure(n, cell_seed, workers[worker].gen_scratch);
+        return measure(n, cell_seed, scratch[worker]);
       },
       series);
 }
@@ -531,8 +525,7 @@ std::size_t merge_checkpoints(const std::vector<std::string>& inputs,
 }
 
 stats::BootstrapCi bootstrap_slope_ci(const ScalingSeries& series,
-                                      std::size_t replicates, double alpha,
-                                      std::uint64_t seed) {
+                                      std::size_t replicates) {
   SFS_REQUIRE(!series.points.empty(), "empty series");
   // Without this, a no-fit series (e.g. one usable point plus mixed-sign
   // reps elsewhere) could still yield a finite interval — individual
@@ -564,9 +557,9 @@ stats::BootstrapCi bootstrap_slope_ci(const ScalingSeries& series,
     return fit.ok() ? fit.slope : std::nan("");
   };
 
-  rng::Rng rng(seed);
-  return stats::bootstrap_grouped_ci(groups, slope_of, replicates, alpha,
-                                     rng);
+  rng::Rng rng(kBootstrapSeed);
+  return stats::bootstrap_grouped_ci(groups, slope_of, replicates,
+                                     kBootstrapAlpha, rng);
 }
 
 std::vector<std::size_t> geometric_sizes(std::size_t lo, std::size_t hi,

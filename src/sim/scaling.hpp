@@ -93,16 +93,12 @@ struct ScalingOptions {
   /// records (seed, reps, sizes); resuming with a mismatched grid throws.
   std::string checkpoint_path{};
 
-  /// When > 0, fill ScalingSeries::slope_ci with a stratified bootstrap
-  /// CI over this many resamples (200-1000 is typical). Skipped when the
-  /// series ends up with no usable fit (slope_ci stays replicates == 0):
-  /// an interval for a slope that does not exist is not a measurement.
+  /// When > 0, fill ScalingSeries::slope_ci with a stratified 95%
+  /// bootstrap CI over this many resamples (200-1000 is typical; see
+  /// bootstrap_slope_ci). Skipped when the series ends up with no usable
+  /// fit (slope_ci stays replicates == 0): an interval for a slope that
+  /// does not exist is not a measurement.
   std::size_t bootstrap_replicates = 0;
-  /// Two-sided miscoverage of the bootstrap interval (0.05 => 95% CI).
-  double bootstrap_alpha = 0.05;
-  /// Seed of the bootstrap resampling stream. Independent of the
-  /// measurement seed so the CI is reproducible for a fixed series.
-  std::uint64_t bootstrap_seed = 0xB007CAFEULL;
 };
 
 /// Measures `measure(n, seed)` for every n in `sizes`, `reps` times each
@@ -172,21 +168,20 @@ std::size_t measure_scaling_shard(
 std::size_t merge_checkpoints(const std::vector<std::string>& inputs,
                               const std::string& output);
 
-/// Stratified bootstrap CI of the fitted OLS slope of `series`: each
+/// Stratified 95% bootstrap CI of the fitted OLS slope of `series`: each
 /// resample draws, within every point, `raw.size()` values with
 /// replacement, recomputes the means, and refits the power law over the
 /// positive ones. Resamples that leave fewer than two fittable points are
-/// dropped. Deterministic in `seed`; measure_scaling calls this when
-/// ScalingOptions::bootstrap_replicates > 0, and callers may recompute
-/// with different replicates/alpha from a stored series. Requires
+/// dropped. The resampling stream has a fixed seed, independent of the
+/// measurement seed, so the CI is a pure function of (series, replicates);
+/// measure_scaling calls this when ScalingOptions::bootstrap_replicates >
+/// 0, and callers may recompute it from a stored series. Requires
 /// series.has_fit(): individual resamples of a no-fit series can still be
 /// fittable, and an interval around a slope the series declares
 /// unmeasured would be a fabricated error bar (throws
 /// std::invalid_argument instead).
 [[nodiscard]] stats::BootstrapCi bootstrap_slope_ci(const ScalingSeries& series,
-                                                    std::size_t replicates,
-                                                    double alpha,
-                                                    std::uint64_t seed);
+                                                    std::size_t replicates);
 
 /// Geometric grid of sizes from `lo` to `hi` with `count` points, rounded
 /// to distinct integers: strictly increasing, starting at `lo` and ending

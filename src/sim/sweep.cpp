@@ -9,8 +9,8 @@
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
 #include "rng/stream_plan.hpp"
+#include "search/local_view.hpp"
 #include "search/policy.hpp"
-#include "sim/worker_context.hpp"
 
 namespace sfs::sim {
 
@@ -54,14 +54,22 @@ struct Lead {
   }
 };
 
-// Per-worker reusable state: the shared WorkerContext (search workspace,
-// generator scratch, recycled graph slot — sim/worker_context.hpp) plus
-// one portfolio instance (policies fully reset in start()).
+// Per-worker reusable state, bound to one worker thread at a time. Like
+// SearchWorkspace it is not movable, so the harness sizes its vector once
+// with the count constructor and never resizes it.
 template <typename Policies>
 struct WorkerState {
+  /// One portfolio instance (policies fully reset in start()).
   Policies policies;
-  WorkerContext ctx;
   bool initialized = false;
+  /// Per-search state for the runner's workspace-reusing overloads.
+  search::SearchWorkspace workspace;
+  /// Generator scratch for scratch-aware factories.
+  gen::GenScratch scratch;
+  /// Graph slot recycled across replications: scratch-aware factories
+  /// regenerate it in place, and plain factories park their result here
+  /// so the measurement loop gets a stable reference.
+  graph::Graph graph;
 };
 
 // MakeGraph: (rng, WorkerState&) -> const Graph&, so plain and
@@ -131,7 +139,7 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
                                        static_cast<std::size_t>(lead.mean));
       }
       row[i] = run_one(g, start, target, *st.policies[i], search_rng, capped,
-                       st.ctx.workspace);
+                       st.workspace);
       lead.offer(row[i].found, static_cast<double>(row[i].requests));
     }
   });
@@ -196,21 +204,21 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
   return out;
 }
 
-// Adapts either factory flavor to the MakeGraph contract. The plain
-// factory's graph is parked in the worker context too, so both paths hand
-// the measurement loop a stable reference.
+// Adapts either factory flavor to the MakeGraph contract. Both leave the
+// graph in the worker's slot, so the measurement loop gets a stable
+// reference.
 template <typename State>
 const graph::Graph& remake_graph(const GraphFactory& factory, rng::Rng& rng,
                                  State& st) {
-  st.ctx.graph = factory(rng);
-  return st.ctx.graph;
+  st.graph = factory(rng);
+  return st.graph;
 }
 
 template <typename State>
 const graph::Graph& remake_graph(const ScratchGraphFactory& factory,
                                  rng::Rng& rng, State& st) {
-  factory(rng, st.ctx.gen_scratch, st.ctx.graph);
-  return st.ctx.graph;
+  factory(rng, st.scratch, st.graph);
+  return st.graph;
 }
 
 using PolicySpecs = std::span<const search::PolicySpec* const>;

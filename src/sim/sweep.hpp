@@ -34,9 +34,9 @@ using GraphFactory = std::function<graph::Graph(rng::Rng& rng)>;
 
 /// Scratch-aware factory: regenerates `out` in place from the replication
 /// RNG, recycling the worker's generator scratch and the Graph's own CSR
-/// buffers (use the scratch-taking generator overloads in gen/). The
-/// harness owns one WorkerContext (sim/worker_context.hpp) per worker, so
-/// a portfolio sweep allocates nothing per replication in steady state.
+/// buffers (use the scratch-taking Móri overloads in gen/mori.hpp). The
+/// harness holds one scratch and one graph slot per worker, so a portfolio
+/// sweep allocates nothing per replication in steady state.
 using ScratchGraphFactory = std::function<void(
     rng::Rng& rng, gen::GenScratch& scratch, graph::Graph& out)>;
 

@@ -1,6 +1,6 @@
-// Tests for the reusable generation subsystem (gen::GenScratch): every
-// scratch-taking generator overload must produce graphs bit-identical to
-// the fresh-allocation path (including when the scratch is recycled across
+// Tests for the reusable Móri generation scratch (gen::GenScratch): the
+// scratch-taking Móri overloads must produce graphs bit-identical to the
+// fresh-allocation path (including when the scratch is recycled across
 // shrinking and growing sizes), the builder's overflow guards must reject
 // wrap-around arithmetic, and the harness-level scratch plumbing
 // (sim/sweep, sim/scaling) must be a pure performance transform.
@@ -15,10 +15,6 @@
 #include <vector>
 
 #include "gen/barabasi_albert.hpp"
-#include "gen/config_model.hpp"
-#include "gen/cooper_frieze.hpp"
-#include "gen/degree_sequence.hpp"
-#include "gen/erdos_renyi.hpp"
 #include "gen/mori.hpp"
 #include "generator_families.hpp"
 #include "graph/builder.hpp"
@@ -55,76 +51,7 @@ void expect_graph_equal(const Graph& a, const Graph& b) {
   }
 }
 
-// ------------------------------------------ scratch == fresh, per generator
-
-TEST(GenScratch, BarabasiAlbertMatchesFresh) {
-  GenScratch scratch;
-  Graph reused;
-  // Growing and shrinking sizes: leftover scratch content must not leak.
-  for (const std::size_t n : {300u, 50u, 500u, 500u, 20u}) {
-    for (const bool distinct : {true, false}) {
-      const sfs::gen::BarabasiAlbertParams params{
-          .m = 3, .distinct_targets = distinct};
-      Rng r1(n + distinct);
-      Rng r2(n + distinct);
-      const Graph fresh = sfs::gen::barabasi_albert(n, params, r1);
-      sfs::gen::barabasi_albert(n, params, r2, scratch, reused);
-      expect_graph_equal(fresh, reused);
-    }
-  }
-}
-
-TEST(GenScratch, ConfigurationModelMatchesFresh) {
-  GenScratch scratch;
-  Graph reused;
-  const sfs::gen::PowerLawSequenceParams seq{.exponent = 2.3, .d_min = 1};
-  for (const std::size_t n : {400u, 80u, 600u}) {
-    for (const bool erase : {false, true}) {
-      const sfs::gen::ConfigModelOptions opts{.erase_defects = erase};
-      Rng r1(7 * n + erase);
-      Rng r2(7 * n + erase);
-      const Graph fresh =
-          sfs::gen::power_law_configuration_graph(n, seq, opts, r1);
-      sfs::gen::power_law_configuration_graph(n, seq, opts, r2, scratch,
-                                              reused);
-      expect_graph_equal(fresh, reused);
-    }
-  }
-}
-
-TEST(GenScratch, CooperFriezeMatchesFresh) {
-  GenScratch scratch;
-  sfs::gen::CooperFriezeGraph reused;
-  sfs::gen::CooperFriezeParams params;
-  params.p = {0.5, 0.5};
-  for (const std::size_t n : {250u, 60u, 400u}) {
-    Rng r1(n);
-    Rng r2(n);
-    const auto fresh = sfs::gen::cooper_frieze(n, params, r1);
-    sfs::gen::cooper_frieze(n, params, r2, scratch, reused);
-    expect_graph_equal(fresh.graph, reused.graph);
-    EXPECT_EQ(fresh.steps, reused.steps);
-    EXPECT_EQ(fresh.birth_order, reused.birth_order);
-  }
-}
-
-TEST(GenScratch, ErdosRenyiMatchesFresh) {
-  GenScratch scratch;
-  Graph reused;
-  for (const std::size_t n : {200u, 40u, 350u}) {
-    Rng r1(n);
-    Rng r2(n);
-    const Graph fresh = sfs::gen::erdos_renyi_gnm(n, 3 * n, r1);
-    sfs::gen::erdos_renyi_gnm(n, 3 * n, r2, scratch, reused);
-    expect_graph_equal(fresh, reused);
-
-    Rng r3(n ^ 0xabc);
-    Rng r4(n ^ 0xabc);
-    const Graph fresh_p = sfs::gen::erdos_renyi_gnp(n, 0.02, r3);
-    sfs::gen::erdos_renyi_gnp(n, 0.02, r4, scratch, reused);
-    expect_graph_equal(fresh_p, reused);
-  }
-}
+// ---------------------------------------------- scratch == fresh, Móri
 
 TEST(GenScratch, MoriMatchesFresh) {
   GenScratch scratch;
@@ -161,18 +88,6 @@ TEST(MergeConsecutive, FactorOneCopiesTheGraphOfEveryFamily) {
     GraphBuilder rebuild(g.num_vertices());
     for (const auto& e : g.edges()) rebuild.add_edge(e.tail, e.head);
     expect_graph_equal(rebuild.build(), g);
-  }
-}
-
-TEST(GenScratch, DegreeSequenceMatchesFresh) {
-  std::vector<std::uint32_t> reused;
-  const sfs::gen::PowerLawSequenceParams params{.exponent = 2.5, .d_min = 2};
-  for (const std::size_t n : {500u, 100u, 800u}) {
-    Rng r1(n);
-    Rng r2(n);
-    const auto fresh = sfs::gen::power_law_degree_sequence(n, params, r1);
-    sfs::gen::power_law_degree_sequence(n, params, r2, reused);
-    EXPECT_EQ(fresh, reused);
   }
 }
 

@@ -161,7 +161,7 @@ TEST(Integration, BaMaxDegreeNearSqrt) {
       [](std::size_t n, std::uint64_t seed) {
         Rng rng(seed);
         const Graph g = sfs::gen::barabasi_albert(
-            n, sfs::gen::BarabasiAlbertParams{1, true}, rng);
+            n, sfs::gen::BarabasiAlbertParams{1}, rng);
         return static_cast<double>(sfs::graph::max_degree(
             g, sfs::graph::DegreeKind::kUndirected));
       });

@@ -35,7 +35,7 @@ Graph make_model(Model model, std::size_t n, Rng& rng) {
     }
     case Model::kBa:
       return sfs::gen::barabasi_albert(
-          n, sfs::gen::BarabasiAlbertParams{2, true}, rng);
+          n, sfs::gen::BarabasiAlbertParams{2}, rng);
   }
   throw std::logic_error("unknown model");
 }

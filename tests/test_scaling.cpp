@@ -196,7 +196,9 @@ TEST(GeometricSizes, PropertyMonotoneWithExactEndpoints) {
     EXPECT_EQ(sizes.back(), hi);
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       EXPECT_LE(sizes[i], hi);
-      if (i > 0) EXPECT_LT(sizes[i - 1], sizes[i]);
+      if (i > 0) {
+        EXPECT_LT(sizes[i - 1], sizes[i]);
+      }
     }
   }
 }
@@ -238,7 +240,7 @@ TEST(MeasureScaling, NoBootstrapCiWithoutAFit) {
   EXPECT_EQ(series.slope_ci.hi, 0.0);
   // The standalone recompute entry point enforces the same contract
   // rather than fabricating a finite interval from fittable resamples.
-  EXPECT_THROW((void)sfs::sim::bootstrap_slope_ci(series, 100, 0.05, 1),
+  EXPECT_THROW((void)sfs::sim::bootstrap_slope_ci(series, 100),
                std::invalid_argument);
 }
 
@@ -319,9 +321,8 @@ TEST(MeasureScaling, BootstrapSlopeCiBracketsSlope) {
   EXPECT_LT(series.slope_ci.lo, series.slope_ci.hi);
 
   // Recomputable from the stored series, deterministically.
-  const auto again = sfs::sim::bootstrap_slope_ci(
-      series, options.bootstrap_replicates, options.bootstrap_alpha,
-      options.bootstrap_seed);
+  const auto again =
+      sfs::sim::bootstrap_slope_ci(series, options.bootstrap_replicates);
   EXPECT_EQ(again.lo, series.slope_ci.lo);
   EXPECT_EQ(again.hi, series.slope_ci.hi);
 }

@@ -88,7 +88,7 @@ TEST(CoreDecomposition, CoreNumberAtMostDegree) {
 TEST(CoreDecomposition, MonotoneUnderKIncrease) {
   Rng rng(3);
   const Graph g = sfs::gen::barabasi_albert(
-      1000, sfs::gen::BarabasiAlbertParams{3, true}, rng);
+      1000, sfs::gen::BarabasiAlbertParams{3}, rng);
   const auto core = core_decomposition(g);
   EXPECT_GE(core.core_members(1).size(), core.core_members(2).size());
   EXPECT_GE(core.core_members(2).size(), core.core_members(3).size());
