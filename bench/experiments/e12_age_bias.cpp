@@ -3,6 +3,7 @@
 // the degree/age gradient) while the NEWEST vertex hides among ~sqrt(n)
 // statistically equivalent leaves. Quantifies the asymmetry the theorems
 // build on: best weak-model cost by target age, Móri and Cooper–Frieze.
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,8 +25,14 @@ void report(ExperimentContext& ctx, const std::string& model,
   sfs::sim::Table t("E12: cost by target age, " + model,
                     {"target (paper id)", "best policy", "best mean cost",
                      "degree-greedy cost", "bfs cost"});
-  for (const std::size_t target :
-       {std::size_t{1}, n / 4, n / 2, 3 * n / 4, n}) {
+  // For small n the fractions of n round down to 0 or to each other: keep
+  // every id in [1, n] and report each one once.
+  std::vector<std::size_t> targets;
+  for (const std::size_t id : {std::size_t{1}, n / 4, n / 2, 3 * n / 4, n}) {
+    const std::size_t target = std::max<std::size_t>(id, 1);
+    if (targets.empty() || targets.back() != target) targets.push_back(target);
+  }
+  for (const std::size_t target : targets) {
     // Fixed start: paper vertex 2 (old but not a target row), so rows are
     // comparable.
     const sfs::sim::EndpointSelector from_two =

@@ -123,21 +123,6 @@ int run_grid(ExperimentContext& ctx) {
         });
         return cost.best_policy().requests.mean;
       };
-  // Sharded mode: compute only this process's slice of the grid into the
-  // checkpoint (validated to be present) and stop — merge_checkpoints +
-  // an unsharded rerun over the merged file fold the shards into a series
-  // bit-identical to a single-process run.
-  if (ctx.options.has_shard) {
-    const std::size_t measured = sfs::sim::measure_scaling_shard(
-        plan.sizes, plan.reps, ctx.base_seed(), measure, plan.options,
-        ctx.options.shard_index, ctx.options.shard_count);
-    ctx.console() << "E1 shard " << ctx.options.shard_index << "/"
-                  << ctx.options.shard_count << ": measured " << measured
-                  << " cell(s) into " << plan.options.checkpoint_path
-                  << " in " << sfs::sim::format_double(timer.seconds(), 1)
-                  << " s\n";
-    return 0;
-  }
   const auto series = sfs::sim::measure_scaling(plan.sizes, plan.reps,
                                                 ctx.base_seed(), measure,
                                                 plan.options);
@@ -181,8 +166,7 @@ const sfs::sim::ExperimentRegistrar reg_e1({
     .default_seed = 0x1A26E1,
     .caps = sfs::sim::kCapQuick | sfs::sim::kCapLarge |
             sfs::sim::kCapCheckpoint | sfs::sim::kCapSizes |
-            sfs::sim::kCapReps | sfs::sim::kCapSeed | sfs::sim::kCapThreads |
-            sfs::sim::kCapShard,
+            sfs::sim::kCapReps | sfs::sim::kCapSeed | sfs::sim::kCapThreads,
     .params =
         {
             {"--sizes", "size list", "1024..16384 (grid modes: geometric)",
@@ -193,9 +177,6 @@ const sfs::sim::ExperimentRegistrar reg_e1({
              "base seed; sweep/detail streams derive from it"},
             {"--threads", "count", "0 (shared pool)",
              "replication fan-out worker count"},
-            {"--shard", "i/k", "unsharded",
-             "grid modes: compute shard i of k into --checkpoint; merge "
-             "with sfsearch_cli merge-checkpoints"},
         },
     .run = run_e1,
 });

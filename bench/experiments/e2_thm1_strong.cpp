@@ -110,19 +110,6 @@ int run_grid(ExperimentContext& ctx) {
         });
         return cost.best_policy().requests.mean;
       };
-  // Sharded mode: compute only this process's slice of the grid into the
-  // checkpoint and stop (see e1's run_grid for the merge/fold contract).
-  if (ctx.options.has_shard) {
-    const std::size_t measured = sfs::sim::measure_scaling_shard(
-        plan.sizes, plan.reps, ctx.base_seed(), measure, plan.options,
-        ctx.options.shard_index, ctx.options.shard_count);
-    ctx.console() << "E2 shard " << ctx.options.shard_index << "/"
-                  << ctx.options.shard_count << ": measured " << measured
-                  << " cell(s) into " << plan.options.checkpoint_path
-                  << " in " << sfs::sim::format_double(timer.seconds(), 1)
-                  << " s\n";
-    return 0;
-  }
   const auto series = sfs::sim::measure_scaling(plan.sizes, plan.reps,
                                                 ctx.base_seed(), measure,
                                                 plan.options);
@@ -160,8 +147,7 @@ const sfs::sim::ExperimentRegistrar reg_e2({
     .default_seed = 0x1A26E2,
     .caps = sfs::sim::kCapQuick | sfs::sim::kCapLarge |
             sfs::sim::kCapCheckpoint | sfs::sim::kCapSizes |
-            sfs::sim::kCapReps | sfs::sim::kCapSeed | sfs::sim::kCapThreads |
-            sfs::sim::kCapShard,
+            sfs::sim::kCapReps | sfs::sim::kCapSeed | sfs::sim::kCapThreads,
     .params =
         {
             {"--sizes", "size list", "2048..32768 (grid modes: geometric)",
@@ -172,9 +158,6 @@ const sfs::sim::ExperimentRegistrar reg_e2({
              "base seed; sweep/detail streams derive from it"},
             {"--threads", "count", "0 (shared pool)",
              "replication fan-out worker count"},
-            {"--shard", "i/k", "unsharded",
-             "grid modes: compute shard i of k into --checkpoint; merge "
-             "with sfsearch_cli merge-checkpoints"},
         },
     .run = run_e2,
 });

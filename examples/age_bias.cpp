@@ -7,7 +7,10 @@
 // is a leaf hidden among ~sqrt(n) statistical twins (Lemma 2). This example
 // prints search cost as a function of target age, plus the degree/age
 // profile that explains it.
+#include <algorithm>
+#include <exception>
 #include <iostream>
+#include <vector>
 
 #include "gen/mori.hpp"
 #include "graph/degree.hpp"
@@ -16,7 +19,9 @@
 #include "sim/experiment.hpp"
 #include "sim/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   std::size_t n = 8192;
   std::uint64_t seed = 21;
   if (argc > 1 && !sfs::sim::parse_size(argv[1], n)) {
@@ -38,6 +43,7 @@ int main(int argc, char** argv) {
   for (std::size_t d = 0; d < 10; ++d) {
     const std::size_t lo = d * bucket;
     const std::size_t hi = d == 9 ? n : (d + 1) * bucket;
+    if (lo == hi) continue;  // n < 10: the last decile holds every vertex
     double sum = 0.0;
     std::size_t dmax = 0;
     for (std::size_t v = lo; v < hi; ++v) {
@@ -57,8 +63,14 @@ int main(int argc, char** argv) {
   std::cout << '\n';
   sfs::sim::Table cost("weak degree-greedy cost by target age",
                        {"target paper id", "requests", "found"});
-  for (const std::size_t target :
-       {std::size_t{1}, n / 8, n / 2, 7 * n / 8, n}) {
+  // For small n the fractions of n round down to 0 or to each other: keep
+  // every id in [1, n] and search for each one once.
+  std::vector<std::size_t> targets;
+  for (const std::size_t id : {std::size_t{1}, n / 8, n / 2, 7 * n / 8, n}) {
+    const std::size_t target = std::max<std::size_t>(id, 1);
+    if (targets.empty() || targets.back() != target) targets.push_back(target);
+  }
+  for (const std::size_t target : targets) {
     auto greedy = sfs::search::make_degree_greedy_weak();
     sfs::rng::Rng search_rng(seed + target);
     const auto r = sfs::search::run_weak(
@@ -75,4 +87,17 @@ int main(int argc, char** argv) {
                "Omega(sqrt(n)) — no labeling trick helps, because the last "
                "sqrt(n) vertices are probabilistically equivalent.\n";
   return 0;
+}
+
+}  // namespace
+
+// A library precondition (a size the generator cannot build, an exponent
+// out of range) is reported like a malformed number: a message and exit 1.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

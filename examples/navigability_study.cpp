@@ -8,6 +8,7 @@
 // vertex, despite the diameter being just as small. This example measures
 // both on comparable sizes side by side.
 #include <cmath>
+#include <exception>
 #include <iostream>
 
 #include "gen/kleinberg.hpp"
@@ -55,9 +56,7 @@ double best_weak_cost(std::size_t n, std::uint64_t seed) {
   return best;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::size_t scale = 4;
   std::uint64_t seed = 3;
   if (argc > 1 && !sfs::sim::parse_size(argv[1], scale)) {
@@ -94,4 +93,17 @@ int main(int argc, char** argv) {
                "families have O(log n) diameter — short paths exist in "
                "both, but only geographic structure makes them findable.\n";
   return 0;
+}
+
+}  // namespace
+
+// A library precondition (a size the generator cannot build, an exponent
+// out of range) is reported like a malformed number: a message and exit 1.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

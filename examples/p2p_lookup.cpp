@@ -11,6 +11,7 @@
 // fan-out over the shared pool). Percolation search keeps its own loop —
 // replication+broadcast is a different primitive, not a registered
 // searcher policy.
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -24,7 +25,9 @@
 #include "sim/table.hpp"
 #include "stats/summary.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   std::size_t n = 20000;
   double k = 2.3;
   std::uint64_t seed = 11;
@@ -130,4 +133,17 @@ int main(int argc, char** argv) {
                "(n^{2(1-2/k)} vs n^{3(1-2/k)}), and replication + "
                "percolation trades storage for per-query traffic.\n";
   return 0;
+}
+
+}  // namespace
+
+// A library precondition (a size the generator cannot build, an exponent
+// out of range) is reported like a malformed number: a message and exit 1.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

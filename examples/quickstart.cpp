@@ -6,6 +6,7 @@
 //
 // Walks through the core API: generator -> LocalView/searcher -> result,
 // plus the Lemma-1 lower bound for context.
+#include <exception>
 #include <iostream>
 
 #include "core/lower_bound.hpp"
@@ -15,7 +16,9 @@
 #include "search/runner.hpp"
 #include "sim/experiment.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   std::size_t n = 4096;
   double p = 0.5;
   std::uint64_t seed = 7;
@@ -64,4 +67,17 @@ int main(int argc, char** argv) {
             << "), so ANY weak algorithm needs >= " << bound.bound
             << " expected requests — Omega(sqrt(n)).\n";
   return 0;
+}
+
+}  // namespace
+
+// A library precondition (a size the generator cannot build, an exponent
+// out of range) is reported like a malformed number: a message and exit 1.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

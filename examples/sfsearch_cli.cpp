@@ -18,10 +18,6 @@
 //       sfs_bench --list.
 //   sfsearch_cli bound <p> <n>
 //       prints the Theorem 1 lower-bound estimate for finding vertex n.
-//   sfsearch_cli merge-checkpoints <out.csv> <in.csv> [<in.csv>...]
-//       folds per-shard scaling checkpoints (sfs_bench --run e1 --large
-//       --shard i/k --checkpoint shard_i.csv) into one checkpoint; point
-//       an unsharded rerun at <out.csv> to replay the merged grid.
 //
 // Exit status: 0 on success, 1 on usage error (including a malformed
 // number), 2 on runtime failure.
@@ -45,7 +41,6 @@
 #include "search/runner.hpp"
 #include "sim/experiment.hpp"
 #include "sim/json.hpp"
-#include "sim/scaling.hpp"
 #include "sim/table.hpp"
 #include "stats/powerlaw.hpp"
 
@@ -66,9 +61,7 @@ int usage() {
          "  sfsearch_cli search <in.graph> <start> <target> [weak|strong]"
          " [--policies a,b,c]\n"
          "  sfsearch_cli policies [--list|--json]\n"
-         "  sfsearch_cli bound <p> <n>\n"
-         "  sfsearch_cli merge-checkpoints <out.csv> <in.csv> "
-         "[<in.csv>...]\n";
+         "  sfsearch_cli bound <p> <n>\n";
   return 1;
 }
 
@@ -370,16 +363,6 @@ int cmd_bound(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_merge_checkpoints(const std::vector<std::string>& args) {
-  if (args.size() < 2) return usage();
-  const std::string out = args[0];
-  const std::vector<std::string> inputs(args.begin() + 1, args.end());
-  const std::size_t cells = sfs::sim::merge_checkpoints(inputs, out);
-  std::cout << "merged " << inputs.size() << " checkpoint(s) into " << out
-            << ": " << cells << " distinct cell(s)\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -392,7 +375,6 @@ int main(int argc, char** argv) {
     if (cmd == "search") return cmd_search(args);
     if (cmd == "policies") return cmd_policies(args);
     if (cmd == "bound") return cmd_bound(args);
-    if (cmd == "merge-checkpoints") return cmd_merge_checkpoints(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -1,12 +1,12 @@
 // Lightweight precondition / invariant checking used across all sfsearch
 // libraries.
 //
-// Policy (see DESIGN.md §7): public API entry points validate their
-// preconditions with SFS_REQUIRE, which throws std::invalid_argument so that
-// misuse is diagnosable in release builds; internal invariants use
-// SFS_CHECK, which throws std::logic_error. Neither is compiled out: the
-// library is a research instrument and silent corruption of an experiment is
-// worse than the (negligible) branch cost.
+// Policy: public API entry points validate their preconditions with
+// SFS_REQUIRE, which throws std::invalid_argument so that misuse is
+// diagnosable in release builds; internal invariants use SFS_CHECK, which
+// throws std::logic_error. Neither is compiled out: the library is a
+// research instrument and silent corruption of an experiment is worse than
+// the (negligible) branch cost.
 #pragma once
 
 #include <cstddef>

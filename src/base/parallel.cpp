@@ -4,9 +4,11 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "base/check.hpp"
 #include "base/sync.hpp"
 #include "base/thread_annotations.hpp"
 
@@ -26,8 +28,10 @@ std::size_t default_worker_count() {
     errno = 0;
     const long v = std::strtol(env, &end, 10);
     // Out-of-range values (strtol clamps to LONG_MAX/LONG_MIN with ERANGE)
-    // fall back to hardware concurrency like any other garbage.
-    if (end != env && *end == '\0' && errno == 0 && v > 0) {
+    // and counts above kMaxWorkers fall back to hardware concurrency like
+    // any other garbage.
+    if (end != env && *end == '\0' && errno == 0 && v > 0 &&
+        static_cast<unsigned long>(v) <= kMaxWorkers) {
       return static_cast<std::size_t>(v);
     }
   }
@@ -121,7 +125,12 @@ struct ThreadPool::Impl {
   }
 };
 
-ThreadPool::ThreadPool(std::size_t workers) : impl_(new Impl) {
+ThreadPool::ThreadPool(std::size_t workers) : impl_(nullptr) {
+  SFS_REQUIRE(workers <= kMaxWorkers,
+              "thread pool of " + std::to_string(workers) +
+                  " workers exceeds the limit of " +
+                  std::to_string(kMaxWorkers));
+  impl_ = new Impl;
   impl_->workers = workers == 0 ? default_worker_count() : workers;
   try {
     impl_->threads.reserve(impl_->workers - 1);
@@ -209,6 +218,9 @@ void parallel_for(std::size_t count, std::size_t threads,
 }
 
 std::size_t resolve_worker_count(std::size_t threads) {
+  SFS_REQUIRE(threads <= kMaxWorkers,
+              "worker count " + std::to_string(threads) +
+                  " exceeds the limit of " + std::to_string(kMaxWorkers));
   return threads == 0 ? shared_pool().worker_count() : threads;
 }
 

@@ -28,9 +28,14 @@
 
 namespace sfs::base {
 
+/// Largest worker count a caller may ask for. Counts come from outside
+/// input (--threads, SFS_THREADS), and a pool starts one thread per worker
+/// less one, so a typo must fail before anything is allocated or started.
+inline constexpr std::size_t kMaxWorkers = 1024;
+
 /// Worker count used when a caller passes `threads == 0`: the value of the
-/// SFS_THREADS environment variable if set and positive, otherwise
-/// std::thread::hardware_concurrency() (at least 1).
+/// SFS_THREADS environment variable if set, positive and at most
+/// kMaxWorkers, otherwise std::thread::hardware_concurrency() (at least 1).
 [[nodiscard]] std::size_t default_worker_count();
 
 /// A small fixed-size thread pool. The calling thread participates as
@@ -46,7 +51,8 @@ namespace sfs::base {
 /// deadlock or thread explosion.
 class ThreadPool {
  public:
-  /// `workers == 0` selects default_worker_count().
+  /// `workers == 0` selects default_worker_count(). Throws
+  /// std::invalid_argument when `workers` exceeds kMaxWorkers.
   explicit ThreadPool(std::size_t workers = 0);
   ~ThreadPool();
 
@@ -84,7 +90,8 @@ void parallel_for(std::size_t count, std::size_t threads,
 
 /// Number of workers parallel_for(count, threads, fn) will hand out worker
 /// indices for — what harnesses must size per-worker scratch vectors to
-/// (threads == 0 maps to the shared pool's worker count).
+/// (threads == 0 maps to the shared pool's worker count). Throws
+/// std::invalid_argument when `threads` exceeds kMaxWorkers.
 [[nodiscard]] std::size_t resolve_worker_count(std::size_t threads);
 
 }  // namespace sfs::base

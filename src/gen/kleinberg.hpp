@@ -7,7 +7,7 @@
 // (instead of Kleinberg's bordered lattice) keeps every vertex statistically
 // identical, which simplifies both the generator and the routing analysis;
 // the navigability dichotomy at r = d = 2 is unchanged (this is the common
-// convention in follow-up work). Documented as a substitution in DESIGN.md.
+// convention in follow-up work).
 #pragma once
 
 #include <cstddef>

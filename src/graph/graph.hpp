@@ -12,7 +12,7 @@
 // multigraph convention).
 //
 // Vertex ids are 0-based std::uint32_t. The paper numbers vertices 1..n;
-// the paper's vertex t is id t-1 here (see DESIGN.md §7).
+// the paper's vertex t is id t-1 here.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "base/check.hpp"
+#include "base/parallel.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
 #include "sim/table.hpp"
@@ -92,7 +93,6 @@ std::string flag_names(unsigned caps) {
   append(kCapSeed, "--seed");
   append(kCapThreads, "--threads");
   append(kCapPolicies, "--policies");
-  append(kCapShard, "--shard");
   if (!out.empty()) out += ' ';
   out += "--json";
   return out;
@@ -288,10 +288,10 @@ bool parse_experiment_cli(const std::vector<std::string>& args,
     } else if (arg == "--threads") {
       if (!once(out.options.has_threads, arg)) return false;
       if (!value_of(i, value)) return false;
-      if (!parse_size(value, out.options.threads)) {
-        error = "--threads expects a non-negative integer (0 = shared "
-                "pool), got '" +
-                value + "'";
+      if (!parse_size(value, out.options.threads) ||
+          out.options.threads > base::kMaxWorkers) {
+        error = "--threads expects an integer from 0 (shared pool) to " +
+                std::to_string(base::kMaxWorkers) + ", got '" + value + "'";
         return false;
       }
       out.options.has_threads = true;
@@ -304,24 +304,6 @@ bool parse_experiment_cli(const std::vector<std::string>& args,
                 value + "'";
         return false;
       }
-    } else if (arg == "--shard") {
-      if (!once(out.options.has_shard, arg)) return false;
-      if (!value_of(i, value)) return false;
-      const std::size_t slash = value.find('/');
-      std::size_t index = 0;
-      std::size_t count = 0;
-      if (slash == std::string::npos ||
-          !parse_size(value.substr(0, slash), index) ||
-          !parse_size(value.substr(slash + 1), count) || count == 0 ||
-          index >= count) {
-        error = "--shard expects i/k with 0 <= i < k (e.g. --shard 0/2), "
-                "got '" +
-                value + "'";
-        return false;
-      }
-      out.options.shard_index = index;
-      out.options.shard_count = count;
-      out.options.has_shard = true;
     } else if (arg == "--checkpoint") {
       if (!once(!out.options.checkpoint_path.empty(), arg)) return false;
       if (!value_of(i, out.options.checkpoint_path)) return false;
@@ -402,24 +384,6 @@ bool validate_experiment_options(const ExperimentSpec& spec,
             "--quick)";
     return false;
   }
-  if (options.has_shard) {
-    if (!(spec.caps & kCapShard)) return reject("--shard");
-    if (!options.large && !options.quick) {
-      error = "experiment '" + spec.name +
-              "': --shard applies to the grid modes (pass --large or "
-              "--quick)";
-      return false;
-    }
-    // A shard's only output is its checkpoint file; without one the
-    // computed cells would be discarded and the run would exit 0 having
-    // measured nothing durable.
-    if (options.checkpoint_path.empty()) {
-      error = "experiment '" + spec.name +
-              "': --shard requires --checkpoint <path> (the per-shard "
-              "checkpoint is the shard's output)";
-      return false;
-    }
-  }
   return true;
 }
 
@@ -431,7 +395,7 @@ void print_experiment_usage(std::ostream& out, const ExperimentSpec* spec) {
          "line\n"
          "  sfs_bench --run <name> [flags]   run one experiment\n"
          "flags: [--quick] [--large] [--sizes a,b,c | --n N] [--reps R]\n"
-         "       [--seed S] [--threads T] [--policies a,b,c] [--shard i/k]\n"
+         "       [--seed S] [--threads T] [--policies a,b,c]\n"
          "       [--checkpoint <path>] [--json <path>]\n";
   if (spec != nullptr) {
     out << "\nexperiment '" << spec->name << "': " << spec->title << "\n"

@@ -55,9 +55,6 @@ enum ExperimentCaps : unsigned {
   kCapPolicies = 1u << 8,  // --policies a,b,c: run only the named search
                            // policies (resolved against the policy
                            // registry, search/policy.hpp)
-  kCapShard = 1u << 9,  // --shard i/k: compute only shard i of the grid
-                        // (sim::measure_scaling_shard); requires a grid
-                        // mode and --checkpoint
 };
 
 /// Parsed shared-flag values for one run. Flags the user did not pass are
@@ -74,12 +71,6 @@ struct ExperimentOptions {
   bool has_threads = false;
   std::string checkpoint_path;
   std::string json_path;
-  /// --shard i/k: this process owns shard `shard_index` of `shard_count`
-  /// over the sweep grid (meaningful only when has_shard; validation
-  /// additionally requires kCapShard, a grid mode and --checkpoint).
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  bool has_shard = false;
   /// --policies names (comma-separated on the command line; empty = the
   /// experiment's default portfolio). Experiments pass this as the
   /// RunPlan/QueryEngine policy filter; unknown names fail inside the run

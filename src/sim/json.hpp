@@ -1,11 +1,8 @@
 // Minimal JSON emission (and just enough parsing to round-trip it): the
 // serialization layer behind every machine-readable result line the
 // experiment driver emits (BENCH_JSON lines on the console, bare JSONL in
-// --json files) and the sfsearch_cli --json reports.
-//
-// Promoted out of the header-only bench/bench_util.hpp so the code on the
-// perf-trajectory critical path is compiled once, reused by the library,
-// and unit-tested (tests/test_json.cpp round-trips every escape class).
+// --json files) and the sfsearch_cli --json reports. tests/test_json.cpp
+// round-trips every escape class.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,8 @@
 // Structured experiment reporting: the one place every experiment's
 // results flow through, whether they end up as human tables, BENCH_JSON
 // console lines (greppable perf trajectories), or a --json JSONL file.
-//
-// Subsumes the helpers that used to live header-only in
-// bench/bench_util.hpp; promoted into sim/ so they are compiled library
-// code shared by the unified driver (sim/experiment.hpp), testable, and
-// available to examples.
+// Shared by the unified driver (sim/experiment.hpp), the tests and the
+// examples.
 #pragma once
 
 #include <chrono>

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -102,34 +101,37 @@ std::vector<std::string> meta_row(const std::vector<std::size_t>& sizes,
           std::to_string(reps), join_sizes(sizes)};
 }
 
-// The lines of `in`, each without a trailing '\r'.
-std::vector<std::string> read_lines(std::istream& in) {
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    lines.push_back(line);
-  }
-  return lines;
-}
-
-// The cell-row grammar, shared by resume and merge. Each line of `lines`
-// after the meta row is one of:
+// Restores completed cells from `path` into raw slots / the done mask.
+// Returns true when the file existed with a valid meta row (the appender
+// must not rewrite it). Each line after the meta row is one of:
 //  - a row a previous resume repaired (a torn fragment closed with a
 //    ",torn" marker): junk by construction, skipped;
 //  - a cell row: 5 fields ending in the "end" sentinel, naming a size
-//    index of `sizes`, that index's n and a rep below `reps`; handed to
-//    on_cell(size_index, rep, value, value_text), where value_text is the
-//    value field verbatim;
+//    index of `sizes`, that index's n and a rep below `reps`;
 //  - the header row, tolerated only as the first line after the meta row;
 //  - otherwise corrupt: rows are flushed whole, so only the final line
 //    (one torn by an interrupted append) is skipped, and a bad row
 //    anywhere else throws std::invalid_argument naming `path`.
-template <typename OnCell>
-void read_cell_rows(const std::vector<std::string>& lines,
-                    const std::vector<std::size_t>& sizes, std::size_t reps,
-                    const std::string& path, const OnCell& on_cell) {
+// Cell rows may come in any order: workers append in completion order.
+bool load_checkpoint(const std::string& path,
+                     const std::vector<std::size_t>& sizes, std::size_t reps,
+                     std::uint64_t seed, ScalingSeries& series,
+                     std::vector<char>& done) {
+  std::ifstream in(path);
+  if (!in) return false;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    lines.push_back(std::move(line));
+  }
+  if (lines.empty()) return false;
+
   std::vector<std::string> fields;
+  SFS_REQUIRE(parse_csv_row(lines[0], fields) &&
+                  fields == meta_row(sizes, reps, seed),
+              "checkpoint file does not match this sweep "
+              "(seed/reps/sizes differ): " +
+                  path);
   for (std::size_t k = 1; k < lines.size(); ++k) {
     const bool parsed = parse_csv_row(lines[k], fields);
     if (parsed && !fields.empty() && fields.back() == "torn") continue;
@@ -143,7 +145,8 @@ void read_cell_rows(const std::vector<std::string>& lines,
         parse_index(fields[2], rep) && parse_double(fields[3], value) &&
         i < sizes.size() && sizes[i] == n && rep < reps;
     if (well_formed) {
-      on_cell(i, rep, value, fields[3]);
+      series.points[i].raw[rep] = value;
+      done[i * reps + rep] = 1;
       continue;
     }
     if (k == 1 && parsed && !fields.empty() && fields[0] == "size_index") {
@@ -152,32 +155,6 @@ void read_cell_rows(const std::vector<std::string>& lines,
     SFS_REQUIRE(k + 1 == lines.size(), "corrupt checkpoint row " +
                                            std::to_string(k) + " in " + path);
   }
-}
-
-// Restores completed cells from `path` into raw slots / the done mask.
-// Returns true when the file existed with a valid meta row (the appender
-// must not rewrite it).
-bool load_checkpoint(const std::string& path,
-                     const std::vector<std::size_t>& sizes, std::size_t reps,
-                     std::uint64_t seed, ScalingSeries& series,
-                     std::vector<char>& done) {
-  std::ifstream in(path);
-  if (!in) return false;
-  const std::vector<std::string> lines = read_lines(in);
-  if (lines.empty()) return false;
-
-  std::vector<std::string> fields;
-  SFS_REQUIRE(parse_csv_row(lines[0], fields) &&
-                  fields == meta_row(sizes, reps, seed),
-              "checkpoint file does not match this sweep "
-              "(seed/reps/sizes differ): " +
-                  path);
-  read_cell_rows(lines, sizes, reps, path,
-                 [&](std::size_t i, std::size_t rep, double value,
-                     const std::string&) {
-                   series.points[i].raw[rep] = value;
-                   done[i * reps + rep] = 1;
-                 });
   return true;
 }
 
@@ -306,36 +283,40 @@ void fit_series(ScalingSeries& series) {
   series.weighted_fit = stats::fit_power_law_weighted(xs, ys, ws);
 }
 
-// Shared cell runner for the full and sharded entry points: restores
-// checkpointed cells, enumerates the pending cells this shard owns in the
-// flattened (i * reps + r) task order, and measures them. The returned
-// series holds raw values only (no summaries/fit) — the unsharded path
-// folds it, the sharded path discards it (the checkpoint is the output).
-// Invoke: (n, cell_seed, worker) -> double, shared by the plain and
-// scratch-aware overloads.
-template <typename Invoke>
-std::size_t run_scaling_cells(const std::vector<std::size_t>& sizes,
-                              std::size_t reps, std::uint64_t seed,
-                              const ScalingOptions& options,
-                              std::size_t shard_index,
-                              std::size_t shard_count, const Invoke& invoke,
-                              ScalingSeries& series) {
+}  // namespace
+
+ScalingSeries measure_scaling(
+    const std::vector<std::size_t>& sizes, std::size_t reps,
+    std::uint64_t seed,
+    const std::function<double(std::size_t, std::uint64_t)>& measure,
+    const ScalingOptions& options) {
+  return measure_scaling(
+      sizes, reps, seed,
+      [&](std::size_t n, std::uint64_t cell_seed, gen::GenScratch&) {
+        return measure(n, cell_seed);
+      },
+      options);
+}
+
+ScalingSeries measure_scaling(
+    const std::vector<std::size_t>& sizes, std::size_t reps,
+    std::uint64_t seed,
+    const std::function<double(std::size_t, std::uint64_t,
+                               gen::GenScratch&)>& measure,
+    const ScalingOptions& options) {
   SFS_REQUIRE(!sizes.empty(), "empty size sweep");
   SFS_REQUIRE(reps >= 1, "need at least one replication");
-  SFS_REQUIRE(shard_count >= 1, "need at least one shard");
-  SFS_REQUIRE(shard_index < shard_count,
-              "shard index " + std::to_string(shard_index) +
-                  " out of range for " + std::to_string(shard_count) +
-                  " shard(s)");
+  ScalingSeries series;
   series.points.resize(sizes.size());
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     series.points[i].n = sizes[i];
     series.points[i].raw.resize(reps);
   }
 
-  // Restore completed cells, then enumerate the cells still to measure.
-  // Each cell's seed is a pure function of (i, r), so the remaining cells
-  // see exactly the seeds an uninterrupted run would have handed them.
+  // Restore completed cells, then enumerate the cells still to measure in
+  // the flattened (i * reps + r) task order. Each cell's seed is a pure
+  // function of (i, r), so the remaining cells see exactly the seeds an
+  // uninterrupted run would have handed them.
   std::vector<char> done(sizes.size() * reps, 0);
   std::unique_ptr<CheckpointWriter> checkpoint;
   if (!options.checkpoint_path.empty()) {
@@ -344,49 +325,36 @@ std::size_t run_scaling_cells(const std::vector<std::size_t>& sizes,
     checkpoint = std::make_unique<CheckpointWriter>(
         options.checkpoint_path, sizes, reps, seed, resumed);
   }
-  // Shard ownership is a pure function of the flattened task index, so k
-  // shards partition exactly the cells one process would enumerate — no
-  // overlap, no gaps, and per-cell seeds unchanged.
   std::vector<std::size_t> pending;
-  pending.reserve(done.size() / shard_count + 1);
+  pending.reserve(done.size());
   for (std::size_t task = 0; task < done.size(); ++task) {
-    if (!done[task] && task % shard_count == shard_index) {
-      pending.push_back(task);
-    }
+    if (!done[task]) pending.push_back(task);
   }
 
   // Fan the whole size x replication grid out at once: sizes near the top
   // of the sweep dominate the cost, so scheduling the grid dynamically
   // keeps workers busy across size boundaries. Each cell's seed depends
   // only on (i, r), and each cell writes its own slot, so the series is
-  // identical for any thread count.
+  // identical for any thread count. One generator scratch per worker, as
+  // in sim/sweep's WorkerState.
+  std::vector<gen::GenScratch> scratch(
+      base::resolve_worker_count(options.threads));
   base::parallel_for(pending.size(), options.threads,
                [&](std::size_t idx, std::size_t worker) {
                  const std::size_t task = pending[idx];
                  const std::size_t i = task / reps;
                  const std::size_t r = task % reps;
-                 const double value = invoke(
+                 const double value = measure(
                      sizes[i],
                      rng::audited_stream_seed(seed, size_stream(i), r),
-                     worker);
+                     scratch[worker]);
                  series.points[i].raw[r] = value;
                  if (checkpoint) checkpoint->append(i, sizes[i], r, value);
                });
-  return pending.size();
-}
 
-template <typename Invoke>
-ScalingSeries measure_scaling_impl(const std::vector<std::size_t>& sizes,
-                                   std::size_t reps, std::uint64_t seed,
-                                   const ScalingOptions& options,
-                                   const Invoke& invoke) {
-  ScalingSeries series;
-  (void)run_scaling_cells(sizes, reps, seed, options, /*shard_index=*/0,
-                          /*shard_count=*/1, invoke, series);
   for (auto& point : series.points) {
     point.summary = stats::summarize(point.raw);
   }
-
   fit_series(series);
   // Only CI a slope that exists: without a usable point fit, quoting an
   // interval for the "exponent" would dress up a non-measurement.
@@ -394,134 +362,6 @@ ScalingSeries measure_scaling_impl(const std::vector<std::size_t>& sizes,
     series.slope_ci = bootstrap_slope_ci(series, options.bootstrap_replicates);
   }
   return series;
-}
-
-}  // namespace
-
-ScalingSeries measure_scaling(
-    const std::vector<std::size_t>& sizes, std::size_t reps,
-    std::uint64_t seed,
-    const std::function<double(std::size_t, std::uint64_t)>& measure,
-    const ScalingOptions& options) {
-  return measure_scaling_impl(
-      sizes, reps, seed, options,
-      [&](std::size_t n, std::uint64_t cell_seed, std::size_t) {
-        return measure(n, cell_seed);
-      });
-}
-
-ScalingSeries measure_scaling(
-    const std::vector<std::size_t>& sizes, std::size_t reps,
-    std::uint64_t seed,
-    const std::function<double(std::size_t, std::uint64_t,
-                               gen::GenScratch&)>& measure,
-    const ScalingOptions& options) {
-  // One generator scratch per worker, as in sim/sweep's WorkerState.
-  std::vector<gen::GenScratch> scratch(
-      base::resolve_worker_count(options.threads));
-  return measure_scaling_impl(
-      sizes, reps, seed, options,
-      [&](std::size_t n, std::uint64_t cell_seed, std::size_t worker) {
-        return measure(n, cell_seed, scratch[worker]);
-      });
-}
-
-std::size_t measure_scaling_shard(
-    const std::vector<std::size_t>& sizes, std::size_t reps,
-    std::uint64_t seed,
-    const std::function<double(std::size_t, std::uint64_t,
-                               gen::GenScratch&)>& measure,
-    const ScalingOptions& options, std::size_t shard_index,
-    std::size_t shard_count) {
-  // The checkpoint is mandatory (it IS the shard's output — without it the
-  // computed cells would be thrown away) and the raw series is discarded.
-  SFS_REQUIRE(!options.checkpoint_path.empty(),
-              "sharded sweeps require a checkpoint path: the per-shard "
-              "checkpoint file is the shard's only output");
-  std::vector<gen::GenScratch> scratch(
-      base::resolve_worker_count(options.threads));
-  ScalingSeries series;
-  return run_scaling_cells(
-      sizes, reps, seed, options, shard_index, shard_count,
-      [&](std::size_t n, std::uint64_t cell_seed, std::size_t worker) {
-        return measure(n, cell_seed, scratch[worker]);
-      },
-      series);
-}
-
-std::size_t merge_checkpoints(const std::vector<std::string>& inputs,
-                              const std::string& output) {
-  SFS_REQUIRE(!inputs.empty(), "merge_checkpoints needs at least one input");
-  std::vector<std::string> canonical_meta;
-  std::size_t reps = 0;
-  std::vector<std::size_t> sizes;
-  // (size_index, rep) -> value string, byte-for-byte as a shard recorded
-  // it — values are never re-parsed and re-formatted, so the merged file
-  // replays the exact bits the shards measured. std::map keeps the output
-  // sorted by (size_index, rep).
-  std::map<std::pair<std::size_t, std::size_t>, std::string> cells;
-
-  for (const std::string& path : inputs) {
-    std::ifstream in(path);
-    SFS_REQUIRE(in.good(), "cannot open shard checkpoint: " + path);
-    const std::vector<std::string> lines = read_lines(in);
-    SFS_REQUIRE(!lines.empty(), "empty shard checkpoint: " + path);
-
-    std::vector<std::string> fields;
-    SFS_REQUIRE(parse_csv_row(lines[0], fields) && fields.size() == 5 &&
-                    fields[0] == kCkptMagic && fields[1] == kCkptVersion,
-                "not a scaling checkpoint: " + path);
-    if (canonical_meta.empty()) {
-      canonical_meta = fields;
-      SFS_REQUIRE(parse_index(fields[3], reps) && reps >= 1,
-                  "bad reps field in checkpoint meta: " + path);
-      std::size_t start = 0;
-      const std::string& joined = fields[4];
-      while (start <= joined.size()) {
-        const std::size_t sep = joined.find(';', start);
-        const std::string token =
-            joined.substr(start, sep == std::string::npos ? std::string::npos
-                                                          : sep - start);
-        std::size_t n = 0;
-        SFS_REQUIRE(parse_index(token, n),
-                    "bad sizes field in checkpoint meta: " + path);
-        sizes.push_back(n);
-        if (sep == std::string::npos) break;
-        start = sep + 1;
-      }
-    } else {
-      SFS_REQUIRE(fields == canonical_meta,
-                  "shard checkpoints disagree on (seed, reps, sizes); "
-                  "refusing to merge: " +
-                      path);
-    }
-
-    read_cell_rows(lines, sizes, reps, path,
-                   [&](std::size_t i, std::size_t rep, double,
-                       const std::string& value_text) {
-                     const auto [it, inserted] =
-                         cells.emplace(std::make_pair(i, rep), value_text);
-                     SFS_REQUIRE(inserted || it->second == value_text,
-                                 "shards disagree on cell (size_index=" +
-                                     std::to_string(i) +
-                                     ", rep=" + std::to_string(rep) +
-                                     "): " + path);
-                   });
-  }
-
-  std::ofstream out(output, std::ios::trunc);
-  SFS_REQUIRE(out.good(), "cannot open merged checkpoint for writing: " +
-                              output);
-  write_csv_row(out, canonical_meta);
-  write_csv_row(out, {"size_index", "n", "rep", "value", kCkptEnd});
-  for (const auto& [key, value] : cells) {
-    write_csv_row(out, {std::to_string(key.first),
-                        std::to_string(sizes[key.first]),
-                        std::to_string(key.second), value, kCkptEnd});
-  }
-  out.flush();
-  SFS_REQUIRE(out.good(), "merged checkpoint write failed: " + output);
-  return cells.size();
 }
 
 stats::BootstrapCi bootstrap_slope_ci(const ScalingSeries& series,

@@ -133,41 +133,6 @@ struct ScalingOptions {
                                gen::GenScratch& scratch)>& measure,
     const ScalingOptions& options = {});
 
-/// Sharded sweep: computes only the grid cells this shard owns and
-/// streams them to ScalingOptions::checkpoint_path (required — the
-/// checkpoint IS the shard's output; there is no folded series to
-/// return). Cell ownership is `(i * reps + r) % shard_count ==
-/// shard_index` over the same flattened task order the unsharded run
-/// uses, and every cell's seed stays the pure (size, rep) derivation —
-/// so k shard processes writing k checkpoints, merged with
-/// merge_checkpoints and folded by pointing an unsharded measure_scaling
-/// at the merged file, produce a ScalingSeries bit-identical to one
-/// process computing the whole grid, at any thread count per shard.
-/// Resumable like any checkpointed run: cells already in this shard's
-/// file are skipped. `measure` receives a per-worker gen::GenScratch, as
-/// in the scratch measure_scaling overload. Returns the number of cells
-/// measured by this call.
-std::size_t measure_scaling_shard(
-    const std::vector<std::size_t>& sizes, std::size_t reps,
-    std::uint64_t seed,
-    const std::function<double(std::size_t n, std::uint64_t seed,
-                               gen::GenScratch& scratch)>& measure,
-    const ScalingOptions& options, std::size_t shard_index,
-    std::size_t shard_count);
-
-/// Folds k per-shard checkpoint CSVs into one checkpoint at `output`.
-/// Every input must carry the identical (seed, reps, sizes) meta row;
-/// completed cells are deduplicated by (size_index, rep) — a duplicate
-/// must agree exactly (verbatim value string) or the merge throws — and
-/// written sorted by (size_index, rep) with values byte-for-byte as the
-/// shards recorded them. Pointing measure_scaling at the merged file then
-/// replays every cell without recomputation, so the folded series is
-/// bit-identical to a single-process run. Torn/repaired trailing rows in
-/// the inputs are skipped exactly as resume would skip them. Returns the
-/// number of distinct cells in the merged file.
-std::size_t merge_checkpoints(const std::vector<std::string>& inputs,
-                              const std::string& output);
-
 /// Stratified 95% bootstrap CI of the fitted OLS slope of `series`: each
 /// resample draws, within every point, `raw.size()` values with
 /// replacement, recomputes the means, and refits the power law over the

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "base/parallel.hpp"
 #include "rng/stream_audit.hpp"
 
 namespace {
@@ -187,6 +188,20 @@ TEST(ExperimentCli, TypeErrorsRejected) {
       << "--sizes must be strictly increasing";
   EXPECT_FALSE(parse_experiment_cli({"--run", "e1", "--n", "0"}, req,
                                     error));
+}
+
+TEST(ExperimentCli, ThreadsAboveTheWorkerLimitRejected) {
+  CliRequest req;
+  std::string error;
+  const std::string limit = std::to_string(sfs::base::kMaxWorkers);
+  const std::string above = std::to_string(sfs::base::kMaxWorkers + 1);
+  EXPECT_FALSE(parse_experiment_cli({"--run", "e1", "--threads", above}, req,
+                                    error));
+  EXPECT_NE(error.find("'" + above + "'"), std::string::npos) << error;
+  ASSERT_TRUE(parse_experiment_cli({"--run", "e1", "--threads", limit}, req,
+                                   error))
+      << error;
+  EXPECT_EQ(req.options.threads, sfs::base::kMaxWorkers);
 }
 
 TEST(ExperimentCli, MissingValueRejected) {

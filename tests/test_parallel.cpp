@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gen/mori.hpp"
@@ -116,6 +118,38 @@ TEST(ThreadPool, ReusableAcrossJobs) {
           sum.fetch_add(static_cast<int>(task));
         });
     EXPECT_EQ(sum.load(), 4950);
+  }
+}
+
+// Counts above kMaxWorkers fail their precondition before anything is
+// allocated or started, so none of these calls starts a thread.
+TEST(ThreadPool, RejectsWorkerCountsAboveTheLimit) {
+  using sfs::base::kMaxWorkers;
+  EXPECT_THROW({ sfs::base::ThreadPool pool(kMaxWorkers + 1); },
+               std::invalid_argument);
+  EXPECT_THROW((void)sfs::base::resolve_worker_count(kMaxWorkers + 1),
+               std::invalid_argument);
+  EXPECT_EQ(sfs::base::resolve_worker_count(kMaxWorkers), kMaxWorkers);
+  EXPECT_THROW(sfs::base::parallel_for(1, kMaxWorkers + 1,
+                                       [](std::size_t, std::size_t) {}),
+               std::invalid_argument);
+}
+
+TEST(DefaultWorkerCount, EnvAboveTheLimitFallsBackToHardware) {
+  const char* env = std::getenv("SFS_THREADS");
+  const std::string saved = env != nullptr ? env : "";
+  ::unsetenv("SFS_THREADS");
+  const std::size_t hardware = sfs::base::default_worker_count();
+  const std::string limit = std::to_string(sfs::base::kMaxWorkers);
+  ::setenv("SFS_THREADS", limit.c_str(), 1);
+  EXPECT_EQ(sfs::base::default_worker_count(), sfs::base::kMaxWorkers);
+  const std::string above = std::to_string(sfs::base::kMaxWorkers + 1);
+  ::setenv("SFS_THREADS", above.c_str(), 1);
+  EXPECT_EQ(sfs::base::default_worker_count(), hardware);
+  if (env != nullptr) {
+    ::setenv("SFS_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("SFS_THREADS");
   }
 }
 
