@@ -72,8 +72,8 @@ void report(ExperimentContext& ctx, const std::string& model,
 int run_e12(ExperimentContext& ctx) {
   ctx.console() << "E12: searching OLD vertices is easy, searching the "
                    "NEWEST is Omega(sqrt(n)) — the asymmetry behind "
-                   "targeting vertex n. Start vertex: the newest (paper id "
-                   "n).\n\n";
+                   "targeting vertex n. Start vertex: paper id 2, the "
+                   "second-oldest vertex.\n\n";
   const std::size_t n = ctx.n_or(ctx.options.quick ? 2048 : 8192);
   const std::size_t reps = ctx.reps_or(ctx.options.quick ? 2 : 8);
   report(ctx, "Mori p=0.5",

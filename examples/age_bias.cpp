@@ -58,8 +58,8 @@ int run(int argc, char** argv) {
   }
   profile.print(std::cout);
 
-  // Search cost by target age (degree-greedy, from the middle-aged vertex
-  // 2 so every row is comparable).
+  // Search cost by target age (degree-greedy, from paper id 2, the
+  // second-oldest vertex, so every row is comparable).
   std::cout << '\n';
   sfs::sim::Table cost("weak degree-greedy cost by target age",
                        {"target paper id", "requests", "found"});

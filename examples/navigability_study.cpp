@@ -2,6 +2,9 @@
 //
 //   ./navigability_study [scale] [seed]
 //
+// Row i (0 <= i < scale) measures grids of side 16 * 2^i, so scale is
+// 1..8: the largest grid at scale 8 has 2^22 vertices.
+//
 // Kleinberg's small-world grid at r = 2 is *navigable*: greedy routing
 // with coordinates finds polylog paths. Random scale-free graphs are NOT:
 // even the best local algorithm pays polynomial cost to find the newest
@@ -24,6 +27,9 @@
 namespace {
 
 using sfs::graph::VertexId;
+
+// Scale 8 already builds a 2^22-vertex grid and Móri graph.
+constexpr std::size_t kMaxScale = 8;
 
 double mean_greedy_route(std::size_t L, std::uint64_t seed) {
   sfs::rng::Rng rng(seed);
@@ -65,6 +71,11 @@ int run(int argc, char** argv) {
   if (argc > 2 && !sfs::sim::parse_u64(argv[2], seed)) {
     return sfs::sim::bad_number("[seed]", argv[2]);
   }
+  if (scale < 1 || scale > kMaxScale) {
+    std::cerr << "error: [scale] must be in [1, " << kMaxScale << "], got "
+              << scale << "\n";
+    return 1;
+  }
 
   std::cout << "navigability_study: Kleinberg grid (r=2, navigable) vs "
                "Mori scale-free graph (non-searchable), matched sizes.\n\n";
@@ -74,8 +85,8 @@ int run(int argc, char** argv) {
                      "Mori best weak search (requests)", "sqrt(n)",
                      "log2(n)^2"});
   for (std::size_t i = 0; i < scale; ++i) {
-    const std::size_t L = 16u << i;     // 16, 32, 64, 128...
-    const std::size_t n = L * L;        // matched vertex count
+    const std::size_t L = std::size_t{16} << i;  // 16, 32, 64, 128...
+    const std::size_t n = L * L;                 // matched vertex count
     const double route = mean_greedy_route(L, seed + i);
     const double weak = best_weak_cost(n, seed + 100 + i);
     const double lg = std::log2(static_cast<double>(n));

@@ -5,12 +5,12 @@
 //   ./p2p_lookup [n] [k] [seed]
 //
 // The overlay is long-lived and the lookups are many — exactly the regime
-// search::QueryEngine exists for: the registered search policies run as
-// engine sessions over ONE fixed graph, each serving the same batch of
+// search::QueryEngine exists for: policies of the search-policy table run
+// as engine sessions over ONE fixed graph, each serving the same batch of
 // lookups (paired comparison, deterministic per-query RNG streams, batch
 // fan-out over the shared pool). Percolation search keeps its own loop —
-// replication+broadcast is a different primitive, not a registered
-// searcher policy.
+// replication+broadcast is a different primitive, not a searcher policy
+// of the table.
 #include <exception>
 #include <iostream>
 #include <string>

@@ -10,10 +10,9 @@
 //   sfsearch_cli search <in.graph> <start> <target> [weak|strong]
 //                [--policies a,b,c]
 //       runs the portfolio from <start> (1-based paper ids); --policies
-//       selects registered policies by name (default: the model's full
-//       portfolio).
+//       selects policies by name (default: the model's full portfolio).
 //   sfsearch_cli policies [--list|--json]
-//       prints the policy registry (name, model, description); --json
+//       prints the policy table (name, model, description); --json
 //       emits one JSON object per policy (sim/json), matching
 //       sfs_bench --list.
 //   sfsearch_cli bound <p> <n>
@@ -285,8 +284,7 @@ int cmd_search(const std::vector<std::string>& args) {
   const auto model = model_arg == "weak" ? sfs::search::KnowledgeModel::kWeak
                                          : sfs::search::KnowledgeModel::kStrong;
 
-  // Policy selection by registry name (empty = the model's full
-  // portfolio).
+  // Policy selection by name (empty = the model's full portfolio).
   const auto specs = sfs::search::resolve_policies(model, policy_names);
   sfs::sim::Table t("search " + std::to_string(start_paper) + " -> " +
                         std::to_string(target_paper) + " (" + model_arg + ")",
@@ -318,15 +316,15 @@ int cmd_policies(const std::vector<std::string>& args) {
   if (args.size() > 1) return usage();
   const bool as_json = args.size() == 1 && args[0] == "--json";
   if (!as_json && args.size() == 1 && args[0] != "--list") return usage();
-  const auto specs = sfs::search::PolicyRegistry::instance().all();
+  const auto specs = sfs::search::all_policies();
   if (as_json) {
     // One JSON object per policy (JSONL), the machine-readable mirror of
     // the table below.
-    for (const auto* spec : specs) {
+    for (const auto& spec : specs) {
       sfs::sim::JsonObjectWriter json;
-      json.str_field("name", spec->name);
-      json.str_field("model", std::string(sfs::search::model_name(spec->model)));
-      json.str_field("description", spec->description);
+      json.str_field("name", spec.name);
+      json.str_field("model", std::string(sfs::search::model_name(spec.model)));
+      json.str_field("description", spec.description);
       std::cout << json.str() << "\n";
     }
     return 0;
@@ -334,11 +332,11 @@ int cmd_policies(const std::vector<std::string>& args) {
   sfs::sim::Table t("registered search policies (" +
                         std::to_string(specs.size()) + ")",
                     {"name", "model", "description"});
-  for (const auto* spec : specs) {
+  for (const auto& spec : specs) {
     t.row()
-        .cell(spec->name)
-        .cell(std::string(sfs::search::model_name(spec->model)))
-        .cell(spec->description);
+        .cell(spec.name)
+        .cell(std::string(sfs::search::model_name(spec.model)))
+        .cell(spec.description);
   }
   t.print(std::cout);
   std::cout << "\nselect with: sfsearch_cli search <graph> <s> <t> "

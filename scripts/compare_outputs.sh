@@ -1,15 +1,23 @@
 #!/usr/bin/env bash
 # Checks that two builds of this repository produce byte-identical
-# experiment outputs.
+# outputs, both the JSONL results and the console text.
 #
 # Usage: scripts/compare_outputs.sh <parent-build> <change-build>
 #
-# Each argument is a CMake build directory that holds sfs_bench. In both
-# builds the script runs every e*, a* and d1 experiment with
-# `--quick --json` at SFS_THREADS=1 and SFS_THREADS=4, plus e1 and e2 with
-# `--large --json` at SFS_THREADS=4. It compares each pair of JSONL files
-# with cmp, prints one line per pair, and exits 1 if any pair differs or
-# any run fails. The experiment list comes from the change build.
+# Each argument is a CMake build directory that holds sfs_bench, the
+# examples and sfsearch_cli. In both builds the script runs:
+#   * every e*, a* and d1 experiment with `--quick --json` at
+#     SFS_THREADS=1 and SFS_THREADS=4;
+#   * e1 and e2 with `--large --json` at SFS_THREADS=4;
+#   * quickstart, age_bias, navigability_study and p2p_lookup with their
+#     default arguments, and `sfsearch_cli policies` with and without
+#     `--json`.
+# For each run it compares the JSONL files (when the run writes one) and
+# the standard output with cmp, prints one line per run naming the stream
+# that differs, and exits 1 if any stream differs or any run fails. The
+# only timing-dependent console text, the `wall <x> s` footer of the e1/e2
+# grid modes, is masked before the comparison. The experiment list comes
+# from the change build.
 set -uo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -17,53 +25,83 @@ if [[ $# -ne 2 ]]; then
   exit 2
 fi
 
-parent_bin=$(realpath "$1")/sfs_bench
-change_bin=$(realpath "$2")/sfs_bench
-for bin in "$parent_bin" "$change_bin"; do
-  if [[ ! -x "$bin" ]]; then
-    echo "error: $bin not found or not executable" >&2
-    exit 2
-  fi
+parent_dir=$(realpath "$1")
+change_dir=$(realpath "$2")
+programs=(sfs_bench quickstart age_bias navigability_study p2p_lookup
+          sfsearch_cli)
+for dir in "$parent_dir" "$change_dir"; do
+  for program in "${programs[@]}"; do
+    if [[ ! -x "$dir/$program" ]]; then
+      echo "error: $dir/$program not found or not executable" >&2
+      exit 2
+    fi
+  done
 done
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
+# One run per entry: <tag> <threads> <program> [arguments...]. %JSON% in
+# the arguments stands for the run's JSONL file.
 runs=()
 while read -r name; do
-  for threads in 1 4; do runs+=("$name quick $threads"); done
-done < <("$change_bin" --list-names | grep -E '^(e[0-9]+|a[0-9]+|d1)')
-runs+=("e1 large 4" "e2 large 4")
+  for threads in 1 4; do
+    runs+=("${name}_quick_t$threads $threads sfs_bench --run $name --quick --json %JSON%")
+  done
+done < <("$change_dir/sfs_bench" --list-names | grep -E '^(e[0-9]+|a[0-9]+|d1)')
+for name in e1 e2; do
+  runs+=("${name}_large_t4 4 sfs_bench --run $name --large --json %JSON%")
+done
+for example in quickstart age_bias navigability_study p2p_lookup; do
+  runs+=("$example 1 $example")
+done
+runs+=("sfsearch_cli_policies 1 sfsearch_cli policies"
+       "sfsearch_cli_policies_json 1 sfsearch_cli policies --json")
 
 failed=0
 for run in "${runs[@]}"; do
-  read -r name mode threads <<<"$run"
-  tag="${name}_${mode}_t${threads}"
+  read -r tag threads program arg_text <<<"$run"
   for side in parent change; do
-    bin=${side}_bin
+    dir=${side}_dir
     mkdir -p "$out/$side/$tag"
+    read -ra args <<<"${arg_text//%JSON%/$out/$side/$tag.jsonl}"
     # Each run gets its own working directory, so nothing it writes there
     # can be read back by another run.
     if ! (cd "$out/$side/$tag" &&
-          SFS_THREADS=$threads "${!bin}" --run "$name" "--$mode" \
-            --json "$out/$side/$tag.jsonl" >/dev/null 2>"$side.err"); then
+          SFS_THREADS=$threads "${!dir}/$program" "${args[@]}" \
+            >"$out/$side/$tag.out" 2>"$side.err"); then
       echo "FAILED     $tag ($side build; stderr follows)"
       cat "$out/$side/$tag/$side.err"
       failed=1
       continue 2
     fi
+    sed -Ei 's/^(grid .*, wall )[0-9.]+ s$/\1<masked> s/' "$out/$side/$tag.out"
   done
-  if cmp -s "$out/parent/$tag.jsonl" "$out/change/$tag.jsonl"; then
-    echo "identical  $tag"
-  else
-    echo "DIFFERS    $tag"
-    cmp "$out/parent/$tag.jsonl" "$out/change/$tag.jsonl" || true
-    failed=1
+  differs=()
+  if [[ -e "$out/parent/$tag.jsonl" || -e "$out/change/$tag.jsonl" ]] &&
+     ! cmp -s "$out/parent/$tag.jsonl" "$out/change/$tag.jsonl"; then
+    differs+=(JSONL)
   fi
+  if ! cmp -s "$out/parent/$tag.out" "$out/change/$tag.out"; then
+    differs+=(console)
+  fi
+  if [[ ${#differs[@]} -eq 0 ]]; then
+    echo "identical  $tag"
+    continue
+  fi
+  echo "DIFFERS    $tag (${differs[*]})"
+  for stream in "${differs[@]}"; do
+    if [[ $stream == JSONL ]]; then
+      cmp "$out/parent/$tag.jsonl" "$out/change/$tag.jsonl" || true
+    else
+      diff "$out/parent/$tag.out" "$out/change/$tag.out" | head -20
+    fi
+  done
+  failed=1
 done
 
 if [[ $failed -ne 0 ]]; then
   echo "compare_outputs: outputs differ or a run failed" >&2
   exit 1
 fi
-echo "compare_outputs: all ${#runs[@]} outputs identical"
+echo "compare_outputs: all ${#runs[@]} runs identical (JSONL and console)"

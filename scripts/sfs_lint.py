@@ -2,8 +2,8 @@
 """sfs_lint: determinism & API-invariant static analysis for sfsearch.
 
 The repo's credibility rests on bit-identity invariants (seq==parallel
-portfolios, frozen kLegacy streams, audited seed derivation, byte-stable
-BENCH_JSON artifacts).  Runtime tests enforce them after the fact; this
+portfolios, frozen derive_stream_seed streams, audited seed derivation,
+byte-stable BENCH_JSON artifacts).  Runtime tests enforce them after the fact; this
 linter enforces them *statically*, so a stray `std::mt19937` or a raw
 `derive_stream_seed` call is rejected before it can silently decorrelate
 a measurement.  Full rule catalog and war stories: docs/ANALYSIS.md.
@@ -15,7 +15,7 @@ Rules
                       allowlist.  All randomness flows from sfs::rng.
   raw-derive          (R2) rng::derive_stream_seed callers outside
                       src/rng/ must route through audited_stream_seed or
-                      a versioned StreamPlan (the PR 3 audit caught a
+                      audited_counter_seed (the stream audit once caught a
                       real seed collision this rule prevents statically).
   unordered-emission  (R3) no iteration over std::unordered_{map,set} in
                       a TU that touches the sim/report emitter surface —
@@ -28,10 +28,10 @@ Rules
                       registered experiment run-fn (`.run = fn` in an
                       ExperimentRegistrar literal) to a raw Rng /
                       Philox4x64 construction must traverse an audited
-                      or versioned seed derivation (audited_stream_seed,
-                      StreamPlan, *.stream_seed).  An experiment whose
-                      call chain seeds an engine any other way can
-                      silently correlate replications.
+                      seed derivation (audited_stream_seed,
+                      audited_counter_seed, *.stream_seed).  An
+                      experiment whose call chain seeds an engine any
+                      other way can silently correlate replications.
   float-order         (R7) no unordered floating-point accumulation in a
                       TU feeding BENCH_JSON artifacts: std::reduce /
                       std::transform_reduce (reduction order
@@ -140,7 +140,7 @@ RULES = {
     "raw-derive": Rule(
         "raw-derive",
         "raw rng::derive_stream_seed call outside src/rng/ "
-        "(use audited_stream_seed / StreamPlan)",
+        "(use audited_stream_seed / audited_counter_seed)",
         lambda p: not _in_dir(p, "src/rng"),
     ),
     "unordered-emission": Rule(
@@ -400,8 +400,9 @@ def token_rule_raw_derive(path: str, lexed: LexedFile,
     return _line_findings(
         path, lexed.code, R2_RE, "raw-derive",
         "raw derive_stream_seed call — route through "
-        "rng::audited_stream_seed (SFS_RNG_AUDIT coverage) or a versioned "
-        "rng::StreamPlan; the PR 3 audit caught a real seed collision here")
+        "rng::audited_stream_seed (SFS_RNG_AUDIT coverage) or "
+        "rng::audited_counter_seed; the stream audit once caught a real "
+        "seed collision here")
 
 
 def token_rule_unordered_emission(path: str, lexed: LexedFile,
@@ -549,8 +550,8 @@ TOKEN_RULE_FNS = {
 # known-function identifier followed by `(` inside its brace-matched body
 # is an edge.  A "draw" is a construction of rng::Rng or rng::Philox4x64.
 # The draw is sanctioned when its enclosing function — or anything that
-# function can reach — derives seeds through audited_stream_seed, a
-# StreamPlan, or a *.stream_seed() helper.  A violation is a draw in a
+# function can reach — derives seeds through audited_stream_seed,
+# audited_counter_seed, or a *.stream_seed() helper.  A violation is a draw in a
 # root-reachable, unsanctioned function: an experiment path that seeds an
 # engine outside the derivation discipline.
 #
@@ -565,7 +566,7 @@ R6_DRAW_NAMED_RE = re.compile(
     r"\b(?:rng\s*::\s*)?(?:Rng|Philox4x64)\s+\w+\s*[({]")
 R6_DRAW_TEMP_RE = re.compile(r"\b(?:rng\s*::\s*)?(?:Rng|Philox4x64)\s*\(")
 R6_SANCTION_RE = re.compile(
-    r"\baudited_stream_seed\s*\(|\bStreamPlan\b|\bstream_seed\s*\(")
+    r"\baudited_(?:stream|counter)_seed\s*\(|\bstream_seed\s*\(")
 R6_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 R6_NOT_FN = frozenset({
     "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
@@ -722,9 +723,9 @@ def rng_reachability_findings(
                     f"'{name}' is reachable from a registered experiment "
                     "run-fn and constructs an RNG engine, but nothing on "
                     "the path derives its seed through audited_stream_seed "
-                    "/ StreamPlan / stream_seed — replications seeded this "
-                    "way can silently correlate (docs/PERF.md seed "
-                    "discipline; docs/ANALYSIS.md R6)"))
+                    "/ audited_counter_seed / stream_seed — replications "
+                    "seeded this way can silently correlate (docs/PERF.md "
+                    "seed discipline; docs/ANALYSIS.md R6)"))
     return out
 
 

@@ -1,5 +1,6 @@
 #include "gen/degree_sequence.hpp"
 
+#include <cmath>
 #include <numeric>
 
 #include "base/check.hpp"
@@ -10,7 +11,8 @@ namespace sfs::gen {
 std::vector<std::uint32_t> power_law_degree_sequence(
     std::size_t n, const PowerLawSequenceParams& params, rng::Rng& rng) {
   SFS_REQUIRE(n >= 2, "need at least two vertices");
-  SFS_REQUIRE(params.exponent > 1.0, "degree exponent must exceed 1");
+  SFS_REQUIRE(std::isfinite(params.exponent) && params.exponent > 1.0,
+              "degree exponent must be finite and exceed 1");
   const std::uint32_t d_max =
       params.d_max != 0 ? params.d_max
                         : rng::natural_cutoff(n, params.exponent);

@@ -14,7 +14,8 @@
 namespace sfs::gen {
 
 struct PowerLawSequenceParams {
-  /// Degree-distribution exponent k (> 1; Adamic et al. use 2 < k < 3).
+  /// Degree-distribution exponent k (finite, > 1; Adamic et al. use
+  /// 2 < k < 3).
   double exponent = 2.3;
   std::uint32_t d_min = 1;
   /// Maximum degree. 0 means "use the natural cutoff n^{1/(k-1)}".

@@ -4,7 +4,8 @@
 // easy as 1, 2, 3", SC'11) is a bijective keyed permutation of a 256-bit
 // counter. Unlike the sequential xoshiro engine in random.hpp, the block at
 // counter k is a pure function of (key, k), which gives two properties the
-// stream-plan machinery (rng/stream_plan.hpp) wants:
+// counter seed derivation (rng::audited_counter_seed, stream_audit.hpp)
+// wants:
 //
 //  * O(1) random access: the block at any counter costs one block
 //    encryption, not k advances, so per-index stream seeds need no

@@ -6,16 +6,18 @@
 // derived seed would silently correlate measurements that the statistics
 // assume independent — exactly the bug class the PR 2 mix64-tempering fix
 // closed for scaling sweeps. This audit makes that failure loud: when
-// enabled, the harnesses route every derivation through
-// audited_stream_seed(), which records the triple -> seed mapping in a
-// process-wide table and throws std::logic_error the moment two distinct
-// triples collide on one derived seed.
+// enabled, every derivation goes through one of the two audited functions
+// below — audited_stream_seed() (the replication harnesses) or
+// audited_counter_seed() (the QueryEngine's per-query streams) — which
+// record the triple -> seed mapping in a process-wide table and throw
+// std::logic_error the moment two distinct triples collide on one derived
+// seed.
 //
 // Enabling: set the environment variable SFS_RNG_AUDIT to a non-empty
 // value other than "0" before the first derivation, or call
 // StreamAudit::instance().set_enabled(true) programmatically (tests do).
-// Disabled (the default), audited_stream_seed() costs one relaxed atomic
-// load over plain derive_stream_seed. The table grows by one entry per
+// Disabled (the default), each audited function costs one relaxed atomic
+// load over its plain derivation. The table grows by one entry per
 // distinct derivation, so the audit is a debug mode, not a production
 // default.
 //
@@ -88,5 +90,13 @@ class StreamAudit {
 [[nodiscard]] std::uint64_t audited_stream_seed(std::uint64_t experiment_seed,
                                                 std::uint64_t stream,
                                                 std::uint64_t rep);
+
+/// Word 0 of the Philox4x64 block at counter `index` under key
+/// (seed, stream) (rng/philox.hpp), recorded like audited_stream_seed.
+/// Any index costs one block encryption and no state, so the QueryEngine
+/// derives one per query without deriving its predecessors.
+[[nodiscard]] std::uint64_t audited_counter_seed(std::uint64_t seed,
+                                                 std::uint64_t stream,
+                                                 std::uint64_t index);
 
 }  // namespace sfs::rng

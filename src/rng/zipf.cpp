@@ -11,7 +11,8 @@ BoundedZipf::BoundedZipf(std::uint32_t d_min, std::uint32_t d_max,
     : d_min_(d_min), d_max_(d_max), exponent_(exponent) {
   SFS_REQUIRE(d_min >= 1, "power-law support must start at >= 1");
   SFS_REQUIRE(d_min <= d_max, "d_min must not exceed d_max");
-  SFS_REQUIRE(exponent > 0.0, "power-law exponent must be positive");
+  SFS_REQUIRE(std::isfinite(exponent) && exponent > 0.0,
+              "power-law exponent must be finite and positive");
   std::vector<double> weights;
   weights.reserve(d_max - d_min + 1);
   double total = 0.0;
@@ -37,7 +38,8 @@ std::uint32_t BoundedZipf::sample(Rng& rng) const {
 }
 
 std::uint32_t natural_cutoff(std::size_t n, double exponent) {
-  SFS_REQUIRE(exponent > 1.0, "natural cutoff needs exponent > 1");
+  SFS_REQUIRE(std::isfinite(exponent) && exponent > 1.0,
+              "natural cutoff needs a finite exponent > 1");
   const double cut =
       std::pow(static_cast<double>(n), 1.0 / (exponent - 1.0));
   return static_cast<std::uint32_t>(std::max(1.0, std::floor(cut)));

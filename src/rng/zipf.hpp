@@ -18,7 +18,7 @@ namespace sfs::rng {
 /// support is at most d_max - d_min + 1 values, typically O(sqrt n)).
 class BoundedZipf {
  public:
-  /// Requires 1 <= d_min <= d_max and exponent > 0.
+  /// Requires 1 <= d_min <= d_max and a finite exponent > 0.
   BoundedZipf(std::uint32_t d_min, std::uint32_t d_max, double exponent);
 
   [[nodiscard]] std::uint32_t d_min() const noexcept { return d_min_; }
@@ -42,8 +42,8 @@ class BoundedZipf {
   AliasTable table_;
 };
 
-/// Natural degree cutoff n^{1/(k-1)} used for power-law graphs with
-/// exponent k (keeps the configuration model close to simple).
+/// Natural degree cutoff n^{1/(k-1)} used for power-law graphs with a
+/// finite exponent k > 1 (keeps the configuration model close to simple).
 [[nodiscard]] std::uint32_t natural_cutoff(std::size_t n, double exponent);
 
 }  // namespace sfs::rng

@@ -5,7 +5,7 @@
 #include "base/check.hpp"
 #include "base/parallel.hpp"
 #include "graph/overlay.hpp"
-#include "rng/stream_plan.hpp"
+#include "rng/stream_audit.hpp"
 #include "search/local_view.hpp"
 
 namespace sfs::search {
@@ -34,10 +34,10 @@ struct QueryEngine::Session {
 };
 
 void QueryEngine::bind_policy(std::string_view policy) {
-  spec_ = PolicyRegistry::instance().find(policy);
+  spec_ = find_policy(policy);
   SFS_REQUIRE(spec_ != nullptr,
               "QueryEngine: unknown policy '" + std::string(policy) +
-                  "' (see sfsearch_cli policies for the registry)");
+                  "' (sfsearch_cli policies lists them)");
 }
 
 QueryEngine::QueryEngine(const graph::Graph& g, std::string_view policy,
@@ -53,12 +53,6 @@ QueryEngine::QueryEngine(const graph::Overlay& overlay,
 }
 
 QueryEngine::~QueryEngine() = default;
-
-std::uint64_t QueryEngine::query_stream_seed(std::uint64_t index) const {
-  return rng::StreamPlan(options_.seed, kQueryStream,
-                         rng::StreamPlanVersion::kCounter)
-      .stream_seed(index);
-}
 
 void QueryEngine::ensure_sessions(std::size_t workers) {
   while (sessions_.size() < workers) {
@@ -122,14 +116,14 @@ void QueryEngine::run_batch(std::span<const Query> queries,
                                          overlay_->edge_alive_mask()}
                           : LivenessView{};
   const bool weak = spec_->model == KnowledgeModel::kWeak;
-  // One task per query. Streams depend only on (seed, plan, batch index):
+  // One task per query. Streams depend only on (seed, batch index):
   // identical results for any thread count, and replayable for a fixed
   // batch.
   base::parallel_for(queries.size(), threads, [&](std::size_t i,
                                                   std::size_t worker) {
     Session& session = *sessions_[worker];
     const Query& q = queries[i];
-    rng::Rng rng(query_stream_seed(i));
+    rng::Rng rng(rng::audited_counter_seed(options_.seed, kQueryStream, i));
     results[i] =
         weak ? run_weak(*graph_, q.start, q.target, *session.weak, rng,
                         options_.budget, session.workspace, liveness,

@@ -9,15 +9,15 @@
 // it without re-paying graph construction and workspace setup per query.
 //
 // A QueryEngine owns the per-session state for that regime: it binds to
-// one graph and one registered policy (search/policy.hpp), keeps one
+// one graph and one policy of the table (search/policy.hpp), keeps one
 // searcher instance + SearchWorkspace per worker, and
 // runs query batches with deterministic per-query RNG streams:
 //
 //   query i of a batch draws its randomness from
-//   StreamPlan(options.seed, kQueryStream, kCounter).stream_seed(i)
+//   audited_counter_seed(options.seed, kQueryStream, i)
 //
-// (rng/stream_plan.hpp: the v2 plan, one Philox block per query, with no
-// per-query derivation state). So a batch is a pure function of (graph,
+// (rng/stream_audit.hpp: one Philox block per query, with no per-query
+// derivation state). So a batch is a pure function of (graph,
 // policy, options.seed, queries) —
 // bit-identical for any thread count, including sequential, and replayable
 // (re-running the same batch reproduces it — the property the
@@ -28,7 +28,7 @@
 // batches as if they were independent samples; give each logical batch
 // its own engine seed (or one big batch) when independence matters.
 // Derivations go through the audited wrapper, so a batch run under
-// SFS_RNG_AUDIT=1 verifies its stream plan (rng/stream_audit.hpp).
+// SFS_RNG_AUDIT=1 verifies its streams (rng/stream_audit.hpp).
 //
 // Overlay binding (dynamic graphs): an engine constructed over a
 // graph::Overlay serves departure-tolerant queries against the overlay's
@@ -92,7 +92,7 @@ struct QueryEngineOptions {
 
 class QueryEngine {
  public:
-  /// Binds to `g` and the registered policy named `policy` (any model;
+  /// Binds to `g` and the policy named `policy` (any model;
   /// the model is read off the policy's spec). Throws
   /// std::invalid_argument on an unknown policy name. The graph must
   /// outlive the engine.
@@ -153,7 +153,6 @@ class QueryEngine {
   struct Session;
   void ensure_sessions(std::size_t workers);
   void bind_policy(std::string_view policy);
-  [[nodiscard]] std::uint64_t query_stream_seed(std::uint64_t index) const;
 
   const graph::Graph* graph_;
   const graph::Overlay* overlay_ = nullptr;  // null for static engines

@@ -1,10 +1,12 @@
 #include "search/runner.hpp"
 
+#include <type_traits>
+
 namespace sfs::search {
 
 namespace {
 
-// The probe, the only model-dependent call of the search loop.
+// The probe: the request of either model.
 graph::VertexId probe(LocalView& view, const WeakRequest& request) {
   return view.request_edge(request);
 }
@@ -13,16 +15,18 @@ std::span<const graph::VertexId> probe(LocalView& view, graph::VertexId u) {
   return view.request_vertex_span(u);
 }
 
-// The one search loop in the tree. It serves both models: the only call
-// that depends on the model is the probe above. It also serves both
-// static and liveness-masked runs: the failure branch keys off
-// view.failed_requests(), which never moves without a liveness mask, so a
-// static run takes the exact pre-churn path (same calls, same RNG
-// draws) — bit-identity by construction, not by testing.
+// The one search loop in the tree. It serves both models: the calls
+// that depend on the model are the probe above and observe, which only a
+// weak searcher gets (a strong one reads its answers off the view's
+// known_vertices()). It also serves both static and liveness-masked
+// runs: the failure branch keys off view.failed_requests(), which never
+// moves without a liveness mask, so a static run takes the exact
+// pre-churn path (same calls, same RNG draws) — bit-identity by
+// construction, not by testing.
 //
 // The branch order per iteration (target check, budgets, one policy
-// decision, one probe, failure/restart/abandon, observe) fixes the calls
-// and RNG draws a search makes; reordering it changes results.
+// decision, one probe, failure/restart/abandon, weak observe) fixes the
+// calls and RNG draws a search makes; reordering it changes results.
 template <typename Searcher>
 SearchResult drive(LocalView& view, Searcher& searcher, rng::Rng& rng,
                    const RunBudget& budget, const RetryBudget& retry) {
@@ -41,7 +45,7 @@ SearchResult drive(LocalView& view, Searcher& searcher, rng::Rng& rng,
       break;
     }
     const std::size_t failures_before = view.failed_requests();
-    const auto answer = probe(view, *req);
+    [[maybe_unused]] const auto answer = probe(view, *req);
     if (view.failed_requests() != failures_before) {
       // Stranded probe: the policy never observes it (the view already
       // marked the link or peer dead). Too many in a row -> restart the
@@ -58,7 +62,9 @@ SearchResult drive(LocalView& view, Searcher& searcher, rng::Rng& rng,
       continue;
     }
     consecutive_failures = 0;
-    searcher.observe(view, *req, answer);
+    if constexpr (std::is_same_v<Searcher, WeakSearcher>) {
+      searcher.observe(view, *req, answer);
+    }
   }
   r.found = view.target_found();
   r.requests = view.requests();

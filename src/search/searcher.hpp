@@ -2,8 +2,11 @@
 //
 // A searcher is a (possibly randomized) policy that, given the current
 // LocalView, proposes the next request. The runner (runner.hpp) applies the
-// request, informs the searcher of the answer, and repeats until the target
-// is found, the searcher gives up, or a budget is hit.
+// request, informs a weak searcher of the answer, and repeats until the
+// target is found, the searcher gives up, or a budget is hit. A strong
+// searcher needs no answer callback: a strong request reveals whole
+// neighbor lists, and the view's known_vertices() already lists every
+// vertex they disclosed, in discovery order.
 //
 // Searchers are single-search objects: construct (or reset) one per run.
 #pragma once
@@ -49,15 +52,10 @@ class StrongSearcher {
   virtual std::optional<graph::VertexId> next(const LocalView& view,
                                               rng::Rng& rng) = 0;
 
-  virtual void observe(const LocalView& view, graph::VertexId requested,
-                       std::span<const graph::VertexId> neighbors) = 0;
-
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-// Policy factories are registered as model-tagged PolicySpec entries in
-// the policy registry (search/policy.hpp), which replaced the raw
-// WeakSearcherFactory/StrongSearcherFactory function-pointer typedefs of
-// the v1 API.
+// Each policy's factory is a model-tagged PolicySpec entry of the policy
+// table (search/policy.hpp).
 
 }  // namespace sfs::search

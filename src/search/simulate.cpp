@@ -4,7 +4,6 @@
 
 namespace sfs::search {
 
-using graph::EdgeId;
 using graph::kNoVertex;
 using graph::VertexId;
 
@@ -15,58 +14,28 @@ StrongViaWeak::StrongViaWeak(std::unique_ptr<StrongSearcher> inner)
 
 void StrongViaWeak::start(const LocalView& view, rng::Rng& rng) {
   current_ = kNoVertex;
-  pending_.clear();
-  revealed_batch_.clear();
   strong_requests_ = 0;
   inner_->start(view, rng);
 }
 
-bool StrongViaWeak::refill(const LocalView& view, rng::Rng& rng) {
-  // Finish the previous simulated request first: report the (now complete)
-  // neighbor list to the inner policy, exactly as the strong model would.
-  if (current_ != kNoVertex) {
-    inner_->observe(view, current_,
-                    std::span<const VertexId>(revealed_batch_));
-    revealed_batch_.clear();
-    current_ = kNoVertex;
-  }
-  const auto want = inner_->next(view, rng);
-  if (!want) return false;
-  SFS_REQUIRE(view.is_known(*want),
-              "inner policy requested an unknown vertex");
-  ++strong_requests_;
-  current_ = *want;
-  pending_.clear();
-  for (const EdgeId e : view.incident(current_)) pending_.push_back(e);
-  return true;
-}
-
 std::optional<WeakRequest> StrongViaWeak::next(const LocalView& view,
                                                rng::Rng& rng) {
-  // Drop already-explored edges (free in the weak model anyway, but
-  // skipping them keeps the simulation's charged-request accounting tight).
   for (;;) {
-    while (!pending_.empty() &&
-           view.edge_explored(pending_.front())) {
-      const EdgeId e = pending_.front();
-      pending_.pop_front();
-      // The far endpoint is already known; record it for the inner
-      // policy's neighbor list without spending a request.
-      if (const auto far = view.far_endpoint(e, current_)) {
-        revealed_batch_.push_back(*far);
+    // The view's slot cursor skips explored edges (free in the weak model
+    // anyway, but skipping them keeps the simulation's charged-request
+    // accounting tight), and its slot rides along as the request's hint.
+    if (current_ != kNoVertex) {
+      if (const auto s = view.first_unexplored_slot(current_)) {
+        return WeakRequest{current_, view.incident(current_)[*s], *s};
       }
     }
-    if (!pending_.empty()) {
-      return WeakRequest{current_, pending_.front()};
-    }
-    if (!refill(view, rng)) return std::nullopt;
+    const auto want = inner_->next(view, rng);
+    if (!want) return std::nullopt;
+    SFS_REQUIRE(view.is_known(*want),
+                "inner policy requested an unknown vertex");
+    ++strong_requests_;
+    current_ = *want;
   }
-}
-
-void StrongViaWeak::observe(const LocalView&, const WeakRequest& request,
-                            VertexId revealed) {
-  if (!pending_.empty() && pending_.front() == request.e) pending_.pop_front();
-  revealed_batch_.push_back(revealed);
 }
 
 std::unique_ptr<WeakSearcher> make_simulated_degree_greedy() {

@@ -7,14 +7,17 @@
 //
 // StrongViaWeak wraps any StrongSearcher as a WeakSearcher implementing
 // exactly this reduction: when the inner policy asks for vertex u, the
-// wrapper replays (u, e) weak requests for every incident edge of u before
-// consulting the inner policy again. The property tests verify the two
+// wrapper replays (u, e) weak requests for every unexplored incident edge
+// of u, in incidence order, before consulting the inner policy again. The
+// inner policy needs no answer: in the weak model a vertex counts as
+// requested once every incident edge is explored (LocalView::
+// vertex_requested), and its neighbors are then known vertices, exactly
+// as after a strong request. The property tests verify the two
 // sides of the argument: the simulation discovers the same vertex set in
 // the same order, and its weak-request count is at most
 // max_degree × (strong requests).
 #pragma once
 
-#include <deque>
 #include <memory>
 
 #include "search/searcher.hpp"
@@ -28,8 +31,9 @@ class StrongViaWeak final : public WeakSearcher {
   void start(const LocalView& view, rng::Rng& rng) override;
   std::optional<WeakRequest> next(const LocalView& view,
                                   rng::Rng& rng) override;
-  void observe(const LocalView& view, const WeakRequest& request,
-               graph::VertexId revealed) override;
+  /// Nothing to record: the view holds what the request revealed.
+  void observe(const LocalView&, const WeakRequest&,
+               graph::VertexId) override {}
   [[nodiscard]] std::string name() const override {
     return "weak-sim(" + inner_->name() + ")";
   }
@@ -40,14 +44,8 @@ class StrongViaWeak final : public WeakSearcher {
   }
 
  private:
-  /// Pulls the next vertex from the inner policy and queues its incident
-  /// edges; returns false if the inner policy gave up.
-  bool refill(const LocalView& view, rng::Rng& rng);
-
   std::unique_ptr<StrongSearcher> inner_;
   graph::VertexId current_ = graph::kNoVertex;  // vertex being opened
-  std::deque<graph::EdgeId> pending_;           // its remaining edges
-  std::vector<graph::VertexId> revealed_batch_; // neighbors found so far
   std::size_t strong_requests_ = 0;
 };
 

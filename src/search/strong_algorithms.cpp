@@ -30,11 +30,6 @@ std::optional<VertexId> PriorityStrong::next(const LocalView& view,
   return std::nullopt;
 }
 
-void PriorityStrong::observe(const LocalView& view, VertexId,
-                             std::span<const VertexId>) {
-  sync(view);
-}
-
 std::unique_ptr<StrongSearcher> make_degree_greedy_strong() {
   return std::make_unique<PriorityStrong>(FrontierOrder::kDegree,
                                           "degree-greedy-strong");
@@ -62,9 +57,6 @@ std::optional<VertexId> BfsStrong::next(const LocalView& view, rng::Rng&) {
   return std::nullopt;
 }
 
-void BfsStrong::observe(const LocalView&, VertexId,
-                        std::span<const VertexId>) {}
-
 void RandomStrong::start(const LocalView& view, rng::Rng&) {
   pool_.clear();
   synced_upto_ = 0;
@@ -87,8 +79,5 @@ std::optional<VertexId> RandomStrong::next(const LocalView& view,
   }
   return std::nullopt;
 }
-
-void RandomStrong::observe(const LocalView&, VertexId,
-                           std::span<const VertexId>) {}
 
 }  // namespace sfs::search

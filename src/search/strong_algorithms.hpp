@@ -28,8 +28,6 @@ class PriorityStrong : public StrongSearcher {
   void start(const LocalView& view, rng::Rng& rng) override;
   std::optional<graph::VertexId> next(const LocalView& view,
                                       rng::Rng& rng) override;
-  void observe(const LocalView& view, graph::VertexId requested,
-               std::span<const graph::VertexId> neighbors) override;
   [[nodiscard]] std::string name() const override { return name_; }
 
  private:
@@ -52,8 +50,6 @@ class BfsStrong final : public StrongSearcher {
   void start(const LocalView& view, rng::Rng& rng) override;
   std::optional<graph::VertexId> next(const LocalView& view,
                                       rng::Rng& rng) override;
-  void observe(const LocalView& view, graph::VertexId requested,
-               std::span<const graph::VertexId> neighbors) override;
   [[nodiscard]] std::string name() const override { return "bfs-strong"; }
 
  private:
@@ -66,8 +62,6 @@ class RandomStrong final : public StrongSearcher {
   void start(const LocalView& view, rng::Rng& rng) override;
   std::optional<graph::VertexId> next(const LocalView& view,
                                       rng::Rng& rng) override;
-  void observe(const LocalView& view, graph::VertexId requested,
-               std::span<const graph::VertexId> neighbors) override;
   [[nodiscard]] std::string name() const override { return "random-strong"; }
 
  private:

@@ -8,7 +8,6 @@
 #include "base/parallel.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
-#include "rng/stream_plan.hpp"
 #include "search/local_view.hpp"
 #include "search/policy.hpp"
 
@@ -26,12 +25,6 @@ const PolicyCost& PortfolioCost::best_policy() const {
 }
 
 namespace {
-
-// Stream-plan version of every per-replication stream: the frozen v1 mix
-// chain, because every committed sweep artifact (e1/e2 pinned-seed
-// goldens, checkpoint meta rows, test_sweep_compat) was produced under it
-// and must replay bit for bit.
-constexpr rng::StreamPlanVersion kStreamPlan = rng::StreamPlanVersion::kLegacy;
 
 // PortfolioCost::best's ordering, shared by the fold over replications and
 // the per-replication ceiling, so both apply one rule. A candidate beats
@@ -108,14 +101,15 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
     // across experiments whose seeds differ by a small XOR delta — the
     // stream audit caught exactly that in-tree: seeds 17 and 29 (delta
     // 0x0c) shared policy streams 0x5ea7c4+4 and 0x5ea7c4+0.
-    // Derivations go through the versioned, audited stream plan
-    // (rng/stream_plan.hpp) at kStreamPlan, so a sweep run under
-    // SFS_RNG_AUDIT=1 fails fast on stream collisions (rng/stream_audit).
-    rng::Rng graph_rng(rng::StreamPlan(seed, 0, kStreamPlan).stream_seed(rep));
+    // Derivations use the derive_stream_seed mix chain, which every
+    // committed sweep artifact (the e1/e2 pinned-seed goldens, checkpoint
+    // meta rows, test_sweep_compat) was produced under, through the
+    // audited wrapper, so a sweep run under SFS_RNG_AUDIT=1 fails fast on
+    // stream collisions (rng/stream_audit).
+    rng::Rng graph_rng(rng::audited_stream_seed(seed, 0, rep));
     const graph::Graph& g = make_graph(graph_rng, st);
     rng::Rng endpoint_rng(
-        rng::StreamPlan(seed, rng::mix64(0xabcdef), kStreamPlan)
-            .stream_seed(rep));
+        rng::audited_stream_seed(seed, rng::mix64(0xabcdef), rep));
     const auto [start, target] = endpoints(g, endpoint_rng);
 
     // Min-path ceiling. With one replication a policy's mean is its single
@@ -131,8 +125,7 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
     row.resize(num_policies);
     for (std::size_t i = 0; i < num_policies; ++i) {
       rng::Rng search_rng(
-          rng::StreamPlan(seed, rng::mix64(0x5ea7c4 + i), kStreamPlan)
-              .stream_seed(rep));
+          rng::audited_stream_seed(seed, rng::mix64(0x5ea7c4 + i), rep));
       search::RunBudget capped = budget;
       if (reps == 1 && lead.full) {
         capped.max_requests = std::min(capped.max_requests,
@@ -272,9 +265,8 @@ PortfolioCost measure_portfolio(const RunPlan& plan) {
   const bool scratch = static_cast<bool>(plan.scratch_factory);
   SFS_REQUIRE(plain != scratch,
               "RunPlan: set exactly one of factory / scratch_factory");
-  // Throws std::invalid_argument on unknown names, wrong-model policies,
-  // duplicates, or a selection that matches nothing — an empty portfolio
-  // is a checked error, never a silent empty result.
+  // Throws std::invalid_argument on unknown names, wrong-model policies
+  // or duplicates.
   const auto specs = search::resolve_policies(plan.model, plan.policies);
   if (plan.model == search::KnowledgeModel::kWeak) {
     if (plain) {

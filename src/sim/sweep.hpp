@@ -1,10 +1,10 @@
-// Portfolio search-cost measurement: run a selected set of registered
-// search policies on freshly generated graphs and summarize the
+// Portfolio search-cost measurement: run a selected set of search
+// policies on freshly generated graphs and summarize the
 // charged-request cost per policy. The minimum over the portfolio is the
 // empirical stand-in for "any algorithm" in the lower-bound experiments.
 //
 // One RunPlan describes the whole measurement — knowledge model, policy
-// filter (names resolved against the policy registry, search/policy.hpp),
+// filter (names resolved against the policy table, search/policy.hpp),
 // graph factory variant, endpoint selector, replications, seed, budget and
 // thread fan-out — and one measure_portfolio(plan) runs it. Pinned-seed
 // goldens in tests/test_sweep_compat hold its outputs bit for bit.
@@ -75,8 +75,8 @@ struct PortfolioCost {
   /// missed it at least once; within the same success class, the lowest
   /// mean charged requests wins. Tie-break: on an exactly equal mean
   /// (and equal success class), the policy earliest in portfolio order —
-  /// i.e. the lowest index, which for a full portfolio is registration
-  /// order — is kept. With reps == 1 the later policies run under the
+  /// i.e. the lowest index, which for a full portfolio is table order —
+  /// is kept. With reps == 1 the later policies run under the
   /// min-path ceiling (see RunPlan::reps); `best` and its PolicyCost are
   /// exactly those of a run without it.
   std::size_t best = 0;
@@ -92,9 +92,9 @@ struct RunPlan {
   /// Knowledge model to run; every selected policy must be of this model.
   search::KnowledgeModel model = search::KnowledgeModel::kWeak;
 
-  /// Policy filter, resolved against the policy registry
+  /// Policy filter, resolved against the policy table
   /// (search/resolve_policies): empty = the model's full portfolio in
-  /// registration order; otherwise the named policies in the given order.
+  /// table order; otherwise the named policies in the given order.
   /// Unknown names, wrong-model policies and duplicates are checked
   /// errors. NOTE: each policy's RNG stream is tagged by its index in
   /// this selected portfolio, so a filtered run is paired (same graphs,

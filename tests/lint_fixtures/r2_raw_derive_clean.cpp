@@ -1,12 +1,10 @@
 // SFS_LINT_FIXTURE_PATH: bench/experiments/fixture_sweep_clean.cpp
-// Fixture: the sanctioned routes — audited_stream_seed and a versioned
-// StreamPlan. A derive_stream_seed mention in this comment is not a call.
+// Fixture: the sanctioned routes — audited_stream_seed and
+// audited_counter_seed. A derive_stream_seed mention in this comment is
+// not a call.
 #include "rng/stream_audit.hpp"
-#include "rng/stream_plan.hpp"
 
 std::uint64_t fixture(std::uint64_t seed, std::uint64_t rep) {
-  const sfs::rng::StreamPlan plan(seed, 0x9e37,
-                                  sfs::rng::StreamPlanVersion::kCounter);
   return sfs::rng::audited_stream_seed(seed, 0x1234, rep) ^
-         plan.stream_seed(rep);
+         sfs::rng::audited_counter_seed(seed, 0x9e37, rep);
 }

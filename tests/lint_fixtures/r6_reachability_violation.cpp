@@ -1,8 +1,8 @@
 // SFS_LINT_FIXTURE_PATH: bench/experiments/fixture_r6.cpp
 // Fixture: the registered run-fn hands its helper a home-brewed seed; the
-// helper constructs an Rng with no audited_stream_seed / StreamPlan /
-// stream_seed anywhere on the root -> draw path, so rng-reachability
-// fires at the construction (cross-TU call-graph rule, single-TU here).
+// helper constructs an Rng with no audited_{stream,counter}_seed or
+// stream_seed call on the root -> draw path, so rng-reachability fires at
+// the construction (cross-TU call-graph rule, single-TU here).
 #include "rng/random.hpp"
 #include "sim/experiment.hpp"
 

@@ -18,7 +18,6 @@ using sfs::graph::Graph;
 using sfs::graph::GraphBuilder;
 using sfs::graph::VertexId;
 using sfs::search::LivenessView;
-using sfs::search::PolicyRegistry;
 using sfs::search::RetryBudget;
 using sfs::search::RunBudget;
 using sfs::search::SearchResult;
@@ -57,12 +56,11 @@ TEST(TolerantRunner, EmptyMaskIsBitIdenticalToStaticRun) {
   RunBudget budget;
   budget.max_raw_requests = 15000;
   SearchWorkspace ws;
-  const auto& registry = PolicyRegistry::instance();
 
   for (const LivenessView liveness : {LivenessView{}, all_alive.view()}) {
     for (const char* name : {"random-walk", "bfs", "degree-greedy"}) {
-      auto s1 = registry.find(name)->make_weak();
-      auto s2 = registry.find(name)->make_weak();
+      auto s1 = sfs::search::find_policy(name)->make_weak();
+      auto s2 = sfs::search::find_policy(name)->make_weak();
       sfs::rng::Rng r1(0xBEEF), r2(0xBEEF);
       const SearchResult fixed = run_weak(g, 3, 200, *s1, r1, budget);
       const SearchResult masked = run_weak(g, 3, 200, *s2, r2, budget, ws,
@@ -71,8 +69,8 @@ TEST(TolerantRunner, EmptyMaskIsBitIdenticalToStaticRun) {
       EXPECT_EQ(masked.failed_requests, 0u);
     }
     for (const char* name : {"random-strong", "degree-greedy-strong"}) {
-      auto s1 = registry.find(name)->make_strong();
-      auto s2 = registry.find(name)->make_strong();
+      auto s1 = sfs::search::find_policy(name)->make_strong();
+      auto s2 = sfs::search::find_policy(name)->make_strong();
       sfs::rng::Rng r1(0xF00D), r2(0xF00D);
       const SearchResult fixed = run_strong(g, 3, 200, *s1, r1, budget);
       const SearchResult masked = run_strong(g, 3, 200, *s2, r2, budget, ws,
@@ -94,7 +92,7 @@ TEST(TolerantRunner, WeakSearchRestartsPastDeadLinksAndSucceeds) {
   Masks m(g);
   for (std::size_t e = 0; e < 5; ++e) m.e[e] = 0;
 
-  auto searcher = PolicyRegistry::instance().find("bfs")->make_weak();
+  auto searcher = sfs::search::find_policy("bfs")->make_weak();
   sfs::rng::Rng rng(1);
   SearchWorkspace ws;
   RetryBudget retry;
@@ -129,7 +127,7 @@ TEST(TolerantRunner, WeakFrontierPoliciesResumeFromKnownVerticesOnRestart) {
   SearchWorkspace ws;
   for (const char* name : {"bfs", "dfs", "degree-greedy", "min-id-greedy",
                            "max-id-greedy", "random-frontier"}) {
-    auto searcher = PolicyRegistry::instance().find(name)->make_weak();
+    auto searcher = sfs::search::find_policy(name)->make_weak();
     sfs::rng::Rng rng(4);
     const SearchResult r =
         run_weak(g, 0, 9, *searcher, rng, RunBudget{}, ws, m.view(), retry);
@@ -150,7 +148,7 @@ TEST(TolerantRunner, AbandonsWhenRetryBudgetRunsDry) {
   Masks m(g);
   for (std::size_t e = 0; e < 5; ++e) m.e[e] = 0;
 
-  auto searcher = PolicyRegistry::instance().find("bfs")->make_weak();
+  auto searcher = sfs::search::find_policy("bfs")->make_weak();
   sfs::rng::Rng rng(1);
   SearchWorkspace ws;
   RetryBudget retry;
@@ -179,7 +177,7 @@ TEST(TolerantRunner, StrongSearchSpendsProbesDiscoveringDepartures) {
   m.v[1] = 0;
   m.v[2] = 0;
 
-  auto searcher = PolicyRegistry::instance().find("bfs-strong")->make_strong();
+  auto searcher = sfs::search::find_policy("bfs-strong")->make_strong();
   sfs::rng::Rng rng(2);
   SearchWorkspace ws;
   const SearchResult r =
@@ -200,7 +198,7 @@ TEST(TolerantRunner, StrongSearchAbandonsUnreachableTarget) {
   Masks m(g);
   for (VertexId v = 1; v <= 4; ++v) m.v[v] = 0;
 
-  auto searcher = PolicyRegistry::instance().find("bfs-strong")->make_strong();
+  auto searcher = sfs::search::find_policy("bfs-strong")->make_strong();
   sfs::rng::Rng rng(3);
   SearchWorkspace ws;
   RetryBudget retry;

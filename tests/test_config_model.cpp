@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "gen/degree_sequence.hpp"
@@ -71,6 +72,14 @@ TEST(PowerLawSequence, Preconditions) {
   EXPECT_THROW((void)power_law_degree_sequence(
                    100, PowerLawSequenceParams{2.3, 5, 4}, rng),
                std::invalid_argument);
+  // An infinite exponent would pass "> 1" and give every vertex degree 1.
+  EXPECT_THROW(
+      (void)power_law_degree_sequence(
+          100,
+          PowerLawSequenceParams{std::numeric_limits<double>::infinity(), 1,
+                                 0},
+          rng),
+      std::invalid_argument);
 }
 
 TEST(ConfigurationModel, RealizesDegreesExactly) {

@@ -31,7 +31,6 @@ using sfs::graph::VertexId;
 using sfs::search::KnowledgeModel;
 using sfs::search::LivenessView;
 using sfs::search::LocalView;
-using sfs::search::PolicyRegistry;
 
 enum class Key { kDegree, kMinId, kMaxId };
 
@@ -117,13 +116,14 @@ struct Driven {
 };
 
 // Steps policy `p` through `view` until it gives up, disagrees with the
-// brute force, or makes limits.max_steps probes. A failed probe is not
-// observed, and a streak of failures past the limit restarts the policy on
-// the view's retained knowledge, as the runner does.
+// brute force, or makes limits.max_steps probes. A failed weak probe is
+// not observed, a strong policy is never told its answer, and a streak of
+// failures past the limit restarts the policy on the view's retained
+// knowledge, as the runner does.
 Driven drive(const Graph& g, LocalView& view, const Priority& p,
              const std::vector<VertexId>& ids, const DriveLimits& limits,
              const std::string& who) {
-  const auto& spec = *PolicyRegistry::instance().find(p.name);
+  const auto& spec = *sfs::search::find_policy(p.name);
   auto strong = p.model == KnowledgeModel::kStrong ? spec.make_strong()
                                                    : nullptr;
   auto weak = p.model == KnowledgeModel::kWeak ? spec.make_weak() : nullptr;
@@ -143,10 +143,7 @@ Driven drive(const Graph& g, LocalView& view, const Priority& p,
       EXPECT_EQ(got ? std::int64_t{*got} : -1, want)
           << who << " step " << d.steps;
       if (!got || *got != want) break;
-      const auto neighbors = view.request_vertex_span(*got);
-      if (view.failed_requests() == failed_before) {
-        strong->observe(view, *got, neighbors);
-      }
+      (void)view.request_vertex_span(*got);
     } else {
       const auto got = weak->next(view, rng);
       EXPECT_EQ(got ? std::int64_t{got->u} : -1, want)

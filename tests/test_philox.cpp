@@ -60,13 +60,14 @@ TEST(Philox, ZeroKeyZeroCounterIsNontrivial) {
 }
 
 TEST(Philox, StreamStabilityGolden) {
-  // Pins the exact output stream. Plan-v2 stream seeds are Philox outputs,
-  // so any change to the round function, constants, or counter layout is a
-  // reproducibility break and must show up as a loud test failure plus a
-  // stream-plan version bump — not as silently different experiments.
+  // Pins the exact output stream. The QueryEngine's per-query stream
+  // seeds are Philox outputs (rng::audited_counter_seed), so any change to
+  // the round function, constants, or counter layout is a reproducibility
+  // break and must show up as a loud test failure — not as silently
+  // different experiments.
   const Philox4x64 eng(0x1A26E1ULL, 0x5EEDULL);
   const auto expected = eng.block_at(0);
-  // The frozen values (captured at introduction; see stream_plan.hpp).
+  // The frozen values (captured at introduction).
   EXPECT_EQ(expected[0], 0x8AEF7428E459D836ULL);
   EXPECT_EQ(expected[1], 0xC1E0B030DEA98A0DULL);
   EXPECT_EQ(expected[2], 0xDFF2357C553830C0ULL);

@@ -15,7 +15,6 @@
 #include "graph/overlay.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
-#include "rng/stream_plan.hpp"
 
 namespace {
 
@@ -237,13 +236,12 @@ TEST(QueryEngineOverlay, MaskedBatchEqualsPerQueryRunner) {
     QueryEngine engine(overlay, policy, options);
     const auto results = engine.run_batch(queries, /*threads=*/4);
 
-    const sfs::rng::StreamPlan plan(options.seed, sfs::rng::mix64(0x10e57ULL),
-                                    sfs::rng::StreamPlanVersion::kCounter);
     const sfs::search::PolicySpec& spec = engine.policy();
     sfs::search::SearchWorkspace ws;
     bool any_failed = false;
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      sfs::rng::Rng rng(plan.stream_seed(i));
+      sfs::rng::Rng rng(sfs::rng::audited_counter_seed(
+          options.seed, sfs::rng::mix64(0x10e57ULL), i));
       const Query& q = queries[i];
       const SearchResult expected =
           spec.model == sfs::search::KnowledgeModel::kWeak

@@ -19,7 +19,7 @@ using sfs::rng::Rng;
 using sfs::search::run_strong;
 using sfs::search::SearchResult;
 
-// The full strong portfolio, in registration order.
+// The full strong portfolio, in table order.
 std::vector<std::unique_ptr<sfs::search::StrongSearcher>> strong_searchers() {
   return sfs::search::make_strong_searchers(sfs::search::resolve_policies(
       sfs::search::KnowledgeModel::kStrong, {}));

@@ -13,7 +13,7 @@
 #include "generator_families.hpp"
 #include "graph/builder.hpp"
 #include "rng/random.hpp"
-#include "rng/stream_plan.hpp"
+#include "rng/stream_audit.hpp"
 #include "search/policy.hpp"
 
 namespace {
@@ -206,10 +206,7 @@ TEST(MeasurePortfolio, SearchingRootIsCheaperThanNewest) {
 
 std::vector<SearchResult> full_runs(const RunPlan& plan, std::uint64_t rep) {
   const auto stream = [&](std::uint64_t tag) {
-    return sfs::rng::Rng(
-        sfs::rng::StreamPlan(plan.seed, tag,
-                             sfs::rng::StreamPlanVersion::kLegacy)
-            .stream_seed(rep));
+    return sfs::rng::Rng(sfs::rng::audited_stream_seed(plan.seed, tag, rep));
   };
   auto graph_rng = stream(0);
   const Graph g = plan.factory(graph_rng);

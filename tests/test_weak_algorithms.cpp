@@ -20,7 +20,7 @@ using sfs::search::run_weak;
 using sfs::search::RunBudget;
 using sfs::search::SearchResult;
 
-// The full weak portfolio, in registration order.
+// The full weak portfolio, in table order.
 std::vector<std::unique_ptr<sfs::search::WeakSearcher>> weak_searchers() {
   return sfs::search::make_weak_searchers(sfs::search::resolve_policies(
       sfs::search::KnowledgeModel::kWeak, {}));

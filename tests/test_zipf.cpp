@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace {
 
@@ -64,6 +65,8 @@ TEST(BoundedZipf, RejectsBadParams) {
   EXPECT_THROW(BoundedZipf(0, 5, 2.0), std::invalid_argument);
   EXPECT_THROW(BoundedZipf(5, 4, 2.0), std::invalid_argument);
   EXPECT_THROW(BoundedZipf(1, 5, 0.0), std::invalid_argument);
+  EXPECT_THROW(BoundedZipf(1, 5, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 TEST(NaturalCutoff, KnownValues) {
@@ -79,6 +82,10 @@ TEST(NaturalCutoff, MonotoneInN) {
 
 TEST(NaturalCutoff, RejectsFlatExponent) {
   EXPECT_THROW((void)natural_cutoff(100, 1.0), std::invalid_argument);
+  // An infinite exponent would pass "> 1" and give a cutoff of 1.
+  EXPECT_THROW(
+      (void)natural_cutoff(100, std::numeric_limits<double>::infinity()),
+      std::invalid_argument);
 }
 
 }  // namespace
