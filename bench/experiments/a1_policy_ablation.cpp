@@ -25,7 +25,7 @@ void ablate(ExperimentContext& ctx, const std::string& title,
             std::size_t reps) {
   const auto cost = sfs::sim::measure_portfolio({
       // --policies narrows the ablation to the named weak policies
-      // (default: the full registered weak portfolio).
+      // (default: the full weak portfolio of the policy table).
       .policies = ctx.options.policies,
       .factory = factory,
       .endpoints = endpoints,
@@ -104,7 +104,7 @@ const sfs::sim::ExperimentRegistrar reg_a1({
             {"--threads", "count", "0 (shared pool)",
              "portfolio fan-out worker count"},
             {"--policies", "name list", "full weak portfolio",
-             "weak policies to ablate (registry names)"},
+             "weak policies to ablate (policy table names)"},
         },
     .run = run_a1,
 });

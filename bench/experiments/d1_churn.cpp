@@ -328,7 +328,7 @@ const sfs::sim::ExperimentRegistrar reg_d1({
             {"--threads", "count", "0 (shared pool)",
              "worker count for query batches (results thread-invariant)"},
             {"--policies", "name list", "degree-greedy-strong,random-walk",
-             "registered policies to measure"},
+             "policy table names to measure"},
         },
     .run = run_d1,
 });

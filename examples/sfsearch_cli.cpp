@@ -1,8 +1,10 @@
 // sfsearch_cli — command-line driver over the library's file format.
 //
 //   sfsearch_cli generate <model> <n> <out.graph> [seed]
-//       model: mori[:p] | merged-mori[:p,m] | cf[:alpha] | ba[:m]
+//       model: mori[:p] | merged-mori[:p[,m]] | cf[:alpha] | ba[:m]
 //              | config[:k] | er[:avg-degree]
+//       an omitted parameter takes its default; an empty or surplus one
+//       is an error.
 //   sfsearch_cli stats <in.graph> [--json]
 //       structural report: degrees, components, distances, power-law fit,
 //       core decomposition, assortativity. --json emits one machine-
@@ -11,6 +13,7 @@
 //                [--policies a,b,c]
 //       runs the portfolio from <start> (1-based paper ids); --policies
 //       selects policies by name (default: the model's full portfolio).
+//       The model and --policies may each be given once.
 //   sfsearch_cli policies [--list|--json]
 //       prints the policy table (name, model, description); --json
 //       emits one JSON object per policy (sim/json), matching
@@ -20,8 +23,10 @@
 //
 // Exit status: 0 on success, 1 on usage error (including a malformed
 // number), 2 on runtime failure.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -71,15 +76,23 @@ struct ModelSpec {
   std::vector<std::string> tokens;  // params as written
 };
 
+/// The models `generate` builds, with the number of parameters each reads.
+struct ModelArity {
+  const char* name;
+  std::size_t params;
+};
+constexpr ModelArity kModels[] = {{"mori", 1}, {"merged-mori", 2}, {"cf", 1},
+                                  {"ba", 1},   {"config", 1},      {"er", 1}};
+
 /// Parses `arg` into `spec`; false with the offending token in `bad` when
-/// a parameter is not a number.
+/// a parameter is not a number (an empty `bad` is an empty parameter).
 bool parse_model(const std::string& arg, ModelSpec& spec, std::string& bad) {
   const auto colon = arg.find(':');
   spec.name = arg.substr(0, colon);
   if (colon != std::string::npos) {
     std::string rest = arg.substr(colon + 1);
     std::size_t pos = 0;
-    while (pos < rest.size()) {
+    while (pos <= rest.size()) {
       const auto comma = rest.find(',', pos);
       const std::string tok = rest.substr(pos, comma - pos);
       double value = 0.0;
@@ -115,11 +128,29 @@ bool count_param(const ModelSpec& spec, std::size_t i, std::size_t fallback,
 }
 
 int cmd_generate(const std::vector<std::string>& args) {
-  if (args.size() < 3) return usage();
+  if (args.size() < 3 || args.size() > 4) return usage();
   ModelSpec spec;
   std::string bad;
   if (!parse_model(args[0], spec, bad)) {
+    if (bad.empty()) {
+      std::cerr << "error: empty model parameter in '" << args[0] << "'\n";
+      return 1;
+    }
     return bad_number("model parameter", bad);
+  }
+  const auto* model =
+      std::find_if(std::begin(kModels), std::end(kModels),
+                   [&](const ModelArity& m) { return spec.name == m.name; });
+  if (model == std::end(kModels)) {
+    std::cerr << "unknown model: " << spec.name << "\n";
+    return 1;
+  }
+  if (spec.params.size() > model->params) {
+    std::cerr << "error: model " << spec.name << " takes at most "
+              << model->params << " parameter"
+              << (model->params == 1 ? "" : "s") << ", got "
+              << spec.params.size() << "\n";
+    return 1;
   }
   std::size_t n = 0;
   if (!sfs::sim::parse_size(args[1], n)) return bad_number("<n>", args[1]);
@@ -156,12 +187,9 @@ int cmd_generate(const std::vector<std::string>& args) {
     g = sfs::gen::power_law_configuration_graph(
         n, sfs::gen::PowerLawSequenceParams{param(spec, 0, 2.3), 1, 0},
         sfs::gen::ConfigModelOptions{false}, rng);
-  } else if (spec.name == "er") {
+  } else {  // er, the last of kModels
     const double avg = param(spec, 0, 4.0);
     g = sfs::gen::erdos_renyi_gnp(n, avg / static_cast<double>(n), rng);
-  } else {
-    std::cerr << "unknown model: " << spec.name << "\n";
-    return 1;
   }
   sfs::graph::save(out, g);
   std::cout << "wrote " << out << ": " << g.num_vertices() << " vertices, "
@@ -258,22 +286,32 @@ int cmd_search(const std::vector<std::string>& args) {
   if (!sfs::sim::parse_size(args[2], target_paper)) {
     return bad_number("<target>", args[2]);
   }
-  const Graph g = sfs::graph::load(args[0]);
-  std::string model_arg = "weak";
+  std::string model_arg;
   std::vector<std::string> policy_names;
   for (std::size_t i = 3; i < args.size(); ++i) {
     if (args[i] == "--policies") {
+      if (!policy_names.empty()) {
+        std::cerr << "error: flag --policies given more than once\n";
+        return 1;
+      }
       if (i + 1 >= args.size() ||
           !sfs::sim::parse_name_list(args[++i], policy_names)) {
         std::cerr << "--policies expects a comma-separated name list\n";
         return 1;
       }
     } else if (args[i] == "weak" || args[i] == "strong") {
+      if (!model_arg.empty()) {
+        std::cerr << "error: model given more than once ('" << model_arg
+                  << "', then '" << args[i] << "')\n";
+        return 1;
+      }
       model_arg = args[i];
     } else {
       return usage();
     }
   }
+  if (model_arg.empty()) model_arg = "weak";
+  const Graph g = sfs::graph::load(args[0]);
   if (start_paper < 1 || start_paper > g.num_vertices() || target_paper < 1 ||
       target_paper > g.num_vertices()) {
     std::cerr << "start/target must be paper ids in [1, n]\n";
@@ -329,7 +367,7 @@ int cmd_policies(const std::vector<std::string>& args) {
     }
     return 0;
   }
-  sfs::sim::Table t("registered search policies (" +
+  sfs::sim::Table t("search policy table (" +
                         std::to_string(specs.size()) + ")",
                     {"name", "model", "description"});
   for (const auto& spec : specs) {

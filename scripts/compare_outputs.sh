@@ -11,13 +11,16 @@
 #   * e1 and e2 with `--large --json` at SFS_THREADS=4;
 #   * quickstart, age_bias, navigability_study and p2p_lookup with their
 #     default arguments, and `sfsearch_cli policies` with and without
-#     `--json`.
-# For each run it compares the JSONL files (when the run writes one) and
-# the standard output with cmp, prints one line per run naming the stream
-# that differs, and exits 1 if any stream differs or any run fails. The
-# only timing-dependent console text, the `wall <x> s` footer of the e1/e2
-# grid modes, is masked before the comparison. The experiment list comes
-# from the change build.
+#     `--json`;
+#   * `sfsearch_cli generate merged-mori:0.5,2 5000 ../cli.graph 7`, then
+#     `stats`, `search ... 1 5000 weak` and `search ... 1 5000 strong` on
+#     that side's graph file.
+# For each run it compares the JSONL files (when the run writes one), the
+# graph files (when the run names one) and the standard output with cmp,
+# prints one line per run naming the stream that differs, and exits 1 if
+# any stream differs or any run fails. The only timing-dependent console
+# text, the `wall <x> s` footer of the e1/e2 grid modes, is masked before
+# the comparison. The experiment list comes from the change build.
 set -uo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -42,7 +45,11 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 # One run per entry: <tag> <threads> <program> [arguments...]. %JSON% in
-# the arguments stands for the run's JSONL file.
+# the arguments stands for the run's JSONL file. The sfsearch_cli runs
+# share one graph file per side, which the generate run writes; its path is
+# relative to the run's working directory, so the paths it prints read the
+# same on both sides.
+graph=../cli.graph
 runs=()
 while read -r name; do
   for threads in 1 4; do
@@ -56,7 +63,11 @@ for example in quickstart age_bias navigability_study p2p_lookup; do
   runs+=("$example 1 $example")
 done
 runs+=("sfsearch_cli_policies 1 sfsearch_cli policies"
-       "sfsearch_cli_policies_json 1 sfsearch_cli policies --json")
+       "sfsearch_cli_policies_json 1 sfsearch_cli policies --json"
+       "sfsearch_cli_generate 1 sfsearch_cli generate merged-mori:0.5,2 5000 $graph 7"
+       "sfsearch_cli_stats 1 sfsearch_cli stats $graph"
+       "sfsearch_cli_search_weak 1 sfsearch_cli search $graph 1 5000 weak"
+       "sfsearch_cli_search_strong 1 sfsearch_cli search $graph 1 5000 strong")
 
 failed=0
 for run in "${runs[@]}"; do
@@ -82,6 +93,10 @@ for run in "${runs[@]}"; do
      ! cmp -s "$out/parent/$tag.jsonl" "$out/change/$tag.jsonl"; then
     differs+=(JSONL)
   fi
+  if [[ $arg_text == *"$graph"* ]] &&
+     ! cmp -s "$out/parent/cli.graph" "$out/change/cli.graph"; then
+    differs+=(graph)
+  fi
   if ! cmp -s "$out/parent/$tag.out" "$out/change/$tag.out"; then
     differs+=(console)
   fi
@@ -93,6 +108,8 @@ for run in "${runs[@]}"; do
   for stream in "${differs[@]}"; do
     if [[ $stream == JSONL ]]; then
       cmp "$out/parent/$tag.jsonl" "$out/change/$tag.jsonl" || true
+    elif [[ $stream == graph ]]; then
+      cmp "$out/parent/cli.graph" "$out/change/cli.graph" || true
     else
       diff "$out/parent/$tag.out" "$out/change/$tag.out" | head -20
     fi
@@ -104,4 +121,4 @@ if [[ $failed -ne 0 ]]; then
   echo "compare_outputs: outputs differ or a run failed" >&2
   exit 1
 fi
-echo "compare_outputs: all ${#runs[@]} runs identical (JSONL and console)"
+echo "compare_outputs: all ${#runs[@]} runs identical (JSONL, graph and console)"

@@ -106,14 +106,6 @@ class Graph {
     return out_degree_[v];
   }
 
-  /// The endpoint of `e` opposite to `v`. For a self-loop returns `v`.
-  /// Requires that `v` is an endpoint of `e`.
-  [[nodiscard]] VertexId other_endpoint(EdgeId e, VertexId v) const {
-    const Edge& ed = edge(e);
-    SFS_REQUIRE(ed.tail == v || ed.head == v, "v is not an endpoint of e");
-    return ed.tail == v ? ed.head : ed.tail;
-  }
-
   /// True if some edge joins `u` and `v` in the unoriented graph
   /// (O(min(deg u, deg v))).
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const;

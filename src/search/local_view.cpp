@@ -8,7 +8,6 @@
 namespace sfs::search {
 
 using graph::EdgeId;
-using graph::kNoEdge;
 using graph::kNoVertex;
 using graph::VertexId;
 
@@ -59,20 +58,6 @@ void validate_view_args(const graph::Graph& g, VertexId start, VertexId target,
 }  // namespace
 
 LocalView::LocalView(const graph::Graph& g, KnowledgeModel model,
-                     VertexId start, VertexId target, LivenessView liveness)
-    : graph_(&g),
-      model_(model),
-      start_(start),
-      target_(target),
-      liveness_(liveness),
-      owned_(std::make_unique<SearchWorkspace>()),
-      ws_(owned_.get()) {
-  validate_view_args(g, start, target, liveness_);
-  ws_->begin_run(g.num_vertices(), g.num_edges());
-  make_known(start, kNoVertex);
-}
-
-LocalView::LocalView(const graph::Graph& g, KnowledgeModel model,
                      VertexId start, VertexId target,
                      SearchWorkspace& workspace, LivenessView liveness)
     : graph_(&g),
@@ -86,33 +71,24 @@ LocalView::LocalView(const graph::Graph& g, KnowledgeModel model,
   make_known(start, kNoVertex);
 }
 
-bool LocalView::edge_explored(EdgeId e) const {
-  SFS_REQUIRE(e < graph_->num_edges(), "edge out of range");
-  return explored(e);
-}
-
-std::optional<VertexId> LocalView::far_endpoint(EdgeId e, VertexId u) const {
-  SFS_REQUIRE(is_known(u), "far_endpoint from an unknown vertex");
-  const graph::Edge& ed = graph_->edge(e);
-  SFS_REQUIRE(ed.tail == u || ed.head == u, "edge not incident to u");
-  if (!explored(e)) return std::nullopt;
-  return graph_->other_endpoint(e, u);
-}
-
-VertexId LocalView::request_edge(VertexId u, EdgeId e) {
+VertexId LocalView::request_edge(const WeakRequest& r) {
   SFS_REQUIRE(model_ == KnowledgeModel::kWeak,
               "request_edge is a weak-model request");
-  SFS_REQUIRE(is_known(u), "requests must start from a discovered vertex");
-  const graph::Edge& ed = graph_->edge(e);
-  SFS_REQUIRE(ed.tail == u || ed.head == u, "edge not incident to u");
+  SFS_REQUIRE(is_known(r.u), "requests must start from a discovered vertex");
+  const auto inc = graph_->incident(r.u);
+  SFS_REQUIRE(r.slot < inc.size(), "request slot is past the degree of u");
 
   ++raw_requests_;
-  const VertexId v = ed.tail == u ? ed.head : ed.tail;
+  const EdgeId e = inc[r.slot];
+  // The far endpoint sits in the adjacency slot parallel to the incidence
+  // slot (a self-loop slot stores u itself).
+  const VertexId v = graph_->adjacent(r.u)[r.slot];
   if (!liveness_.edge_ok(e) || !liveness_.vertex_ok(v)) {
     // Dead link or departed far endpoint: the probe fails and reveals
-    // nothing. Mark the edge explored so first_unexplored() skips the
-    // known-dead link from now on. (The liveness check runs before the
-    // cache check so a repeated probe of a dead edge stays a failure.)
+    // nothing. Mark the edge explored so first_unexplored_slot() skips
+    // the known-dead link from now on. (The liveness check runs before
+    // the cache check so a repeated probe of a dead edge stays a
+    // failure.)
     ++failed_requests_;
     ws_->explored_stamp_[e] = ws_->epoch_;
     return kNoVertex;
@@ -120,33 +96,7 @@ VertexId LocalView::request_edge(VertexId u, EdgeId e) {
   if (!explored(e)) {
     ++requests_;
     ws_->explored_stamp_[e] = ws_->epoch_;
-    if (!known(v)) make_known(v, u);
-  }
-  return v;
-}
-
-VertexId LocalView::request_incident(VertexId u, std::uint32_t slot,
-                                     EdgeId e) {
-  SFS_REQUIRE(model_ == KnowledgeModel::kWeak,
-              "request_incident is a weak-model request");
-  SFS_REQUIRE(is_known(u), "requests must start from a discovered vertex");
-  const auto inc = graph_->incident(u);
-  SFS_REQUIRE(slot < inc.size() && inc[slot] == e,
-              "slot hint does not name edge e at u");
-
-  ++raw_requests_;
-  // The far endpoint sits in the adjacency slot parallel to the incidence
-  // slot (self-loop slots store u itself, matching other_endpoint).
-  const VertexId v = graph_->adjacent(u)[slot];
-  if (!liveness_.edge_ok(e) || !liveness_.vertex_ok(v)) {
-    ++failed_requests_;
-    ws_->explored_stamp_[e] = ws_->epoch_;
-    return kNoVertex;
-  }
-  if (!explored(e)) {
-    ++requests_;
-    ws_->explored_stamp_[e] = ws_->epoch_;
-    if (!known(v)) make_known(v, u);
+    if (!known(v)) make_known(v, r.u);
   }
   return v;
 }

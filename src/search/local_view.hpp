@@ -30,14 +30,13 @@
 //
 // Allocation model: all per-search state lives in a SearchWorkspace whose
 // arrays are epoch-stamped, so starting a new search over a same-size graph
-// is O(1) — no clearing, no reallocation. A LocalView either borrows a
-// caller-owned workspace (the Monte-Carlo replication engines reuse one per
-// worker thread across thousands of runs) or lazily owns a private one (the
-// convenient single-run path, identical behavior).
+// is O(1) — no clearing, no reallocation. A LocalView always borrows a
+// caller-owned workspace: the Monte-Carlo replication engines reuse one per
+// worker thread across thousands of runs, and a single run declares one
+// on the stack.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -53,26 +52,16 @@ enum class KnowledgeModel {
   kStrong,
 };
 
-/// A weak-model request: reveal the far endpoint of edge `e` from vertex
-/// `u`.
-///
-/// `slot` is an optional performance hint: the incidence-span index of `e`
-/// at `u` (incident(u)[slot] == e). Policies that picked the edge by
-/// indexing the span (walks, cursor scans) already hold the index; passing
-/// it lets the view resolve the far endpoint from the adjacency span it is
-/// streaming anyway instead of a random load into the edge array. Purely
-/// an optimization: accounting and results are bit-identical with or
-/// without the hint, and equality ignores it.
+/// A weak-model request (u, e): reveal the far endpoint of the edge e
+/// incident to the discovered vertex `u`. The searching process holds
+/// u's incident-edge list, so e is named by its position in that list:
+/// e = incident(u)[slot]. Policies that pick the edge by indexing the span
+/// (walks, cursor scans) already hold the slot, and the view resolves the
+/// far endpoint from the adjacency span it is streaming anyway instead of
+/// a random load into the edge array.
 struct WeakRequest {
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-
   graph::VertexId u = graph::kNoVertex;
-  graph::EdgeId e = graph::kNoEdge;
-  std::uint32_t slot = kNoSlot;
-
-  friend bool operator==(const WeakRequest& a, const WeakRequest& b) {
-    return a.u == b.u && a.e == b.e;  // slot is a hint, not identity
-  }
+  std::uint32_t slot = 0;
 };
 
 /// Liveness masks overlaying the searched snapshot (one byte per vertex /
@@ -146,17 +135,13 @@ class SearchWorkspace {
 
 class LocalView {
  public:
-  /// Starts a search over `g` from `start` for `target` with a private
-  /// workspace. The view holds a reference to `g`; the graph must outlive
-  /// the view. A non-default `liveness` makes the view departure-tolerant
-  /// (masks must match the graph's sizes; start and target must be alive).
-  LocalView(const graph::Graph& g, KnowledgeModel model, graph::VertexId start,
-            graph::VertexId target, LivenessView liveness = {});
-
-  /// Same, but reuses the caller's workspace (zero-allocation when the
-  /// workspace has already served a graph at least this large). The
-  /// workspace must outlive the view and must not be shared with another
-  /// live view.
+  /// Starts a search over `g` from `start` for `target` on the caller's
+  /// workspace (zero-allocation when the workspace has already served a
+  /// graph at least this large). The view holds references to `g` and
+  /// `workspace`; both must outlive the view, and the workspace must not
+  /// be shared with another live view. A non-default `liveness` makes the
+  /// view departure-tolerant (masks must match the graph's sizes; start
+  /// and target must be alive).
   LocalView(const graph::Graph& g, KnowledgeModel model, graph::VertexId start,
             graph::VertexId target, SearchWorkspace& workspace,
             LivenessView liveness = {});
@@ -164,9 +149,6 @@ class LocalView {
   [[nodiscard]] KnowledgeModel model() const noexcept { return model_; }
   [[nodiscard]] graph::VertexId start() const noexcept { return start_; }
   [[nodiscard]] graph::VertexId target() const noexcept { return target_; }
-  [[nodiscard]] const LivenessView& liveness() const noexcept {
-    return liveness_;
-  }
 
   /// Global vertex count. The paper's processes know the id range [1, n],
   /// so exposing n leaks nothing beyond the model.
@@ -199,53 +181,28 @@ class LocalView {
   [[nodiscard]] std::span<const graph::EdgeId> incident(
       graph::VertexId v) const;
 
-  /// Whether both endpoints of `e` have been revealed.
-  [[nodiscard]] bool edge_explored(graph::EdgeId e) const;
-
-  /// The far endpoint of `e` as seen from `u`, if already revealed.
-  [[nodiscard]] std::optional<graph::VertexId> far_endpoint(
-      graph::EdgeId e, graph::VertexId u) const;
-
-  /// First incident edge of known vertex `v` that is not yet explored, if
-  /// any. Amortized O(deg) over the whole search via a monotone cursor.
-  [[nodiscard]] std::optional<graph::EdgeId> first_unexplored(
-      graph::VertexId v) const;
-
-  /// Incidence-span index of first_unexplored(v), if any — the natural
-  /// `slot` hint for a WeakRequest built from the cursor scan.
+  /// Incidence-span index of the first incident edge of known vertex `v`
+  /// that is not yet explored, if any — the natural `slot` of a
+  /// WeakRequest built from the cursor scan. Amortized O(deg) over the
+  /// whole search via a monotone cursor.
   [[nodiscard]] std::optional<std::uint32_t> first_unexplored_slot(
       graph::VertexId v) const;
-
-  /// True if `v` (known) has at least one unexplored incident edge.
-  [[nodiscard]] bool has_unexplored(graph::VertexId v) const {
-    return first_unexplored(v).has_value();
-  }
 
   // ------------------------------------------------------------------
   // Requests.
   // ------------------------------------------------------------------
 
-  /// Weak-model request (u, e): requires model() == kWeak, `u` known and
-  /// `e` incident to `u`. Returns the identity of the far endpoint, which
-  /// becomes known. Charged once per edge.
+  /// Weak-model request (u, e) with e = incident(u)[r.slot]: requires
+  /// model() == kWeak, `u` known and r.slot < degree(u). Returns the
+  /// identity of the far endpoint, which becomes known. Charged once per
+  /// edge.
   ///
   /// Under a liveness mask the probe FAILS (returns kNoVertex, reveals
   /// nothing, counts toward failed_requests() but is never charged) when
   /// the edge is dead or its far endpoint has departed; the edge is marked
   /// explored so the searcher does not re-probe a known-dead link. Dead
   /// vertices are thus never known in the weak model.
-  graph::VertexId request_edge(graph::VertexId u, graph::EdgeId e);
-  graph::VertexId request_edge(const WeakRequest& r) {
-    return r.slot == WeakRequest::kNoSlot ? request_edge(r.u, r.e)
-                                          : request_incident(r.u, r.slot, r.e);
-  }
-
-  /// request_edge through a slot hint: `slot` indexes `u`'s incidence span
-  /// and must name `e` (incident(u)[slot] == e). Identical semantics and
-  /// accounting to request_edge(u, e); the far endpoint comes from the
-  /// adjacency span instead of the edge array.
-  graph::VertexId request_incident(graph::VertexId u, std::uint32_t slot,
-                                   graph::EdgeId e);
+  graph::VertexId request_edge(const WeakRequest& r);
 
   /// Strong-model request: requires model() == kStrong and `u` known (the
   /// start vertex is known from the outset). All neighbors of `u` become
@@ -315,7 +272,6 @@ class LocalView {
   graph::VertexId target_;
   LivenessView liveness_;
 
-  std::unique_ptr<SearchWorkspace> owned_;  // null when borrowing
   SearchWorkspace* ws_;
 
   std::size_t requests_ = 0;
@@ -350,7 +306,7 @@ inline std::span<const graph::EdgeId> LocalView::incident(
 
 inline std::optional<std::uint32_t> LocalView::first_unexplored_slot(
     graph::VertexId v) const {
-  SFS_REQUIRE(is_known(v), "first_unexplored of an unknown vertex");
+  SFS_REQUIRE(is_known(v), "first_unexplored_slot of an unknown vertex");
   const auto inc = graph_->incident(v);
   auto& cur = ws_->unexplored_cursor_[v];
   while (cur < inc.size() && explored(inc[cur])) {
@@ -370,14 +326,7 @@ inline bool LocalView::vertex_requested(graph::VertexId u) const {
   if (model_ == KnowledgeModel::kStrong) {
     return ws_->requested_stamp_[u] == ws_->epoch_;
   }
-  return known(u) && !first_unexplored(u).has_value();
-}
-
-inline std::optional<graph::EdgeId> LocalView::first_unexplored(
-    graph::VertexId v) const {
-  const auto s = first_unexplored_slot(v);
-  if (!s) return std::nullopt;
-  return graph_->incident(v)[*s];
+  return known(u) && !first_unexplored_slot(u).has_value();
 }
 
 }  // namespace sfs::search

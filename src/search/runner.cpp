@@ -82,14 +82,16 @@ SearchResult drive(LocalView& view, Searcher& searcher, rng::Rng& rng,
 SearchResult run_weak(const graph::Graph& g, graph::VertexId start,
                       graph::VertexId target, WeakSearcher& searcher,
                       rng::Rng& rng, const RunBudget& budget) {
-  LocalView view(g, KnowledgeModel::kWeak, start, target);
+  SearchWorkspace workspace;
+  LocalView view(g, KnowledgeModel::kWeak, start, target, workspace);
   return drive(view, searcher, rng, budget, RetryBudget{});
 }
 
 SearchResult run_strong(const graph::Graph& g, graph::VertexId start,
                         graph::VertexId target, StrongSearcher& searcher,
                         rng::Rng& rng, const RunBudget& budget) {
-  LocalView view(g, KnowledgeModel::kStrong, start, target);
+  SearchWorkspace workspace;
+  LocalView view(g, KnowledgeModel::kStrong, start, target, workspace);
   return drive(view, searcher, rng, budget, RetryBudget{});
 }
 

@@ -23,10 +23,10 @@ std::optional<WeakRequest> StrongViaWeak::next(const LocalView& view,
   for (;;) {
     // The view's slot cursor skips explored edges (free in the weak model
     // anyway, but skipping them keeps the simulation's charged-request
-    // accounting tight), and its slot rides along as the request's hint.
+    // accounting tight), and its slot addresses the request.
     if (current_ != kNoVertex) {
       if (const auto s = view.first_unexplored_slot(current_)) {
-        return WeakRequest{current_, view.incident(current_)[*s], *s};
+        return WeakRequest{current_, *s};
       }
     }
     const auto want = inner_->next(view, rng);

@@ -21,9 +21,9 @@ std::optional<WeakRequest> RandomWalkWeak::next(const LocalView& view,
                                                 rng::Rng& rng) {
   const auto inc = view.incident(current_);
   if (inc.empty()) return std::nullopt;  // isolated start: stuck
-  // The drawn index doubles as the slot hint.
+  // The drawn index is the request's slot.
   const auto slot = static_cast<std::uint32_t>(rng.uniform_index(inc.size()));
-  return WeakRequest{current_, inc[slot], slot};
+  return WeakRequest{current_, slot};
 }
 
 void RandomWalkWeak::observe(const LocalView&, const WeakRequest&,
@@ -40,26 +40,26 @@ std::optional<WeakRequest> NoBacktrackWalkWeak::next(const LocalView& view,
                                                      rng::Rng& rng) {
   const auto inc = view.incident(current_);
   if (inc.empty()) return std::nullopt;
-  if (inc.size() == 1) return WeakRequest{current_, inc[0], 0};
+  if (inc.size() == 1) return WeakRequest{current_, 0};
   // A self-loop fills two slots with one edge, so a vertex whose only edge
   // is a self-loop it arrived by has no other edge to choose: take it
   // again, without a draw, like the degree-1 case.
   if (inc.size() == 2 && inc[0] == arrival_edge_ && inc[1] == arrival_edge_) {
-    return WeakRequest{current_, inc[0], 0};
+    return WeakRequest{current_, 0};
   }
   // Choose uniformly among incident edges other than the arrival edge.
   std::uint32_t slot;
   do {
     slot = static_cast<std::uint32_t>(rng.uniform_index(inc.size()));
   } while (inc[slot] == arrival_edge_);
-  return WeakRequest{current_, inc[slot], slot};
+  return WeakRequest{current_, slot};
 }
 
-void NoBacktrackWalkWeak::observe(const LocalView&,
+void NoBacktrackWalkWeak::observe(const LocalView& view,
                                   const WeakRequest& request,
                                   VertexId revealed) {
   current_ = revealed;
-  arrival_edge_ = request.e;
+  arrival_edge_ = view.incident(request.u)[request.slot];
 }
 
 // ---------------------------------------------------------------- bfs/dfs
@@ -76,7 +76,7 @@ std::optional<WeakRequest> BfsWeak::next(const LocalView& view, rng::Rng&) {
   while (!queue_.empty()) {
     const VertexId v = queue_.front();
     if (const auto s = view.first_unexplored_slot(v)) {
-      return WeakRequest{v, view.incident(v)[*s], *s};
+      return WeakRequest{v, *s};
     }
     queue_.pop_front();
   }
@@ -99,7 +99,7 @@ std::optional<WeakRequest> DfsWeak::next(const LocalView& view, rng::Rng&) {
   while (!stack_.empty()) {
     const VertexId v = stack_.back();
     if (const auto s = view.first_unexplored_slot(v)) {
-      return WeakRequest{v, view.incident(v)[*s], *s};
+      return WeakRequest{v, *s};
     }
     stack_.pop_back();
   }
@@ -126,7 +126,7 @@ std::optional<WeakRequest> PriorityGreedyWeak::next(const LocalView& view,
   while (!frontier_.empty()) {
     const VertexId v = frontier_.top();
     if (const auto s = view.first_unexplored_slot(v)) {
-      return WeakRequest{v, view.incident(v)[*s], *s};
+      return WeakRequest{v, *s};
     }
     frontier_.pop();  // exhausted vertex
   }
@@ -164,13 +164,13 @@ void FrontierWalkWeak::start(const LocalView& view, rng::Rng&) {
 std::optional<WeakRequest> FrontierWalkWeak::next(const LocalView& view,
                                                   rng::Rng& rng) {
   if (const auto s = view.first_unexplored_slot(current_)) {
-    return WeakRequest{current_, view.incident(current_)[*s], *s};
+    return WeakRequest{current_, *s};
   }
   const auto inc = view.incident(current_);
   if (inc.empty()) return std::nullopt;
   // All incident edges explored: drift along one (free, raw-only request).
   const auto slot = static_cast<std::uint32_t>(rng.uniform_index(inc.size()));
-  return WeakRequest{current_, inc[slot], slot};
+  return WeakRequest{current_, slot};
 }
 
 void FrontierWalkWeak::observe(const LocalView&, const WeakRequest&,
@@ -190,7 +190,7 @@ std::optional<WeakRequest> RandomFrontierWeak::next(const LocalView& view,
         static_cast<std::size_t>(rng.uniform_index(frontier_.size()));
     const VertexId v = frontier_[idx];
     if (const auto s = view.first_unexplored_slot(v)) {
-      return WeakRequest{v, view.incident(v)[*s], *s};
+      return WeakRequest{v, *s};
     }
     // Exhausted: swap-remove and retry.
     frontier_[idx] = frontier_.back();

@@ -54,7 +54,7 @@ enum ExperimentCaps : unsigned {
                              // with one problem size; longer lists exit 2
   kCapPolicies = 1u << 8,  // --policies a,b,c: run only the named search
                            // policies (resolved against the policy
-                           // registry, search/policy.hpp)
+                           // table, search/policy.hpp)
 };
 
 /// Parsed shared-flag values for one run. Flags the user did not pass are
@@ -74,7 +74,7 @@ struct ExperimentOptions {
   /// --policies names (comma-separated on the command line; empty = the
   /// experiment's default portfolio). Experiments pass this as the
   /// RunPlan/QueryEngine policy filter; unknown names fail inside the run
-  /// with the registry's diagnostic.
+  /// with the policy table's diagnostic.
   std::vector<std::string> policies;
 };
 
@@ -229,7 +229,7 @@ struct CliRequest {
 /// Parses a comma-separated list of non-empty names ("rw,degree-greedy")
 /// into `out`; false (with `out` unspecified) on an empty string or an
 /// empty token. The --policies value parser, shared with sfsearch_cli.
-/// Membership in the policy registry is checked by the run itself
+/// Membership in the policy table is checked by the run itself
 /// (search/resolve_policies), not the CLI layer.
 [[nodiscard]] bool parse_name_list(const std::string& text,
                                    std::vector<std::string>& out);

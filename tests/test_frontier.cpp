@@ -4,9 +4,11 @@
 // probe, next() must name the vertex a brute-force scan picks by the order
 // rule, key descending and then id ascending, over the known vertices that
 // are not yet requested (strong model) or still have an unexplored edge
-// (weak model). Failed probes and restarts follow the runner's rules
-// (search/runner.hpp), so the masked runs check the order after a restart
-// too.
+// (weak model). In the weak model an edge is explored exactly when it has
+// been probed, so the brute force keeps its own record of the probed edges
+// instead of reading the view's stamps. Failed probes and restarts follow
+// the runner's rules (search/runner.hpp), so the masked runs check the
+// order after a restart too.
 #include "search/frontier.hpp"
 
 #include <gtest/gtest.h>
@@ -26,11 +28,11 @@ namespace {
 using sfs::graph::EdgeId;
 using sfs::graph::Graph;
 using sfs::graph::GraphBuilder;
-using sfs::graph::kNoEdge;
 using sfs::graph::VertexId;
 using sfs::search::KnowledgeModel;
 using sfs::search::LivenessView;
 using sfs::search::LocalView;
+using sfs::search::SearchWorkspace;
 
 enum class Key { kDegree, kMinId, kMaxId };
 
@@ -61,29 +63,36 @@ std::int64_t key_of(Key key, const Graph& g, VertexId v) {
   return 0;
 }
 
-// First incident edge of `v` the view has not explored, by a plain scan.
-EdgeId first_unexplored_edge(const Graph& g, const LocalView& view,
-                             VertexId v) {
-  for (const EdgeId e : g.incident(v)) {
-    if (!view.edge_explored(e)) return e;
+// Edge ids drive() has probed in the weak model, one flag per edge.
+using Probed = std::vector<bool>;
+
+// First incidence slot of `v` whose edge has not been probed, by a plain
+// scan, or -1 if there is none.
+std::int64_t first_unprobed_slot(const Graph& g, const Probed& probed,
+                                 VertexId v) {
+  const auto inc = g.incident(v);
+  for (std::size_t slot = 0; slot < inc.size(); ++slot) {
+    if (!probed[inc[slot]]) return static_cast<std::int64_t>(slot);
   }
-  return kNoEdge;
+  return -1;
 }
 
-bool candidate(const Graph& g, const LocalView& view, VertexId v) {
+bool candidate(const Graph& g, const LocalView& view, const Probed& probed,
+               VertexId v) {
   if (!view.is_known(v)) return false;
   if (view.model() == KnowledgeModel::kStrong) {
     return !view.vertex_requested(v);
   }
-  return first_unexplored_edge(g, view, v) != kNoEdge;
+  return first_unprobed_slot(g, probed, v) >= 0;
 }
 
 // The best candidate among `ids`, or -1 if there is none.
-std::int64_t brute_best(const Graph& g, const LocalView& view, Key key,
+std::int64_t brute_best(const Graph& g, const LocalView& view,
+                        const Probed& probed, Key key,
                         const std::vector<VertexId>& ids) {
   std::int64_t best = -1;
   for (const VertexId v : ids) {
-    if (!candidate(g, view, v)) continue;
+    if (!candidate(g, view, probed, v)) continue;
     const auto b = static_cast<VertexId>(best);
     if (best < 0 || key_of(key, g, v) > key_of(key, g, b) ||
         (key_of(key, g, v) == key_of(key, g, b) && v < b)) {
@@ -134,9 +143,10 @@ Driven drive(const Graph& g, LocalView& view, const Priority& p,
   };
   Driven d;
   std::size_t failures = 0;
+  Probed probed(g.num_edges(), false);
   start();
   for (; d.steps < limits.max_steps; ++d.steps) {
-    const std::int64_t want = brute_best(g, view, p.key, ids);
+    const std::int64_t want = brute_best(g, view, probed, p.key, ids);
     const std::size_t failed_before = view.failed_requests();
     if (strong) {
       const auto got = strong->next(view, rng);
@@ -149,8 +159,11 @@ Driven drive(const Graph& g, LocalView& view, const Priority& p,
       EXPECT_EQ(got ? std::int64_t{got->u} : -1, want)
           << who << " step " << d.steps;
       if (!got || got->u != want) break;
-      EXPECT_EQ(got->e, first_unexplored_edge(g, view, got->u))
+      const std::int64_t want_slot = first_unprobed_slot(g, probed, got->u);
+      EXPECT_EQ(std::int64_t{got->slot}, want_slot)
           << who << " step " << d.steps;
+      if (got->slot != want_slot) break;
+      probed[g.incident(got->u)[got->slot]] = true;
       const VertexId revealed = view.request_edge(*got);
       if (view.failed_requests() == failed_before) {
         weak->observe(view, *got, revealed);
@@ -173,6 +186,7 @@ std::string label(const std::string& graph, const Priority& p,
 }
 
 TEST(PriorityOrder, MatchesBruteForceOnEveryFamily) {
+  SearchWorkspace ws;
   std::size_t steps = 0;
   for (const auto& family : sfs::test::generator_families(200)) {
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
@@ -182,7 +196,7 @@ TEST(PriorityOrder, MatchesBruteForceOnEveryFamily) {
       const VertexId target = ids.back();
       for (const VertexId start : {ids.front(), ids[ids.size() / 2]}) {
         for (const auto& p : kPriorities) {
-          LocalView view(g, p.model, start, target);
+          LocalView view(g, p.model, start, target, ws);
           steps += drive(g, view, p, ids, {}, label(family.name, p, start))
                        .steps;
         }
@@ -249,13 +263,14 @@ TEST(PriorityOrder, MatchesBruteForceWithManyTiesAndHighIds) {
   ASSERT_GT(d1 & 0xFFFFu, d0 & 0xFFFFu);
   ASSERT_GT(d1 & 0xFFu, d0 & 0xFFu);
 
+  SearchWorkspace ws;
   std::size_t steps = 0;
   for (const auto& p : kPriorities) {
     // Opening h0 in the weak model takes 70,004 probes; the first 2,000
     // cover the h0 / h1 choice.
     DriveLimits limits;
     if (p.model == KnowledgeModel::kWeak) limits.max_steps = 2'000;
-    LocalView view(big.g, p.model, big.s, big.ids.front());
+    LocalView view(big.g, p.model, big.s, big.ids.front(), ws);
     steps += drive(big.g, view, p, big.ids, limits, label("ties", p, big.s))
                  .steps;
   }
@@ -263,7 +278,7 @@ TEST(PriorityOrder, MatchesBruteForceWithManyTiesAndHighIds) {
   const TieGraph small = tie_graph(0, 20);
   for (const auto& p : kPriorities) {
     for (const VertexId start : {small.s, small.ids.front()}) {
-      LocalView view(small.g, p.model, start, small.ids.back());
+      LocalView view(small.g, p.model, start, small.ids.back(), ws);
       const Driven d = drive(small.g, view, p, small.ids, {},
                              label("small ties", p, start));
       EXPECT_GE(d.steps, small.ids.size()) << p.name;
@@ -276,6 +291,7 @@ TEST(PriorityOrder, MatchesBruteForceWithManyTiesAndHighIds) {
 TEST(PriorityOrder, MatchesBruteForceAcrossMaskedRestarts) {
   // Departed vertices and dead links make probes fail; three failures in
   // a row restart the policy on what the view already knows.
+  SearchWorkspace ws;
   std::size_t strong_restarts = 0;
   for (const auto& family : sfs::test::generator_families(300)) {
     sfs::rng::Rng rng(5);
@@ -291,7 +307,7 @@ TEST(PriorityOrder, MatchesBruteForceAcrossMaskedRestarts) {
     for (EdgeId e = 0; e < g.num_edges(); e += 7) edge_alive[e] = 0;
     const LivenessView liveness{vertex_alive, edge_alive};
     for (const auto& p : kPriorities) {
-      LocalView view(g, p.model, start, target, liveness);
+      LocalView view(g, p.model, start, target, ws, liveness);
       const Driven d = drive(g, view, p, ids, {.max_consecutive_failures = 2},
                              label(family.name + " masked", p, start));
       if (p.model == KnowledgeModel::kStrong) strong_restarts += d.restarts;
@@ -313,9 +329,10 @@ TEST(PriorityOrder, WeakRestartReseedsFromEveryKnownVertex) {
   std::vector<std::uint8_t> edge_alive(g.num_edges(), 1);
   for (EdgeId e = 3; e <= 7; ++e) edge_alive[e] = 0;
   const auto ids = touched(g);
+  SearchWorkspace ws;
   for (const auto& p : kPriorities) {
     if (p.model != KnowledgeModel::kWeak) continue;
-    LocalView view(g, p.model, 0, 9, {vertex_alive, edge_alive});
+    LocalView view(g, p.model, 0, 9, ws, {vertex_alive, edge_alive});
     const Driven d = drive(g, view, p, ids, {.max_consecutive_failures = 2},
                            label("dead links", p, 0));
     EXPECT_EQ(d.restarts, 1u) << p.name;

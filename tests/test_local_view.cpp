@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -21,7 +22,8 @@ using sfs::search::LivenessView;
 using sfs::search::LocalView;
 using sfs::search::SearchWorkspace;
 
-// Path 0 - 1 - 2 - 3 (edges 0,1,2).
+// Path 0 - 1 - 2 - 3 (edges 0,1,2). Incidence slots follow edge order:
+// 0: [e0], 1: [e0, e1], 2: [e1, e2], 3: [e2].
 Graph path4() {
   GraphBuilder b(4);
   b.add_edge(0, 1);
@@ -32,7 +34,8 @@ Graph path4() {
 
 TEST(LocalViewWeak, StartIsKnownTargetIsNot) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 3);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
   EXPECT_TRUE(view.is_known(0));
   EXPECT_FALSE(view.is_known(1));
   EXPECT_FALSE(view.target_found());
@@ -43,15 +46,17 @@ TEST(LocalViewWeak, StartIsKnownTargetIsNot) {
 
 TEST(LocalViewWeak, TrivialSearchWhenStartIsTarget) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kWeak, 2, 2);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 2, 2, ws);
   EXPECT_TRUE(view.target_found());
   EXPECT_EQ(view.discovery_path().size(), 1u);
 }
 
 TEST(LocalViewWeak, RequestRevealsFarEndpoint) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 3);
-  const VertexId v = view.request_edge(0, 0);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
+  const VertexId v = view.request_edge({0, 0});
   EXPECT_EQ(v, 1u);
   EXPECT_TRUE(view.is_known(1));
   EXPECT_EQ(view.requests(), 1u);
@@ -60,37 +65,39 @@ TEST(LocalViewWeak, RequestRevealsFarEndpoint) {
 
 TEST(LocalViewWeak, UnknownVertexAccessRejected) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 3);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
   EXPECT_THROW((void)view.degree(1), std::invalid_argument);
   EXPECT_THROW((void)view.incident(2), std::invalid_argument);
-  EXPECT_THROW((void)view.request_edge(1, 1), std::invalid_argument);
-  EXPECT_THROW((void)view.first_unexplored(3), std::invalid_argument);
+  EXPECT_THROW((void)view.request_edge({1, 1}), std::invalid_argument);
+  EXPECT_THROW((void)view.first_unexplored_slot(3), std::invalid_argument);
 }
 
-TEST(LocalViewWeak, EdgeMustBeIncident) {
+TEST(LocalViewWeak, SlotAtOrPastDegreeRejected) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 3);
-  EXPECT_THROW((void)view.request_edge(0, 2), std::invalid_argument);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
+  EXPECT_THROW((void)view.request_edge({0, 1}), std::invalid_argument);
+  ASSERT_EQ(view.request_edge({0, 0}), 1u);
+  EXPECT_THROW((void)view.request_edge({1, 2}), std::invalid_argument);
+  EXPECT_THROW(
+      (void)view.request_edge({1, std::numeric_limits<std::uint32_t>::max()}),
+      std::invalid_argument);
+  // A rejected request is no probe: nothing counted, nothing revealed.
+  EXPECT_EQ(view.raw_requests(), 1u);
+  EXPECT_EQ(view.requests(), 1u);
+  EXPECT_FALSE(view.is_known(2));
 }
 
 TEST(LocalViewWeak, RepeatRequestsAreFree) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 3);
-  (void)view.request_edge(0, 0);
-  (void)view.request_edge(0, 0);
-  (void)view.request_edge(1, 0);  // same edge from the other side
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
+  (void)view.request_edge({0, 0});
+  (void)view.request_edge({0, 0});
+  (void)view.request_edge({1, 0});  // same edge from the other side
   EXPECT_EQ(view.requests(), 1u);
   EXPECT_EQ(view.raw_requests(), 3u);
-}
-
-TEST(LocalViewWeak, FarEndpointOnlyAfterExploration) {
-  const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 3);
-  EXPECT_FALSE(view.far_endpoint(0, 0).has_value());
-  (void)view.request_edge(0, 0);
-  ASSERT_TRUE(view.far_endpoint(0, 0).has_value());
-  EXPECT_EQ(*view.far_endpoint(0, 0), 1u);
-  EXPECT_EQ(*view.far_endpoint(0, 1), 0u);
 }
 
 TEST(LocalViewWeak, FirstUnexploredAdvances) {
@@ -98,31 +105,34 @@ TEST(LocalViewWeak, FirstUnexploredAdvances) {
   b.add_edge(0, 1);
   b.add_edge(0, 2);
   const Graph g = b.build();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 2);
-  ASSERT_TRUE(view.first_unexplored(0).has_value());
-  EXPECT_EQ(*view.first_unexplored(0), 0u);
-  (void)view.request_edge(0, 0);
-  EXPECT_EQ(*view.first_unexplored(0), 1u);
-  (void)view.request_edge(0, 1);
-  EXPECT_FALSE(view.first_unexplored(0).has_value());
-  EXPECT_FALSE(view.has_unexplored(0));
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 2, ws);
+  EXPECT_EQ(view.first_unexplored_slot(0), std::optional<std::uint32_t>(0));
+  (void)view.request_edge({0, 0});
+  EXPECT_EQ(view.first_unexplored_slot(0), std::optional<std::uint32_t>(1));
+  EXPECT_FALSE(view.vertex_requested(0));
+  (void)view.request_edge({0, 1});
+  EXPECT_FALSE(view.first_unexplored_slot(0).has_value());
+  EXPECT_TRUE(view.vertex_requested(0));
 }
 
 TEST(LocalViewWeak, TargetFoundOnReveal) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 2);
-  (void)view.request_edge(0, 0);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 2, ws);
+  (void)view.request_edge({0, 0});
   EXPECT_FALSE(view.target_found());
-  (void)view.request_edge(1, 1);
+  (void)view.request_edge({1, 1});
   EXPECT_TRUE(view.target_found());
 }
 
 TEST(LocalViewWeak, DiscoveryPathIsGraphPath) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 3);
-  (void)view.request_edge(0, 0);
-  (void)view.request_edge(1, 1);
-  (void)view.request_edge(2, 2);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
+  (void)view.request_edge({0, 0});
+  (void)view.request_edge({1, 1});
+  (void)view.request_edge({2, 1});
   ASSERT_TRUE(view.target_found());
   const auto path = view.discovery_path();
   ASSERT_EQ(path.size(), 4u);
@@ -135,13 +145,15 @@ TEST(LocalViewWeak, DiscoveryPathIsGraphPath) {
 
 TEST(LocalViewWeak, DiscoveryPathEmptyBeforeFound) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 3);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
   EXPECT_TRUE(view.discovery_path().empty());
 }
 
 TEST(LocalViewWeak, StrongRequestRejected) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 3);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
   EXPECT_THROW((void)view.request_vertex_span(0), std::invalid_argument);
 }
 
@@ -150,8 +162,9 @@ TEST(LocalViewWeak, SelfLoopReveal) {
   b.add_edge(0, 0);
   b.add_edge(0, 1);
   const Graph g = b.build();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 1);
-  EXPECT_EQ(view.request_edge(0, 0), 0u);  // loop reveals itself
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 1, ws);
+  EXPECT_EQ(view.request_edge({0, 0}), 0u);  // loop reveals itself
   EXPECT_EQ(view.requests(), 1u);
   EXPECT_FALSE(view.target_found());
 }
@@ -162,14 +175,15 @@ TEST(LocalViewWeak, DiscovererTracksFirstReveal) {
   b.add_edge(0, 2);
   b.add_edge(1, 2);
   const Graph g = b.build();
-  LocalView view(g, KnowledgeModel::kWeak, 0, 2);
-  (void)view.request_edge(0, 0);  // reveal 1 via 0
-  (void)view.request_edge(1, 2);  // reveal 2 via 1
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 2, ws);
+  (void)view.request_edge({0, 0});  // reveal 1 via 0
+  (void)view.request_edge({1, 1});  // reveal 2 via 1
   EXPECT_EQ(view.discoverer(1), 0u);
   EXPECT_EQ(view.discoverer(2), 1u);
   EXPECT_EQ(view.discoverer(0), kNoVertex);
   // Revealing 2 again via the direct edge must not change its discoverer.
-  (void)view.request_edge(0, 1);
+  (void)view.request_edge({0, 1});
   EXPECT_EQ(view.discoverer(2), 1u);
 }
 
@@ -177,7 +191,8 @@ TEST(LocalViewWeak, DiscovererTracksFirstReveal) {
 
 TEST(LocalViewStrong, RequestOpensAllEdges) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kStrong, 1, 3);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kStrong, 1, 3, ws);
   const auto neighbors = view.request_vertex_span(1);
   ASSERT_EQ(neighbors.size(), 2u);
   EXPECT_TRUE(view.is_known(0));
@@ -187,7 +202,8 @@ TEST(LocalViewStrong, RequestOpensAllEdges) {
 
 TEST(LocalViewStrong, ChainToTarget) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kStrong, 0, 3);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kStrong, 0, 3, ws);
   (void)view.request_vertex_span(0);
   EXPECT_FALSE(view.target_found());
   (void)view.request_vertex_span(1);
@@ -199,13 +215,15 @@ TEST(LocalViewStrong, ChainToTarget) {
 
 TEST(LocalViewStrong, UnknownVertexNotRequestable) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kStrong, 0, 3);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kStrong, 0, 3, ws);
   EXPECT_THROW((void)view.request_vertex_span(2), std::invalid_argument);
 }
 
 TEST(LocalViewStrong, RepeatRequestsFree) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kStrong, 0, 3);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kStrong, 0, 3, ws);
   (void)view.request_vertex_span(0);
   (void)view.request_vertex_span(0);
   EXPECT_EQ(view.requests(), 1u);
@@ -216,13 +234,15 @@ TEST(LocalViewStrong, RepeatRequestsFree) {
 
 TEST(LocalViewStrong, WeakRequestRejected) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kStrong, 0, 3);
-  EXPECT_THROW((void)view.request_edge(0, 0), std::invalid_argument);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kStrong, 0, 3, ws);
+  EXPECT_THROW((void)view.request_edge({0, 0}), std::invalid_argument);
 }
 
 TEST(LocalViewStrong, DiscoveryPathValid) {
   const Graph g = path4();
-  LocalView view(g, KnowledgeModel::kStrong, 0, 3);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kStrong, 0, 3, ws);
   (void)view.request_vertex_span(0);
   (void)view.request_vertex_span(1);
   (void)view.request_vertex_span(2);
@@ -238,22 +258,25 @@ TEST(LocalViewStrong, NeighborsIncludeMultiplicity) {
   b.add_edge(0, 1);
   b.add_edge(0, 1);
   const Graph g = b.build();
-  LocalView view(g, KnowledgeModel::kStrong, 0, 1);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kStrong, 0, 1, ws);
   const auto neighbors = view.request_vertex_span(0);
   EXPECT_EQ(neighbors.size(), 2u);
 }
 
 TEST(LocalView, NumVerticesExposed) {
   const Graph g = path4();
-  const LocalView view(g, KnowledgeModel::kWeak, 0, 3);
+  SearchWorkspace ws;
+  const LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
   EXPECT_EQ(view.num_vertices(), 4u);
 }
 
 TEST(LocalView, EndpointRangeChecked) {
   const Graph g = path4();
-  EXPECT_THROW(LocalView(g, KnowledgeModel::kWeak, 4, 0),
+  SearchWorkspace ws;
+  EXPECT_THROW(LocalView(g, KnowledgeModel::kWeak, 4, 0, ws),
                std::invalid_argument);
-  EXPECT_THROW(LocalView(g, KnowledgeModel::kWeak, 0, 7),
+  EXPECT_THROW(LocalView(g, KnowledgeModel::kWeak, 0, 7, ws),
                std::invalid_argument);
 }
 
@@ -270,7 +293,7 @@ TEST(SearchWorkspaceEpoch, WrapRezeroesStaleStamps) {
     // Run at epoch 1: reveal vertex 1 so known/explored stamps hold 1.
     LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
     ASSERT_EQ(ws.debug_epoch(), 1u);
-    (void)view.request_edge(0, 0);
+    (void)view.request_edge({0, 0});
     ASSERT_TRUE(view.is_known(1));
   }
   ws.debug_fast_forward_epoch(std::numeric_limits<std::uint32_t>::max());
@@ -280,11 +303,11 @@ TEST(SearchWorkspaceEpoch, WrapRezeroesStaleStamps) {
   LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
   EXPECT_EQ(ws.debug_epoch(), 1u);
   EXPECT_FALSE(view.is_known(1));
-  EXPECT_FALSE(view.edge_explored(0));
+  EXPECT_EQ(view.first_unexplored_slot(0), std::optional<std::uint32_t>(0));
   ASSERT_EQ(view.known_vertices().size(), 1u);
   EXPECT_EQ(view.known_vertices()[0], 0u);
   // And the post-wrap run behaves like any other.
-  EXPECT_EQ(view.request_edge(0, 0), 1u);
+  EXPECT_EQ(view.request_edge({0, 0}), 1u);
   EXPECT_TRUE(view.is_known(1));
   EXPECT_EQ(view.requests(), 1u);
 }
@@ -322,8 +345,9 @@ struct Masks {
 
 TEST(LocalViewLiveness, EmptyMaskMatchesStaticBehavior) {
   const Graph g = path4();
-  LocalView masked(g, KnowledgeModel::kWeak, 0, 3, LivenessView{});
-  EXPECT_EQ(masked.request_edge(0, 0), 1u);
+  SearchWorkspace ws;
+  LocalView masked(g, KnowledgeModel::kWeak, 0, 3, ws, LivenessView{});
+  EXPECT_EQ(masked.request_edge({0, 0}), 1u);
   EXPECT_EQ(masked.failed_requests(), 0u);
 }
 
@@ -331,17 +355,18 @@ TEST(LocalViewLiveness, WeakProbeOfDeadEdgeFails) {
   const Graph g = path4();
   Masks m(g);
   m.e[0] = 0;  // link 0-1 failed
-  LocalView view(g, KnowledgeModel::kWeak, 0, 3, m.view());
-  EXPECT_EQ(view.request_edge(0, 0), kNoVertex);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws, m.view());
+  EXPECT_EQ(view.request_edge({0, 0}), kNoVertex);
   EXPECT_FALSE(view.is_known(1));
   EXPECT_EQ(view.failed_requests(), 1u);
   EXPECT_EQ(view.raw_requests(), 1u);
   EXPECT_EQ(view.requests(), 0u);  // failures are never charged
   // The dead link is marked explored so policies stop offering it...
-  EXPECT_TRUE(view.edge_explored(0));
-  EXPECT_FALSE(view.has_unexplored(0));
+  EXPECT_FALSE(view.first_unexplored_slot(0).has_value());
+  EXPECT_TRUE(view.vertex_requested(0));
   // ...and re-probing it stays a failure, not a cached success.
-  EXPECT_EQ(view.request_edge(0, 0), kNoVertex);
+  EXPECT_EQ(view.request_edge({0, 0}), kNoVertex);
   EXPECT_EQ(view.failed_requests(), 2u);
   EXPECT_EQ(view.requests(), 0u);
 }
@@ -350,11 +375,12 @@ TEST(LocalViewLiveness, WeakProbeOfDepartedEndpointFails) {
   const Graph g = path4();
   Masks m(g);
   m.v[1] = 0;  // peer 1 departed; edge 0 itself still "up"
-  LocalView view(g, KnowledgeModel::kWeak, 0, 2, m.view());
-  EXPECT_EQ(view.request_edge(0, 0), kNoVertex);
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kWeak, 0, 2, ws, m.view());
+  EXPECT_EQ(view.request_edge({0, 0}), kNoVertex);
   EXPECT_FALSE(view.is_known(1));
   EXPECT_EQ(view.failed_requests(), 1u);
-  EXPECT_TRUE(view.edge_explored(0));
+  EXPECT_FALSE(view.first_unexplored_slot(0).has_value());
 }
 
 TEST(LocalViewLiveness, StrongRequestOfDepartedVertexFails) {
@@ -365,7 +391,8 @@ TEST(LocalViewLiveness, StrongRequestOfDepartedVertexFails) {
   const Graph g = b.build();
   Masks m(g);
   m.v[1] = 0;
-  LocalView view(g, KnowledgeModel::kStrong, 0, 3, m.view());
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kStrong, 0, 3, ws, m.view());
   // Opening 0 over live edges still lists departed neighbor 1: routing
   // tables are stale, identities leak before liveness does.
   (void)view.request_vertex_span(0);
@@ -386,7 +413,8 @@ TEST(LocalViewLiveness, StrongOpenSkipsDeadEdgeSlots) {
   const Graph g = b.build();
   Masks m(g);
   m.e[1] = 0;  // link 0-2 failed; vertex 2 alive but unreachable via it
-  LocalView view(g, KnowledgeModel::kStrong, 0, 2, m.view());
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kStrong, 0, 2, ws, m.view());
   (void)view.request_vertex_span(0);
   EXPECT_TRUE(view.is_known(1));
   EXPECT_FALSE(view.is_known(2));  // endpoint behind a dead link invisible
@@ -396,18 +424,19 @@ TEST(LocalViewLiveness, StrongOpenSkipsDeadEdgeSlots) {
 TEST(LocalViewLiveness, CtorRejectsDeadEndpointsAndBadMaskSizes) {
   const Graph g = path4();
   Masks m(g);
+  SearchWorkspace ws;
   m.v[0] = 0;
-  EXPECT_THROW(LocalView(g, KnowledgeModel::kWeak, 0, 3, m.view()),
+  EXPECT_THROW(LocalView(g, KnowledgeModel::kWeak, 0, 3, ws, m.view()),
                std::invalid_argument);
   m.v[0] = 1;
   m.v[3] = 0;
-  EXPECT_THROW(LocalView(g, KnowledgeModel::kWeak, 0, 3, m.view()),
+  EXPECT_THROW(LocalView(g, KnowledgeModel::kWeak, 0, 3, ws, m.view()),
                std::invalid_argument);
   const std::vector<std::uint8_t> short_mask(2, 1u);
-  EXPECT_THROW(LocalView(g, KnowledgeModel::kWeak, 0, 3,
+  EXPECT_THROW(LocalView(g, KnowledgeModel::kWeak, 0, 3, ws,
                          LivenessView{short_mask, {}}),
                std::invalid_argument);
-  EXPECT_THROW(LocalView(g, KnowledgeModel::kWeak, 0, 3,
+  EXPECT_THROW(LocalView(g, KnowledgeModel::kWeak, 0, 3, ws,
                          LivenessView{{}, short_mask}),
                std::invalid_argument);
 }

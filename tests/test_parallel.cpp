@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -302,14 +303,14 @@ TEST(SearchWorkspace, EpochResetClearsKnowledge) {
   SearchWorkspace ws;
   {
     LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
-    (void)view.request_edge(0, 0);
-    (void)view.request_edge(1, 1);
+    (void)view.request_edge({0, 0});
+    (void)view.request_edge({1, 1});
   }
   // Same workspace, new run: nothing from the previous run may leak.
   LocalView view(g, KnowledgeModel::kWeak, 0, 3, ws);
   EXPECT_TRUE(view.is_known(0));
   EXPECT_FALSE(view.is_known(1));
-  EXPECT_FALSE(view.edge_explored(0));
+  EXPECT_EQ(view.first_unexplored_slot(0), std::optional<std::uint32_t>(0));
   EXPECT_EQ(view.requests(), 0u);
   EXPECT_EQ(view.known_vertices().size(), 1u);
 
@@ -372,7 +373,10 @@ TEST(GraphAdjacent, AlignedWithIncidence) {
     const auto adj = g.adjacent(v);
     ASSERT_EQ(inc.size(), adj.size());
     for (std::size_t i = 0; i < inc.size(); ++i) {
-      EXPECT_EQ(adj[i], g.other_endpoint(inc[i], v))
+      const auto& ed = g.edge(inc[i]);
+      ASSERT_TRUE(ed.tail == v || ed.head == v)
+          << "vertex " << v << " slot " << i;
+      EXPECT_EQ(adj[i], ed.tail == v ? ed.head : ed.tail)
           << "vertex " << v << " slot " << i;
     }
   }
