@@ -86,27 +86,32 @@ int run_a1(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_a1({
-    .name = "a1",
-    .title = "Policy ablation: per-policy cost across models and targets",
-    .claim = "No policy escapes sqrt(n) for the newest target; policy "
-             "choice dominates for old targets",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSingleSize | sfs::sim::kCapReps |
-            sfs::sim::kCapSeed | sfs::sim::kCapThreads |
-            sfs::sim::kCapPolicies,
-    .params =
-        {
-            {"--n", "size", "8192 (quick: 2048)", "graph size"},
-            {"--reps", "count", "8 (quick: 2)",
-             "portfolio replications per configuration"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; one stream per configuration"},
-            {"--threads", "count", "0 (shared pool)",
-             "portfolio fan-out worker count"},
-            {"--policies", "name list", "full weak portfolio",
-             "weak policies to ablate (policy table names)"},
-        },
-    .run = run_a1,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec a1_spec() {
+  return {
+      .name = "a1",
+      .title = "Policy ablation: per-policy cost across models and targets",
+      .claim = "No policy escapes sqrt(n) for the newest target; policy "
+               "choice dominates for old targets",
+      .caps = sim::kCapSingleSize | sim::kCapReps | sim::kCapThreads |
+              sim::kCapPolicies,
+      .params =
+          {
+              {"--n", "size", "8192 (quick: 2048)", "graph size"},
+              {"--reps", "count", "8 (quick: 2)",
+               "portfolio replications per configuration"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; one stream per configuration"},
+              {"--threads", "count", "0 (shared pool)",
+               "portfolio fan-out worker count"},
+              {"--policies", "name list", "full weak portfolio",
+               "weak policies to ablate (policy table names)"},
+          },
+      .run = run_a1,
+  };
+}
+
+}  // namespace sfs::bench

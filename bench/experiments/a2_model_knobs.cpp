@@ -122,25 +122,30 @@ int run_a2(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_a2({
-    .name = "a2",
-    .title = "Generator-knob ablation: fitted exponents across p, m, pref",
-    .claim = "No generator knob (Mori p, merge factor, CF preference mode) "
-             "pulls the newest-target exponent below 0.5",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSizes | sfs::sim::kCapReps |
-            sfs::sim::kCapSeed | sfs::sim::kCapThreads,
-    .params =
-        {
-            {"--sizes", "size list", "1024..8192 (quick: 512..2048)",
-             "n grid of each exponent fit"},
-            {"--reps", "count", "5 (quick: 2)",
-             "replications per sweep point"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; one stream per knob row"},
-            {"--threads", "count", "0 (shared pool)",
-             "replication fan-out worker count"},
-        },
-    .run = run_a2,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec a2_spec() {
+  return {
+      .name = "a2",
+      .title = "Generator-knob ablation: fitted exponents across p, m, pref",
+      .claim = "No generator knob (Mori p, merge factor, CF preference mode) "
+               "pulls the newest-target exponent below 0.5",
+      .caps = sim::kCapSizes | sim::kCapReps | sim::kCapThreads,
+      .params =
+          {
+              {"--sizes", "size list", "1024..8192 (quick: 512..2048)",
+               "n grid of each exponent fit"},
+              {"--reps", "count", "5 (quick: 2)",
+               "replications per sweep point"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; one stream per knob row"},
+              {"--threads", "count", "0 (shared pool)",
+               "replication fan-out worker count"},
+          },
+      .run = run_a2,
+  };
+}
+
+}  // namespace sfs::bench

@@ -74,22 +74,27 @@ int run_a3(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_a3({
-    .name = "a3",
-    .title = "Strong-to-weak reduction overhead vs max-degree ceiling",
-    .claim = "Simulating strong requests weakly costs well under the "
-             "max-degree factor the proof charges",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSizes | sfs::sim::kCapReps |
-            sfs::sim::kCapSeed,
-    .params =
-        {
-            {"--sizes", "size list", "4096,16384 (quick: 1024,4096)",
-             "tree sizes n"},
-            {"--reps", "count", "5 (quick: 2)", "replications per cell"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; graph/search streams per cell"},
-        },
-    .run = run_a3,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec a3_spec() {
+  return {
+      .name = "a3",
+      .title = "Strong-to-weak reduction overhead vs max-degree ceiling",
+      .claim = "Simulating strong requests weakly costs well under the "
+               "max-degree factor the proof charges",
+      .caps = sim::kCapSizes | sim::kCapReps,
+      .params =
+          {
+              {"--sizes", "size list", "4096,16384 (quick: 1024,4096)",
+               "tree sizes n"},
+              {"--reps", "count", "5 (quick: 2)", "replications per cell"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; graph/search streams per cell"},
+          },
+      .run = run_a3,
+  };
+}
+
+}  // namespace sfs::bench

@@ -308,29 +308,34 @@ int run_d1(ExperimentContext& ctx) {
   return exit_code;
 }
 
-const sfs::sim::ExperimentRegistrar reg_d1({
-    .name = "d1_churn",
-    .title = "Churn: lookup cost/success degradation on dynamic overlays",
-    .claim = "Search cost and success rate degrade smoothly with steady-state "
-             "churn, and the rate-0 overlay reproduces static-graph costs "
-             "exactly",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSizes | sfs::sim::kCapReps |
-            sfs::sim::kCapSeed | sfs::sim::kCapThreads |
-            sfs::sim::kCapPolicies,
-    .params =
-        {
-            {"--sizes", "size list", "2000,4000,8000 (quick: 600,1200)",
-             "overlay sizes before largest-component extraction"},
-            {"--reps", "count", "200 (quick: 60)",
-             "lookups per round (per churn step)"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; graph/churn/query/session streams derive from it"},
-            {"--threads", "count", "0 (shared pool)",
-             "worker count for query batches (results thread-invariant)"},
-            {"--policies", "name list", "degree-greedy-strong,random-walk",
-             "policy table names to measure"},
-        },
-    .run = run_d1,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec d1_churn_spec() {
+  return {
+      .name = "d1_churn",
+      .title = "Churn: lookup cost/success degradation on dynamic overlays",
+      .claim = "Search cost and success rate degrade smoothly with "
+               "steady-state churn, and the rate-0 overlay reproduces "
+               "static-graph costs exactly",
+      .caps = sim::kCapSizes | sim::kCapReps | sim::kCapThreads |
+              sim::kCapPolicies,
+      .params =
+          {
+              {"--sizes", "size list", "2000,4000,8000 (quick: 600,1200)",
+               "overlay sizes before largest-component extraction"},
+              {"--reps", "count", "200 (quick: 60)",
+               "lookups per round (per churn step)"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; graph/churn/query/session streams derive from it"},
+              {"--threads", "count", "0 (shared pool)",
+               "worker count for query batches (results thread-invariant)"},
+              {"--policies", "name list", "degree-greedy-strong,random-walk",
+               "policy table names to measure"},
+          },
+      .run = run_d1,
+  };
+}
+
+}  // namespace sfs::bench

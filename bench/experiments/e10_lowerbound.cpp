@@ -100,25 +100,30 @@ int run_e10(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_e10({
-    .name = "e10",
-    .title = "Lemmas 1+2+3 end-to-end: bound vs measured cost",
-    .claim = "The equivalent-window machinery: measured best weak cost "
-             "dominates |V| P(E)/2, window positions exchangeable",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSizes | sfs::sim::kCapReps |
-            sfs::sim::kCapSeed | sfs::sim::kCapThreads,
-    .params =
-        {
-            {"--sizes", "size list", "1024,4096,16384 (quick: 1024,4096)",
-             "target sizes n for the bound-vs-cost table"},
-            {"--reps", "count", "8 (quick: 2)",
-             "portfolio replications per n"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; bound/cost/window streams derive from it"},
-            {"--threads", "count", "0 (shared pool)",
-             "portfolio fan-out worker count"},
-        },
-    .run = run_e10,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec e10_spec() {
+  return {
+      .name = "e10",
+      .title = "Lemmas 1+2+3 end-to-end: bound vs measured cost",
+      .claim = "The equivalent-window machinery: measured best weak cost "
+               "dominates |V| P(E)/2, window positions exchangeable",
+      .caps = sim::kCapSizes | sim::kCapReps | sim::kCapThreads,
+      .params =
+          {
+              {"--sizes", "size list", "1024,4096,16384 (quick: 1024,4096)",
+               "target sizes n for the bound-vs-cost table"},
+              {"--reps", "count", "8 (quick: 2)",
+               "portfolio replications per n"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; bound/cost/window streams derive from it"},
+              {"--threads", "count", "0 (shared pool)",
+               "portfolio fan-out worker count"},
+          },
+      .run = run_e10,
+  };
+}
+
+}  // namespace sfs::bench

@@ -83,23 +83,28 @@ int run_e11(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_e11({
-    .name = "e11",
-    .title = "Sarshar 2004: percolation search on power-law P2P graphs",
-    .claim = "Lookup success switches on past the percolation threshold at "
-             "sublinear message cost",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSingleSize | sfs::sim::kCapReps |
-            sfs::sim::kCapSeed,
-    .params =
-        {
-            {"--n", "size", "20000 (quick: 4000)",
-             "configuration-graph size before LCC extraction"},
-            {"--reps", "count", "150 (quick: 50)",
-             "lookups per (walk, q_e) cell"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; graph + per-cell lookup streams"},
-        },
-    .run = run_e11,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec e11_spec() {
+  return {
+      .name = "e11",
+      .title = "Sarshar 2004: percolation search on power-law P2P graphs",
+      .claim = "Lookup success switches on past the percolation threshold at "
+               "sublinear message cost",
+      .caps = sim::kCapSingleSize | sim::kCapReps,
+      .params =
+          {
+              {"--n", "size", "20000 (quick: 4000)",
+               "configuration-graph size before LCC extraction"},
+              {"--reps", "count", "150 (quick: 50)",
+               "lookups per (walk, q_e) cell"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; graph + per-cell lookup streams"},
+          },
+      .run = run_e11,
+  };
+}
+
+}  // namespace sfs::bench

@@ -90,24 +90,29 @@ int run_e12(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_e12({
-    .name = "e12",
-    .title = "Age bias: old vertices are easy, the newest is sqrt(n)-hard",
-    .claim = "The age/degree gradient makes hubs findable while the newest "
-             "vertex hides among ~sqrt(n) equivalent leaves",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSingleSize | sfs::sim::kCapReps |
-            sfs::sim::kCapSeed | sfs::sim::kCapThreads,
-    .params =
-        {
-            {"--n", "size", "8192 (quick: 2048)", "graph size"},
-            {"--reps", "count", "8 (quick: 2)",
-             "portfolio replications per target row"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; one stream per (model, target)"},
-            {"--threads", "count", "0 (shared pool)",
-             "portfolio fan-out worker count"},
-        },
-    .run = run_e12,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec e12_spec() {
+  return {
+      .name = "e12",
+      .title = "Age bias: old vertices are easy, the newest is sqrt(n)-hard",
+      .claim = "The age/degree gradient makes hubs findable while the newest "
+               "vertex hides among ~sqrt(n) equivalent leaves",
+      .caps = sim::kCapSingleSize | sim::kCapReps | sim::kCapThreads,
+      .params =
+          {
+              {"--n", "size", "8192 (quick: 2048)", "graph size"},
+              {"--reps", "count", "8 (quick: 2)",
+               "portfolio replications per target row"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; one stream per (model, target)"},
+              {"--threads", "count", "0 (shared pool)",
+               "portfolio fan-out worker count"},
+          },
+      .run = run_e12,
+  };
+}
+
+}  // namespace sfs::bench

@@ -155,30 +155,34 @@ int run_e1(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_e1({
-    .name = "e1",
-    .title = "Theorem 1 (weak): Omega(sqrt(n)) requests to find vertex n",
-    .claim = "Thm 1 weak half: every weak-model algorithm pays "
-             "Omega(n^{1/2}) expected requests on merged Mori graphs",
-    // Pinned (not name-derived): keeps the --large/--quick grid bit-
-    // compatible with pre-registry bench_e1 outputs and with on-disk
-    // checkpoints, whose meta row records this seed.
-    .default_seed = 0x1A26E1,
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapLarge |
-            sfs::sim::kCapCheckpoint | sfs::sim::kCapSizes |
-            sfs::sim::kCapReps | sfs::sim::kCapSeed | sfs::sim::kCapThreads,
-    .params =
-        {
-            {"--sizes", "size list", "1024..16384 (grid modes: geometric)",
-             "n sweep of the portfolio-best cost"},
-            {"--reps", "count", "5 (grid modes: 3, quick 2)",
-             "replications per sweep point"},
-            {"--seed", "u64 seed", "0x1A26E1 (pinned)",
-             "base seed; sweep/detail streams derive from it"},
-            {"--threads", "count", "0 (shared pool)",
-             "replication fan-out worker count"},
-        },
-    .run = run_e1,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec e1_spec() {
+  return {
+      .name = "e1",
+      .title = "Theorem 1 (weak): Omega(sqrt(n)) requests to find vertex n",
+      .claim = "Thm 1 weak half: every weak-model algorithm pays "
+               "Omega(n^{1/2}) expected requests on merged Mori graphs",
+      // Pinned (not name-derived): keeps the --large/--quick grid bit-
+      // compatible with the former bench_e1 binary's outputs and with
+      // on-disk checkpoints, whose meta row records this seed.
+      .default_seed = 0x1A26E1,
+      .caps = sim::kCapGrid | sim::kCapSizes | sim::kCapReps | sim::kCapThreads,
+      .params =
+          {
+              {"--sizes", "size list", "1024..16384 (grid modes: geometric)",
+               "n sweep of the portfolio-best cost"},
+              {"--reps", "count", "5 (grid modes: 3, quick 2)",
+               "replications per sweep point"},
+              {"--seed", "u64 seed", "0x1A26E1 (pinned)",
+               "base seed; sweep/detail streams derive from it"},
+              {"--threads", "count", "0 (shared pool)",
+               "replication fan-out worker count"},
+          },
+      .run = run_e1,
+  };
+}
+
+}  // namespace sfs::bench

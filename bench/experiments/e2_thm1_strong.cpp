@@ -137,29 +137,33 @@ int run_e2(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_e2({
-    .name = "e2",
-    .title = "Theorem 1 (strong): Omega(n^{1/2-p}) requests for p < 1/2",
-    .claim = "Thm 1 strong half: strong-model cost floor weakens with the "
-             "Mori hub exponent p",
-    // Pinned for bit-compatibility with pre-registry bench_e2 grid
-    // outputs and checkpoints (see e1).
-    .default_seed = 0x1A26E2,
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapLarge |
-            sfs::sim::kCapCheckpoint | sfs::sim::kCapSizes |
-            sfs::sim::kCapReps | sfs::sim::kCapSeed | sfs::sim::kCapThreads,
-    .params =
-        {
-            {"--sizes", "size list", "2048..32768 (grid modes: geometric)",
-             "n sweep of the portfolio-best cost"},
-            {"--reps", "count", "5 (grid modes: 3, quick 2)",
-             "replications per sweep point"},
-            {"--seed", "u64 seed", "0x1A26E2 (pinned)",
-             "base seed; sweep/detail streams derive from it"},
-            {"--threads", "count", "0 (shared pool)",
-             "replication fan-out worker count"},
-        },
-    .run = run_e2,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec e2_spec() {
+  return {
+      .name = "e2",
+      .title = "Theorem 1 (strong): Omega(n^{1/2-p}) requests for p < 1/2",
+      .claim = "Thm 1 strong half: strong-model cost floor weakens with the "
+               "Mori hub exponent p",
+      // Pinned for bit-compatibility with the former bench_e2 binary's
+      // grid outputs and checkpoints (see e1).
+      .default_seed = 0x1A26E2,
+      .caps = sim::kCapGrid | sim::kCapSizes | sim::kCapReps | sim::kCapThreads,
+      .params =
+          {
+              {"--sizes", "size list", "2048..32768 (grid modes: geometric)",
+               "n sweep of the portfolio-best cost"},
+              {"--reps", "count", "5 (grid modes: 3, quick 2)",
+               "replications per sweep point"},
+              {"--seed", "u64 seed", "0x1A26E2 (pinned)",
+               "base seed; sweep/detail streams derive from it"},
+              {"--threads", "count", "0 (shared pool)",
+               "replication fan-out worker count"},
+          },
+      .run = run_e2,
+  };
+}
+
+}  // namespace sfs::bench

@@ -94,25 +94,30 @@ int run_e3(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_e3({
-    .name = "e3",
-    .title = "Theorem 2: Omega(sqrt(n)) across Cooper-Frieze presets",
-    .claim = "Thm 2: the weak lower bound holds for every Cooper-Frieze "
-             "mixing 0 < alpha < 1",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSizes | sfs::sim::kCapReps |
-            sfs::sim::kCapSeed | sfs::sim::kCapThreads,
-    .params =
-        {
-            {"--sizes", "size list", "1024,2048,4096,8192 (quick: 512..2048)",
-             "n sweep per preset"},
-            {"--reps", "count", "5 (quick: 2)",
-             "replications per sweep point"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; one stream per preset"},
-            {"--threads", "count", "0 (shared pool)",
-             "replication fan-out worker count"},
-        },
-    .run = run_e3,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec e3_spec() {
+  return {
+      .name = "e3",
+      .title = "Theorem 2: Omega(sqrt(n)) across Cooper-Frieze presets",
+      .claim = "Thm 2: the weak lower bound holds for every Cooper-Frieze "
+               "mixing 0 < alpha < 1",
+      .caps = sim::kCapSizes | sim::kCapReps | sim::kCapThreads,
+      .params =
+          {
+              {"--sizes", "size list", "1024,2048,4096,8192 (quick: 512..2048)",
+               "n sweep per preset"},
+              {"--reps", "count", "5 (quick: 2)",
+               "replications per sweep point"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; one stream per preset"},
+              {"--threads", "count", "0 (shared pool)",
+               "replication fan-out worker count"},
+          },
+      .run = run_e3,
+  };
+}
+
+}  // namespace sfs::bench

@@ -47,19 +47,25 @@ int run_e4(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_e4({
-    .name = "e4",
-    .title = "Lemma 3: window-attachment probability vs e^{-(1-p)}",
-    .claim = "Lemma 3: P(E_{a,b}) >= e^{-(1-p)} for the sqrt-width window",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapReps | sfs::sim::kCapSeed,
-    .params =
-        {
-            {"--reps", "count", "4000 (quick: 400)",
-             "Monte-Carlo replications per (p, a) cell"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; one stream per (p, a) cell"},
-        },
-    .run = run_e4,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec e4_spec() {
+  return {
+      .name = "e4",
+      .title = "Lemma 3: window-attachment probability vs e^{-(1-p)}",
+      .claim = "Lemma 3: P(E_{a,b}) >= e^{-(1-p)} for the sqrt-width window",
+      .caps = sim::kCapReps,
+      .params =
+          {
+              {"--reps", "count", "4000 (quick: 400)",
+               "Monte-Carlo replications per (p, a) cell"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; one stream per (p, a) cell"},
+          },
+      .run = run_e4,
+  };
+}
+
+}  // namespace sfs::bench

@@ -44,25 +44,30 @@ int run_e5(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_e5({
-    .name = "e5",
-    .title = "Mori 2005: max degree of G_t grows like t^p",
-    .claim = "The hub-growth exponent behind the strong-model reduction "
-             "(max-degree weak requests simulate one strong request)",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSizes | sfs::sim::kCapReps |
-            sfs::sim::kCapSeed | sfs::sim::kCapThreads,
-    .params =
-        {
-            {"--sizes", "size list", "4096..131072 (quick: 4096..16384)",
-             "tree sizes t"},
-            {"--reps", "count", "5 (quick: 2)",
-             "replications per sweep point"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; one stream per p"},
-            {"--threads", "count", "0 (shared pool)",
-             "replication fan-out worker count"},
-        },
-    .run = run_e5,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec e5_spec() {
+  return {
+      .name = "e5",
+      .title = "Mori 2005: max degree of G_t grows like t^p",
+      .claim = "The hub-growth exponent behind the strong-model reduction "
+               "(max-degree weak requests simulate one strong request)",
+      .caps = sim::kCapSizes | sim::kCapReps | sim::kCapThreads,
+      .params =
+          {
+              {"--sizes", "size list", "4096..131072 (quick: 4096..16384)",
+               "tree sizes t"},
+              {"--reps", "count", "5 (quick: 2)",
+               "replications per sweep point"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; one stream per p"},
+              {"--threads", "count", "0 (shared pool)",
+               "replication fan-out worker count"},
+          },
+      .run = run_e5,
+  };
+}
+
+}  // namespace sfs::bench

@@ -101,20 +101,26 @@ int run_e6(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_e6({
-    .name = "e6",
-    .title = "Power-law degree distributions of the evolving models",
-    .claim = "Premise: Mori exponent 1 + 1/p, Cooper-Frieze power-law for "
-             "all mixings, BA exponent 3",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSingleSize | sfs::sim::kCapSeed,
-    .params =
-        {
-            {"--n", "size", "100000 (quick: 20000)",
-             "graph size for the tail fits"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; one stream per model row"},
-        },
-    .run = run_e6,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec e6_spec() {
+  return {
+      .name = "e6",
+      .title = "Power-law degree distributions of the evolving models",
+      .claim = "Premise: Mori exponent 1 + 1/p, Cooper-Frieze power-law for "
+               "all mixings, BA exponent 3",
+      .caps = sim::kCapSingleSize,
+      .params =
+          {
+              {"--n", "size", "100000 (quick: 20000)",
+               "graph size for the tail fits"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; one stream per model row"},
+          },
+      .run = run_e6,
+  };
+}
+
+}  // namespace sfs::bench

@@ -112,26 +112,31 @@ int run_e7(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_e7({
-    .name = "e7",
-    .title = "Adamic 2001: degree-greedy vs random walk on power-law "
-             "graphs",
-    .claim = "Greedy O(n^{2(1-2/k)}) vs walk O(n^{3(1-2/k)}) on "
-             "configuration-model largest components",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSizes | sfs::sim::kCapReps |
-            sfs::sim::kCapSeed | sfs::sim::kCapThreads,
-    .params =
-        {
-            {"--sizes", "size list", "2000..32000 (quick: 1000..4000)",
-             "graph sizes before LCC extraction"},
-            {"--reps", "count", "8 (quick: 2)",
-             "replications per sweep point"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; greedy/walk streams per k"},
-            {"--threads", "count", "0 (shared pool)",
-             "replication fan-out worker count"},
-        },
-    .run = run_e7,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec e7_spec() {
+  return {
+      .name = "e7",
+      .title = "Adamic 2001: degree-greedy vs random walk on power-law "
+               "graphs",
+      .claim = "Greedy O(n^{2(1-2/k)}) vs walk O(n^{3(1-2/k)}) on "
+               "configuration-model largest components",
+      .caps = sim::kCapSizes | sim::kCapReps | sim::kCapThreads,
+      .params =
+          {
+              {"--sizes", "size list", "2000..32000 (quick: 1000..4000)",
+               "graph sizes before LCC extraction"},
+              {"--reps", "count", "8 (quick: 2)",
+               "replications per sweep point"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; greedy/walk streams per k"},
+              {"--threads", "count", "0 (shared pool)",
+               "replication fan-out worker count"},
+          },
+      .run = run_e7,
+  };
+}
+
+}  // namespace sfs::bench

@@ -82,23 +82,28 @@ int run_e8(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_e8({
-    .name = "e8",
-    .title = "Kleinberg 2000 contrast: navigability only at r = 2",
-    .claim = "Greedy geographic routing is polylog iff r equals the grid "
-             "dimension — the navigable world scale-free graphs are not",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSizes | sfs::sim::kCapReps |
-            sfs::sim::kCapSeed,
-    .params =
-        {
-            {"--sizes", "size list", "16,32,64,128,256 (quick: 16,32,64)",
-             "torus side lengths L"},
-            {"--reps", "count", "400 (quick: 100)",
-             "greedy routes per (r, L) cell"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; one stream per (r, L) cell"},
-        },
-    .run = run_e8,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec e8_spec() {
+  return {
+      .name = "e8",
+      .title = "Kleinberg 2000 contrast: navigability only at r = 2",
+      .claim = "Greedy geographic routing is polylog iff r equals the grid "
+               "dimension — the navigable world scale-free graphs are not",
+      .caps = sim::kCapSizes | sim::kCapReps,
+      .params =
+          {
+              {"--sizes", "size list", "16,32,64,128,256 (quick: 16,32,64)",
+               "torus side lengths L"},
+              {"--reps", "count", "400 (quick: 100)",
+               "greedy routes per (r, L) cell"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; one stream per (r, L) cell"},
+          },
+      .run = run_e8,
+  };
+}
+
+}  // namespace sfs::bench

@@ -74,20 +74,26 @@ int run_e9(ExperimentContext& ctx) {
   return 0;
 }
 
-const sfs::sim::ExperimentRegistrar reg_e9({
-    .name = "e9",
-    .title = "Logarithmic diameter of the non-searchable models",
-    .claim = "Short paths exist (diam ~ log n) in exactly the graphs where "
-             "finding them locally costs sqrt(n)",
-    .caps = sfs::sim::kCapQuick | sfs::sim::kCapSizes | sfs::sim::kCapSeed,
-    .params =
-        {
-            {"--sizes", "size list", "4096..262144 (quick: 1024,4096)",
-             "graph sizes per model"},
-            {"--seed", "u64 seed", "derived from name",
-             "base seed; graph/sample streams per model"},
-        },
-    .run = run_e9,
-});
-
 }  // namespace
+
+namespace sfs::bench {
+
+sim::ExperimentSpec e9_spec() {
+  return {
+      .name = "e9",
+      .title = "Logarithmic diameter of the non-searchable models",
+      .claim = "Short paths exist (diam ~ log n) in exactly the graphs where "
+               "finding them locally costs sqrt(n)",
+      .caps = sim::kCapSizes,
+      .params =
+          {
+              {"--sizes", "size list", "4096..262144 (quick: 1024,4096)",
+               "graph sizes per model"},
+              {"--seed", "u64 seed", "derived from name",
+               "base seed; graph/sample streams per model"},
+          },
+      .run = run_e9,
+  };
+}
+
+}  // namespace sfs::bench

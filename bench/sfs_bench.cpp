@@ -1,5 +1,5 @@
-// sfs_bench — the unified experiment driver. All registered experiments
-// (bench/experiments/*.cpp) are compiled into this one binary:
+// sfs_bench — the one experiment binary. Every experiment of the catalog
+// (bench/experiments/catalog.hpp) is compiled into it:
 //
 //   sfs_bench --list                    catalog of experiments
 //   sfs_bench --list-names              bare names (CI loops over these)
@@ -8,8 +8,9 @@
 //
 // See sim/experiment.hpp for the shared flag vocabulary and
 // docs/EXPERIMENTS.md for the experiment catalog.
+#include "experiments/catalog.hpp"
 #include "sim/experiment.hpp"
 
 int main(int argc, char** argv) {
-  return sfs::sim::experiment_main(argc, argv);
+  return sfs::sim::experiment_main(argc, argv, sfs::bench::experiments());
 }

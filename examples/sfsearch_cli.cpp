@@ -142,7 +142,7 @@ int cmd_generate(const std::vector<std::string>& args) {
       std::find_if(std::begin(kModels), std::end(kModels),
                    [&](const ModelArity& m) { return spec.name == m.name; });
   if (model == std::end(kModels)) {
-    std::cerr << "unknown model: " << spec.name << "\n";
+    std::cerr << "error: unknown model: " << spec.name << "\n";
     return 1;
   }
   if (spec.params.size() > model->params) {
@@ -296,7 +296,8 @@ int cmd_search(const std::vector<std::string>& args) {
       }
       if (i + 1 >= args.size() ||
           !sfs::sim::parse_name_list(args[++i], policy_names)) {
-        std::cerr << "--policies expects a comma-separated name list\n";
+        std::cerr << "error: --policies expects a comma-separated name "
+                     "list\n";
         return 1;
       }
     } else if (args[i] == "weak" || args[i] == "strong") {
@@ -311,16 +312,22 @@ int cmd_search(const std::vector<std::string>& args) {
     }
   }
   if (model_arg.empty()) model_arg = "weak";
+  const auto model = model_arg == "weak" ? sfs::search::KnowledgeModel::kWeak
+                                         : sfs::search::KnowledgeModel::kStrong;
+  const std::string policy_error =
+      sfs::search::policy_selection_error(policy_names, model);
+  if (!policy_error.empty()) {
+    std::cerr << "error: " << policy_error << "\n";
+    return 1;
+  }
   const Graph g = sfs::graph::load(args[0]);
   if (start_paper < 1 || start_paper > g.num_vertices() || target_paper < 1 ||
       target_paper > g.num_vertices()) {
-    std::cerr << "start/target must be paper ids in [1, n]\n";
+    std::cerr << "error: start/target must be paper ids in [1, n]\n";
     return 1;
   }
   const auto start = static_cast<VertexId>(start_paper - 1);
   const auto target = static_cast<VertexId>(target_paper - 1);
-  const auto model = model_arg == "weak" ? sfs::search::KnowledgeModel::kWeak
-                                         : sfs::search::KnowledgeModel::kStrong;
 
   // Policy selection by name (empty = the model's full portfolio).
   const auto specs = sfs::search::resolve_policies(model, policy_names);

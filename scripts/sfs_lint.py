@@ -24,9 +24,9 @@ Rules
   check-discipline    (R5) no raw `throw` / `assert(` in src/ — use
                       SFS_REQUIRE / SFS_CHECK (base/check.hpp) so
                       failures carry expression, location, and context.
-  rng-reachability    (R6) cross-TU call-graph pass: every path from a
-                      registered experiment run-fn (`.run = fn` in an
-                      ExperimentRegistrar literal) to a raw Rng /
+  rng-reachability    (R6) cross-TU call-graph pass: every path from an
+                      experiment run-fn (`.run = fn` in an
+                      ExperimentSpec initializer) to a raw Rng /
                       Philox4x64 construction must traverse an audited
                       seed derivation (audited_stream_seed,
                       audited_counter_seed, *.stream_seed).  An
@@ -158,8 +158,8 @@ RULES = {
         "rng-reachability",
         "experiment-reachable Rng/Philox construction without an "
         "audited/versioned seed derivation on the path (cross-TU)",
-        # tests/ link into their own binaries (no experiment registry) and
-        # legitimately pin literal seeds; src/rng implements the engines.
+        # tests/ are no experiment entry path and legitimately pin literal
+        # seeds; src/rng implements the engines.
         lambda p: not _in_dir(p, "src/rng") and not _in_dir(p, "tests"),
     ),
     "float-order": Rule(
@@ -542,8 +542,8 @@ TOKEN_RULE_FNS = {
 # R6: cross-TU rng-reachability (token call graph)
 # --------------------------------------------------------------------------
 #
-# Roots are the registered experiment entry points — the `.run = fn`
-# designated initializers of sim::ExperimentRegistrar literals.  Function
+# Roots are the experiment entry points — the `.run = fn` designated
+# initializers of the sim::ExperimentSpec each experiment returns.  Function
 # definitions and call edges are recovered from the lexed text: an
 # identifier + balanced parens + optional trailer (const/noexcept/macro
 # attributes/ctor-initializers) followed by `{` is a definition; every
@@ -720,8 +720,8 @@ def rng_reachability_findings(
             if path in lexed_map:  # report only inside the lint set
                 out.append(Finding(
                     path, line, "rng-reachability",
-                    f"'{name}' is reachable from a registered experiment "
-                    "run-fn and constructs an RNG engine, but nothing on "
+                    f"'{name}' is reachable from an experiment run-fn "
+                    "and constructs an RNG engine, but nothing on "
                     "the path derives its seed through audited_stream_seed "
                     "/ audited_counter_seed / stream_seed — replications "
                     "seeded this way can silently correlate (docs/PERF.md "

@@ -1,5 +1,7 @@
 #include "search/policy.hpp"
 
+#include <algorithm>
+
 #include "base/check.hpp"
 #include "search/simulate.hpp"
 #include "search/strong_algorithms.hpp"
@@ -82,6 +84,29 @@ const PolicySpec* find_policy(std::string_view name) {
   return nullptr;
 }
 
+std::string policy_selection_error(std::span<const std::string> names,
+                                   std::optional<KnowledgeModel> model) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const std::string& name = names[i];
+    const PolicySpec* spec = find_policy(name);
+    if (spec == nullptr) {
+      return "unknown policy '" + name +
+             "' (sfsearch_cli policies lists them)";
+    }
+    if (model && spec->model != *model) {
+      return "policy '" + name + "' is a " +
+             std::string(model_name(spec->model)) +
+             "-model policy, but the run requests the " +
+             std::string(model_name(*model)) + " model";
+    }
+    if (std::find(names.begin(), names.begin() + i, name) !=
+        names.begin() + i) {
+      return "policy '" + name + "' selected more than once";
+    }
+  }
+  return {};
+}
+
 std::vector<const PolicySpec*> resolve_policies(
     KnowledgeModel model, std::span<const std::string> names) {
   std::vector<const PolicySpec*> out;
@@ -91,23 +116,10 @@ std::vector<const PolicySpec*> resolve_policies(
     }
     return out;
   }
+  const std::string error = policy_selection_error(names, model);
+  SFS_REQUIRE(error.empty(), error);
   out.reserve(names.size());
-  for (const auto& name : names) {
-    const PolicySpec* spec = find_policy(name);
-    SFS_REQUIRE(spec != nullptr,
-                "unknown policy '" + name +
-                    "' (sfsearch_cli policies lists them)");
-    SFS_REQUIRE(spec->model == model,
-                "policy '" + name + "' is a " +
-                    std::string(model_name(spec->model)) +
-                    "-model policy, but the run requests the " +
-                    std::string(model_name(model)) + " model");
-    for (const auto* seen : out) {
-      SFS_REQUIRE(seen != spec,
-                  "policy '" + name + "' selected more than once");
-    }
-    out.push_back(spec);
-  }
+  for (const auto& name : names) out.push_back(find_policy(name));
   return out;
 }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -52,10 +53,20 @@ struct PolicySpec {
 /// The policy named `name`, or nullptr when there is none.
 [[nodiscard]] const PolicySpec* find_policy(std::string_view name);
 
+/// Checks a policy-name selection against the table without throwing:
+/// the first name that is not in the table, belongs to another model than
+/// `model` (when given) or repeats an earlier name, as a one-line message
+/// naming that policy; empty when the selection is valid. Command lines
+/// call it to reject a bad --policies list before doing any work.
+[[nodiscard]] std::string policy_selection_error(
+    std::span<const std::string> names,
+    std::optional<KnowledgeModel> model = std::nullopt);
+
 /// Resolves a policy-name filter against the table: an empty `names` list
 /// selects the full portfolio of `model` in table order; otherwise the
-/// named policies in the given order. Throws std::invalid_argument on an
-/// unknown name, a policy of the wrong model, or a duplicate selection.
+/// named policies in the given order. Throws std::invalid_argument with
+/// policy_selection_error's message on an unknown name, a policy of the
+/// wrong model, or a duplicate selection.
 [[nodiscard]] std::vector<const PolicySpec*> resolve_policies(
     KnowledgeModel model, std::span<const std::string> names);
 

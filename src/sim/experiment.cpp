@@ -4,10 +4,10 @@
 #include <charconv>
 #include <iostream>
 
-#include "base/check.hpp"
 #include "base/parallel.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
+#include "search/policy.hpp"
 #include "sim/table.hpp"
 
 namespace sfs::sim {
@@ -21,42 +21,6 @@ std::uint64_t fnv1a64(std::string_view s) noexcept {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-/// Catalog order: family rank (e, a, then everything else), numeric
-/// suffix within a family ("e2" before "e10"), name as tiebreak.
-struct CatalogKey {
-  int family = 2;
-  std::uint64_t number = 0;
-  std::string_view name;
-};
-
-CatalogKey catalog_key(std::string_view name) {
-  CatalogKey key;
-  key.name = name;
-  if (name.size() >= 2) {
-    switch (name[0]) {
-      case 'e': key.family = 0; break;
-      case 'a': key.family = 1; break;
-      default: return key;
-    }
-    const auto digits = name.substr(1);
-    const auto end = digits.data() + digits.size();
-    const auto [ptr, ec] = std::from_chars(digits.data(), end, key.number);
-    if (ec != std::errc{} || ptr != end) {
-      key.family = 2;
-      key.number = 0;
-    }
-  }
-  return key;
-}
-
-bool catalog_less(const ExperimentSpec& a, const ExperimentSpec& b) {
-  const CatalogKey ka = catalog_key(a.name);
-  const CatalogKey kb = catalog_key(b.name);
-  if (ka.family != kb.family) return ka.family < kb.family;
-  if (ka.number != kb.number) return ka.number < kb.number;
-  return ka.name < kb.name;
 }
 
 bool parse_size_list(const std::string& text, std::vector<std::size_t>& out) {
@@ -77,24 +41,21 @@ bool parse_size_list(const std::string& text, std::vector<std::size_t>& out) {
 }
 
 std::string flag_names(unsigned caps) {
-  std::string out;
+  std::string out = "--quick";
   const auto append = [&](unsigned bit, const char* name) {
     if (caps & bit) {
-      if (!out.empty()) out += ' ';
+      out += ' ';
       out += name;
     }
   };
-  append(kCapQuick, "--quick");
-  append(kCapLarge, "--large");
-  append(kCapCheckpoint, "--checkpoint");
+  append(kCapGrid, "--large --checkpoint");
   append(kCapSizes, "--sizes/--n");
   append(kCapSingleSize, "--n");
   append(kCapReps, "--reps");
-  append(kCapSeed, "--seed");
+  out += " --seed";
   append(kCapThreads, "--threads");
   append(kCapPolicies, "--policies");
-  if (!out.empty()) out += ' ';
-  out += "--json";
+  out += " --json";
   return out;
 }
 
@@ -172,50 +133,6 @@ std::uint64_t ExperimentContext::base_seed() const {
 
 std::uint64_t ExperimentContext::stream_seed(std::string_view stream) const {
   return experiment_stream_seed(base_seed(), stream);
-}
-
-void ExperimentRegistry::add(ExperimentSpec spec) {
-  SFS_REQUIRE(!spec.name.empty(), "experiment registration: empty name");
-  SFS_REQUIRE(spec.run, "experiment registration: '" + spec.name +
-                            "' has no run function");
-  const std::uint64_t seed = spec.resolved_default_seed();
-  for (const auto& existing : specs_) {
-    SFS_REQUIRE(existing.name != spec.name,
-                "experiment registration: duplicate name '" + spec.name + "'");
-    SFS_REQUIRE(
-        existing.resolved_default_seed() != seed,
-        "experiment registration: '" + spec.name +
-            "' resolves to the same default seed as '" + existing.name +
-            "' — seeds must not collide (use distinct names / pinned seeds)");
-  }
-  specs_.push_back(std::move(spec));
-}
-
-const ExperimentSpec* ExperimentRegistry::find(std::string_view name) const {
-  for (const auto& spec : specs_) {
-    if (spec.name == name) return &spec;
-  }
-  return nullptr;
-}
-
-std::vector<const ExperimentSpec*> ExperimentRegistry::all() const {
-  std::vector<const ExperimentSpec*> out;
-  out.reserve(specs_.size());
-  for (const auto& spec : specs_) out.push_back(&spec);
-  std::sort(out.begin(), out.end(),
-            [](const ExperimentSpec* a, const ExperimentSpec* b) {
-              return catalog_less(*a, *b);
-            });
-  return out;
-}
-
-ExperimentRegistry& ExperimentRegistry::instance() {
-  static ExperimentRegistry registry;
-  return registry;
-}
-
-ExperimentRegistrar::ExperimentRegistrar(ExperimentSpec spec) {
-  ExperimentRegistry::instance().add(std::move(spec));
 }
 
 bool parse_experiment_cli(const std::vector<std::string>& args,
@@ -349,9 +266,8 @@ bool validate_experiment_options(const ExperimentSpec& spec,
             " (supported: " + flag_names(spec.caps) + ")";
     return false;
   };
-  if (options.quick && !(spec.caps & kCapQuick)) return reject("--quick");
-  if (options.large && !(spec.caps & kCapLarge)) return reject("--large");
-  if (!options.checkpoint_path.empty() && !(spec.caps & kCapCheckpoint)) {
+  if (options.large && !(spec.caps & kCapGrid)) return reject("--large");
+  if (!options.checkpoint_path.empty() && !(spec.caps & kCapGrid)) {
     return reject("--checkpoint");
   }
   if (!options.sizes.empty() &&
@@ -367,12 +283,19 @@ bool validate_experiment_options(const ExperimentSpec& spec,
     return false;
   }
   if (options.reps > 0 && !(spec.caps & kCapReps)) return reject("--reps");
-  if (options.has_seed && !(spec.caps & kCapSeed)) return reject("--seed");
   if (options.has_threads && !(spec.caps & kCapThreads)) {
     return reject("--threads");
   }
-  if (!options.policies.empty() && !(spec.caps & kCapPolicies)) {
-    return reject("--policies");
+  if (!options.policies.empty()) {
+    if (!(spec.caps & kCapPolicies)) return reject("--policies");
+    // Names and repeats only: a1 takes weak policies and d1 both models,
+    // so the run checks the model.
+    const std::string policy_error =
+        search::policy_selection_error(options.policies);
+    if (!policy_error.empty()) {
+      error = "experiment '" + spec.name + "': " + policy_error;
+      return false;
+    }
   }
   // Checkpointing streams sweep cells, which only the grid modes produce;
   // silently ignoring the flag elsewhere would run a sweep with no
@@ -411,9 +334,9 @@ void print_experiment_usage(std::ostream& out, const ExperimentSpec* spec) {
   }
 }
 
-namespace {
-
-int run_cli(const std::vector<std::string>& args) {
+int experiment_main(int argc, char** argv,
+                    std::span<const ExperimentSpec> experiments) {
+  const std::vector<std::string> args(argv + 1, argv + argc);
   CliRequest req;
   std::string error;
   if (!parse_experiment_cli(args, req, error)) {
@@ -421,35 +344,35 @@ int run_cli(const std::vector<std::string>& args) {
     print_experiment_usage(std::cerr, nullptr);
     return 2;
   }
-  const auto& registry = ExperimentRegistry::instance();
   if (req.list_names) {
-    for (const auto* spec : registry.all()) {
-      std::cout << spec->name << "\n";
-    }
+    for (const auto& spec : experiments) std::cout << spec.name << "\n";
     return 0;
   }
   if (req.list) {
-    Table t("registered experiments (" + std::to_string(registry.size()) +
+    Table t("registered experiments (" + std::to_string(experiments.size()) +
                 ")",
             {"name", "title", "flags", "claim"});
-    for (const auto* spec : registry.all()) {
+    for (const auto& spec : experiments) {
       t.row()
-          .cell(spec->name)
-          .cell(spec->title)
-          .cell(flag_names(spec->caps))
-          .cell(spec->claim);
+          .cell(spec.name)
+          .cell(spec.title)
+          .cell(flag_names(spec.caps))
+          .cell(spec.claim);
     }
     t.print(std::cout);
     std::cout << "\nrun one with: sfs_bench --run <name> [--quick] "
                  "[--json out.jsonl]\n";
     return 0;
   }
-  const ExperimentSpec* spec = registry.find(req.run_name);
-  if (spec == nullptr) {
+  const auto found = std::find_if(
+      experiments.begin(), experiments.end(),
+      [&](const ExperimentSpec& s) { return s.name == req.run_name; });
+  if (found == experiments.end()) {
     std::cerr << "error: unknown experiment '" << req.run_name
               << "' (see sfs_bench --list)\n";
     return 2;
   }
+  const ExperimentSpec* spec = &*found;
   if (!validate_experiment_options(*spec, req.options, error)) {
     std::cerr << "error: " << error << "\n";
     print_experiment_usage(std::cerr, spec);
@@ -466,13 +389,6 @@ int run_cli(const std::vector<std::string>& args) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-}
-
-}  // namespace
-
-int experiment_main(int argc, char** argv) {
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  return run_cli(args);
 }
 
 }  // namespace sfs::sim

@@ -1,13 +1,14 @@
-// Unified experiment engine: a registry of named experiment scenarios plus
-// the shared CLI layer behind the single `sfs_bench` driver.
+// Unified experiment engine: the experiment spec, the shared flag
+// vocabulary and the CLI layer behind the single `sfs_bench` binary.
 //
 // Every experiment (e1-e12 the paper claims, a1-a3 the ablations, d1 the
-// churn study) registers an ExperimentSpec — name, one-line claim,
-// parameter schema with typed defaults, capability set, and a run
-// function — via a static ExperimentRegistrar in its own translation
-// unit. The driver then offers
+// churn study) is an ExperimentSpec — name, one-line claim, parameter
+// schema with typed defaults, capability set, and a run function — that
+// its own translation unit returns; bench/experiments/catalog.cpp lists
+// the specs in catalog order and sfs_bench passes that table to
+// experiment_main, which offers
 //
-//   sfs_bench --list                      catalog of registered experiments
+//   sfs_bench --list                      catalog of the experiments
 //   sfs_bench --list-names                bare names, one per line (CI loop)
 //   sfs_bench --run <name> [flags]        run one experiment
 //
@@ -15,12 +16,11 @@
 // --seed, --threads, --quick, --large, --checkpoint <path>, --json <path>.
 // Unknown or malformed flags exit 2 with usage; a flag an experiment does
 // not support is rejected the same way — nothing is silently ignored.
-// Adding a scenario is a ~30-line registration, not a new binary.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,22 +39,21 @@ struct ParamSpec {
   std::string description;    // what the knob controls here
 };
 
-/// Capability bits: which shared flags an experiment accepts. The CLI
-/// layer rejects (exit 2) any flag whose bit is missing, so an experiment
-/// can never silently discard an argument.
+/// Capability bits: which shared flags an experiment accepts beyond
+/// --quick, --seed and --json, which every experiment takes. The CLI layer
+/// rejects (exit 2) any flag whose bit is missing, so an experiment can
+/// never silently discard an argument.
 enum ExperimentCaps : unsigned {
-  kCapQuick = 1u << 0,       // --quick: reduced smoke-size budget
-  kCapLarge = 1u << 1,       // --large: the large-n grid mode
-  kCapCheckpoint = 1u << 2,  // --checkpoint: stream/resume sweep cells
-  kCapSizes = 1u << 3,       // --sizes/--n: override the size grid
-  kCapReps = 1u << 4,        // --reps: override replication count
-  kCapSeed = 1u << 5,        // --seed: override the base seed
-  kCapThreads = 1u << 6,     // --threads: worker count for the fan-out
-  kCapSingleSize = 1u << 7,  // --n (or a one-element --sizes): experiments
+  kCapGrid = 1u << 0,        // --large and --checkpoint: the large-n grid
+                             // mode and the stream/resume of its cells
+  kCapSizes = 1u << 1,       // --sizes/--n: override the size grid
+  kCapReps = 1u << 2,        // --reps: override replication count
+  kCapThreads = 1u << 3,     // --threads: worker count for the fan-out
+  kCapSingleSize = 1u << 4,  // --n (or a one-element --sizes): experiments
                              // with one problem size; longer lists exit 2
-  kCapPolicies = 1u << 8,  // --policies a,b,c: run only the named search
-                           // policies (resolved against the policy
-                           // table, search/policy.hpp)
+  kCapPolicies = 1u << 5,  // --policies a,b,c: run only the named search
+                           // policies (checked against the policy table,
+                           // search/policy.hpp, before the run)
 };
 
 /// Parsed shared-flag values for one run. Flags the user did not pass are
@@ -73,14 +72,14 @@ struct ExperimentOptions {
   std::string json_path;
   /// --policies names (comma-separated on the command line; empty = the
   /// experiment's default portfolio). Experiments pass this as the
-  /// RunPlan/QueryEngine policy filter; unknown names fail inside the run
-  /// with the policy table's diagnostic.
+  /// RunPlan/QueryEngine policy filter. Validation has checked that each
+  /// name is in the policy table once; the run checks the model.
   std::vector<std::string> policies;
 };
 
 struct ExperimentSpec;
 
-/// Everything a registered run function receives: the parsed options, the
+/// Everything a run function receives: the parsed options, the
 /// structured-results emitter (console + optional JSONL sink), and seed /
 /// default helpers.
 struct ExperimentContext {
@@ -92,9 +91,9 @@ struct ExperimentContext {
     return emitter->console();
   }
 
-  /// The run's base seed: --seed when given, else the spec's registered
-  /// default (which is derived from the experiment name unless pinned —
-  /// see experiment_seed()).
+  /// The run's base seed: --seed when given, else the spec's default
+  /// (which is derived from the experiment name unless pinned — see
+  /// experiment_seed()).
   [[nodiscard]] std::uint64_t base_seed() const;
 
   /// An independent named substream of the base seed, for experiments
@@ -125,7 +124,7 @@ struct ExperimentContext {
   }
 };
 
-/// A registered experiment scenario.
+/// An experiment scenario: one entry of the sfs_bench catalog.
 struct ExperimentSpec {
   std::string name;   // short id: "e1", "a2", "d1_churn", ...
   std::string title;  // one-line description for --list
@@ -134,16 +133,18 @@ struct ExperimentSpec {
   /// Base seed when --seed is absent. 0 means "derive from the name"
   /// (experiment_seed(name)); a nonzero value pins a legacy seed —
   /// e1/e2 pin theirs so grid outputs and on-disk checkpoint meta rows
-  /// stay bit-compatible with the pre-registry bench binaries.
+  /// stay bit-compatible with the per-experiment bench binaries that
+  /// preceded sfs_bench. No two catalog entries may resolve to the same
+  /// default seed (tests/test_experiment.cpp, ExperimentTable).
   std::uint64_t default_seed = 0;
 
-  unsigned caps = kCapQuick | kCapSeed;
+  unsigned caps = 0;  // ExperimentCaps bits
 
   std::vector<ParamSpec> params;
 
   /// Runs the experiment; returns the process exit code (0 = success,
   /// 1 = a result contract failed). Usage errors never reach run().
-  std::function<int(ExperimentContext&)> run;
+  int (*run)(ExperimentContext&) = nullptr;
 
   /// The seed a default run of this spec uses (default_seed, or the
   /// name-derived seed when default_seed == 0).
@@ -151,10 +152,9 @@ struct ExperimentSpec {
 };
 
 /// Deterministic name-derived experiment seed: mix64(fnv1a64(name)).
-/// Distinct registered names get distinct seeds with overwhelming
-/// probability, and the registry verifies uniqueness at registration, so
-/// two experiments can no longer alias their RNG streams by hand-picking
-/// nearby constants.
+/// Distinct names get distinct seeds with overwhelming probability, so
+/// two experiments cannot alias their RNG streams by hand-picking nearby
+/// constants.
 [[nodiscard]] std::uint64_t experiment_seed(std::string_view name) noexcept;
 
 /// Named substream of a base seed (see ExperimentContext::stream_seed):
@@ -163,37 +163,6 @@ struct ExperimentSpec {
 /// cross-triple collision when the audit is enabled).
 [[nodiscard]] std::uint64_t experiment_stream_seed(std::uint64_t base,
                                                    std::string_view stream);
-
-/// The experiment registry. The process-wide instance() is populated by
-/// static ExperimentRegistrar objects; tests construct their own instances
-/// to exercise registration rules in isolation.
-class ExperimentRegistry {
- public:
-  /// Registers a spec. Throws std::invalid_argument on an empty name or a
-  /// missing run function, a duplicate name, or a resolved default seed
-  /// already claimed by another experiment (the "cannot collide" rule).
-  void add(ExperimentSpec spec);
-
-  /// Looks up a spec by name; nullptr when absent.
-  [[nodiscard]] const ExperimentSpec* find(std::string_view name) const;
-
-  /// All specs in catalog order: e* before a*, numerically within a
-  /// family ("e2" < "e10"), other names alphabetically last.
-  [[nodiscard]] std::vector<const ExperimentSpec*> all() const;
-
-  [[nodiscard]] std::size_t size() const noexcept { return specs_.size(); }
-
-  static ExperimentRegistry& instance();
-
- private:
-  std::vector<ExperimentSpec> specs_;
-};
-
-/// Registers a spec with ExperimentRegistry::instance() at static
-/// initialization. Define one per experiment translation unit.
-struct ExperimentRegistrar {
-  explicit ExperimentRegistrar(ExperimentSpec spec);
-};
 
 /// Parsed top-level request of the driver CLI.
 struct CliRequest {
@@ -229,8 +198,8 @@ struct CliRequest {
 /// Parses a comma-separated list of non-empty names ("rw,degree-greedy")
 /// into `out`; false (with `out` unspecified) on an empty string or an
 /// empty token. The --policies value parser, shared with sfsearch_cli.
-/// Membership in the policy table is checked by the run itself
-/// (search/resolve_policies), not the CLI layer.
+/// Each CLI checks the names against the policy table afterwards
+/// (search::policy_selection_error).
 [[nodiscard]] bool parse_name_list(const std::string& text,
                                    std::vector<std::string>& out);
 
@@ -242,8 +211,9 @@ struct CliRequest {
 
 /// Validates parsed options against a spec's capability set. Returns
 /// false with a diagnostic when a flag the experiment does not support
-/// was passed, or when --checkpoint is used outside a grid mode
-/// (--large/--quick) for experiments that checkpoint their sweeps.
+/// was passed, when a --policies name is not in the policy table or is
+/// repeated, or when --checkpoint is used outside a grid mode
+/// (--large/--quick).
 [[nodiscard]] bool validate_experiment_options(const ExperimentSpec& spec,
                                                const ExperimentOptions& options,
                                                std::string& error);
@@ -252,9 +222,11 @@ struct CliRequest {
 /// experiment's supported flags and parameter schema).
 void print_experiment_usage(std::ostream& out, const ExperimentSpec* spec);
 
-/// The sfs_bench main: parse, dispatch --list/--list-names/--run.
+/// The sfs_bench main: parse, dispatch --list/--list-names/--run over
+/// `experiments`, which --list prints in the given order.
 /// Exit codes: 0 success, 1 experiment result-contract failure or runtime
 /// error, 2 usage error.
-[[nodiscard]] int experiment_main(int argc, char** argv);
+[[nodiscard]] int experiment_main(int argc, char** argv,
+                                  std::span<const ExperimentSpec> experiments);
 
 }  // namespace sfs::sim

@@ -2,7 +2,7 @@
 // Fixture: the same shape as the violation twin, but every root -> draw
 // path traverses a sanctioned derivation — the run-fn derives the
 // helper's seed via ctx.stream_seed.  The second helper also draws
-// without a sanction but is unreachable from any registered run-fn, so
+// without a sanction but is unreachable from any experiment run-fn, so
 // it must stay silent (the rule is about experiment paths, not every
 // Rng in the tree).
 #include "rng/random.hpp"
@@ -28,7 +28,9 @@ int run_fixture(sfs::sim::ExperimentContext& ctx) {
   return acc > 0.0 ? 0 : 1;
 }
 
-const sfs::sim::ExperimentRegistrar reg_fixture({
-    .name = "fixture_r6_clean",
-    .run = run_fixture,
-});
+sfs::sim::ExperimentSpec fixture_spec() {
+  return {
+      .name = "fixture_r6_clean",
+      .run = run_fixture,
+  };
+}

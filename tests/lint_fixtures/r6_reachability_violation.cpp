@@ -1,5 +1,5 @@
 // SFS_LINT_FIXTURE_PATH: bench/experiments/fixture_r6.cpp
-// Fixture: the registered run-fn hands its helper a home-brewed seed; the
+// Fixture: the experiment run-fn hands its helper a home-brewed seed; the
 // helper constructs an Rng with no audited_{stream,counter}_seed or
 // stream_seed call on the root -> draw path, so rng-reachability fires at
 // the construction (cross-TU call-graph rule, single-TU here).
@@ -22,7 +22,9 @@ int run_fixture(sfs::sim::ExperimentContext& ctx) {
   return acc > 0.0 ? 0 : 1;
 }
 
-const sfs::sim::ExperimentRegistrar reg_fixture({
-    .name = "fixture_r6",
-    .run = run_fixture,
-});
+sfs::sim::ExperimentSpec fixture_spec() {
+  return {
+      .name = "fixture_r6",
+      .run = run_fixture,
+  };
+}

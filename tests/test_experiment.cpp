@@ -1,7 +1,6 @@
-// sim/experiment: registry registration rules, seed derivation, CLI
-// parsing and capability validation, the results emitter, and the shape
-// of the globally registered experiment catalog (this test links the
-// experiments object library, so the real registry is populated).
+// sim/experiment: seed derivation, CLI parsing and capability
+// validation, the results emitter, and the shape of the sfs_bench
+// experiment table (experiments/catalog.hpp).
 #include "sim/experiment.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "base/parallel.hpp"
+#include "experiments/catalog.hpp"
 #include "rng/stream_audit.hpp"
 
 namespace {
@@ -21,7 +21,6 @@ namespace {
 using sfs::sim::CliRequest;
 using sfs::sim::ExperimentContext;
 using sfs::sim::ExperimentOptions;
-using sfs::sim::ExperimentRegistry;
 using sfs::sim::ExperimentSpec;
 using sfs::sim::experiment_seed;
 using sfs::sim::experiment_stream_seed;
@@ -37,53 +36,6 @@ ExperimentSpec make_spec(const std::string& name,
   spec.default_seed = default_seed;
   spec.run = [](ExperimentContext&) { return 0; };
   return spec;
-}
-
-// ---------------------------------------------------------------- registry
-
-TEST(ExperimentRegistry, AddAndFind) {
-  ExperimentRegistry reg;
-  reg.add(make_spec("x1"));
-  ASSERT_NE(reg.find("x1"), nullptr);
-  EXPECT_EQ(reg.find("x1")->name, "x1");
-  EXPECT_EQ(reg.find("x2"), nullptr);
-  EXPECT_EQ(reg.size(), 1u);
-}
-
-TEST(ExperimentRegistry, DuplicateNameRejected) {
-  ExperimentRegistry reg;
-  reg.add(make_spec("x1"));
-  EXPECT_THROW(reg.add(make_spec("x1")), std::invalid_argument);
-}
-
-TEST(ExperimentRegistry, EmptyNameAndMissingRunRejected) {
-  ExperimentRegistry reg;
-  EXPECT_THROW(reg.add(make_spec("")), std::invalid_argument);
-  ExperimentSpec no_run = make_spec("x1");
-  no_run.run = nullptr;
-  EXPECT_THROW(reg.add(no_run), std::invalid_argument);
-}
-
-TEST(ExperimentRegistry, DefaultSeedCollisionRejected) {
-  ExperimentRegistry reg;
-  reg.add(make_spec("x1", 42));
-  EXPECT_THROW(reg.add(make_spec("x2", 42)), std::invalid_argument);
-  // A pinned seed colliding with a name-derived one is caught too.
-  ExperimentRegistry reg2;
-  reg2.add(make_spec("x1"));
-  EXPECT_THROW(reg2.add(make_spec("x2", experiment_seed("x1"))),
-               std::invalid_argument);
-}
-
-TEST(ExperimentRegistry, CatalogOrderIsFamilyThenNumber) {
-  ExperimentRegistry reg;
-  for (const char* name : {"a2", "e10", "a1", "e2", "zz", "e1", "d1"}) {
-    reg.add(make_spec(name));
-  }
-  std::vector<std::string> names;
-  for (const auto* spec : reg.all()) names.push_back(spec->name);
-  EXPECT_EQ(names, (std::vector<std::string>{"e1", "e2", "e10", "a1", "a2",
-                                             "d1", "zz"}));
 }
 
 // ------------------------------------------------------------------- seeds
@@ -264,12 +216,14 @@ TEST(ExperimentCli, ActionRequiredAndExclusive) {
 // -------------------------------------------------------------- validation
 
 TEST(ExperimentValidation, CapabilityGating) {
-  ExperimentSpec spec = make_spec("x1");
-  spec.caps = sfs::sim::kCapQuick | sfs::sim::kCapSeed;
+  ExperimentSpec spec = make_spec("x1");  // no capability bits
   std::string error;
 
+  // --quick and --seed need no bit: every experiment takes them.
   ExperimentOptions ok;
   ok.quick = true;
+  ok.seed = 7;
+  ok.has_seed = true;
   EXPECT_TRUE(validate_experiment_options(spec, ok, error)) << error;
 
   ExperimentOptions large;
@@ -334,21 +288,45 @@ TEST(ParseNameList, TokenRules) {
 TEST(ExperimentValidation, PoliciesGatedByCapability) {
   std::string error;
   ExperimentSpec plain = make_spec("x1");
-  plain.caps = sfs::sim::kCapQuick;
   ExperimentOptions options;
   options.policies = {"bfs"};
   EXPECT_FALSE(validate_experiment_options(plain, options, error));
   EXPECT_NE(error.find("--policies"), std::string::npos);
 
   ExperimentSpec with_cap = make_spec("x2");
-  with_cap.caps = sfs::sim::kCapQuick | sfs::sim::kCapPolicies;
+  with_cap.caps = sfs::sim::kCapPolicies;
   EXPECT_TRUE(validate_experiment_options(with_cap, options, error))
       << error;
 }
 
+TEST(ExperimentValidation, PoliciesCheckedAgainstThePolicyTable) {
+  ExperimentSpec spec = make_spec("x1");
+  spec.caps = sfs::sim::kCapPolicies;
+  std::string error;
+
+  ExperimentOptions repeated;
+  repeated.policies = {"bfs-strong", "bfs-strong"};
+  EXPECT_FALSE(validate_experiment_options(spec, repeated, error))
+      << "a repeated policy would be measured twice";
+  EXPECT_NE(error.find("'bfs-strong' selected more than once"),
+            std::string::npos)
+      << error;
+
+  ExperimentOptions unknown;
+  unknown.policies = {"bfs", "nosuch"};
+  EXPECT_FALSE(validate_experiment_options(spec, unknown, error));
+  EXPECT_NE(error.find("unknown policy 'nosuch'"), std::string::npos)
+      << error;
+
+  // Both models pass: the run checks the model (d1_churn takes both).
+  ExperimentOptions mixed;
+  mixed.policies = {"degree-greedy-strong", "random-walk"};
+  EXPECT_TRUE(validate_experiment_options(spec, mixed, error)) << error;
+}
+
 TEST(ExperimentValidation, SingleSizeExperimentsRejectSizeLists) {
   ExperimentSpec spec = make_spec("x1");
-  spec.caps = sfs::sim::kCapQuick | sfs::sim::kCapSingleSize;
+  spec.caps = sfs::sim::kCapSingleSize;
   std::string error;
 
   ExperimentOptions one;
@@ -364,8 +342,7 @@ TEST(ExperimentValidation, SingleSizeExperimentsRejectSizeLists) {
 
 TEST(ExperimentValidation, CheckpointRequiresGridMode) {
   ExperimentSpec spec = make_spec("x1");
-  spec.caps = sfs::sim::kCapQuick | sfs::sim::kCapLarge |
-              sfs::sim::kCapCheckpoint;
+  spec.caps = sfs::sim::kCapGrid;
   std::string error;
 
   ExperimentOptions bare;
@@ -421,34 +398,58 @@ TEST(ResultsEmitter, OpenFailureThrows) {
                std::runtime_error);
 }
 
-// ---------------------------------------------------- the global registry
+// ------------------------------------------------------ the experiment table
 
-TEST(GlobalRegistry, CatalogContainsTheExperimentSuite) {
-  const auto& reg = ExperimentRegistry::instance();
-  const std::vector<std::string> required{
-      "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11",
-      "e12", "a1", "a2", "a3"};
-  for (const auto& name : required) {
-    ASSERT_NE(reg.find(name), nullptr) << "missing experiment " << name;
+std::vector<std::string> catalog_names() {
+  std::vector<std::string> names;
+  for (const auto& spec : sfs::bench::experiments()) {
+    names.push_back(spec.name);
   }
-  EXPECT_GE(reg.size(), required.size());
+  return names;
+}
 
-  for (const auto* spec : reg.all()) {
-    EXPECT_TRUE(static_cast<bool>(spec->run)) << spec->name;
-    EXPECT_FALSE(spec->title.empty()) << spec->name;
-    EXPECT_FALSE(spec->claim.empty()) << spec->name;
-    EXPECT_TRUE(spec->caps & sfs::sim::kCapQuick) << spec->name;
+TEST(ExperimentTable, NamesInCatalogOrder) {
+  EXPECT_EQ(catalog_names(),
+            (std::vector<std::string>{"e1", "e2", "e3", "e4", "e5", "e6",
+                                      "e7", "e8", "e9", "e10", "e11", "e12",
+                                      "a1", "a2", "a3", "d1_churn"}));
+}
+
+TEST(ExperimentTable, NamesAreUnique) {
+  const auto names = catalog_names();
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+            names.size());
+}
+
+TEST(ExperimentTable, DefaultSeedsAreDistinct) {
+  // Two experiments with one default seed would run correlated streams.
+  const auto specs = sfs::bench::experiments();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (std::size_t j = i + 1; j < specs.size(); ++j) {
+      EXPECT_NE(specs[i].resolved_default_seed(),
+                specs[j].resolved_default_seed())
+          << specs[i].name << " and " << specs[j].name;
+    }
   }
 }
 
-TEST(GlobalRegistry, LegacySeedsStayPinned) {
-  const auto& reg = ExperimentRegistry::instance();
-  // Bit-compatibility contract with pre-registry bench_e1/e2 grids and
+TEST(ExperimentTable, LegacySeedsStayPinned) {
+  // Bit-compatibility contract with the former bench_e1/e2 grids and
   // their on-disk checkpoints (the checkpoint meta row records the seed).
-  ASSERT_NE(reg.find("e1"), nullptr);
-  EXPECT_EQ(reg.find("e1")->resolved_default_seed(), 0x1A26E1u);
-  ASSERT_NE(reg.find("e2"), nullptr);
-  EXPECT_EQ(reg.find("e2")->resolved_default_seed(), 0x1A26E2u);
+  const auto specs = sfs::bench::experiments();
+  ASSERT_GE(specs.size(), 2u);
+  EXPECT_EQ(specs[0].name, "e1");
+  EXPECT_EQ(specs[0].resolved_default_seed(), 0x1A26E1u);
+  EXPECT_EQ(specs[1].name, "e2");
+  EXPECT_EQ(specs[1].resolved_default_seed(), 0x1A26E2u);
+}
+
+TEST(ExperimentTable, EveryEntryIsComplete) {
+  for (const auto& spec : sfs::bench::experiments()) {
+    EXPECT_FALSE(spec.title.empty()) << spec.name;
+    EXPECT_FALSE(spec.claim.empty()) << spec.name;
+    EXPECT_NE(spec.run, nullptr) << spec.name;
+  }
 }
 
 }  // namespace
