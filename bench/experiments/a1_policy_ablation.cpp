@@ -98,6 +98,7 @@ sim::ExperimentSpec a1_spec() {
                "choice dominates for old targets",
       .caps = sim::kCapSingleSize | sim::kCapReps | sim::kCapThreads |
               sim::kCapPolicies,
+      .policy_model = search::KnowledgeModel::kWeak,
       .params =
           {
               {"--n", "size", "8192 (quick: 2048)", "graph size"},

@@ -7,6 +7,7 @@
 
 #include "gen/mori.hpp"
 #include "graph/degree.hpp"
+#include "rng/stream_audit.hpp"
 #include "search/runner.hpp"
 #include "search/simulate.hpp"
 #include "search/strong_algorithms.hpp"
@@ -42,7 +43,7 @@ int run_a3(ExperimentContext& ctx) {
       const std::uint64_t graph_seed = ctx.stream_seed("graph " + cell);
       const std::uint64_t search_seed = ctx.stream_seed("search " + cell);
       for (std::uint64_t rep = 0; rep < reps; ++rep) {
-        Rng graph_rng(sfs::rng::derive_seed(graph_seed, rep));
+        Rng graph_rng(sfs::rng::audited_stream_seed(graph_seed, 0, rep));
         const auto g =
             sfs::gen::mori_tree(n, sfs::gen::MoriParams{p}, graph_rng);
         dmax_acc.add(static_cast<double>(sfs::graph::max_degree(
@@ -50,7 +51,7 @@ int run_a3(ExperimentContext& ctx) {
 
         sfs::search::StrongViaWeak sim(
             sfs::search::make_degree_greedy_strong());
-        Rng rng(sfs::rng::derive_seed(search_seed, rep));
+        Rng rng(sfs::rng::audited_stream_seed(search_seed, 0, rep));
         const auto r = sfs::search::run_weak(
             g, 0, static_cast<VertexId>(n - 1), sim, rng);
         weak_reqs.add(static_cast<double>(r.requests));

@@ -12,6 +12,7 @@
 
 #include "gen/config_model.hpp"
 #include "graph/algorithms.hpp"
+#include "rng/stream_audit.hpp"
 #include "search/percolation.hpp"
 #include "sim/experiment.hpp"
 #include "sim/table.hpp"
@@ -54,7 +55,7 @@ int run_e11(ExperimentContext& ctx) {
           "walk=" + std::to_string(walk) +
           " qe=" + sfs::sim::format_double(qe, 2));
       for (std::uint64_t rep = 0; rep < lookups; ++rep) {
-        Rng rng(sfs::rng::derive_seed(cell_seed, rep));
+        Rng rng(sfs::rng::audited_stream_seed(cell_seed, 0, rep));
         const auto owner =
             static_cast<VertexId>(rng.uniform_index(g.num_vertices()));
         const auto requester =

@@ -57,7 +57,7 @@ int run(int argc, char** argv) {
   constexpr std::size_t kLookups = 60;
   std::vector<sfs::search::Query> lookups(kLookups);
   for (std::uint64_t rep = 0; rep < kLookups; ++rep) {
-    sfs::rng::Rng lookup_rng(sfs::rng::derive_seed(seed, rep));
+    sfs::rng::Rng lookup_rng(sfs::rng::audited_stream_seed(seed, 0, rep));
     auto& q = lookups[rep];
     q.target = static_cast<sfs::graph::VertexId>(
         lookup_rng.uniform_index(peers));  // the content owner
@@ -87,7 +87,7 @@ int run(int argc, char** argv) {
   };
   for (const auto& row : rows) {
     sfs::search::QueryEngineOptions options;
-    options.seed = sfs::rng::derive_seed(seed, 0xE26);
+    options.seed = sfs::rng::audited_stream_seed(seed, 0, 0xE26);
     options.budget.max_raw_requests = 50 * peers;
     sfs::search::QueryEngine engine(g, row.policy, options);
     const auto results = engine.run_batch(lookups, /*threads=*/0);
@@ -111,7 +111,7 @@ int run(int argc, char** argv) {
   sfs::stats::Accumulator perc_cost;
   std::size_t perc_found = 0;
   for (std::uint64_t rep = 0; rep < kLookups; ++rep) {
-    // A distinct stream per rep: derive_seed(seed, rep) already fed the
+    // A distinct stream per rep: stream 0 of (seed, rep) already fed the
     // endpoint draws above, and replaying it here would correlate the
     // percolation coin flips with the endpoint choice bit for bit.
     sfs::rng::Rng lookup_rng(

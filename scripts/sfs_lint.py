@@ -14,9 +14,10 @@ Rules
                       / clock-as-entropy outside src/rng/ and the test
                       allowlist.  All randomness flows from sfs::rng.
   raw-derive          (R2) rng::derive_stream_seed callers outside
-                      src/rng/ must route through audited_stream_seed or
-                      audited_counter_seed (the stream audit once caught a
-                      real seed collision this rule prevents statically).
+                      src/rng/ must route through audited_stream_seed,
+                      the one audited derivation (the stream audit once
+                      caught a real seed collision this rule prevents
+                      statically).
   unordered-emission  (R3) no iteration over std::unordered_{map,set} in
                       a TU that touches the sim/report emitter surface —
                       hash-iteration order would leak into committed
@@ -26,11 +27,10 @@ Rules
                       failures carry expression, location, and context.
   rng-reachability    (R6) cross-TU call-graph pass: every path from an
                       experiment run-fn (`.run = fn` in an
-                      ExperimentSpec initializer) to a raw Rng /
-                      Philox4x64 construction must traverse an audited
-                      seed derivation (audited_stream_seed,
-                      audited_counter_seed, *.stream_seed).  An
-                      experiment whose call chain seeds an engine any
+                      ExperimentSpec initializer) to a raw Rng
+                      construction must traverse an audited seed
+                      derivation (audited_stream_seed, *.stream_seed).
+                      An experiment whose call chain seeds an engine any
                       other way can silently correlate replications.
   float-order         (R7) no unordered floating-point accumulation in a
                       TU feeding BENCH_JSON artifacts: std::reduce /
@@ -82,6 +82,7 @@ usage/configuration error.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import re
 import sys
@@ -140,7 +141,7 @@ RULES = {
     "raw-derive": Rule(
         "raw-derive",
         "raw rng::derive_stream_seed call outside src/rng/ "
-        "(use audited_stream_seed / audited_counter_seed)",
+        "(use audited_stream_seed)",
         lambda p: not _in_dir(p, "src/rng"),
     ),
     "unordered-emission": Rule(
@@ -156,8 +157,8 @@ RULES = {
     ),
     "rng-reachability": Rule(
         "rng-reachability",
-        "experiment-reachable Rng/Philox construction without an "
-        "audited/versioned seed derivation on the path (cross-TU)",
+        "experiment-reachable Rng construction without an audited "
+        "seed derivation on the path (cross-TU)",
         # tests/ are no experiment entry path and legitimately pin literal
         # seeds; src/rng implements the engines.
         lambda p: not _in_dir(p, "src/rng") and not _in_dir(p, "tests"),
@@ -284,7 +285,21 @@ ALLOW_RE = re.compile(
 ALLOW_ATTEMPT_RE = re.compile(r"SFS_LINT_ALLOW\s*\(")
 # Fixtures declare the path they pretend to live at, so path-scoped rules
 # are exercised for real from inside tests/lint_fixtures/.
-FIXTURE_PATH_RE = re.compile(r"SFS_LINT_FIXTURE_PATH:\s*(\S+)")
+FIXTURE_PATH_RE = re.compile(r"\s*//\s*SFS_LINT_FIXTURE_PATH:\s*(\S+)")
+
+
+def fixture_units(text: str) -> dict[str, str]:
+    """A fixture's virtual files, one per SFS_LINT_FIXTURE_PATH marker line,
+    each running to the next marker.  Each unit keeps the other units'
+    lines as blank lines, so a finding's line is its fixture line."""
+    lines = text.split("\n")
+    markers = [(i, m.group(1)) for i, ln in enumerate(lines)
+               if (m := FIXTURE_PATH_RE.match(ln))]
+    units: dict[str, str] = {}
+    for k, (start, vpath) in enumerate(markers):
+        end = markers[k + 1][0] if k + 1 < len(markers) else len(lines)
+        units[vpath] = "\n" * start + "\n".join(lines[start:end])
+    return units
 
 
 @dataclass
@@ -400,9 +415,8 @@ def token_rule_raw_derive(path: str, lexed: LexedFile,
     return _line_findings(
         path, lexed.code, R2_RE, "raw-derive",
         "raw derive_stream_seed call — route through "
-        "rng::audited_stream_seed (SFS_RNG_AUDIT coverage) or "
-        "rng::audited_counter_seed; the stream audit once caught a real "
-        "seed collision here")
+        "rng::audited_stream_seed (SFS_RNG_AUDIT coverage); the stream "
+        "audit once caught a real seed collision here")
 
 
 def token_rule_unordered_emission(path: str, lexed: LexedFile,
@@ -548,25 +562,33 @@ TOKEN_RULE_FNS = {
 # identifier + balanced parens + optional trailer (const/noexcept/macro
 # attributes/ctor-initializers) followed by `{` is a definition; every
 # known-function identifier followed by `(` inside its brace-matched body
-# is an edge.  A "draw" is a construction of rng::Rng or rng::Philox4x64.
-# The draw is sanctioned when its enclosing function — or anything that
-# function can reach — derives seeds through audited_stream_seed,
-# audited_counter_seed, or a *.stream_seed() helper.  A violation is a draw in a
-# root-reachable, unsanctioned function: an experiment path that seeds an
-# engine outside the derivation discipline.
+# is an edge.  A "draw" is a construction of rng::Rng.  The draw is
+# sanctioned when its enclosing function — or anything that function can
+# reach — derives seeds through audited_stream_seed or a *.stream_seed()
+# helper.  A violation is a draw in a root-reachable, unsanctioned
+# function: an experiment path that seeds an engine outside the derivation
+# discipline.
 #
-# This is a heuristic (token-level) analysis: same-name functions merge
-# into one node, bodies include nested lambdas, and declarations-only TUs
-# contribute nothing.  That is the right bias for a lint — merging only
-# ever *adds* reachability, and false positives carry a reasoned
-# SFS_LINT_ALLOW that documents why the seeding is sound.
+# A node is a function name, except that a function with internal linkage
+# (defined in an anonymous namespace, or `static` at namespace scope) is
+# keyed by (file, name): calls resolve to the caller's own file first.  So
+# two experiments' file-local `report` helpers stay two nodes.
+#
+# This is a heuristic (token-level) analysis: same-name functions with
+# external linkage (overloads, members of different classes) merge into
+# one node, bodies include nested lambdas, and declarations-only TUs
+# contribute nothing.  Merging can add findings (a raw draw inherits the
+# other function's unsanctioned callers) and remove them (it inherits the
+# other body's sanction).  False positives carry a reasoned SFS_LINT_ALLOW
+# that documents why the seeding is sound.
 
 R6_ROOT_RE = re.compile(r"\.run\s*=\s*&?([A-Za-z_]\w*)")
-R6_DRAW_NAMED_RE = re.compile(
-    r"\b(?:rng\s*::\s*)?(?:Rng|Philox4x64)\s+\w+\s*[({]")
-R6_DRAW_TEMP_RE = re.compile(r"\b(?:rng\s*::\s*)?(?:Rng|Philox4x64)\s*\(")
+R6_DRAW_NAMED_RE = re.compile(r"\b(?:rng\s*::\s*)?Rng\s+\w+\s*[({]")
+R6_DRAW_TEMP_RE = re.compile(r"\b(?:rng\s*::\s*)?Rng\s*\(")
 R6_SANCTION_RE = re.compile(
-    r"\baudited_(?:stream|counter)_seed\s*\(|\bstream_seed\s*\(")
+    r"\baudited_stream_seed\s*\(|\bstream_seed\s*\(")
+# The brace a namespace opens: group 1 is its name, empty if anonymous.
+R6_NAMESPACE_OPEN_RE = re.compile(r"\bnamespace\s*([\w:]*)\s*$")
 R6_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 R6_NOT_FN = frozenset({
     "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
@@ -579,12 +601,22 @@ R6_FN_TRAILER_RE = re.compile(
     r"(?:\s*->\s*[^{;]+?)?(?:\s*:[^{;]*)?\s*\{")
 
 
+# A call-graph node: (file, name) for a function with internal linkage,
+# ("", name) otherwise.
+Node = tuple[str, str]
+
+
 @dataclass
 class FnDef:
     name: str
     path: str
-    line: int
+    line: int  # of the body's opening brace
     body: str  # lexed body text including the braces
+    internal: bool = False  # anonymous namespace, or namespace-scope static
+
+    @property
+    def node(self) -> Node:
+        return (self.path if self.internal else "", self.name)
 
 
 def _match_forward(code: str, i: int, open_ch: str, close_ch: str) -> int:
@@ -603,9 +635,29 @@ def _match_forward(code: str, i: int, open_ch: str, close_ch: str) -> int:
     return -1
 
 
+def _scopes(code: str) -> tuple[list[int], list[tuple[bool, bool]]]:
+    """Offsets of every brace, and the scope just after each one as
+    (inside an anonymous namespace, at namespace scope)."""
+    offsets: list[int] = []
+    states: list[tuple[bool, bool]] = []
+    stack: list[str] = []  # "anon", "ns" or "other" per open brace
+    for m in re.finditer(r"[{}]", code):
+        if m.group() == "{":
+            ns = R6_NAMESPACE_OPEN_RE.search(code, max(0, m.start() - 200),
+                                             m.start())
+            stack.append("other" if ns is None
+                         else "ns" if ns.group(1) else "anon")
+        elif stack:
+            stack.pop()
+        offsets.append(m.start())
+        states.append(("anon" in stack, "other" not in stack))
+    return offsets, states
+
+
 def extract_functions(path: str, lexed: LexedFile) -> list[FnDef]:
     code = lexed.code
     fns: list[FnDef] = []
+    brace_offsets, brace_states = _scopes(code)
     for m in re.finditer(r"\b([A-Za-z_]\w*)\s*\(", code):
         name = m.group(1)
         if name in R6_NOT_FN:
@@ -620,9 +672,13 @@ def extract_functions(path: str, lexed: LexedFile) -> list[FnDef]:
         body_close = _match_forward(code, body_open, "{", "}")
         if body_close == -1:
             continue
-        fns.append(FnDef(name, path,
-                         code.count("\n", 0, m.start()) + 1,
-                         code[body_open:body_close + 1]))
+        k = bisect.bisect_right(brace_offsets, m.start()) - 1
+        anon, ns_scope = brace_states[k] if k >= 0 else (False, True)
+        decl_start = max(code.rfind(c, 0, m.start()) for c in ";{}") + 1
+        internal = anon or (ns_scope and re.search(
+            r"\bstatic\b", code[decl_start:m.start()]) is not None)
+        fns.append(FnDef(name, path, code.count("\n", 0, body_open) + 1,
+                         code[body_open:body_close + 1], internal))
     return fns
 
 
@@ -634,34 +690,47 @@ def rng_reachability_findings(
     whole: dict[str, LexedFile] = dict(graph_extra or {})
     whole.update(lexed_map)
 
-    # name -> merged node
-    callees: dict[str, set[str]] = {}
-    sanctioned: dict[str, bool] = {}
-    draws: dict[str, list[tuple[str, int]]] = {}
-    roots: set[str] = set()
+    callees: dict[Node, set[Node]] = {}
+    sanctioned: dict[Node, bool] = {}
+    draws: dict[Node, list[tuple[str, int]]] = {}
 
     all_fns: list[FnDef] = []
     for path, lexed in whole.items():
         all_fns.extend(extract_functions(path, lexed))
+    known = {fn.node for fn in all_fns}
+
+    def resolve(path: str, name: str) -> Node | None:
+        """The function a call to `name` from `path` reaches: a file-local
+        one of `path` first, else the external one."""
+        for key in ((path, name), ("", name)):
+            if key in known:
+                return key
+        return None
+
+    roots: set[Node] = set()
+    for path, lexed in whole.items():
         for m in R6_ROOT_RE.finditer(lexed.code):
-            roots.add(m.group(1))
-    known = {fn.name for fn in all_fns}
+            root = resolve(path, m.group(1))
+            if root is not None:
+                roots.add(root)
 
     rule = RULES["rng-reachability"]
     for fn in all_fns:
-        node = callees.setdefault(fn.name, set())
-        node.update(c for c in set(R6_CALL_RE.findall(fn.body))
-                    if c in known and c != fn.name)
-        sanctioned[fn.name] = (sanctioned.get(fn.name, False)
+        node = callees.setdefault(fn.node, set())
+        for c in set(R6_CALL_RE.findall(fn.body)):
+            target = resolve(fn.path, c)
+            if target is not None and target != fn.node:
+                node.add(target)
+        sanctioned[fn.node] = (sanctioned.get(fn.node, False)
                                or bool(R6_SANCTION_RE.search(fn.body)))
         if not rule.in_scope(fn.path):
             continue
         for dm in list(R6_DRAW_NAMED_RE.finditer(fn.body)) + \
                 list(R6_DRAW_TEMP_RE.finditer(fn.body)):
             line = fn.line + fn.body.count("\n", 0, dm.start())
-            draws.setdefault(fn.name, []).append((fn.path, line))
+            draws.setdefault(fn.node, []).append((fn.path, line))
 
-    def closure(start: set[str]) -> set[str]:
+    def closure(start: set[Node]) -> set[Node]:
         seen = set(start)
         stack = list(start)
         while stack:
@@ -671,16 +740,16 @@ def rng_reachability_findings(
                     stack.append(nxt)
         return seen
 
-    reachable = closure(roots & known)
+    reachable = closure(roots)
 
-    reverse: dict[str, set[str]] = {}
+    reverse: dict[Node, set[Node]] = {}
     for caller, outs in callees.items():
         if caller not in reachable:
             continue
         for callee in outs:
             reverse.setdefault(callee, set()).add(caller)
 
-    def self_sanctioned(name: str) -> bool:
+    def self_sanctioned(name: Node) -> bool:
         """Sanction inside the function or anything it can call — the
         "derives its own seed (possibly via a helper)" case."""
         return any(sanctioned.get(n, False) for n in closure({name}))
@@ -691,9 +760,9 @@ def rng_reachability_findings(
     # are, recursively, path-sanctioned (they derived the seed they pass
     # down).  Cycle members are optimistically clean; the path into the
     # cycle still decides.
-    memo: dict[str, bool] = {}
+    memo: dict[Node, bool] = {}
 
-    def path_sanctioned(name: str, visiting: frozenset[str]) -> bool:
+    def path_sanctioned(name: Node, visiting: frozenset[Node]) -> bool:
         if name in visiting:
             return True
         if name in memo:
@@ -720,12 +789,12 @@ def rng_reachability_findings(
             if path in lexed_map:  # report only inside the lint set
                 out.append(Finding(
                     path, line, "rng-reachability",
-                    f"'{name}' is reachable from an experiment run-fn "
+                    f"'{name[1]}' is reachable from an experiment run-fn "
                     "and constructs an RNG engine, but nothing on "
                     "the path derives its seed through audited_stream_seed "
-                    "/ audited_counter_seed / stream_seed — replications "
-                    "seeded this way can silently correlate (docs/PERF.md "
-                    "seed discipline; docs/ANALYSIS.md R6)"))
+                    "/ stream_seed — replications seeded this way can "
+                    "silently correlate (docs/PERF.md seed discipline; "
+                    "docs/ANALYSIS.md R6)"))
     return out
 
 
@@ -855,12 +924,6 @@ def lint_corpus(corpus: dict[str, str],
     return all_findings
 
 
-def lint_text(path: str, text: str) -> list[Finding]:
-    """Lints one file's contents under its repo-relative `path`; the file
-    is its own cross-TU corpus (what --self-test fixtures rely on)."""
-    return lint_corpus({path: text})
-
-
 def collect_files(repo_root: Path, explicit: list[str]) -> list[str]:
     if explicit:
         out = []
@@ -918,14 +981,11 @@ def run_lint(repo_root: Path, files: list[str], as_json: bool,
             return 2
         text = full.read_text(encoding="utf-8", errors="replace")
         # Fixtures linted explicitly (the CI seeded-violation step does)
-        # run under their declared virtual path, the same remapping the
+        # run under their declared virtual paths, the same remapping the
         # self-test applies — rule scoping is path-based, and the point of
         # a fixture is the path it pretends to live at.
-        if _in_dir(rel, FIXTURE_DIR):
-            m = FIXTURE_PATH_RE.search(text)
-            if m:
-                rel = m.group(1)
-        corpus[rel] = text
+        units = fixture_units(text) if _in_dir(rel, FIXTURE_DIR) else {}
+        corpus.update(units or {rel: text})
 
     graph_extra = None
     if compile_commands:
@@ -1005,15 +1065,16 @@ def run_self_test(fixtures_dir: Path) -> int:
     failures = 0
     for fixture in fixtures:
         text = fixture.read_text(encoding="utf-8")
-        m = FIXTURE_PATH_RE.search(text)
-        if not m:
+        # Fixtures exercise scoping via their declared virtual paths; a
+        # fixture with several markers is several TUs linted together.
+        units = fixture_units(text)
+        if not units:
             print(f"FAIL {fixture.name}: missing "
                   "// SFS_LINT_FIXTURE_PATH: <virtual path> marker")
             failures += 1
             continue
-        vpath = m.group(1)
-        # Fixtures exercise scoping via their declared virtual path.
-        got = {(f.line, f.rule) for f in lint_text(vpath, text)}
+        vpath = ", ".join(units)
+        got = {(f.line, f.rule) for f in lint_corpus(units)}
         want = set(parse_expectations(fixture))
         if got != want:
             failures += 1
@@ -1028,18 +1089,18 @@ def run_self_test(fixtures_dir: Path) -> int:
         # fixes twice must equal applying them once (idempotence), and a
         # fixture that advertises itself as fixable must come out clean
         # (and actually change) after one pass.
-        fixed1, _ = apply_fixes(vpath, text)
-        fixed2, _ = apply_fixes(vpath, fixed1)
+        fixed1 = {p: apply_fixes(p, t)[0] for p, t in units.items()}
+        fixed2 = {p: apply_fixes(p, t)[0] for p, t in fixed1.items()}
         if fixed1 != fixed2:
             failures += 1
             print(f"FAIL {fixture.name}: --fix is not idempotent")
             continue
         if "fixable" in fixture.name:
-            if fixed1 == text:
+            if fixed1 == units:
                 failures += 1
                 print(f"FAIL {fixture.name}: --fix changed nothing")
                 continue
-            residue = lint_text(vpath, fixed1)
+            residue = lint_corpus(fixed1)
             if residue:
                 failures += 1
                 print(f"FAIL {fixture.name}: findings survive --fix:")

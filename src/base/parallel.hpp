@@ -2,13 +2,13 @@
 //
 // The Monte-Carlo harnesses (sim/sweep, sim/scaling) run hundreds of
 // independent replications whose seeds are derived per replication index
-// (rng::derive_seed(seed, rep)), so the computation of replication r never
-// depends on any other replication. That makes the fan-out embarrassingly
-// parallel AND bit-reproducible: each task writes its results into a slot
-// indexed by its replication number, and the caller folds the slots in
-// index order afterwards — identical floating-point accumulation order to
-// the sequential loop, hence bit-identical summaries regardless of thread
-// count or OS scheduling.
+// (rng::audited_stream_seed(seed, stream, rep)), so the computation of
+// replication r never depends on any other replication. That makes the
+// fan-out embarrassingly parallel AND bit-reproducible: each task writes
+// its results into a slot indexed by its replication number, and the
+// caller folds the slots in index order afterwards — identical
+// floating-point accumulation order to the sequential loop, hence
+// bit-identical summaries regardless of thread count or OS scheduling.
 //
 // The pool hands every task a stable worker index in [0, worker_count()),
 // which callers use to give each worker its own reusable scratch state

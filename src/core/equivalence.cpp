@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "rng/stream_audit.hpp"
+
 namespace sfs::core {
 
 using graph::VertexId;
@@ -42,7 +44,7 @@ EventEstimate estimate_event_probability(double p, std::size_t a,
   SFS_REQUIRE(reps > 0, "need at least one replication");
   std::size_t hits = 0;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    rng::Rng rng(rng::derive_seed(seed, rep));
+    rng::Rng rng(rng::audited_stream_seed(seed, 0, rep));
     gen::MoriProcess proc(gen::MoriParams{p});
     // Growing to b vertices is enough: the event only constrains fathers of
     // vertices a+1..b, and fathers never change afterwards.
@@ -65,7 +67,7 @@ WindowFeatureStats window_feature_stats(double p, std::size_t a,
   st.leaf_probability.assign(w, 0.0);
 
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    rng::Rng rng(rng::derive_seed(seed, rep));
+    rng::Rng rng(rng::audited_stream_seed(seed, 0, rep));
     gen::MoriProcess proc(gen::MoriParams{p});
     proc.grow_to(b, rng);
     ++st.attempted;
@@ -95,7 +97,7 @@ EventEstimate estimate_cf_event_probability(
   SFS_REQUIRE(reps > 0, "need at least one replication");
   std::size_t hits = 0;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    rng::Rng rng(rng::derive_seed(seed, rep));
+    rng::Rng rng(rng::audited_stream_seed(seed, 0, rep));
     gen::CooperFriezeProcess proc(params);
     // Phase 1: grow to a vertices.
     while (proc.num_vertices() < a) (void)proc.step(rng);

@@ -90,19 +90,13 @@ std::vector<std::uint64_t> Rng::sample_without_replacement(std::uint64_t n,
   return result;
 }
 
-std::uint64_t derive_seed(std::uint64_t experiment_seed,
-                          std::uint64_t rep) noexcept {
-  return mix64(experiment_seed ^ mix64(0x5eedULL + rep));
-}
-
 std::uint64_t derive_stream_seed(std::uint64_t experiment_seed,
                                  std::uint64_t stream,
                                  std::uint64_t rep) noexcept {
-  // Stream 0 coincides with derive_seed(experiment_seed, rep) by
-  // construction (x ^ 0 == x): the historical harness seeds (graph stream
-  // untagged, other streams tagged by XOR) are load-bearing for
-  // reproducing recorded experiment tables.
-  return derive_seed(experiment_seed ^ stream, rep);
+  // The stream tag enters by XOR, so stream 0 (the graph) keeps the
+  // historical per-rep seeds, which are load-bearing for reproducing
+  // recorded experiment tables.
+  return mix64(experiment_seed ^ stream ^ mix64(0x5eedULL + rep));
 }
 
 }  // namespace sfs::rng

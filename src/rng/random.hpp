@@ -96,11 +96,6 @@ class Rng {
   Xoshiro256 engine_;
 };
 
-/// Derives the seed for replication `rep` of experiment `experiment_seed`
-/// in a way that decorrelates nearby (seed, rep) pairs.
-[[nodiscard]] std::uint64_t derive_seed(std::uint64_t experiment_seed,
-                                        std::uint64_t rep) noexcept;
-
 /// Derives the seed for logical stream `stream` of replication `rep`
 /// (stream 0 = the graph, further streams = endpoints, per-policy
 /// searches, ...). Every stream of every replication is a pure function of

@@ -11,7 +11,6 @@
 
 #include "base/sync.hpp"
 #include "base/thread_annotations.hpp"
-#include "rng/philox.hpp"
 #include "rng/random.hpp"
 
 namespace sfs::rng {
@@ -98,26 +97,15 @@ void StreamAudit::dump(std::ostream& out) const {
   }
 }
 
-namespace {
-
-std::uint64_t recorded(const StreamTriple& triple, std::uint64_t derived) {
-  StreamAudit& audit = StreamAudit::instance();
-  if (audit.enabled()) audit.record(triple, derived);
-  return derived;
-}
-
-}  // namespace
-
 std::uint64_t audited_stream_seed(std::uint64_t experiment_seed,
                                   std::uint64_t stream, std::uint64_t rep) {
-  return recorded(StreamTriple{experiment_seed, stream, rep},
-                  derive_stream_seed(experiment_seed, stream, rep));
-}
-
-std::uint64_t audited_counter_seed(std::uint64_t seed, std::uint64_t stream,
-                                   std::uint64_t index) {
-  return recorded(StreamTriple{seed, stream, index},
-                  Philox4x64(seed, stream).block_at(index)[0]);
+  const std::uint64_t derived =
+      derive_stream_seed(experiment_seed, stream, rep);
+  StreamAudit& audit = StreamAudit::instance();
+  if (audit.enabled()) {
+    audit.record(StreamTriple{experiment_seed, stream, rep}, derived);
+  }
+  return derived;
 }
 
 }  // namespace sfs::rng

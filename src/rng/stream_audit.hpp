@@ -5,13 +5,12 @@
 // rng::derive_stream_seed. Two *different* triples mapping to the same
 // derived seed would silently correlate measurements that the statistics
 // assume independent — exactly the bug class the PR 2 mix64-tempering fix
-// closed for scaling sweeps. This audit makes that failure loud: when
-// enabled, every derivation goes through one of the two audited functions
-// below — audited_stream_seed() (the replication harnesses) or
-// audited_counter_seed() (the QueryEngine's per-query streams) — which
-// record the triple -> seed mapping in a process-wide table and throw
-// std::logic_error the moment two distinct triples collide on one derived
-// seed.
+// closed for scaling sweeps. This audit makes that failure loud: every
+// derivation outside rng/ goes through audited_stream_seed() below (the
+// replication harnesses, the experiments, core/ and the QueryEngine's
+// per-query streams alike), which, when enabled, records the triple ->
+// seed mapping in a process-wide table and throws std::logic_error the
+// moment two distinct triples collide on one derived seed.
 //
 // Enabling: set the environment variable SFS_RNG_AUDIT to a non-empty
 // value other than "0" before the first derivation, or call
@@ -84,19 +83,13 @@ class StreamAudit {
   Impl* impl_;
 };
 
-/// derive_stream_seed + record-if-audit-enabled. The replication harnesses
-/// (sim/sweep, sim/scaling) call this instead of derive_stream_seed so a
-/// sweep run under SFS_RNG_AUDIT=1 verifies its whole stream plan.
+/// derive_stream_seed + record-if-audit-enabled: the one seed derivation
+/// outside rng/. Every caller derives through it instead of
+/// derive_stream_seed, so a run under SFS_RNG_AUDIT=1 verifies its whole
+/// stream plan. Any rep costs O(1) and no state, so the QueryEngine
+/// derives query i's seed without deriving its predecessors.
 [[nodiscard]] std::uint64_t audited_stream_seed(std::uint64_t experiment_seed,
                                                 std::uint64_t stream,
                                                 std::uint64_t rep);
-
-/// Word 0 of the Philox4x64 block at counter `index` under key
-/// (seed, stream) (rng/philox.hpp), recorded like audited_stream_seed.
-/// Any index costs one block encryption and no state, so the QueryEngine
-/// derives one per query without deriving its predecessors.
-[[nodiscard]] std::uint64_t audited_counter_seed(std::uint64_t seed,
-                                                 std::uint64_t stream,
-                                                 std::uint64_t index);
 
 }  // namespace sfs::rng

@@ -123,7 +123,7 @@ void QueryEngine::run_batch(std::span<const Query> queries,
                                                   std::size_t worker) {
     Session& session = *sessions_[worker];
     const Query& q = queries[i];
-    rng::Rng rng(rng::audited_counter_seed(options_.seed, kQueryStream, i));
+    rng::Rng rng(rng::audited_stream_seed(options_.seed, kQueryStream, i));
     results[i] =
         weak ? run_weak(*graph_, q.start, q.target, *session.weak, rng,
                         options_.budget, session.workspace, liveness,

@@ -14,11 +14,10 @@
 // runs query batches with deterministic per-query RNG streams:
 //
 //   query i of a batch draws its randomness from
-//   audited_counter_seed(options.seed, kQueryStream, i)
+//   audited_stream_seed(options.seed, kQueryStream, i)
 //
-// (rng/stream_audit.hpp: one Philox block per query, with no per-query
-// derivation state). So a batch is a pure function of (graph,
-// policy, options.seed, queries) —
+// (rng/stream_audit.hpp: O(1) per query, with no derivation state). So a
+// batch is a pure function of (graph, policy, options.seed, queries) —
 // bit-identical for any thread count, including sequential, and replayable
 // (re-running the same batch reproduces it — the property the
 // thread-count audits in tests/test_query_engine rely on).

@@ -288,10 +288,8 @@ bool validate_experiment_options(const ExperimentSpec& spec,
   }
   if (!options.policies.empty()) {
     if (!(spec.caps & kCapPolicies)) return reject("--policies");
-    // Names and repeats only: a1 takes weak policies and d1 both models,
-    // so the run checks the model.
     const std::string policy_error =
-        search::policy_selection_error(options.policies);
+        search::policy_selection_error(options.policies, spec.policy_model);
     if (!policy_error.empty()) {
       error = "experiment '" + spec.name + "': " + policy_error;
       return false;

@@ -20,11 +20,13 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "search/local_view.hpp"
 #include "sim/report.hpp"
 
 namespace sfs::sim {
@@ -140,6 +142,10 @@ struct ExperimentSpec {
 
   unsigned caps = 0;  // ExperimentCaps bits
 
+  /// The model every --policies name must belong to (kCapPolicies);
+  /// unset, either model's names are accepted.
+  std::optional<search::KnowledgeModel> policy_model;
+
   std::vector<ParamSpec> params;
 
   /// Runs the experiment; returns the process exit code (0 = success,
@@ -211,9 +217,9 @@ struct CliRequest {
 
 /// Validates parsed options against a spec's capability set. Returns
 /// false with a diagnostic when a flag the experiment does not support
-/// was passed, when a --policies name is not in the policy table or is
-/// repeated, or when --checkpoint is used outside a grid mode
-/// (--large/--quick).
+/// was passed, when a --policies name is not in the policy table, is
+/// repeated or is of another model than the spec's policy_model, or when
+/// --checkpoint is used outside a grid mode (--large/--quick).
 [[nodiscard]] bool validate_experiment_options(const ExperimentSpec& spec,
                                                const ExperimentOptions& options,
                                                std::string& error);

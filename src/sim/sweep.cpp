@@ -94,8 +94,8 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
       st.initialized = true;
     }
     // One graph per replication, shared by all policies (paired design).
-    // Stream tags: 0 = graph — untempered, because stream 0 must stay
-    // equal to derive_seed(seed, rep) (see rng/random.cpp); the endpoint
+    // Stream tags: 0 = graph — untempered, because stream 0 must keep the
+    // historical per-rep seeds (see rng/random.cpp); the endpoint
     // tag 0xabcdef and per-policy tags 0x5ea7c4+i are tempered through
     // mix64 like sim/scaling's size tags, because raw XOR tags alias
     // across experiments whose seeds differ by a small XOR delta — the

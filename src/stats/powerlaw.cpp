@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "base/check.hpp"
 
@@ -154,44 +155,6 @@ PowerLawFit fit_power_law_auto(std::span<const std::size_t> data,
   }
   SFS_REQUIRE(have, "no candidate produced a valid power-law fit");
   return best;
-}
-
-DiscretePowerLawSampler::DiscretePowerLawSampler(double alpha,
-                                                 std::size_t xmin,
-                                                 std::size_t cutoff)
-    : alpha_(alpha), xmin_(xmin), cutoff_(std::max(cutoff, xmin + 1)) {
-  SFS_REQUIRE(alpha > 1.0, "sampling needs alpha > 1");
-  SFS_REQUIRE(xmin >= 1, "xmin must be >= 1");
-  std::vector<double> weights;
-  weights.reserve(cutoff_ - xmin_ + 1);
-  for (std::size_t x = xmin_; x < cutoff_; ++x) {
-    weights.push_back(std::pow(static_cast<double>(x), -alpha));
-  }
-  // Final outcome: the whole tail [cutoff, inf), with its exact zeta mass.
-  weights.push_back(hurwitz_zeta(alpha, static_cast<double>(cutoff_)));
-  table_ = rng::AliasTable(weights);
-}
-
-std::size_t DiscretePowerLawSampler::sample(rng::Rng& rng) const {
-  const std::size_t idx = table_.sample(rng);
-  const std::size_t body = cutoff_ - xmin_;
-  if (idx < body) return xmin_ + idx;
-  // Tail: continuous inversion conditioned on X >= cutoff. The tail holds
-  // a fraction ~ cutoff^{1-alpha} of the mass, so the small bias of the
-  // continuous approximation here is negligible overall.
-  return sample_power_law_approx(alpha_, cutoff_, rng);
-}
-
-std::size_t sample_power_law_approx(double alpha, std::size_t xmin,
-                                    rng::Rng& rng) {
-  SFS_REQUIRE(alpha > 1.0, "sampling needs alpha > 1");
-  SFS_REQUIRE(xmin >= 1, "xmin must be >= 1");
-  const double u = rng.uniform();
-  const double x = (static_cast<double>(xmin) - 0.5) *
-                       std::pow(1.0 - u, -1.0 / (alpha - 1.0)) +
-                   0.5;
-  const double capped = std::min(x, 1e18);
-  return static_cast<std::size_t>(capped);
 }
 
 }  // namespace sfs::stats

@@ -10,12 +10,8 @@
 // degree distributions almost always have xmin in {1, 2, 3}.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
-#include <vector>
-
-#include "rng/discrete.hpp"
-#include "rng/random.hpp"
 
 namespace sfs::stats {
 
@@ -51,34 +47,5 @@ struct PowerLawFit {
 /// theoretical discrete power law with the given alpha.
 [[nodiscard]] double power_law_ks(std::span<const std::size_t> data,
                                   std::size_t xmin, double alpha);
-
-/// Exact sampler for the discrete power law with exponent alpha > 1 on
-/// {xmin, xmin+1, …}: alias table over [xmin, cutoff) plus a zeta-weighted
-/// tail outcome resolved by continuous inversion (tail mass is ~1e-4 of
-/// the distribution, so the approximation there is immaterial). Build once,
-/// sample O(1).
-class DiscretePowerLawSampler {
- public:
-  DiscretePowerLawSampler(double alpha, std::size_t xmin,
-                          std::size_t cutoff = 1u << 17);
-
-  [[nodiscard]] double alpha() const noexcept { return alpha_; }
-  [[nodiscard]] std::size_t xmin() const noexcept { return xmin_; }
-
-  [[nodiscard]] std::size_t sample(rng::Rng& rng) const;
-
- private:
-  double alpha_;
-  std::size_t xmin_;
-  std::size_t cutoff_;
-  rng::AliasTable table_;  // outcomes: xmin..cutoff-1, then "tail"
-};
-
-/// One draw from the CSN continuous-approximation sampler
-/// floor((xmin-1/2)(1-u)^{-1/(α-1)} + 1/2). Cheap and stateless but biased
-/// for small xmin; prefer DiscretePowerLawSampler when exactness matters.
-[[nodiscard]] std::size_t sample_power_law_approx(double alpha,
-                                                  std::size_t xmin,
-                                                  rng::Rng& rng);
 
 }  // namespace sfs::stats

@@ -6,9 +6,10 @@
 #include <string>
 
 #include "rng/random.hpp"
+#include "rng/stream_audit.hpp"
 
 double fixture() {
-  sfs::rng::Rng rng(sfs::rng::derive_seed(17, 0));
+  sfs::rng::Rng rng(sfs::rng::audited_stream_seed(17, 0, 0));
   const std::string decoy = "std::mt19937 rand() time(nullptr)";
   /* std::random_device in a block comment is also fine */
   const auto t0 = std::chrono::steady_clock::now();  // timing, not entropy

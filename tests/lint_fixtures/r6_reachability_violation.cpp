@@ -1,7 +1,7 @@
 // SFS_LINT_FIXTURE_PATH: bench/experiments/fixture_r6.cpp
 // Fixture: the experiment run-fn hands its helper a home-brewed seed; the
-// helper constructs an Rng with no audited_{stream,counter}_seed or
-// stream_seed call on the root -> draw path, so rng-reachability fires at
+// helper constructs an Rng with no audited_stream_seed or stream_seed
+// call on the root -> draw path, so rng-reachability fires at
 // the construction (cross-TU call-graph rule, single-TU here).
 #include "rng/random.hpp"
 #include "sim/experiment.hpp"

@@ -9,6 +9,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "graph/degree.hpp"
+#include "rng/stream_audit.hpp"
 
 namespace {
 
@@ -81,7 +82,8 @@ TEST(Mori, PZeroIsUniformRecursiveTree) {
   int chose_root = 0;
   constexpr int kReps = 20000;
   for (int rep = 0; rep < kReps; ++rep) {
-    Rng rng(sfs::rng::derive_seed(23, static_cast<std::uint64_t>(rep)));
+    Rng rng(sfs::rng::audited_stream_seed(
+        23, 0, static_cast<std::uint64_t>(rep)));
     MoriProcess proc((MoriParams{0.0}));
     (void)proc.step(rng);
     if (proc.all_fathers()[2] == 0u) ++chose_root;
@@ -98,7 +100,8 @@ TEST_P(MoriAttachmentLaw, VertexThreeExactLaw) {
   int chose_one = 0;
   constexpr int kReps = 40000;
   for (int rep = 0; rep < kReps; ++rep) {
-    Rng rng(sfs::rng::derive_seed(29, static_cast<std::uint64_t>(rep)));
+    Rng rng(sfs::rng::audited_stream_seed(
+        29, 0, static_cast<std::uint64_t>(rep)));
     MoriProcess proc((MoriParams{p}));
     (void)proc.step(rng);
     if (proc.all_fathers()[2] == 0u) ++chose_one;

@@ -6,6 +6,7 @@
 #include "gen/config_model.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
+#include "rng/stream_audit.hpp"
 
 namespace {
 
@@ -82,8 +83,8 @@ TEST(PercolationSearch, HigherEdgeProbabilityHelps) {
   int found_low = 0;
   int found_high = 0;
   for (std::uint64_t rep = 0; rep < 60; ++rep) {
-    Rng lo(sfs::rng::derive_seed(7, rep));
-    Rng hi(sfs::rng::derive_seed(8, rep));
+    Rng lo(sfs::rng::audited_stream_seed(7, 0, rep));
+    Rng hi(sfs::rng::audited_stream_seed(8, 0, rep));
     if (percolation_search(g, owner, 0, PercolationParams{10, 10, 0.05}, lo)
             .found)
       ++found_low;
@@ -101,8 +102,8 @@ TEST(PercolationSearch, ReplicationImprovesSuccess) {
   int found_bare = 0;
   int found_replicated = 0;
   for (std::uint64_t rep = 0; rep < 60; ++rep) {
-    Rng a(sfs::rng::derive_seed(10, rep));
-    Rng b(sfs::rng::derive_seed(11, rep));
+    Rng a(sfs::rng::audited_stream_seed(10, 0, rep));
+    Rng b(sfs::rng::audited_stream_seed(11, 0, rep));
     if (percolation_search(g, owner, 0, PercolationParams{0, 0, 0.2}, a)
             .found)
       ++found_bare;

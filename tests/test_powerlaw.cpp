@@ -1,4 +1,4 @@
-// Tests for the discrete power-law tail estimator and samplers.
+// Tests for the discrete power-law tail estimator.
 #include "stats/powerlaw.hpp"
 
 #include <gtest/gtest.h>
@@ -6,23 +6,28 @@
 #include <cmath>
 #include <vector>
 
+#include "rng/random.hpp"
+#include "rng/zipf.hpp"
+
 namespace {
 
+using sfs::rng::BoundedZipf;
 using sfs::rng::Rng;
-using sfs::stats::DiscretePowerLawSampler;
 using sfs::stats::fit_power_law_auto;
 using sfs::stats::fit_power_law_tail;
 using sfs::stats::hurwitz_zeta;
 using sfs::stats::power_law_ks;
-using sfs::stats::sample_power_law_approx;
 
+// n draws of the power law on {xmin, ..., 2^17}: the generators' sampler.
+// The truncation leaves out under 1e-4 of the mass at the smallest alpha
+// tested (1.8).
 std::vector<std::size_t> synthetic(double alpha, std::size_t xmin,
                                    std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
-  const DiscretePowerLawSampler sampler(alpha, xmin);
+  const BoundedZipf zipf(static_cast<std::uint32_t>(xmin), 1u << 17, alpha);
   std::vector<std::size_t> data;
   data.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) data.push_back(sampler.sample(rng));
+  for (std::size_t i = 0; i < n; ++i) data.push_back(zipf.sample(rng));
   return data;
 }
 
@@ -108,70 +113,6 @@ TEST(PowerLawFit, Preconditions) {
   EXPECT_THROW((void)fit_power_law_tail(tiny, 1), std::invalid_argument);
   const std::vector<std::size_t> ok{1, 2, 3};
   EXPECT_THROW((void)fit_power_law_tail(ok, 0), std::invalid_argument);
-}
-
-TEST(DiscreteSampler, RespectsXmin) {
-  Rng rng(12);
-  const DiscretePowerLawSampler sampler(2.5, 3);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_GE(sampler.sample(rng), 3u);
-  }
-}
-
-TEST(DiscreteSampler, PmfMatchesZetaLaw) {
-  Rng rng(13);
-  const double alpha = 2.2;
-  const DiscretePowerLawSampler sampler(alpha, 1);
-  constexpr int kDraws = 200000;
-  std::size_t ones = 0;
-  std::size_t twos = 0;
-  for (int i = 0; i < kDraws; ++i) {
-    const auto x = sampler.sample(rng);
-    if (x == 1) ++ones;
-    if (x == 2) ++twos;
-  }
-  const double z = hurwitz_zeta(alpha, 1.0);
-  EXPECT_NEAR(static_cast<double>(ones) / kDraws, 1.0 / z, 0.005);
-  EXPECT_NEAR(static_cast<double>(twos) / kDraws,
-              std::pow(2.0, -alpha) / z, 0.005);
-}
-
-TEST(DiscreteSampler, TailOutcomesBeyondCutoff) {
-  Rng rng(14);
-  const DiscretePowerLawSampler sampler(1.5, 1, 64);
-  bool saw_tail = false;
-  for (int i = 0; i < 50000; ++i) {
-    if (sampler.sample(rng) >= 64) {
-      saw_tail = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(saw_tail);
-}
-
-TEST(DiscreteSampler, Preconditions) {
-  EXPECT_THROW(DiscretePowerLawSampler(1.0, 1), std::invalid_argument);
-  EXPECT_THROW(DiscretePowerLawSampler(2.0, 0), std::invalid_argument);
-}
-
-TEST(ApproxSampler, RespectsXminAndHeavyTail) {
-  Rng rng(15);
-  std::size_t big_small_alpha = 0;
-  std::size_t big_large_alpha = 0;
-  for (int i = 0; i < 20000; ++i) {
-    EXPECT_GE(sample_power_law_approx(2.5, 3, rng), 3u);
-    if (sample_power_law_approx(1.8, 1, rng) >= 100) ++big_small_alpha;
-    if (sample_power_law_approx(3.5, 1, rng) >= 100) ++big_large_alpha;
-  }
-  EXPECT_GT(big_small_alpha, 10 * (big_large_alpha + 1));
-}
-
-TEST(ApproxSampler, Preconditions) {
-  Rng rng(16);
-  EXPECT_THROW((void)sample_power_law_approx(1.0, 1, rng),
-               std::invalid_argument);
-  EXPECT_THROW((void)sample_power_law_approx(2.0, 0, rng),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -240,7 +240,7 @@ TEST(QueryEngineOverlay, MaskedBatchEqualsPerQueryRunner) {
     sfs::search::SearchWorkspace ws;
     bool any_failed = false;
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      sfs::rng::Rng rng(sfs::rng::audited_counter_seed(
+      sfs::rng::Rng rng(sfs::rng::audited_stream_seed(
           options.seed, sfs::rng::mix64(0x10e57ULL), i));
       const Query& q = queries[i];
       const SearchResult expected =

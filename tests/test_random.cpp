@@ -9,9 +9,11 @@
 #include <set>
 #include <vector>
 
+#include "rng/stream_audit.hpp"
+
 namespace {
 
-using sfs::rng::derive_seed;
+using sfs::rng::audited_stream_seed;
 using sfs::rng::mix64;
 using sfs::rng::Rng;
 using sfs::rng::Xoshiro256;
@@ -159,14 +161,16 @@ TEST(Rng, SampleWithoutReplacementRejectsOverdraw) {
                std::invalid_argument);
 }
 
-TEST(Rng, DeriveSeedSpreadsReps) {
+TEST(Rng, StreamSeedSpreadsReps) {
   std::set<std::uint64_t> seeds;
-  for (std::uint64_t r = 0; r < 1000; ++r) seeds.insert(derive_seed(9, r));
+  for (std::uint64_t r = 0; r < 1000; ++r) {
+    seeds.insert(audited_stream_seed(9, 0, r));
+  }
   EXPECT_EQ(seeds.size(), 1000u);
 }
 
-TEST(Rng, DeriveSeedDependsOnExperiment) {
-  EXPECT_NE(derive_seed(1, 0), derive_seed(2, 0));
+TEST(Rng, StreamSeedDependsOnExperiment) {
+  EXPECT_NE(audited_stream_seed(1, 0, 0), audited_stream_seed(2, 0, 0));
 }
 
 TEST(Rng, PickReturnsElement) {

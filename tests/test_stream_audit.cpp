@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/equivalence.hpp"
 #include "gen/mori.hpp"
 #include "rng/random.hpp"
 #include "sim/scaling.hpp"
@@ -109,6 +110,15 @@ TEST_F(StreamAuditTest, PortfolioSweepAuditsCleanly) {
   // Streams per replication: graph + endpoints + one per policy.
   EXPECT_EQ(StreamAudit::instance().recorded_count(),
             reps * (2 + cost.policies.size()));
+}
+
+TEST_F(StreamAuditTest, EventEstimateAuditsEveryReplication) {
+  // core/ seeds each replication through the audited derivation too.
+  const std::size_t reps = 7;
+  const auto est =
+      sfs::core::estimate_event_probability(0.5, 3, 6, reps, 0xE4);
+  EXPECT_EQ(est.reps, reps);
+  EXPECT_EQ(StreamAudit::instance().recorded_count(), reps);
 }
 
 TEST_F(StreamAuditTest, NestedHarnessesShareOneCleanAuditTable) {

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "gen/mori.hpp"
 #include "graph/builder.hpp"
+#include "search/local_view.hpp"
 #include "search/policy.hpp"
 #include "search/runner.hpp"
 
@@ -229,6 +231,85 @@ TEST(RandomFrontierWeak, CoversDisconnectedComponentGracefully) {
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.gave_up);
   EXPECT_EQ(r.requests, 1u);  // only edge 0-1 reachable
+}
+
+// What a search from vertex 0 for the newest vertex reveals: the view's
+// known vertices in discovery order, and its charged requests.
+struct Revealed {
+  std::vector<VertexId> known;
+  std::size_t requests = 0;
+  friend bool operator==(const Revealed&, const Revealed&) = default;
+};
+
+// Runs `policy` as the runner's static loop does (search/runner.cpp), on
+// a view the test can read afterwards.
+Revealed reveal(const Graph& g, const char* policy,
+                sfs::search::SearchWorkspace& ws) {
+  const auto searcher = sfs::search::find_policy(policy)->make_weak();
+  const auto target = static_cast<VertexId>(g.num_vertices() - 1);
+  Rng rng(7);
+  sfs::search::LocalView view(g, sfs::search::KnowledgeModel::kWeak, 0,
+                              target, ws);
+  searcher->start(view, rng);
+  while (!view.target_found()) {
+    const auto req = searcher->next(view, rng);
+    if (!req) break;
+    searcher->observe(view, *req, view.request_edge(*req));
+  }
+  const auto known = view.known_vertices();
+  Revealed out{{known.begin(), known.end()}, view.requests()};
+  // The hand loop is the runner's: same charged requests.
+  Rng runner_rng(7);
+  const auto runner_searcher = sfs::search::find_policy(policy)->make_weak();
+  EXPECT_EQ(run_weak(g, 0, target, *runner_searcher, runner_rng).requests,
+            out.requests)
+      << policy;
+  return out;
+}
+
+// On a recursive tree searched from its root, the known vertices with
+// unexplored edges always form the path from the root to the vertex
+// revealed last, with ids increasing along it. So dfs's stack top,
+// max-id-greedy's maximum and the vertex frontier-walk drifts back to are
+// one vertex, and all three take its first unexplored slot: they make the
+// same charged requests in the same order.
+TEST(RecursiveTreeDuplicates, DfsMaxIdGreedyAndFrontierWalkAgree) {
+  sfs::search::SearchWorkspace ws;
+  std::size_t graphs = 0;
+  for (const double p : {0.0, 0.25, 0.5, 0.75}) {
+    for (const std::size_t n : {2, 3, 5, 17, 100, 600}) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        Rng rng(seed);
+        const Graph g = sfs::gen::mori_tree(n, sfs::gen::MoriParams{p}, rng);
+        const Revealed dfs = reveal(g, "dfs", ws);
+        EXPECT_EQ(dfs.known.back(), n - 1);
+        EXPECT_EQ(reveal(g, "max-id-greedy", ws), dfs)
+            << "p=" << p << " n=" << n << " seed=" << seed;
+        EXPECT_EQ(reveal(g, "frontier-walk", ws), dfs)
+            << "p=" << p << " n=" << n << " seed=" << seed;
+        ++graphs;
+      }
+    }
+  }
+  EXPECT_EQ(graphs, 120u);
+}
+
+TEST(RecursiveTreeDuplicates, MergedGraphsSeparateThem) {
+  // With m = 2 a vertex has two earlier neighbours, so the tree argument
+  // fails and the three policies part on some graphs.
+  sfs::search::SearchWorkspace ws;
+  std::size_t differ = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const Graph g =
+        sfs::gen::merged_mori_graph(200, 2, sfs::gen::MoriParams{0.5}, rng);
+    const Revealed dfs = reveal(g, "dfs", ws);
+    if (!(reveal(g, "max-id-greedy", ws) == dfs) ||
+        !(reveal(g, "frontier-walk", ws) == dfs)) {
+      ++differ;
+    }
+  }
+  EXPECT_GT(differ, 0u);
 }
 
 }  // namespace
