@@ -126,6 +126,19 @@ bool is_tree(const Graph& g) {
   return is_connected(g);
 }
 
+bool is_recursive_tree(const Graph& g) {
+  const std::size_t n = g.num_vertices();
+  if (n == 0 || g.num_edges() != n - 1) return false;
+  // n - 1 vertices with one older neighbour each account for n - 1
+  // non-loop edges, which leaves none for a self-loop.
+  for (VertexId v = 1; v < n; ++v) {
+    std::size_t older = 0;
+    for (const VertexId u : g.adjacent(v)) older += u < v;
+    if (older != 1) return false;
+  }
+  return true;
+}
+
 std::uint32_t pseudo_diameter(const Graph& g, VertexId hint) {
   SFS_REQUIRE(g.num_vertices() > 0, "empty graph");
   const BfsResult first = bfs(g, hint);

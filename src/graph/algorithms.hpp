@@ -66,6 +66,15 @@ struct Subgraph {
 /// True if the unoriented graph is a tree: connected, m == n-1, no loops.
 [[nodiscard]] bool is_tree(const Graph& g);
 
+/// True if `g` is a recursive tree: m == n-1, and every vertex but 0 has
+/// exactly one incident edge to an older (smaller-id) vertex. Following
+/// those edges from any vertex then reaches vertex 0 with ids decreasing,
+/// so the graph is a tree, loop-free and without parallel edges, whose
+/// ids increase along every path from vertex 0: what every m = 1 growth
+/// process builds (the Móri tree among them). One pass over the
+/// incidence lists, O(n + m).
+[[nodiscard]] bool is_recursive_tree(const Graph& g);
+
 /// Pseudo-diameter by the double-sweep heuristic: BFS from `hint`, then BFS
 /// from the farthest vertex found; returns that second eccentricity (a lower
 /// bound on the true diameter, usually tight on small-world graphs).

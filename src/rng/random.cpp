@@ -39,7 +39,7 @@ Xoshiro256::result_type Xoshiro256::operator()() noexcept {
   return result;
 }
 
-std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
+std::uint64_t Rng::uniform_index(std::uint64_t n) {
   // Lemire's nearly-divisionless method with rejection for exactness.
   SFS_CHECK(n > 0, "uniform_index(0)");
   std::uint64_t x = u64();

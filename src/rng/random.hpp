@@ -59,9 +59,9 @@ class Rng {
   /// Raw 64 uniform bits.
   [[nodiscard]] std::uint64_t u64() noexcept { return engine_(); }
 
-  /// Uniform integer in [0, n). Requires n > 0. Uses Lemire's unbiased
-  /// multiply-shift rejection method.
-  [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n) noexcept;
+  /// Uniform integer in [0, n). Requires n > 0 (throws std::logic_error
+  /// otherwise). Uses Lemire's unbiased multiply-shift rejection method.
+  [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n);
 
   /// Uniform double in [0, 1) with 53 random bits.
   [[nodiscard]] double uniform() noexcept;
@@ -72,9 +72,10 @@ class Rng {
   /// True with probability p (p clamped to [0,1]).
   [[nodiscard]] bool bernoulli(double p) noexcept;
 
-  /// Uniformly chosen element of a non-empty span.
+  /// Uniformly chosen element of a non-empty span (throws
+  /// std::logic_error on an empty one).
   template <typename T>
-  [[nodiscard]] const T& pick(std::span<const T> items) noexcept {
+  [[nodiscard]] const T& pick(std::span<const T> items) {
     return items[static_cast<std::size_t>(uniform_index(items.size()))];
   }
 

@@ -40,9 +40,15 @@ std::span<const PolicySpec> all_policies() {
       {"min-id-greedy",
        "expand the oldest (smallest-id) discovered vertex first",
        KnowledgeModel::kWeak, make_min_id_greedy_weak},
+      // Twin of dfs: on a recursive tree searched from its root, the known
+      // vertices with unexplored edges form a path whose ids increase
+      // away from the root, so the largest is dfs's stack top.
+      // frontier-walk makes the same charged requests but is no twin: it
+      // reaches that vertex by raw-only drift probes, drawn from its own
+      // stream, which its raw count and the raw budget read.
       {"max-id-greedy",
        "expand the youngest (largest-id) discovered vertex first",
-       KnowledgeModel::kWeak, make_max_id_greedy_weak},
+       KnowledgeModel::kWeak, make_max_id_greedy_weak, nullptr, "dfs"},
       {"random-frontier",
        "expand a uniformly random discovered vertex with unexplored edges",
        KnowledgeModel::kWeak, make<WeakSearcher, RandomFrontierWeak>},

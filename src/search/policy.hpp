@@ -45,6 +45,14 @@ struct PolicySpec {
   std::unique_ptr<WeakSearcher> (*make_weak)() = nullptr;
   /// Set iff model == kStrong. Same naming contract.
   std::unique_ptr<StrongSearcher> (*make_strong)() = nullptr;
+  /// The policy whose run this one repeats, request for request, on a
+  /// recursive tree (graph::is_recursive_tree) searched from vertex 0;
+  /// empty when there is none. Both make only charged requests there, so
+  /// this policy's result is its twin's run truncated at its own budget
+  /// (search::truncate_run), and a portfolio that ran the twin earlier
+  /// derives it instead of running it (sim/sweep.hpp). Pinned by
+  /// RecursiveTreeDuplicates.* in tests/test_weak_algorithms.cpp.
+  std::string_view rooted_tree_twin{};
 };
 
 /// Every policy, weak ones first; within a model, in portfolio order.

@@ -1,6 +1,9 @@
 #include "search/runner.hpp"
 
+#include <algorithm>
 #include <type_traits>
+
+#include "base/check.hpp"
 
 namespace sfs::search {
 
@@ -78,6 +81,21 @@ SearchResult drive(LocalView& view, Searcher& searcher, rng::Rng& rng,
 }
 
 }  // namespace
+
+SearchResult truncate_run(const SearchResult& run, const RunBudget& budget) {
+  SFS_CHECK(run.raw_requests == run.requests && run.failed_requests == 0,
+            "truncate_run needs a static run of charged requests only");
+  const std::size_t cap =
+      std::min(budget.max_requests, budget.max_raw_requests);
+  if (run.found ? run.requests <= cap
+                : !run.budget_exhausted && run.requests < cap) {
+    return run;
+  }
+  SFS_CHECK(run.requests >= cap,
+            "truncate_run: the run stopped on a budget below the cap");
+  return SearchResult{
+      .requests = cap, .raw_requests = cap, .budget_exhausted = true};
+}
 
 SearchResult run_weak(const graph::Graph& g, graph::VertexId start,
                       graph::VertexId target, WeakSearcher& searcher,

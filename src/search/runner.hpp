@@ -64,6 +64,20 @@ struct SearchResult {
   friend bool operator==(const SearchResult&, const SearchResult&) = default;
 };
 
+/// The result the run `run` would have had under `budget`, for a static
+/// run whose every request is charged (raw_requests == requests), made
+/// under a budget at least as large. Such a run under the smaller budget
+/// makes the same requests and stops at the first of: the target found,
+/// requests reaching min(budget.max_requests, budget.max_raw_requests),
+/// or the policy giving up. The runner checks the target before the
+/// budgets and the budgets before asking the policy, so a run that found
+/// the target after c requests stands under any cap >= c, and one that
+/// gave up after c requests under any cap > c; otherwise the result is a
+/// budget stop at the cap. Throws std::logic_error when `run` makes raw
+/// requests or stopped on a budget below `budget`'s cap.
+[[nodiscard]] SearchResult truncate_run(const SearchResult& run,
+                                        const RunBudget& budget);
+
 /// Runs a weak-model search for `target` from `start` on `g`.
 [[nodiscard]] SearchResult run_weak(const graph::Graph& g,
                                     graph::VertexId start,

@@ -1,5 +1,6 @@
 #include "sim/scaling.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <fstream>
@@ -313,8 +314,8 @@ ScalingSeries measure_scaling(
     series.points[i].raw.resize(reps);
   }
 
-  // Restore completed cells, then enumerate the cells still to measure in
-  // the flattened (i * reps + r) task order. Each cell's seed is a pure
+  // Restore completed cells, then enumerate the cells still to measure by
+  // their flattened task index i * reps + r. Each cell's seed is a pure
   // function of (i, r), so the remaining cells see exactly the seeds an
   // uninterrupted run would have handed them.
   std::vector<char> done(sizes.size() * reps, 0);
@@ -330,13 +331,20 @@ ScalingSeries measure_scaling(
   for (std::size_t task = 0; task < done.size(); ++task) {
     if (!done[task]) pending.push_back(task);
   }
+  // Claim order: largest n first, ties in (i, r) order. Cells near the top
+  // of the sweep dominate the cost and their times are heavy-tailed, so
+  // claimed last they would leave workers idle while the final few run;
+  // claimed first, the small cells fill the tail instead.
+  std::stable_sort(pending.begin(), pending.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sizes[a / reps] > sizes[b / reps];
+                   });
 
-  // Fan the whole size x replication grid out at once: sizes near the top
-  // of the sweep dominate the cost, so scheduling the grid dynamically
-  // keeps workers busy across size boundaries. Each cell's seed depends
-  // only on (i, r), and each cell writes its own slot, so the series is
-  // identical for any thread count. One generator scratch per worker, as
-  // in sim/sweep's WorkerState.
+  // Fan the whole size x replication grid out at once, scheduled
+  // dynamically, so workers stay busy across size boundaries. Each cell's
+  // seed depends only on (i, r), and each cell writes its own slot, so the
+  // series is identical for any thread count and claim order. One
+  // generator scratch per worker, as in sim/sweep's WorkerState.
   std::vector<gen::GenScratch> scratch(
       base::resolve_worker_count(options.threads));
   base::parallel_for(pending.size(), options.threads,

@@ -112,9 +112,12 @@ struct ScalingOptions {
 /// up non-positive are listed in ScalingSeries::excluded.
 ///
 /// The size x replication grid is fanned out over the parallel executor
-/// per ScalingOptions::threads. Replication values are stored and folded
-/// in (size, rep) order, so the series is bit-identical for any thread
-/// count — and, via the checkpoint, across interrupted/resumed runs.
+/// per ScalingOptions::threads. Workers claim cells largest n first, ties
+/// in (size index, rep) order, so the costliest cells start first and the
+/// small ones fill the tail; with threads == 1 `measure` is called in
+/// exactly that order. Replication values are stored and folded in
+/// (size, rep) order, so the series is bit-identical for any thread count
+/// — and, via the checkpoint, across interrupted/resumed runs.
 [[nodiscard]] ScalingSeries measure_scaling(
     const std::vector<std::size_t>& sizes, std::size_t reps,
     std::uint64_t seed,

@@ -6,6 +6,7 @@
 
 #include "base/check.hpp"
 #include "base/parallel.hpp"
+#include "graph/algorithms.hpp"
 #include "rng/random.hpp"
 #include "rng/stream_audit.hpp"
 #include "search/local_view.hpp"
@@ -65,6 +66,22 @@ struct WorkerState {
   graph::Graph graph;
 };
 
+using PolicySpecs = std::span<const search::PolicySpec* const>;
+
+constexpr std::size_t kNoTwin = static_cast<std::size_t>(-1);
+
+// Per selected policy, the index of the earlier selected policy named as
+// its PolicySpec::rooted_tree_twin, or kNoTwin.
+std::vector<std::size_t> rooted_tree_twins(PolicySpecs specs) {
+  std::vector<std::size_t> twins(specs.size(), kNoTwin);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (specs[j]->name == specs[i]->rooted_tree_twin) twins[i] = j;
+    }
+  }
+  return twins;
+}
+
 // MakeGraph: (rng, WorkerState&) -> const Graph&, so plain and
 // scratch-aware factories share the measurement loop.
 template <typename Portfolio, typename RunOne, typename MakeGraph>
@@ -72,12 +89,17 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
                                      const EndpointSelector& endpoints,
                                      std::size_t reps, std::uint64_t seed,
                                      const search::RunBudget& budget,
+                                     PolicySpecs specs,
                                      const Portfolio& portfolio_factory,
                                      const RunOne& run_one,
                                      std::size_t threads) {
   SFS_REQUIRE(reps >= 1, "need at least one replication");
   auto probe = portfolio_factory();
   const std::size_t num_policies = probe.size();
+  const std::vector<std::size_t> twins = rooted_tree_twins(specs);
+  const bool any_twin =
+      std::any_of(twins.begin(), twins.end(),
+                  [](std::size_t j) { return j != kNoTwin; });
 
   // Replication results land in slots indexed by (rep, policy); the fold
   // below walks them in replication order, so the summaries are
@@ -119,20 +141,33 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
     // full run up to the cap, and one that reaches c can at best tie, which
     // keeps the earlier policy, so `best` and its PolicyCost are exactly
     // those of uncapped runs. With reps >= 2 no single run bounds a mean,
-    // so every policy runs in full.
+    // so no policy is capped.
+    //
+    // Twins (PolicySpec::rooted_tree_twin). On a recursive tree searched
+    // from vertex 0 a twin repeats the run of a policy that ran before it,
+    // whose cap was at least its own (the ceiling only falls), so its
+    // result is that run truncated at its own cap, and it does not run.
+    // Its stream seed is still derived, so the audit records every stream.
+    const bool rooted_tree =
+        any_twin && start == 0 && graph::is_recursive_tree(g);
     Lead lead;
     auto& row = results[rep];
     row.resize(num_policies);
     for (std::size_t i = 0; i < num_policies; ++i) {
-      rng::Rng search_rng(
-          rng::audited_stream_seed(seed, rng::mix64(0x5ea7c4 + i), rep));
+      const std::uint64_t search_seed =
+          rng::audited_stream_seed(seed, rng::mix64(0x5ea7c4 + i), rep);
       search::RunBudget capped = budget;
       if (reps == 1 && lead.full) {
         capped.max_requests = std::min(capped.max_requests,
                                        static_cast<std::size_t>(lead.mean));
       }
-      row[i] = run_one(g, start, target, *st.policies[i], search_rng, capped,
-                       st.workspace);
+      if (rooted_tree && twins[i] != kNoTwin) {
+        row[i] = search::truncate_run(row[twins[i]], capped);
+      } else {
+        rng::Rng search_rng(search_seed);
+        row[i] = run_one(g, start, target, *st.policies[i], search_rng,
+                         capped, st.workspace);
+      }
       lead.offer(row[i].found, static_cast<double>(row[i].requests));
     }
   });
@@ -214,8 +249,6 @@ const graph::Graph& remake_graph(const ScratchGraphFactory& factory,
   return st.graph;
 }
 
-using PolicySpecs = std::span<const search::PolicySpec* const>;
-
 template <typename Factory>
 PortfolioCost measure_weak_plan(PolicySpecs specs, const Factory& factory,
                                 const EndpointSelector& endpoints,
@@ -226,7 +259,7 @@ PortfolioCost measure_weak_plan(PolicySpecs specs, const Factory& factory,
       [&](rng::Rng& rng, auto& st) -> const graph::Graph& {
         return remake_graph(factory, rng, st);
       },
-      endpoints, reps, seed, budget,
+      endpoints, reps, seed, budget, specs,
       [specs] { return search::make_weak_searchers(specs); },
       [](const graph::Graph& g, VertexId s, VertexId t,
          search::WeakSearcher& policy, rng::Rng& rng,
@@ -246,7 +279,7 @@ PortfolioCost measure_strong_plan(PolicySpecs specs, const Factory& factory,
       [&](rng::Rng& rng, auto& st) -> const graph::Graph& {
         return remake_graph(factory, rng, st);
       },
-      endpoints, reps, seed, budget,
+      endpoints, reps, seed, budget, specs,
       [specs] { return search::make_strong_searchers(specs); },
       [](const graph::Graph& g, VertexId s, VertexId t,
          search::StrongSearcher& policy, rng::Rng& rng,

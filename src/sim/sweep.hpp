@@ -46,7 +46,9 @@ using EndpointSelector =
     std::function<std::pair<graph::VertexId, graph::VertexId>(
         const graph::Graph& g, rng::Rng& rng)>;
 
-/// Per-policy cost summary over the replications.
+/// Per-policy cost summary over the replications. A policy derived from
+/// its rooted-tree twin (RunPlan::reps) has the counts of the run it
+/// would have made, though it made no probe.
 struct PolicyCost {
   std::string name;
   stats::Summary requests;       // charged requests
@@ -114,8 +116,14 @@ struct RunPlan {
   /// capped at c (the min-path ceiling): reaching c it can at best tie,
   /// and a tie keeps the earlier policy. A policy the ceiling stopped is
   /// marked PolicyCost::pruned; every other cost is exact. With reps >= 2
-  /// every policy runs in full: `best` compares means, and no single
+  /// no policy is capped: `best` compares means, and no single
   /// replication bounds a mean.
+  ///
+  /// At any reps, in a replication whose graph is a recursive tree
+  /// (graph::is_recursive_tree) searched from vertex 0, a policy whose
+  /// PolicySpec::rooted_tree_twin ran earlier in this portfolio does not
+  /// run: its result is the twin's run truncated at its own cap
+  /// (search::truncate_run), the same result a run would give.
   std::size_t reps = 1;
   std::uint64_t seed = 0;
   search::RunBudget budget;

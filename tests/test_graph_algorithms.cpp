@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/mori.hpp"
 #include "graph/builder.hpp"
 
 namespace {
@@ -14,6 +15,7 @@ using sfs::graph::Graph;
 using sfs::graph::GraphBuilder;
 using sfs::graph::induced_subgraph;
 using sfs::graph::is_connected;
+using sfs::graph::is_recursive_tree;
 using sfs::graph::is_tree;
 using sfs::graph::kNoVertex;
 using sfs::graph::kUnreachable;
@@ -162,6 +164,77 @@ TEST(IsTree, PositiveAndNegative) {
   b.add_edge(0, 0);  // loop, n-1 edges but not a tree
   EXPECT_FALSE(is_tree(b.build()));
   EXPECT_FALSE(is_tree(GraphBuilder(2).build()));  // disconnected
+}
+
+TEST(IsRecursiveTree, MoriTreesPass) {
+  for (const double p : {0.0, 0.25, 0.5, 0.75}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      sfs::rng::Rng rng(seed);
+      const sfs::gen::MoriParams params{p};
+      EXPECT_TRUE(is_recursive_tree(sfs::gen::mori_tree(300, params, rng)))
+          << "p=" << p << " seed=" << seed;
+      // m = 1 merging keeps the tree: the e1 grid's graph.
+      EXPECT_TRUE(is_recursive_tree(
+          sfs::gen::merged_mori_graph(300, 1, params, rng)))
+          << "p=" << p << " seed=" << seed;
+    }
+  }
+  EXPECT_TRUE(is_recursive_tree(GraphBuilder(1).build()));
+  EXPECT_TRUE(is_recursive_tree(path_graph(5)));
+  EXPECT_TRUE(is_recursive_tree(star_graph(6)));
+}
+
+TEST(IsRecursiveTree, OtherGraphsFail) {
+  // A relabelled tree: reversing the ids keeps it a tree, but the old
+  // root becomes the youngest vertex, and its children, all older now,
+  // are two or more older neighbours of one vertex.
+  sfs::rng::Rng rng(3);
+  const Graph tree = sfs::gen::mori_tree(50, sfs::gen::MoriParams{0.5}, rng);
+  ASSERT_GE(tree.degree(0), 2u);
+  GraphBuilder reversed(50);
+  for (const auto& e : tree.edges()) {
+    reversed.add_edge(49 - e.tail, 49 - e.head);
+  }
+  const Graph relabelled = reversed.build();
+  EXPECT_TRUE(is_tree(relabelled));
+  EXPECT_FALSE(is_recursive_tree(relabelled));
+
+  // n - 1 edges: a triangle plus a separate edge.
+  GraphBuilder split(5);
+  split.add_edge(1, 2);
+  split.add_edge(2, 3);
+  split.add_edge(3, 1);
+  split.add_edge(0, 4);
+  const Graph cycle_and_edge = split.build();
+  ASSERT_EQ(cycle_and_edge.num_edges(), 4u);
+  EXPECT_FALSE(is_recursive_tree(cycle_and_edge));
+
+  // n - 1 edges with a self-loop: the loop is no older neighbour.
+  GraphBuilder looped(3);
+  looped.add_edge(1, 0);
+  looped.add_edge(2, 2);
+  EXPECT_FALSE(is_recursive_tree(looped.build()));
+
+  // A recursive tree plus a loop, and plus a parallel edge.
+  GraphBuilder extra_loop(3);
+  extra_loop.add_edge(1, 0);
+  extra_loop.add_edge(2, 1);
+  extra_loop.add_edge(0, 0);
+  EXPECT_FALSE(is_recursive_tree(extra_loop.build()));
+  GraphBuilder parallel(2);
+  parallel.add_edge(1, 0);
+  parallel.add_edge(1, 0);
+  EXPECT_FALSE(is_recursive_tree(parallel.build()));
+
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    sfs::rng::Rng merged_rng(seed);
+    EXPECT_FALSE(is_recursive_tree(sfs::gen::merged_mori_graph(
+        300, 2, sfs::gen::MoriParams{0.5}, merged_rng)))
+        << "seed=" << seed;
+  }
+  EXPECT_FALSE(is_recursive_tree(cycle_graph(4)));
+  EXPECT_FALSE(is_recursive_tree(GraphBuilder(0).build()));
+  EXPECT_FALSE(is_recursive_tree(GraphBuilder(2).build()));
 }
 
 TEST(PseudoDiameter, ExactOnPath) {

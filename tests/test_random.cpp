@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "rng/stream_audit.hpp"
@@ -171,6 +172,15 @@ TEST(Rng, StreamSeedSpreadsReps) {
 
 TEST(Rng, StreamSeedDependsOnExperiment) {
   EXPECT_NE(audited_stream_seed(1, 0, 0), audited_stream_seed(2, 0, 0));
+}
+
+TEST(Rng, EmptyRangeIsCheckedError) {
+  // No element to return: a checked error the caller can catch, not
+  // std::terminate from an exception leaving a noexcept function.
+  Rng rng(79);
+  EXPECT_THROW((void)rng.uniform_index(0), std::logic_error);
+  const std::vector<int> none;
+  EXPECT_THROW((void)rng.pick(std::span<const int>(none)), std::logic_error);
 }
 
 TEST(Rng, PickReturnsElement) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "gen/mori.hpp"
 #include "graph/builder.hpp"
 #include "search/weak_algorithms.hpp"
 #include "search/strong_algorithms.hpp"
@@ -22,6 +25,61 @@ Graph path_graph(std::size_t n) {
   GraphBuilder b(n);
   for (VertexId v = 0; v + 1 < n; ++v) b.add_edge(v, v + 1);
   return b.build();
+}
+
+TEST(TruncateRun, EqualsTheRunUnderEveryCap) {
+  // dfs from the root of a recursive tree makes charged requests only,
+  // so its unbudgeted run, truncated at any cap, is its run under that
+  // cap, whether the cap is on charged or raw requests. The second graph
+  // hides the target in another component: dfs gives up.
+  Rng tree_rng(3);
+  const Graph tree =
+      sfs::gen::mori_tree(120, sfs::gen::MoriParams{0.5}, tree_rng);
+  GraphBuilder b(6);
+  b.add_edge(1, 0);
+  b.add_edge(2, 0);
+  b.add_edge(3, 2);
+  b.add_edge(5, 4);
+  const Graph split = b.build();
+  for (const Graph* graph : {&tree, &split}) {
+    const Graph& g = *graph;
+    const auto target = static_cast<VertexId>(g.num_vertices() - 1);
+    sfs::search::DfsWeak dfs;
+    Rng rng(1);
+    const SearchResult full = run_weak(g, 0, target, dfs, rng);
+    ASSERT_EQ(full.raw_requests, full.requests);
+    for (std::size_t cap = 0; cap <= full.requests + 1; ++cap) {
+      for (const RunBudget budget :
+           {RunBudget{.max_requests = cap}, RunBudget{.max_raw_requests = cap}}) {
+        sfs::search::DfsWeak capped;
+        Rng capped_rng(1);
+        EXPECT_EQ(sfs::search::truncate_run(full, budget),
+                  run_weak(g, 0, target, capped, capped_rng, budget))
+            << "cap " << cap << " of " << full.requests;
+      }
+    }
+  }
+}
+
+TEST(TruncateRun, RejectsRawRequestsAndShorterBudgets) {
+  const Graph g = path_graph(50);
+  sfs::search::RandomWalkWeak walk;
+  Rng rng(2);
+  const SearchResult walked =
+      run_weak(g, 0, 49, walk, rng, RunBudget{.max_raw_requests = 400});
+  ASSERT_GT(walked.raw_requests, walked.requests);
+  EXPECT_THROW((void)sfs::search::truncate_run(walked, RunBudget{}),
+               std::logic_error);
+  sfs::search::DfsWeak dfs;
+  const SearchResult stopped =
+      run_weak(g, 0, 49, dfs, rng, RunBudget{.max_requests = 10});
+  ASSERT_TRUE(stopped.budget_exhausted);
+  EXPECT_EQ(sfs::search::truncate_run(stopped, RunBudget{.max_requests = 7}),
+            (SearchResult{.requests = 7, .raw_requests = 7,
+                          .budget_exhausted = true}));
+  EXPECT_THROW(
+      (void)sfs::search::truncate_run(stopped, RunBudget{.max_requests = 11}),
+      std::logic_error);
 }
 
 TEST(Runner, WeakBudgetStopsSearch) {

@@ -104,6 +104,25 @@ TEST(MeasureScaling, SeedsAreDeterministic) {
   EXPECT_EQ(unique.size(), seen_a.size());
 }
 
+TEST(MeasureScaling, ClaimsLargestSizesFirst) {
+  // With one worker the claim order is the call order: sizes descending,
+  // equal sizes in (size index, rep) order. Each cell returns its call
+  // position, so the series' raw slots show where every (i, r) went.
+  std::vector<std::size_t> seen;
+  const auto series = measure_scaling(
+      {32, 64, 16, 64}, 2, 0x51,
+      [&seen](std::size_t n, std::uint64_t) {
+        seen.push_back(n);
+        return static_cast<double>(seen.size() - 1);
+      },
+      {.threads = 1});
+  EXPECT_EQ(seen, (std::vector<std::size_t>{64, 64, 64, 64, 32, 32, 16, 16}));
+  EXPECT_EQ(series.points[0].raw, (std::vector<double>{4, 5}));
+  EXPECT_EQ(series.points[1].raw, (std::vector<double>{0, 1}));
+  EXPECT_EQ(series.points[2].raw, (std::vector<double>{6, 7}));
+  EXPECT_EQ(series.points[3].raw, (std::vector<double>{2, 3}));
+}
+
 TEST(MeasureScaling, MeansAndSizesHelpers) {
   const auto series = measure_scaling(
       {10, 100}, 1, 3,
@@ -451,6 +470,51 @@ TEST(MeasureScalingCheckpoint, ResumeMatchesAnyThreadCount) {
   par.checkpoint_path = path;
   par.threads = 3;
   const auto resumed = measure_scaling(sizes, reps, 0x7D, measure, par);
+  expect_bit_identical(reference, resumed);
+}
+
+TEST(MeasureScalingCheckpoint, ResumesFromTopSizeRows) {
+  // The top-size cells are claimed first, so they are the rows an early
+  // interrupt leaves. Resuming from only those measures the other sizes,
+  // largest first, and folds the uninterrupted run's bits.
+  const std::string path = temp_checkpoint("top");
+  auto measure = [](std::size_t n, std::uint64_t seed) {
+    sfs::rng::Rng rng(seed);
+    return static_cast<double>(n) * rng.uniform(0.5, 1.5);
+  };
+  const std::vector<std::size_t> sizes{16, 32, 64};
+  const std::size_t reps = 3;
+
+  ScalingOptions options;
+  options.bootstrap_replicates = 50;
+  const auto reference = measure_scaling(sizes, reps, 0x70B, measure, options);
+  options.checkpoint_path = path;
+  (void)measure_scaling(sizes, reps, 0x70B, measure, options);
+  {
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    ASSERT_EQ(lines.size(), 2 + sizes.size() * reps);
+    std::ofstream out(path, std::ios::trunc);
+    for (std::size_t k = 0; k < 2 + reps; ++k) {
+      if (k >= 2) {
+        EXPECT_EQ(lines[k].rfind("2,64," + std::to_string(k - 2) + ",", 0),
+                  0u)
+            << lines[k];
+      }
+      out << lines[k] << '\n';
+    }
+  }
+
+  std::vector<std::size_t> seen;
+  const auto resumed = measure_scaling(
+      sizes, reps, 0x70B,
+      [&](std::size_t n, std::uint64_t seed) {
+        seen.push_back(n);
+        return measure(n, seed);
+      },
+      options);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{32, 32, 32, 16, 16, 16}));
   expect_bit_identical(reference, resumed);
 }
 

@@ -204,7 +204,11 @@ TEST(MeasurePortfolio, SearchingRootIsCheaperThanNewest) {
 // policy in full, by hand, on the graph, endpoints and RNG streams
 // measure_portfolio derives for replication `rep`.
 
-std::vector<SearchResult> full_runs(const RunPlan& plan, std::uint64_t rep) {
+// With `ceiling`, each policy runs with max_requests capped at the fewest
+// charged requests an earlier run found the target with: the runs
+// measure_portfolio makes at reps == 1, with every policy run for real.
+std::vector<SearchResult> full_runs(const RunPlan& plan, std::uint64_t rep,
+                                    bool ceiling = false) {
   const auto stream = [&](std::uint64_t tag) {
     return sfs::rng::Rng(sfs::rng::audited_stream_seed(plan.seed, tag, rep));
   };
@@ -214,16 +218,20 @@ std::vector<SearchResult> full_runs(const RunPlan& plan, std::uint64_t rep) {
   const auto [start, target] = plan.endpoints(g, endpoint_rng);
   const auto specs = sfs::search::resolve_policies(plan.model, plan.policies);
   std::vector<SearchResult> out;
+  auto budget = plan.budget;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     auto rng = stream(sfs::rng::mix64(0x5ea7c4 + i));
     if (plan.model == KnowledgeModel::kWeak) {
       auto policies = sfs::search::make_weak_searchers(specs);
       out.push_back(sfs::search::run_weak(g, start, target, *policies[i], rng,
-                                          plan.budget));
+                                          budget));
     } else {
       auto policies = sfs::search::make_strong_searchers(specs);
       out.push_back(sfs::search::run_strong(g, start, target, *policies[i],
-                                            rng, plan.budget));
+                                            rng, budget));
+    }
+    if (ceiling && out.back().found) {
+      budget.max_requests = std::min(budget.max_requests, out.back().requests);
     }
   }
   return out;
@@ -258,9 +266,10 @@ void expect_summary_of(const sfs::stats::Summary& got,
   EXPECT_EQ(got.max, want.max) << what;
 }
 
-// Every field of a one-replication PolicyCost against the full run.
+// Every field of a one-replication PolicyCost against the full run (or,
+// with `pruned`, against the run the ceiling stopped).
 void expect_cost_of(const sfs::sim::PolicyCost& got, const SearchResult& full,
-                    const std::string& what) {
+                    const std::string& what, bool pruned = false) {
   const auto req = static_cast<double>(full.requests);
   expect_summary_of(got.requests, {req}, what);
   expect_summary_of(got.raw_requests,
@@ -273,7 +282,7 @@ void expect_cost_of(const sfs::sim::PolicyCost& got, const SearchResult& full,
       << what;
   EXPECT_EQ(got.mean_restarts, static_cast<double>(full.restarts)) << what;
   EXPECT_EQ(got.abandoned_fraction, full.abandoned ? 1.0 : 0.0) << what;
-  EXPECT_FALSE(got.pruned) << what;
+  EXPECT_EQ(got.pruned, pruned) << what;
 }
 
 // measure_portfolio(plan) at reps == 1 against the full runs. Returns the
@@ -414,6 +423,111 @@ TEST(MinPathCeiling, TwoReplicationsRunEveryPolicyInFull) {
           << pol.name;
     }
   }
+}
+
+// ------------------------------------------------- rooted-tree twin
+//
+// On a recursive tree searched from vertex 0, measure_portfolio derives
+// max-id-greedy's result from dfs's run when dfs ran earlier
+// (PolicySpec::rooted_tree_twin). Every entry must equal the one that
+// real runs give: hand-rolled runs under the same ceiling.
+
+// measure_portfolio(plan) at reps == 1 against hand-rolled runs under the
+// ceiling: `best`, and every field of every entry, pruned or not.
+sfs::sim::PortfolioCost expect_real_runs(const RunPlan& plan,
+                                         const std::string& what) {
+  const auto cost = measure_portfolio(plan);
+  const auto runs = full_runs(plan, 0, true);
+  EXPECT_EQ(cost.policies.size(), runs.size()) << what;
+  if (cost.policies.size() != runs.size()) return cost;
+  EXPECT_EQ(cost.best, best_of(runs)) << what;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& r = runs[i];
+    expect_cost_of(cost.policies[i], r, what + " " + cost.policies[i].name,
+                   r.budget_exhausted &&
+                       r.requests < plan.budget.max_requests &&
+                       r.raw_requests < plan.budget.max_raw_requests);
+  }
+  return cost;
+}
+
+TEST(RootedTreeTwin, DerivedResultsEqualRealRuns) {
+  std::size_t below = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const std::string at = " seed " + std::to_string(seed);
+    auto plan = weak_plan(300, 0.5, 1, seed);
+    plan.policies = {"dfs", "max-id-greedy"};
+    const auto twins = full_runs(plan, 0);
+    ASSERT_TRUE(twins[0].found);
+    ASSERT_EQ(twins[1], twins[0]);
+    const std::size_t c = twins[0].requests;
+    ASSERT_GT(c, 1u);
+
+    // A tie at dfs's count.
+    EXPECT_EQ(expect_real_runs(plan, "tie" + at).best, 0u);
+
+    // The plan's own caps below dfs's count: both stop on that budget.
+    for (const bool raw : {false, true}) {
+      auto capped = plan;
+      (raw ? capped.budget.max_raw_requests : capped.budget.max_requests) =
+          c - 1;
+      const auto cost = expect_real_runs(
+          capped, (raw ? "max_raw_requests" : "max_requests") + at);
+      EXPECT_EQ(cost.policies[1].requests.mean, static_cast<double>(c - 1));
+    }
+
+    // bfs finding the target with fewer requests prunes the twin below
+    // dfs's count, or, run before dfs, prunes dfs itself.
+    plan.policies = {"dfs", "bfs", "max-id-greedy"};
+    if (full_runs(plan, 0)[1].requests >= c) continue;
+    ++below;
+    auto cost = expect_real_runs(plan, "prune below" + at);
+    EXPECT_FALSE(cost.policies[0].pruned);
+    EXPECT_TRUE(cost.policies[2].pruned);
+    plan.policies = {"bfs", "dfs", "max-id-greedy"};
+    cost = expect_real_runs(plan, "dfs pruned" + at);
+    EXPECT_TRUE(cost.policies[1].pruned);
+    EXPECT_TRUE(cost.policies[2].pruned);
+  }
+  EXPECT_GT(below, 0u);
+}
+
+TEST(RootedTreeTwin, E1CellsEqualRealRuns) {
+  // The e1 grid cell: the full weak portfolio on a merged Móri graph with
+  // m = 1, a 40n raw budget and one replication. (At reps = 2 the twin is
+  // derived too: MinPathCeiling.TwoReplicationsRunEveryPolicyInFull
+  // searches Móri trees from vertex 0.)
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    RunPlan plan;
+    plan.factory = [](sfs::rng::Rng& rng) {
+      return sfs::gen::merged_mori_graph(400, 1, sfs::gen::MoriParams{0.5},
+                                         rng);
+    };
+    plan.endpoints = oldest_to_newest();
+    plan.seed = seed;
+    plan.budget.max_raw_requests = 40 * 400;
+    (void)expect_real_runs(plan, "e1 cell seed " + std::to_string(seed));
+  }
+}
+
+TEST(RootedTreeTwin, OtherStartsAndOrdersRunBoth) {
+  // From a random start the twins part, and max-id-greedy, run for real,
+  // sometimes beats dfs; run first, it is no twin of a later dfs.
+  std::size_t parted = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const std::string at = " seed " + std::to_string(seed);
+    auto plan = weak_plan(300, 0.5, 1, seed);
+    plan.endpoints = random_to_newest();
+    plan.policies = {"dfs", "max-id-greedy"};
+    const auto runs = full_runs(plan, 0);
+    parted += runs[1].found && runs[1].requests < runs[0].requests;
+    (void)expect_real_runs(plan, "random start" + at);
+
+    plan = weak_plan(300, 0.5, 1, seed);
+    plan.policies = {"max-id-greedy", "dfs"};
+    (void)expect_real_runs(plan, "twin first" + at);
+  }
+  EXPECT_GT(parted, 0u);
 }
 
 }  // namespace

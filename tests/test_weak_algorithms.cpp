@@ -294,6 +294,38 @@ TEST(RecursiveTreeDuplicates, DfsMaxIdGreedyAndFrontierWalkAgree) {
   EXPECT_EQ(graphs, 120u);
 }
 
+TEST(RecursiveTreeDuplicates, TableTwinsRepeatTheirTwinsRuns) {
+  // Every PolicySpec::rooted_tree_twin pair gives equal SearchResults,
+  // charged requests only, on recursive trees searched from vertex 0:
+  // what measure_portfolio's derivation of the twin's result needs.
+  std::size_t pairs = 0;
+  for (const auto& spec : sfs::search::all_policies()) {
+    if (spec.rooted_tree_twin.empty()) continue;
+    const auto* twin = sfs::search::find_policy(spec.rooted_tree_twin);
+    ASSERT_NE(twin, nullptr) << spec.name;
+    ASSERT_EQ(twin->model, sfs::search::KnowledgeModel::kWeak) << spec.name;
+    ASSERT_EQ(spec.model, sfs::search::KnowledgeModel::kWeak) << spec.name;
+    ++pairs;
+    for (const double p : {0.0, 0.25, 0.5, 0.75}) {
+      for (const std::size_t n : {2, 3, 5, 17, 100, 600}) {
+        for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+          Rng rng(seed);
+          const Graph g = sfs::gen::mori_tree(n, sfs::gen::MoriParams{p}, rng);
+          const auto target = static_cast<VertexId>(n - 1);
+          Rng twin_rng(seed);
+          Rng spec_rng(seed + 1);
+          const SearchResult want =
+              run_weak(g, 0, target, *twin->make_weak(), twin_rng);
+          EXPECT_EQ(want.raw_requests, want.requests) << twin->name;
+          EXPECT_EQ(run_weak(g, 0, target, *spec.make_weak(), spec_rng), want)
+              << spec.name << " p=" << p << " n=" << n << " seed=" << seed;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 1u);  // max-id-greedy, whose twin is dfs
+}
+
 TEST(RecursiveTreeDuplicates, MergedGraphsSeparateThem) {
   // With m = 2 a vertex has two earlier neighbours, so the tree argument
   // fails and the three policies part on some graphs.
