@@ -11,10 +11,12 @@ using graph::EdgeId;
 using graph::kNoVertex;
 using graph::VertexId;
 
-void SearchWorkspace::begin_run(std::size_t n, std::size_t m) {
+void SearchWorkspace::begin_run(std::size_t n, std::size_t m,
+                                KnowledgeModel model) {
   if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
     // Stamp wraparound (once per ~4 billion runs): re-zero so stale stamps
-    // from long-dead epochs cannot collide with fresh ones.
+    // from long-dead epochs cannot collide with fresh ones. Every stamp
+    // array, whichever model sized it.
     std::fill(known_stamp_.begin(), known_stamp_.end(), 0u);
     std::fill(explored_stamp_.begin(), explored_stamp_.end(), 0u);
     std::fill(requested_stamp_.begin(), requested_stamp_.end(), 0u);
@@ -23,11 +25,14 @@ void SearchWorkspace::begin_run(std::size_t n, std::size_t m) {
   ++epoch_;
   if (known_stamp_.size() < n) {
     known_stamp_.resize(n, 0u);
-    requested_stamp_.resize(n, 0u);
-    unexplored_cursor_.resize(n);
     parent_.resize(n, kNoVertex);
   }
-  if (explored_stamp_.size() < m) explored_stamp_.resize(m, 0u);
+  if (model == KnowledgeModel::kWeak) {
+    if (explored_stamp_.size() < m) explored_stamp_.resize(m, 0u);
+    if (unexplored_cursor_.size() < n) unexplored_cursor_.resize(n);
+  } else if (requested_stamp_.size() < n) {
+    requested_stamp_.resize(n, 0u);
+  }
   known_order_.clear();
 }
 
@@ -67,8 +72,9 @@ LocalView::LocalView(const graph::Graph& g, KnowledgeModel model,
       liveness_(liveness),
       ws_(&workspace) {
   validate_view_args(g, start, target, liveness_);
-  ws_->begin_run(g.num_vertices(), g.num_edges());
+  ws_->begin_run(g.num_vertices(), g.num_edges(), model);
   make_known(start, kNoVertex);
+  if (model == KnowledgeModel::kWeak) ws_->unexplored_cursor_[start] = 0;
 }
 
 VertexId LocalView::request_edge(const WeakRequest& r) {
@@ -96,7 +102,10 @@ VertexId LocalView::request_edge(const WeakRequest& r) {
   if (!explored(e)) {
     ++requests_;
     ws_->explored_stamp_[e] = ws_->epoch_;
-    if (!known(v)) make_known(v, r.u);
+    if (!known(v)) {
+      make_known(v, r.u);
+      ws_->unexplored_cursor_[v] = 0;
+    }
   }
   return v;
 }
@@ -120,31 +129,31 @@ std::span<const VertexId> LocalView::request_vertex_span(VertexId u) {
   if (ws_->requested_stamp_[u] != ws_->epoch_) {
     ++requests_;
     ws_->requested_stamp_[u] = ws_->epoch_;
-    const auto inc = graph_->incident(u);
+    // An open writes only what the strong model reads: the known stamps,
+    // parents and discovery order. No strong reader asks which edges
+    // were explored, so no edge is stamped.
     const auto adj = graph_->adjacent(u);
     if (liveness_.edge_alive.empty()) {
-      // Static fast path: no per-slot mask checks, and the stamp lines —
-      // random accesses by edge/vertex id, the loop's only misses — are
-      // prefetched a few slots ahead of use. Same stores, same
-      // make_known order: bit-identical to the masked loop below with an
-      // all-alive mask.
+      // Static fast path: no incidence read and no per-slot mask checks,
+      // and the known-stamp lines — random accesses by vertex id, the
+      // loop's only misses — are prefetched a few slots ahead of use.
+      // Same make_known order: bit-identical to the masked loop below
+      // with an all-alive mask.
       constexpr std::size_t kAhead = 8;
-      for (std::size_t i = 0; i < inc.size(); ++i) {
-        if (i + kAhead < inc.size()) {
-          base::prefetch(&ws_->explored_stamp_[inc[i + kAhead]]);
+      for (std::size_t i = 0; i < adj.size(); ++i) {
+        if (i + kAhead < adj.size()) {
           base::prefetch(&ws_->known_stamp_[adj[i + kAhead]]);
         }
-        ws_->explored_stamp_[inc[i]] = ws_->epoch_;
         const VertexId v = adj[i];
         if (!known(v)) make_known(v, u);
       }
     } else {
-      for (std::size_t i = 0; i < inc.size(); ++i) {
+      const auto inc = graph_->incident(u);
+      for (std::size_t i = 0; i < adj.size(); ++i) {
         // A dead link hides its endpoint entirely; a live link to a
         // departed peer still discloses the stale identity (the probe
         // that follows is what fails).
         if (!liveness_.edge_ok(inc[i])) continue;
-        ws_->explored_stamp_[inc[i]] = ws_->epoch_;
         const VertexId v = adj[i];
         if (!known(v)) make_known(v, u);
       }
@@ -176,7 +185,6 @@ std::vector<VertexId> LocalView::discovery_path() const {
 void LocalView::make_known(VertexId v, VertexId via) {
   ws_->known_stamp_[v] = ws_->epoch_;
   ws_->parent_[v] = via;
-  ws_->unexplored_cursor_[v] = 0;
   ws_->known_order_.push_back(v);
 }
 

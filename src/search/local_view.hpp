@@ -94,6 +94,12 @@ struct LivenessView {
 /// is a single epoch increment (arrays are only re-zeroed on the ~2^32-run
 /// stamp wraparound, and only grow when a larger graph arrives).
 ///
+/// Each array grows only in runs of the model that maintains it: the
+/// known stamps, parents and discovery order serve both models, the
+/// explored stamps and slot cursors only weak runs, and the requested
+/// stamps only strong runs. A strong run never reads or writes the weak
+/// arrays, nor a weak run the strong one.
+///
 /// A workspace may be bound to at most one live LocalView at a time; it is
 /// not thread-safe (use one per worker).
 class SearchWorkspace {
@@ -121,16 +127,20 @@ class SearchWorkspace {
  private:
   friend class LocalView;
 
-  /// Starts a fresh run over a graph with `n` vertices and `m` edges.
-  void begin_run(std::size_t n, std::size_t m);
+  /// Starts a fresh `model` run over a graph with `n` vertices and `m`
+  /// edges, growing the arrays that model maintains.
+  void begin_run(std::size_t n, std::size_t m, KnowledgeModel model);
 
   std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> known_stamp_;      // size >= n
-  std::vector<std::uint32_t> explored_stamp_;   // size >= m
-  std::vector<std::uint32_t> requested_stamp_;  // size >= n (strong model)
+  // Both models maintain these.
+  std::vector<std::uint32_t> known_stamp_;    // size >= n
+  std::vector<graph::VertexId> parent_;       // valid for known vertices
+  std::vector<graph::VertexId> known_order_;  // cleared per run
+  // Only weak runs size, write or read these.
+  std::vector<std::uint32_t> explored_stamp_;     // size >= m
   std::vector<std::uint32_t> unexplored_cursor_;  // valid for known vertices
-  std::vector<graph::VertexId> parent_;           // valid for known vertices
-  std::vector<graph::VertexId> known_order_;      // cleared per run
+  // Only strong runs size, write or read this.
+  std::vector<std::uint32_t> requested_stamp_;  // size >= n
 };
 
 class LocalView {
@@ -184,7 +194,9 @@ class LocalView {
   /// Incidence-span index of the first incident edge of known vertex `v`
   /// that is not yet explored, if any — the natural `slot` of a
   /// WeakRequest built from the cursor scan. Amortized O(deg) over the
-  /// whole search via a monotone cursor.
+  /// whole search via a monotone cursor. Requires model() == kWeak: a
+  /// strong request explores no single edge, so strong views keep no
+  /// explored stamps or cursors.
   [[nodiscard]] std::optional<std::uint32_t> first_unexplored_slot(
       graph::VertexId v) const;
 
@@ -258,6 +270,8 @@ class LocalView {
   [[nodiscard]] graph::VertexId discoverer(graph::VertexId v) const;
 
  private:
+  /// Marks `v` known, revealed by `via`. Writes no weak-model state: the
+  /// weak reveals reset `v`'s slot cursor themselves.
   void make_known(graph::VertexId v, graph::VertexId via);
   [[nodiscard]] bool known(graph::VertexId v) const noexcept {
     return ws_->known_stamp_[v] == ws_->epoch_;
@@ -306,6 +320,8 @@ inline std::span<const graph::EdgeId> LocalView::incident(
 
 inline std::optional<std::uint32_t> LocalView::first_unexplored_slot(
     graph::VertexId v) const {
+  SFS_REQUIRE(model_ == KnowledgeModel::kWeak,
+              "first_unexplored_slot reads weak-model state");
   SFS_REQUIRE(is_known(v), "first_unexplored_slot of an unknown vertex");
   const auto inc = graph_->incident(v);
   auto& cur = ws_->unexplored_cursor_[v];

@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <vector>
 
+#include "gen/mori.hpp"
 #include "graph/builder.hpp"
+#include "search/policy.hpp"
+#include "search/runner.hpp"
 
 namespace {
 
@@ -232,6 +236,17 @@ TEST(LocalViewStrong, RepeatRequestsFree) {
   EXPECT_FALSE(view.vertex_requested(1));
 }
 
+TEST(LocalViewStrong, FirstUnexploredSlotIsWeakOnly) {
+  // A strong request explores no single edge, so a strong view keeps no
+  // explored stamps or slot cursors to answer from.
+  const Graph g = path4();
+  SearchWorkspace ws;
+  LocalView view(g, KnowledgeModel::kStrong, 0, 3, ws);
+  EXPECT_THROW((void)view.first_unexplored_slot(0), std::invalid_argument);
+  (void)view.request_vertex_span(0);
+  EXPECT_THROW((void)view.first_unexplored_slot(1), std::invalid_argument);
+}
+
 TEST(LocalViewStrong, WeakRequestRejected) {
   const Graph g = path4();
   SearchWorkspace ws;
@@ -312,6 +327,26 @@ TEST(SearchWorkspaceEpoch, WrapRezeroesStaleStamps) {
   EXPECT_EQ(view.requests(), 1u);
 }
 
+// The strong twin of the test above: a requested stamp from before the
+// wrap must not make the vertex look requested after it.
+TEST(SearchWorkspaceEpoch, WrapRezeroesStaleRequestedStamps) {
+  const Graph g = path4();
+  SearchWorkspace ws;
+  {
+    LocalView view(g, KnowledgeModel::kStrong, 0, 3, ws);
+    ASSERT_EQ(ws.debug_epoch(), 1u);
+    (void)view.request_vertex_span(0);
+    ASSERT_TRUE(view.vertex_requested(0));
+  }
+  ws.debug_fast_forward_epoch(std::numeric_limits<std::uint32_t>::max());
+  LocalView view(g, KnowledgeModel::kStrong, 0, 3, ws);
+  EXPECT_EQ(ws.debug_epoch(), 1u);
+  EXPECT_FALSE(view.vertex_requested(0));
+  (void)view.request_vertex_span(0);
+  EXPECT_EQ(view.requests(), 1u);
+  EXPECT_TRUE(view.is_known(1));
+}
+
 TEST(SearchWorkspaceEpoch, SurvivesRunsStraddlingTheWrap) {
   const Graph g = path4();
   SearchWorkspace ws;
@@ -330,6 +365,111 @@ TEST(SearchWorkspaceEpoch, FastForwardIsForwardOnly) {
   ws.debug_fast_forward_epoch(100u);
   EXPECT_EQ(ws.debug_epoch(), 100u);
   EXPECT_THROW(ws.debug_fast_forward_epoch(99u), std::invalid_argument);
+}
+
+// ------------------------------------------------ one workspace, two models
+
+// A run's SearchResult and the view's known order at its end.
+struct Outcome {
+  sfs::search::SearchResult result;
+  std::vector<VertexId> known;
+  friend bool operator==(const Outcome&, const Outcome&) = default;
+};
+
+// Runs `spec` from 0 to the newest vertex twice on `ws`: through the
+// runner, and through a hand copy of the runner's static loop that keeps
+// the view to read its known order.
+Outcome run_policy(const Graph& g, const sfs::search::PolicySpec& spec,
+                   SearchWorkspace& ws) {
+  const auto target = static_cast<VertexId>(g.num_vertices() - 1);
+  const sfs::search::RunBudget budget{.max_raw_requests =
+                                          50 * g.num_vertices()};
+  const bool weak = spec.model == KnowledgeModel::kWeak;
+  Outcome out;
+  {
+    LocalView view(g, spec.model, 0, target, ws);
+    sfs::rng::Rng rng(11);
+    const auto weak_searcher = weak ? spec.make_weak() : nullptr;
+    const auto strong_searcher = weak ? nullptr : spec.make_strong();
+    if (weak) {
+      weak_searcher->start(view, rng);
+    } else {
+      strong_searcher->start(view, rng);
+    }
+    while (!view.target_found() &&
+           view.raw_requests() < budget.max_raw_requests) {
+      if (weak) {
+        const auto req = weak_searcher->next(view, rng);
+        if (!req) break;
+        weak_searcher->observe(view, *req, view.request_edge(*req));
+      } else {
+        const auto u = strong_searcher->next(view, rng);
+        if (!u) break;
+        (void)view.request_vertex_span(*u);
+      }
+    }
+    out.known.assign(view.known_vertices().begin(),
+                     view.known_vertices().end());
+  }
+  sfs::rng::Rng rng(11);
+  out.result = weak ? sfs::search::run_weak(g, 0, target, *spec.make_weak(),
+                                            rng, budget, ws)
+                    : sfs::search::run_strong(
+                          g, 0, target, *spec.make_strong(), rng, budget, ws);
+  return out;
+}
+
+// Each model sizes only the arrays it maintains, so one workspace that
+// serves both models holds arrays of different sizes and stamps of
+// different ages. Every policy of both models, interleaved on one
+// workspace over a smaller graph, a larger one and across the stamp
+// wrap, must give what a fresh workspace gives.
+TEST(SearchWorkspaceModels, InterleavedRunsMatchFreshWorkspaces) {
+  std::vector<const sfs::search::PolicySpec*> weak;
+  std::vector<const sfs::search::PolicySpec*> strong;
+  for (const auto& spec : sfs::search::all_policies()) {
+    (spec.model == KnowledgeModel::kWeak ? weak : strong).push_back(&spec);
+  }
+  ASSERT_FALSE(weak.empty());
+  ASSERT_FALSE(strong.empty());
+  // Weak and strong alternate, starting with `first`'s model.
+  const auto interleaved = [&](KnowledgeModel first) {
+    const auto& a = first == KnowledgeModel::kWeak ? weak : strong;
+    const auto& b = first == KnowledgeModel::kWeak ? strong : weak;
+    std::vector<const sfs::search::PolicySpec*> out;
+    for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+      if (i < a.size()) out.push_back(a[i]);
+      if (i < b.size()) out.push_back(b[i]);
+    }
+    return out;
+  };
+  sfs::rng::Rng small_rng(3);
+  const Graph small =
+      sfs::gen::merged_mori_graph(60, 2, sfs::gen::MoriParams{0.5}, small_rng);
+  sfs::rng::Rng large_rng(4);
+  const Graph large =
+      sfs::gen::merged_mori_graph(400, 2, sfs::gen::MoriParams{0.5}, large_rng);
+
+  SearchWorkspace ws;
+  std::size_t runs = 0;
+  const auto check = [&](const Graph& g, KnowledgeModel first,
+                         const char* phase) {
+    for (const auto* spec : interleaved(first)) {
+      SearchWorkspace fresh;
+      EXPECT_EQ(run_policy(g, *spec, ws), run_policy(g, *spec, fresh))
+          << phase << " " << spec->name;
+      ++runs;
+    }
+  };
+  check(small, KnowledgeModel::kWeak, "small");
+  check(large, KnowledgeModel::kStrong, "large");
+  // Each policy takes two epochs on `ws`, so the wrap falls inside the
+  // next pass, between its first strong policy and its second weak one.
+  ws.debug_fast_forward_epoch(std::numeric_limits<std::uint32_t>::max() - 4);
+  check(large, KnowledgeModel::kWeak, "large across the wrap");
+  EXPECT_LT(ws.debug_epoch(), 100u);  // the counter wrapped
+  check(small, KnowledgeModel::kStrong, "small after the wrap");
+  EXPECT_EQ(runs, 4 * (weak.size() + strong.size()));
 }
 
 // ------------------------------------------------------- liveness masks

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gen/mori.hpp"
@@ -339,6 +341,119 @@ TEST(RecursiveTreeDuplicates, MergedGraphsSeparateThem) {
     if (!(reveal(g, "max-id-greedy", ws) == dfs) ||
         !(reveal(g, "frontier-walk", ws) == dfs)) {
       ++differ;
+    }
+  }
+  EXPECT_GT(differ, 0u);
+}
+
+// degree-greedy against weak-sim(degree-greedy-strong). Both open the
+// known vertex of highest degree (ties to the smaller id) slot by slot,
+// but degree-greedy re-ranks after every edge: a neighbour revealed while
+// a vertex is being opened, whose degree beats it, is opened first, and
+// the rest of the vertex waits. weak-sim asks its strong policy only once
+// the vertex being opened has no unexplored edge left.
+
+// One weak request and what it revealed.
+struct Probe {
+  VertexId u = 0;
+  std::uint32_t slot = 0;
+  VertexId revealed = 0;
+  friend bool operator==(const Probe&, const Probe&) = default;
+};
+
+// The requests `policy` makes from vertex 0 until it finds `target`,
+// through a hand copy of the runner's static loop.
+std::vector<Probe> probes(const Graph& g, const char* policy,
+                          VertexId target) {
+  const auto searcher = sfs::search::find_policy(policy)->make_weak();
+  sfs::search::SearchWorkspace ws;
+  Rng rng(7);
+  sfs::search::LocalView view(g, sfs::search::KnowledgeModel::kWeak, 0,
+                              target, ws);
+  searcher->start(view, rng);
+  std::vector<Probe> out;
+  while (!view.target_found()) {
+    const auto req = searcher->next(view, rng);
+    if (!req) break;
+    const VertexId v = view.request_edge(*req);
+    searcher->observe(view, *req, v);
+    out.push_back({req->u, req->slot, v});
+  }
+  return out;
+}
+
+constexpr const char* kWeakSim = "weak-sim(degree-greedy-strong)";
+
+// Vertex 0 (degree 2) reveals 1 (degree 3) first, which outranks it.
+// Slots of 0: edges 0-1, 0-target; slots of 1: edges 0-1, 1-2, 1-3.
+TEST(DegreeGreedyAgainstWeakSim, PreemptionDelaysAnOpenedVertexsEdge) {
+  GraphBuilder b(5);
+  b.add_edge(1, 0);
+  b.add_edge(2, 1);
+  b.add_edge(3, 1);
+  b.add_edge(4, 0);
+  const Graph g = b.build();
+  const std::vector<Probe> greedy{{0, 0, 1}, {1, 1, 2}, {1, 2, 3}, {0, 1, 4}};
+  const std::vector<Probe> sim{{0, 0, 1}, {0, 1, 4}};
+  EXPECT_EQ(probes(g, "degree-greedy", 4), greedy);
+  EXPECT_EQ(probes(g, kWeakSim, 4), sim);
+}
+
+// The same preemption pays when the target hangs off the preempting
+// vertex: weak-sim finishes 0 first and spends a request on 0-2.
+TEST(DegreeGreedyAgainstWeakSim, PreemptionCanAlsoSaveRequests) {
+  GraphBuilder b(5);
+  b.add_edge(1, 0);
+  b.add_edge(2, 0);
+  b.add_edge(3, 1);
+  b.add_edge(4, 1);
+  const Graph g = b.build();
+  const std::vector<Probe> greedy{{0, 0, 1}, {1, 1, 3}, {1, 2, 4}};
+  const std::vector<Probe> sim{{0, 0, 1}, {0, 1, 2}, {1, 1, 3}, {1, 2, 4}};
+  EXPECT_EQ(probes(g, "degree-greedy", 4), greedy);
+  EXPECT_EQ(probes(g, kWeakSim, 4), sim);
+}
+
+// A revealed neighbour of equal degree does not preempt (ties go to the
+// smaller id, and on a recursive tree the neighbour is the younger one).
+TEST(DegreeGreedyAgainstWeakSim, EqualDegreeDoesNotPreempt) {
+  GraphBuilder b(4);
+  b.add_edge(1, 0);
+  b.add_edge(2, 0);
+  b.add_edge(3, 1);
+  const Graph g = b.build();
+  const std::vector<Probe> both{{0, 0, 1}, {0, 1, 2}, {1, 1, 3}};
+  EXPECT_EQ(probes(g, "degree-greedy", 3), both);
+  EXPECT_EQ(probes(g, kWeakSim, 3), both);
+}
+
+// On Móri trees searched from the root for the newest vertex, the two
+// policies agree until the first preemption: the first request where they
+// part is degree-greedy's request on the vertex just revealed, whose
+// degree beats the vertex weak-sim goes on opening.
+TEST(DegreeGreedyAgainstWeakSim, FirstDifferenceIsAPreemptionOnMoriTrees) {
+  std::size_t differ = 0;
+  for (const double p : {0.25, 0.5, 0.75}) {
+    for (const std::size_t n : {100, 600}) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        Rng rng(seed);
+        const Graph g = sfs::gen::mori_tree(n, sfs::gen::MoriParams{p}, rng);
+        const auto target = static_cast<VertexId>(n - 1);
+        const auto greedy = probes(g, "degree-greedy", target);
+        const auto sim = probes(g, kWeakSim, target);
+        std::size_t i = 0;
+        while (i < greedy.size() && i < sim.size() && greedy[i] == sim[i]) ++i;
+        if (i == greedy.size() && i == sim.size()) continue;
+        ++differ;
+        SCOPED_TRACE("p=" + std::to_string(p) + " n=" + std::to_string(n) +
+                     " seed=" + std::to_string(seed));
+        ASSERT_GT(i, 0u);
+        ASSERT_LT(i, greedy.size());
+        ASSERT_LT(i, sim.size());
+        EXPECT_EQ(greedy[i].u, greedy[i - 1].revealed);
+        EXPECT_EQ(sim[i].u, sim[i - 1].u);
+        EXPECT_GT(g.degree(greedy[i].u), g.degree(sim[i].u));
+      }
     }
   }
   EXPECT_GT(differ, 0u);
