@@ -13,6 +13,11 @@ alternating which side runs first, all on the same host. Exits 1 when
   * the change's median of any end-to-end metric is more than FENCE times
     worse than the parent's.
 
+Each run also prints its summary line's results_digest and output-check
+counts, and the report says per workload and seed whether the two sides'
+digests agree. That only reports: a change that alters its outputs by
+design still passes.
+
 Paired runs need identical benchmark files: when perfbench/ or
 BENCHMARK.json differ between the two checkouts the script says so,
 compares nothing and exits 0.
@@ -103,6 +108,22 @@ def verdict(results, metrics):
     return lines, failures
 
 
+def digest_report(summaries):
+    """Per workload and seed, whether the two sides wrote the same outputs.
+
+    summaries: {"parent"|"change": {(workload, seed): run.py summary
+    record}}. Returns report lines; a difference is reported, never failed.
+    """
+    lines = []
+    for key in sorted(summaries["change"]):
+        c = summaries["change"][key]["results_digest"]
+        p = summaries["parent"].get(key, {}).get("results_digest")
+        lines.append("digest %-13s seed %d %s" % (
+            key[0], key[1], "equal %s" % c if p == c
+            else "DIFFERS parent %s change %s" % (p, c)))
+    return lines
+
+
 def fence(parent, change):
     differ = differing_benchmark_files(parent, change)
     if differ:
@@ -113,17 +134,23 @@ def fence(parent, change):
     bench = json.loads((Path(change) / "BENCHMARK.json").read_text())
     sides = {"parent": parent, "change": change}
     results = {"parent": {}, "change": {}}
+    summaries = {"parent": {}, "change": {}}
     workloads = [w["name"] for w in bench["workloads"]] + list(EXTRA_WORKLOADS)
     runs = [(w, seed) for w in workloads for seed in SEEDS]
     for k, (w, seed) in enumerate(runs):
         for side in ("parent", "change")[::1 if k % 2 == 0 else -1]:
             # A run that exits nonzero stops the fence with exit 1.
-            _, _, r, _ = capture.run_once(sides[side], w, seed, SECONDS, 0)
+            _, summary, r, _ = capture.run_once(sides[side], w, seed,
+                                                SECONDS, 0)
             results[side].setdefault(w, []).append(r)
-            print("run %-13s seed %d %-6s correct %s"
-                  % (w, seed, side, r["correct"]), flush=True)
+            summaries[side][(w, seed)] = summary
+            check = summary["check"]
+            print("run %-13s seed %d %-6s correct %s digest %s "
+                  "checked %d mismatched %d"
+                  % (w, seed, side, r["correct"], summary["results_digest"],
+                     check["checked"], check["mismatched"]), flush=True)
     lines, failures = verdict(results, bench["end_to_end"])
-    print("\n".join(lines))
+    print("\n".join(lines + digest_report(summaries)))
     for f in failures:
         print("FAIL " + f)
     print("perf fence (seeds %s, %d s runs, bound %gx): %s"
@@ -180,6 +207,27 @@ def self_test():
             failed += 1
             print("FAILED: %s: %s" % (label, failures or "passed"))
 
+    # The digest report: equal and differing digests per (workload, seed),
+    # and a seed the parent never ran. It only reports; the verdict above
+    # reads no digest.
+    summaries = {"parent": {("grid_weak", 1): {"results_digest": "aa"},
+                            ("grid_weak", 2): {"results_digest": "bb"}},
+                 "change": {("grid_weak", 1): {"results_digest": "aa"},
+                            ("grid_weak", 2): {"results_digest": "cc"},
+                            ("grid_weak", 3): {"results_digest": "dd"}}}
+    digest_cases = [
+        ("equal digests", "digest grid_weak     seed 1 equal aa"),
+        ("differing digests",
+         "digest grid_weak     seed 2 DIFFERS parent bb change cc"),
+        ("parent run missing",
+         "digest grid_weak     seed 3 DIFFERS parent None change dd"),
+    ]
+    got = digest_report(summaries)
+    for k, (label, want) in enumerate(digest_cases):
+        if k >= len(got) or got[k] != want:
+            failed += 1
+            print("FAILED: %s: %r" % (label, got[k] if k < len(got) else None))
+
     # Edits to one of two identical trees, applied in turn; a bytecode
     # cache is not a benchmark file.
     edits = [("perfbench/__pycache__/run.pyc", "cache"),
@@ -206,7 +254,7 @@ def self_test():
                 failed += 1
                 print("FAILED: identity after %s: %s" % (rel, got))
 
-    total = len(cases) + len(edits)
+    total = len(cases) + len(digest_cases) + len(edits)
     print("perf_fence self-test: %d/%d cases %s"
           % (total - failed, total, "OK" if not failed else "passed"))
     return 1 if failed else 0

@@ -1,13 +1,6 @@
 #include "rng/random.hpp"
 
 namespace sfs::rng {
-namespace {
-
-[[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
@@ -25,39 +18,6 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 void Xoshiro256::reseed(std::uint64_t seed) noexcept {
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
-}
-
-Xoshiro256::result_type Xoshiro256::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::uniform_index(std::uint64_t n) {
-  // Lemire's nearly-divisionless method with rejection for exactness.
-  SFS_CHECK(n > 0, "uniform_index(0)");
-  std::uint64_t x = u64();
-  __uint128_t m = static_cast<__uint128_t>(x) * n;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < n) {
-    const std::uint64_t threshold = (0ULL - n) % n;
-    while (low < threshold) {
-      x = u64();
-      m = static_cast<__uint128_t>(x) * n;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-double Rng::uniform() noexcept {
-  return static_cast<double>(u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -42,7 +43,19 @@ class Xoshiro256 {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()() noexcept;
+  /// One xoshiro256** step (inline: it sits on every search probe's and
+  /// generator step's draw).
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
  private:
   std::array<std::uint64_t, 4> state_{};
@@ -61,10 +74,27 @@ class Rng {
 
   /// Uniform integer in [0, n). Requires n > 0 (throws std::logic_error
   /// otherwise). Uses Lemire's unbiased multiply-shift rejection method.
-  [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n);
+  [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n) {
+    // Lemire's nearly-divisionless method with rejection for exactness.
+    SFS_CHECK(n > 0, "uniform_index(0)");
+    std::uint64_t x = u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * n;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < n) {
+      const std::uint64_t threshold = (0ULL - n) % n;
+      while (low < threshold) {
+        x = u64();
+        m = static_cast<__uint128_t>(x) * n;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform double in [0, 1) with 53 random bits.
-  [[nodiscard]] double uniform() noexcept;
+  [[nodiscard]] double uniform() noexcept {
+    return static_cast<double>(u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) noexcept;

@@ -7,7 +7,6 @@
 
 namespace sfs::search {
 
-using graph::EdgeId;
 using graph::kNoVertex;
 using graph::VertexId;
 
@@ -77,39 +76,6 @@ LocalView::LocalView(const graph::Graph& g, KnowledgeModel model,
   if (model == KnowledgeModel::kWeak) ws_->unexplored_cursor_[start] = 0;
 }
 
-VertexId LocalView::request_edge(const WeakRequest& r) {
-  SFS_REQUIRE(model_ == KnowledgeModel::kWeak,
-              "request_edge is a weak-model request");
-  SFS_REQUIRE(is_known(r.u), "requests must start from a discovered vertex");
-  const auto inc = graph_->incident(r.u);
-  SFS_REQUIRE(r.slot < inc.size(), "request slot is past the degree of u");
-
-  ++raw_requests_;
-  const EdgeId e = inc[r.slot];
-  // The far endpoint sits in the adjacency slot parallel to the incidence
-  // slot (a self-loop slot stores u itself).
-  const VertexId v = graph_->adjacent(r.u)[r.slot];
-  if (!liveness_.edge_ok(e) || !liveness_.vertex_ok(v)) {
-    // Dead link or departed far endpoint: the probe fails and reveals
-    // nothing. Mark the edge explored so first_unexplored_slot() skips
-    // the known-dead link from now on. (The liveness check runs before
-    // the cache check so a repeated probe of a dead edge stays a
-    // failure.)
-    ++failed_requests_;
-    ws_->explored_stamp_[e] = ws_->epoch_;
-    return kNoVertex;
-  }
-  if (!explored(e)) {
-    ++requests_;
-    ws_->explored_stamp_[e] = ws_->epoch_;
-    if (!known(v)) {
-      make_known(v, r.u);
-      ws_->unexplored_cursor_[v] = 0;
-    }
-  }
-  return v;
-}
-
 std::span<const VertexId> LocalView::request_vertex_span(VertexId u) {
   SFS_REQUIRE(model_ == KnowledgeModel::kStrong,
               "request_vertex_span is a strong-model request");
@@ -162,8 +128,6 @@ std::span<const VertexId> LocalView::request_vertex_span(VertexId u) {
   return graph_->adjacent(u);
 }
 
-bool LocalView::target_found() const { return known(target_); }
-
 VertexId LocalView::discoverer(VertexId v) const {
   SFS_REQUIRE(v < graph_->num_vertices(), "vertex out of range");
   return known(v) ? ws_->parent_[v] : kNoVertex;
@@ -180,12 +144,6 @@ std::vector<VertexId> LocalView::discovery_path() const {
   std::reverse(path.begin(), path.end());
   SFS_CHECK(path.front() == start_, "discovery path does not start at start");
   return path;
-}
-
-void LocalView::make_known(VertexId v, VertexId via) {
-  ws_->known_stamp_[v] = ws_->epoch_;
-  ws_->parent_[v] = via;
-  ws_->known_order_.push_back(v);
 }
 
 }  // namespace sfs::search

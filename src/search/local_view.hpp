@@ -294,12 +294,13 @@ class LocalView {
 };
 
 // ---------------------------------------------------------------------
-// Inline hot-path accessors. These sit on the per-probe path of every
+// Inline hot path. The accessors sit on the per-probe path of every
 // weak-model policy (one slot scan + one incidence read per decision) and
 // of the strong priority policies (a degree per discovered vertex, a
-// requested check per decision); keeping them header-inline lets the
-// runner loop fold them into the probe instead of paying an out-of-line
-// call each.
+// requested check per decision); the weak probe and the target check run
+// once per loop iteration. Keeping them header-inline lets each policy's
+// instantiation of the runner loop (drive, search/runner.hpp) fold them
+// into the probe instead of paying an out-of-line call each.
 // ---------------------------------------------------------------------
 
 inline bool LocalView::is_known(graph::VertexId v) const {
@@ -343,6 +344,47 @@ inline bool LocalView::vertex_requested(graph::VertexId u) const {
     return ws_->requested_stamp_[u] == ws_->epoch_;
   }
   return known(u) && !first_unexplored_slot(u).has_value();
+}
+
+inline bool LocalView::target_found() const { return known(target_); }
+
+inline void LocalView::make_known(graph::VertexId v, graph::VertexId via) {
+  ws_->known_stamp_[v] = ws_->epoch_;
+  ws_->parent_[v] = via;
+  ws_->known_order_.push_back(v);
+}
+
+inline graph::VertexId LocalView::request_edge(const WeakRequest& r) {
+  SFS_REQUIRE(model_ == KnowledgeModel::kWeak,
+              "request_edge is a weak-model request");
+  SFS_REQUIRE(is_known(r.u), "requests must start from a discovered vertex");
+  const auto inc = graph_->incident(r.u);
+  SFS_REQUIRE(r.slot < inc.size(), "request slot is past the degree of u");
+
+  ++raw_requests_;
+  const graph::EdgeId e = inc[r.slot];
+  // The far endpoint sits in the adjacency slot parallel to the incidence
+  // slot (a self-loop slot stores u itself).
+  const graph::VertexId v = graph_->adjacent(r.u)[r.slot];
+  if (!liveness_.edge_ok(e) || !liveness_.vertex_ok(v)) {
+    // Dead link or departed far endpoint: the probe fails and reveals
+    // nothing. Mark the edge explored so first_unexplored_slot() skips
+    // the known-dead link from now on. (The liveness check runs before
+    // the cache check so a repeated probe of a dead edge stays a
+    // failure.)
+    ++failed_requests_;
+    ws_->explored_stamp_[e] = ws_->epoch_;
+    return graph::kNoVertex;
+  }
+  if (!explored(e)) {
+    ++requests_;
+    ws_->explored_stamp_[e] = ws_->epoch_;
+    if (!known(v)) {
+      make_known(v, r.u);
+      ws_->unexplored_cursor_[v] = 0;
+    }
+  }
+  return v;
 }
 
 }  // namespace sfs::search

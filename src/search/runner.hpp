@@ -1,6 +1,14 @@
 // Drives a searcher against a LocalView until the target is found, the
 // policy gives up, or a budget is exhausted.
 //
+// drive, below, is the one search loop in src/. It is a template over the
+// policy class: each final policy's run() override instantiates it on
+// itself, in the .cpp that defines the policy's start, next and observe
+// (search/weak_algorithms.cpp, strong_algorithms.cpp, simulate.cpp), so
+// those calls bind statically, to definitions the compiler can inline.
+// run_weak / run_strong (runner.cpp) build the view and call
+// searcher.run().
+//
 // The workspace runs optionally take a liveness-masked view (graph::Overlay
 // masks): failed probes (dead link / departed peer) are absorbed by a
 // bounded RetryBudget instead of being surfaced to the policy — the policy
@@ -14,6 +22,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #include "search/searcher.hpp"
 
@@ -64,6 +73,73 @@ struct SearchResult {
   friend bool operator==(const SearchResult&, const SearchResult&) = default;
 };
 
+/// The one search loop in the tree, instantiated once per final policy
+/// class by that class's run(). It serves both models: the calls that
+/// depend on the model are the probe (request_edge or request_vertex_span)
+/// and observe, which only a weak searcher gets (a strong one reads its
+/// answers off the view's known_vertices()). It also serves both static
+/// and liveness-masked runs: the failure branch keys off
+/// view.failed_requests(), which never moves without a liveness mask, so
+/// a static run takes the exact pre-churn path (same calls, same RNG
+/// draws) — bit-identity by construction, not by testing.
+///
+/// The branch order per iteration (target check, budgets, one policy
+/// decision, one probe, failure/restart/abandon, weak observe) fixes the
+/// calls and RNG draws a search makes; reordering it changes results.
+template <typename Searcher>
+SearchResult drive(LocalView& view, Searcher& searcher, rng::Rng& rng,
+                   const RunBudget& budget, const RetryBudget& retry) {
+  constexpr bool kWeak = std::is_base_of_v<WeakSearcher, Searcher>;
+  SearchResult r;
+  std::size_t consecutive_failures = 0;
+  searcher.start(view, rng);
+  while (!view.target_found()) {
+    if (view.requests() >= budget.max_requests ||
+        view.raw_requests() >= budget.max_raw_requests) {
+      r.budget_exhausted = true;
+      break;
+    }
+    const auto req = searcher.next(view, rng);
+    if (!req) {
+      r.gave_up = true;
+      break;
+    }
+    const std::size_t failures_before = view.failed_requests();
+    [[maybe_unused]] graph::VertexId answer = graph::kNoVertex;
+    if constexpr (kWeak) {
+      answer = view.request_edge(*req);
+    } else {
+      (void)view.request_vertex_span(*req);
+    }
+    if (view.failed_requests() != failures_before) {
+      // Stranded probe: the policy never observes it (the view already
+      // marked the link or peer dead). Too many in a row -> restart the
+      // policy on the retained knowledge; out of restarts -> abandon.
+      if (++consecutive_failures > retry.max_consecutive_failures) {
+        if (r.restarts >= retry.max_restarts) {
+          r.abandoned = true;
+          break;
+        }
+        ++r.restarts;
+        consecutive_failures = 0;
+        searcher.start(view, rng);
+      }
+      continue;
+    }
+    consecutive_failures = 0;
+    if constexpr (kWeak) searcher.observe(view, *req, answer);
+  }
+  r.found = view.target_found();
+  r.requests = view.requests();
+  r.raw_requests = view.raw_requests();
+  r.failed_requests = view.failed_requests();
+  if (r.found) {
+    const auto path = view.discovery_path();
+    r.path_length = path.empty() ? 0 : path.size() - 1;
+  }
+  return r;
+}
+
 /// The result the run `run` would have had under `budget`, for a static
 /// run whose every request is charged (raw_requests == requests), made
 /// under a budget at least as large. Such a run under the smaller budget
@@ -78,7 +154,8 @@ struct SearchResult {
 [[nodiscard]] SearchResult truncate_run(const SearchResult& run,
                                         const RunBudget& budget);
 
-/// Runs a weak-model search for `target` from `start` on `g`.
+/// Runs a weak-model search for `target` from `start` on `g`: builds the
+/// view and calls searcher.run() on it.
 [[nodiscard]] SearchResult run_weak(const graph::Graph& g,
                                     graph::VertexId start,
                                     graph::VertexId target,

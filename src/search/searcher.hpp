@@ -1,12 +1,19 @@
 // Search-algorithm interfaces.
 //
 // A searcher is a (possibly randomized) policy that, given the current
-// LocalView, proposes the next request. The runner (runner.hpp) applies the
-// request, informs a weak searcher of the answer, and repeats until the
-// target is found, the searcher gives up, or a budget is hit. A strong
-// searcher needs no answer callback: a strong request reveals whole
-// neighbor lists, and the view's known_vertices() already lists every
-// vertex they disclosed, in discovery order.
+// LocalView, proposes the next request. The runner's loop (drive, in
+// search/runner.hpp) applies the request, informs a weak searcher of the
+// answer, and repeats until the target is found, the searcher gives up, or
+// a budget is hit. A strong searcher needs no answer callback: a strong
+// request reveals whole neighbor lists, and the view's known_vertices()
+// already lists every vertex they disclosed, in discovery order.
+//
+// run() is that loop compiled for the concrete class: every built-in
+// policy is a final class whose run() instantiates drive on itself, in the
+// .cpp that defines its members, so inside the loop its start, next and
+// observe calls bind statically. run_weak / run_strong make one virtual
+// call per search. start, next and observe stay virtual for callers that
+// drive a policy step by step (tests, and StrongViaWeak's inner policy).
 //
 // Searchers are single-search objects: construct (or reset) one per run.
 #pragma once
@@ -19,6 +26,11 @@
 #include "search/local_view.hpp"
 
 namespace sfs::search {
+
+// search/runner.hpp defines these.
+struct RunBudget;
+struct RetryBudget;
+struct SearchResult;
 
 /// Policy for the weak knowledge model.
 class WeakSearcher {
@@ -37,6 +49,12 @@ class WeakSearcher {
   virtual void observe(const LocalView& view, const WeakRequest& request,
                        graph::VertexId revealed) = 0;
 
+  /// Runs the whole search on `view`: drive(view, *this, ...) instantiated
+  /// on the final class (search/runner.hpp).
+  [[nodiscard]] virtual SearchResult run(LocalView& view, rng::Rng& rng,
+                                         const RunBudget& budget,
+                                         const RetryBudget& retry) = 0;
+
   /// Human-readable policy name (used in experiment tables).
   [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -51,6 +69,11 @@ class StrongSearcher {
   /// Proposes the next vertex to request, or nullopt to give up.
   virtual std::optional<graph::VertexId> next(const LocalView& view,
                                               rng::Rng& rng) = 0;
+
+  /// Runs the whole search on `view`, as WeakSearcher::run.
+  [[nodiscard]] virtual SearchResult run(LocalView& view, rng::Rng& rng,
+                                         const RunBudget& budget,
+                                         const RetryBudget& retry) = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
 };

@@ -20,7 +20,7 @@
 
 #include <memory>
 
-#include "search/searcher.hpp"
+#include "search/runner.hpp"
 
 namespace sfs::search {
 
@@ -34,6 +34,10 @@ class StrongViaWeak final : public WeakSearcher {
   /// Nothing to record: the view holds what the request revealed.
   void observe(const LocalView&, const WeakRequest&,
                graph::VertexId) override {}
+  SearchResult run(LocalView& view, rng::Rng& rng, const RunBudget& budget,
+                   const RetryBudget& retry) override {
+    return drive(view, *this, rng, budget, retry);
+  }
   [[nodiscard]] std::string name() const override {
     return "weak-sim(" + inner_->name() + ")";
   }

@@ -14,20 +14,24 @@
 #include <vector>
 
 #include "search/frontier.hpp"
-#include "search/searcher.hpp"
+#include "search/runner.hpp"
 
 namespace sfs::search {
 
 /// Priority-driven strong searcher: request the known, unrequested vertex
 /// that comes first in `order` (key descending, then id ascending; see
 /// search/frontier.hpp).
-class PriorityStrong : public StrongSearcher {
+class PriorityStrong final : public StrongSearcher {
  public:
   PriorityStrong(FrontierOrder order, std::string name);
 
   void start(const LocalView& view, rng::Rng& rng) override;
   std::optional<graph::VertexId> next(const LocalView& view,
                                       rng::Rng& rng) override;
+  SearchResult run(LocalView& view, rng::Rng& rng, const RunBudget& budget,
+                   const RetryBudget& retry) override {
+    return drive(view, *this, rng, budget, retry);
+  }
   [[nodiscard]] std::string name() const override { return name_; }
 
  private:
@@ -50,6 +54,10 @@ class BfsStrong final : public StrongSearcher {
   void start(const LocalView& view, rng::Rng& rng) override;
   std::optional<graph::VertexId> next(const LocalView& view,
                                       rng::Rng& rng) override;
+  SearchResult run(LocalView& view, rng::Rng& rng, const RunBudget& budget,
+                   const RetryBudget& retry) override {
+    return drive(view, *this, rng, budget, retry);
+  }
   [[nodiscard]] std::string name() const override { return "bfs-strong"; }
 
  private:
@@ -62,6 +70,10 @@ class RandomStrong final : public StrongSearcher {
   void start(const LocalView& view, rng::Rng& rng) override;
   std::optional<graph::VertexId> next(const LocalView& view,
                                       rng::Rng& rng) override;
+  SearchResult run(LocalView& view, rng::Rng& rng, const RunBudget& budget,
+                   const RetryBudget& retry) override {
+    return drive(view, *this, rng, budget, retry);
+  }
   [[nodiscard]] std::string name() const override { return "random-strong"; }
 
  private:

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "search/frontier.hpp"
-#include "search/searcher.hpp"
+#include "search/runner.hpp"
 
 namespace sfs::search {
 
@@ -42,6 +42,10 @@ class RandomWalkWeak final : public WeakSearcher {
                                   rng::Rng& rng) override;
   void observe(const LocalView& view, const WeakRequest& request,
                graph::VertexId revealed) override;
+  SearchResult run(LocalView& view, rng::Rng& rng, const RunBudget& budget,
+                   const RetryBudget& retry) override {
+    return drive(view, *this, rng, budget, retry);
+  }
   [[nodiscard]] std::string name() const override { return "random-walk"; }
 
  private:
@@ -57,6 +61,10 @@ class NoBacktrackWalkWeak final : public WeakSearcher {
                                   rng::Rng& rng) override;
   void observe(const LocalView& view, const WeakRequest& request,
                graph::VertexId revealed) override;
+  SearchResult run(LocalView& view, rng::Rng& rng, const RunBudget& budget,
+                   const RetryBudget& retry) override {
+    return drive(view, *this, rng, budget, retry);
+  }
   [[nodiscard]] std::string name() const override {
     return "no-backtrack-walk";
   }
@@ -74,6 +82,10 @@ class BfsWeak final : public WeakSearcher {
                                   rng::Rng& rng) override;
   void observe(const LocalView& view, const WeakRequest& request,
                graph::VertexId revealed) override;
+  SearchResult run(LocalView& view, rng::Rng& rng, const RunBudget& budget,
+                   const RetryBudget& retry) override {
+    return drive(view, *this, rng, budget, retry);
+  }
   [[nodiscard]] std::string name() const override { return "bfs"; }
 
  private:
@@ -88,6 +100,10 @@ class DfsWeak final : public WeakSearcher {
                                   rng::Rng& rng) override;
   void observe(const LocalView& view, const WeakRequest& request,
                graph::VertexId revealed) override;
+  SearchResult run(LocalView& view, rng::Rng& rng, const RunBudget& budget,
+                   const RetryBudget& retry) override {
+    return drive(view, *this, rng, budget, retry);
+  }
   [[nodiscard]] std::string name() const override { return "dfs"; }
 
  private:
@@ -97,7 +113,7 @@ class DfsWeak final : public WeakSearcher {
 /// Priority-driven frontier expansion shared by the greedy policies: expand
 /// the first unexplored edge of the discovered vertex that comes first in
 /// `order` (key descending, then id ascending; see search/frontier.hpp).
-class PriorityGreedyWeak : public WeakSearcher {
+class PriorityGreedyWeak final : public WeakSearcher {
  public:
   PriorityGreedyWeak(FrontierOrder order, std::string name);
 
@@ -106,6 +122,10 @@ class PriorityGreedyWeak : public WeakSearcher {
                                   rng::Rng& rng) override;
   void observe(const LocalView& view, const WeakRequest& request,
                graph::VertexId revealed) override;
+  SearchResult run(LocalView& view, rng::Rng& rng, const RunBudget& budget,
+                   const RetryBudget& retry) override {
+    return drive(view, *this, rng, budget, retry);
+  }
   [[nodiscard]] std::string name() const override { return name_; }
 
  private:
@@ -133,6 +153,10 @@ class FrontierWalkWeak final : public WeakSearcher {
                                   rng::Rng& rng) override;
   void observe(const LocalView& view, const WeakRequest& request,
                graph::VertexId revealed) override;
+  SearchResult run(LocalView& view, rng::Rng& rng, const RunBudget& budget,
+                   const RetryBudget& retry) override {
+    return drive(view, *this, rng, budget, retry);
+  }
   [[nodiscard]] std::string name() const override { return "frontier-walk"; }
 
  private:
@@ -147,6 +171,10 @@ class RandomFrontierWeak final : public WeakSearcher {
                                   rng::Rng& rng) override;
   void observe(const LocalView& view, const WeakRequest& request,
                graph::VertexId revealed) override;
+  SearchResult run(LocalView& view, rng::Rng& rng, const RunBudget& budget,
+                   const RetryBudget& retry) override {
+    return drive(view, *this, rng, budget, retry);
+  }
   [[nodiscard]] std::string name() const override {
     return "random-frontier";
   }
