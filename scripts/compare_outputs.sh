@@ -18,12 +18,16 @@
 #     `--json`;
 #   * `sfsearch_cli generate merged-mori:0.5,2 5000 ../cli.graph 7`, then
 #     `stats`, `search ... 1 5000 weak` and `search ... 1 5000 strong` on
-#     that side's graph file.
+#     that side's graph file;
+#   * `sfsearch_cli generate mori:0.25 5000 ../tree.graph 7` and
+#     `generate merged-mori:0.5,1 5000 ../merged1.graph 7`, the two graphs
+#     packed straight from the father array. A graph file holds the edge
+#     list only, so the tests pin the incidence order of a built tree.
 # For each run it compares the JSONL files (when the run writes one), the
 # graph files (when the run names one), the standard output and, for a
 # rejected run, the standard error with cmp, prints one line per run
 # naming the stream that differs, and exits 1 if any stream differs or
-# any run ends with another exit status than expected (62 runs). The only
+# any run ends with another exit status than expected (64 runs). The only
 # timing-dependent console text, the `wall <x> s` footer of the e1/e2
 # grid modes, is masked before the comparison. The experiment list comes
 # from the change build.
@@ -52,10 +56,11 @@ trap 'rm -rf "$out"' EXIT
 
 # One run per entry: <tag> <threads> <exit status> <program>
 # [arguments...]. %JSON% in the arguments stands for the run's JSONL
-# file. The sfsearch_cli runs share one graph file per side, which the
-# generate run writes; its path is relative to the run's working
+# file. The sfsearch_cli runs share the graph files of their side, which
+# the generate runs write; their paths are relative to the run's working
 # directory, so the paths it prints read the same on both sides.
 graph=../cli.graph
+graphs=("$graph" ../tree.graph ../merged1.graph)
 runs=("sfs_bench_list 1 0 sfs_bench --list"
       "sfs_bench_list_names 1 0 sfs_bench --list-names")
 while read -r name; do
@@ -75,7 +80,9 @@ runs+=("sfsearch_cli_policies 1 0 sfsearch_cli policies"
        "sfsearch_cli_generate 1 0 sfsearch_cli generate merged-mori:0.5,2 5000 $graph 7"
        "sfsearch_cli_stats 1 0 sfsearch_cli stats $graph"
        "sfsearch_cli_search_weak 1 0 sfsearch_cli search $graph 1 5000 weak"
-       "sfsearch_cli_search_strong 1 0 sfsearch_cli search $graph 1 5000 strong")
+       "sfsearch_cli_search_strong 1 0 sfsearch_cli search $graph 1 5000 strong"
+       "sfsearch_cli_generate_tree 1 0 sfsearch_cli generate mori:0.25 5000 ${graphs[1]} 7"
+       "sfsearch_cli_generate_merged1 1 0 sfsearch_cli generate merged-mori:0.5,1 5000 ${graphs[2]} 7")
 
 failed=0
 for run in "${runs[@]}"; do
@@ -104,10 +111,16 @@ for run in "${runs[@]}"; do
      ! cmp -s "$out/parent/$tag.jsonl" "$out/change/$tag.jsonl"; then
     differs+=(JSONL)
   fi
-  if [[ $arg_text == *"$graph"* ]] &&
-     ! cmp -s "$out/parent/cli.graph" "$out/change/cli.graph"; then
-    differs+=(graph)
-  fi
+  named=()
+  for file in "${graphs[@]}"; do
+    [[ $arg_text == *"$file"* ]] && named+=("${file#../}")
+  done
+  for file in "${named[@]}"; do
+    if ! cmp -s "$out/parent/$file" "$out/change/$file"; then
+      differs+=(graph)
+      break
+    fi
+  done
   if ! cmp -s "$out/parent/$tag.out" "$out/change/$tag.out"; then
     differs+=(console)
   fi
@@ -124,7 +137,9 @@ for run in "${runs[@]}"; do
     if [[ $stream == JSONL ]]; then
       cmp "$out/parent/$tag.jsonl" "$out/change/$tag.jsonl" || true
     elif [[ $stream == graph ]]; then
-      cmp "$out/parent/cli.graph" "$out/change/cli.graph" || true
+      for file in "${named[@]}"; do
+        cmp "$out/parent/$file" "$out/change/$file" || true
+      done
     elif [[ $stream == usage ]]; then
       diff "$out/parent/$tag.err" "$out/change/$tag.err" | head -20
     else

@@ -65,6 +65,7 @@ WindowFeatureStats window_feature_stats(double p, std::size_t a,
   WindowFeatureStats st;
   st.mean_final_indegree.assign(w, 0.0);
   st.leaf_probability.assign(w, 0.0);
+  std::vector<std::size_t> indeg(w);
 
   for (std::size_t rep = 0; rep < reps; ++rep) {
     rng::Rng rng(rng::audited_stream_seed(seed, 0, rep));
@@ -74,11 +75,17 @@ WindowFeatureStats window_feature_stats(double p, std::size_t a,
     if (!event_holds(proc.all_fathers(), a, b)) continue;
     proc.grow_to(t, rng);
     ++st.accepted;
+    // Final indegrees of the window's internal ids a..b-1 (paper ids
+    // a+1..b), counted in one pass over the fathers.
+    const auto& fathers = proc.all_fathers();
+    indeg.assign(w, 0);
+    for (std::size_t v = 1; v < fathers.size(); ++v) {
+      const std::size_t father = fathers[v];
+      if (father >= a && father < b) ++indeg[father - a];
+    }
     for (std::size_t i = 0; i < w; ++i) {
-      const auto v = static_cast<VertexId>(a + i);  // paper id a+1+i
-      const auto indeg = static_cast<double>(proc.in_degree(v));
-      st.mean_final_indegree[i] += indeg;
-      if (indeg == 0.0) st.leaf_probability[i] += 1.0;
+      st.mean_final_indegree[i] += static_cast<double>(indeg[i]);
+      if (indeg[i] == 0) st.leaf_probability[i] += 1.0;
     }
   }
   if (st.accepted > 0) {

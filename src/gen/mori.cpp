@@ -5,7 +5,6 @@
 namespace sfs::gen {
 
 using graph::Graph;
-using graph::GraphBuilder;
 using graph::kNoVertex;
 using graph::VertexId;
 
@@ -18,21 +17,15 @@ MoriProcess::MoriProcess(const MoriParams& params, GenScratch& scratch)
     : params_(params) {
   SFS_REQUIRE(params.p >= 0.0 && params.p <= 1.0, "Mori p must be in [0,1]");
   fathers_.swap(scratch.fathers);
-  head_bag_.swap(scratch.pref_bag);
-  in_degree_.swap(scratch.in_degree);
   init_seed_state();
 }
 
 void MoriProcess::init_seed_state() {
   fathers_.assign({kNoVertex, 0});  // vertex 1 attaches to vertex 0
-  head_bag_.assign({0});
-  in_degree_.assign({1, 0});
 }
 
 void MoriProcess::release_scratch(GenScratch& scratch) noexcept {
   fathers_.swap(scratch.fathers);
-  head_bag_.swap(scratch.pref_bag);
-  in_degree_.swap(scratch.in_degree);
 }
 
 VertexId MoriProcess::step(rng::Rng& rng) {
@@ -48,45 +41,34 @@ VertexId MoriProcess::step(rng::Rng& rng) {
 
   VertexId father;
   if (rng.uniform() * total < w_pref) {
-    // Indegree-proportional: uniform element of the bag of past heads.
-    father = head_bag_[static_cast<std::size_t>(
-        rng.uniform_index(head_bag_.size()))];
+    // Indegree-proportional: the head of a uniform past edge. Edge k's
+    // head is fathers_[k + 1], so fathers_[1..size()-1] is the bag of
+    // past heads.
+    father = fathers_[1 + static_cast<std::size_t>(
+                              rng.uniform_index(fathers_.size() - 1))];
   } else {
     father = static_cast<VertexId>(rng.uniform_index(fathers_.size()));
   }
   fathers_.push_back(father);
-  head_bag_.push_back(father);
-  in_degree_.push_back(0);
-  ++in_degree_[father];
   return father;
 }
 
 void MoriProcess::grow_to(std::size_t n, rng::Rng& rng) {
   SFS_REQUIRE(n >= 2, "Mori tree needs at least 2 vertices");
+  SFS_REQUIRE(n <= static_cast<std::size_t>(kNoVertex),
+              "Mori tree vertex count overflows VertexId");
   while (fathers_.size() < n) (void)step(rng);
 }
 
-std::size_t MoriProcess::in_degree(VertexId v) const {
-  SFS_REQUIRE(v < in_degree_.size(), "vertex out of range");
-  return in_degree_[v];
-}
-
 Graph MoriProcess::graph() const {
-  GraphBuilder b(fathers_.size());
-  b.reserve_edges(fathers_.size() - 1);
-  for (std::size_t v = 1; v < fathers_.size(); ++v) {
-    b.add_edge(static_cast<VertexId>(v), fathers_[v]);
-  }
-  return b.build();
+  Graph g;
+  graph::build_recursive_tree(fathers_, g);
+  return g;
 }
 
-void MoriProcess::graph_into(GenScratch& scratch, graph::Graph& out) const {
-  scratch.builder.reset(fathers_.size());
-  scratch.builder.reserve_edges(fathers_.size() - 1);
-  for (std::size_t v = 1; v < fathers_.size(); ++v) {
-    scratch.builder.add_edge(static_cast<VertexId>(v), fathers_[v]);
-  }
-  scratch.builder.build_into(out);
+void MoriProcess::graph_into(GenScratch& /*scratch*/,
+                             graph::Graph& out) const {
+  graph::build_recursive_tree(fathers_, out);
 }
 
 Graph mori_tree(std::size_t n, const MoriParams& params, rng::Rng& rng) {
@@ -135,8 +117,9 @@ void merge_consecutive(const Graph& g, std::size_t m, GenScratch& scratch,
               "vertex count must be a multiple of the merge factor");
   SFS_REQUIRE(&g != &out, "in-place merge is not supported");
   if (m == 1) {
-    // GraphBuilder is the only way to make a Graph, so `g` already is the
-    // CSR a rebuild from its edge list would pack: copy it instead.
+    // Every Graph is the CSR GraphBuilder packs from its edge list
+    // (build_recursive_tree packs the same one), so `g` already is what a
+    // rebuild would give: copy it instead.
     out = g;
     return;
   }
@@ -163,6 +146,10 @@ void merged_mori_graph(std::size_t n, std::size_t m, const MoriParams& params,
   SFS_REQUIRE(n >= 1 && m >= 1, "need n, m >= 1");
   const std::size_t total = checked_mul(n, m, "merged Mori n*m overflows");
   SFS_REQUIRE(total >= 2, "underlying tree needs at least 2 vertices");
+  if (m == 1) {
+    mori_tree(total, params, rng, scratch, out);
+    return;
+  }
   mori_tree(total, params, rng, scratch, scratch.tmp_graph);
   merge_consecutive(scratch.tmp_graph, m, scratch, out);
 }

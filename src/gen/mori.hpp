@@ -9,10 +9,14 @@
 // where d_t(u) is the *indegree* of u at time t and 0 < p <= 1. Writing
 // W_t = p (t-2) + (1-p)(t-1) for the normalizing constant (t-2 edges and
 // t-1 candidate vertices exist when vertex t chooses), the law is sampled
-// exactly by a two-stage mixture: with probability p (t-2) / W_t pick a
-// uniform element of the bag of past edge heads (indegree-proportional),
-// otherwise pick a uniform vertex of [1, t-1]. No mean-field approximation
-// is involved.
+// exactly by a two-stage mixture: with probability p (t-2) / W_t pick the
+// head of a uniform past edge (indegree-proportional), otherwise pick a
+// uniform vertex of [1, t-1]. No mean-field approximation is involved.
+//
+// The father array is the whole state. The heads of the past edges are
+// the fathers of vertices 2..t-1, so the preferential stage reads a
+// uniform element of that stretch of the array, and the tree's Graph is
+// packed straight from the array (graph::build_recursive_tree).
 //
 // Special cases (tested): p -> 0 is the uniform random recursive tree;
 // p = 1 is degenerate — only vertex 1 ever has positive weight, so G_t is
@@ -68,9 +72,10 @@ struct MoriParams {
                                              std::size_t m);
 
 /// Scratch-reusing overloads: regenerate `out` in place, recycling the
-/// father array, head bag and CSR buffers. Bit-identical to the fresh
-/// paths. The merged overload uses scratch.tmp_graph for the underlying
-/// tree, so never pass scratch.tmp_graph as `out`.
+/// father array and CSR buffers. Bit-identical to the fresh paths. The
+/// merged overload with m >= 2 uses scratch.tmp_graph for the underlying
+/// tree and scratch.builder for the merge, so never pass scratch.tmp_graph
+/// as `out`; with m = 1 it builds the tree straight into `out`.
 void mori_tree(std::size_t n, const MoriParams& params, rng::Rng& rng,
                GenScratch& scratch, graph::Graph& out);
 void merge_consecutive(const graph::Graph& g, std::size_t m,
@@ -85,10 +90,9 @@ class MoriProcess {
   /// Initializes the t = 2 state (vertices {0, 1}, edge 1 -> 0).
   explicit MoriProcess(const MoriParams& params);
 
-  /// Same, but borrows the working buffers (father array, head bag,
-  /// indegrees) from `scratch` so repeated processes recycle capacity.
-  /// Call release_scratch(scratch) when done to return them; the scratch
-  /// must outlive the process.
+  /// Same, but borrows the father array from `scratch` so repeated
+  /// processes recycle its capacity. Call release_scratch(scratch) when
+  /// done to return it; the scratch must outlive the process.
   MoriProcess(const MoriParams& params, GenScratch& scratch);
 
   /// Number of vertices so far (>= 2).
@@ -99,7 +103,8 @@ class MoriProcess {
   /// Adds the next vertex; returns the father it attached to (0-based).
   graph::VertexId step(rng::Rng& rng);
 
-  /// Runs until `n` vertices exist.
+  /// Runs until `n` vertices exist. Requires 2 <= n <= kNoVertex, checked
+  /// before anything grows.
   void grow_to(std::size_t n, rng::Rng& rng);
 
   /// fathers()[v] is the father of v (kNoVertex for v = 0).
@@ -108,26 +113,24 @@ class MoriProcess {
     return fathers_;
   }
 
-  /// Indegree of v in the current tree.
-  [[nodiscard]] std::size_t in_degree(graph::VertexId v) const;
-
-  /// Materializes the current tree as a Graph.
+  /// Materializes the current tree as a Graph
+  /// (graph::build_recursive_tree of all_fathers()).
   [[nodiscard]] graph::Graph graph() const;
 
-  /// Materializes into `out`, recycling its buffers via scratch.builder.
+  /// Materializes into `out`, recycling its buffers. The build needs no
+  /// scratch, so `scratch` is not read.
   void graph_into(GenScratch& scratch, graph::Graph& out) const;
 
-  /// Returns borrowed buffers to `scratch` (pair of the scratch-borrowing
-  /// constructor). The process must not be used afterwards.
+  /// Returns the borrowed father array to `scratch` (pair of the
+  /// scratch-borrowing constructor). The process must not be used
+  /// afterwards.
   void release_scratch(GenScratch& scratch) noexcept;
 
  private:
   void init_seed_state();
 
   MoriParams params_;
-  std::vector<graph::VertexId> fathers_;   // fathers_[0] = kNoVertex
-  std::vector<graph::VertexId> head_bag_;  // one entry per received edge
-  std::vector<std::uint32_t> in_degree_;
+  std::vector<graph::VertexId> fathers_;  // fathers_[0] = kNoVertex
 };
 
 }  // namespace sfs::gen

@@ -3,12 +3,14 @@
 //
 // The e1/e2 grid cells regenerate a Móri tree or merged Móri graph per
 // cell, and at small n that cost is mostly allocation: a fresh father
-// array, head bag, indegree table, GraphBuilder edge log and CSR arrays
-// per graph, freed microseconds later. GenScratch owns those buffers so a
-// worker can recycle them across cells. The scratch-taking Móri overloads
-// (gen/mori.hpp) write into a caller-owned Graph (recycled through
-// GraphBuilder::build_into) and are bit-identical to the allocating path:
-// same algorithm, same RNG consumption, only the buffer lifetimes differ.
+// array and CSR arrays per graph, plus a GraphBuilder edge log when m >= 2
+// groups are merged, freed microseconds later. GenScratch owns those
+// buffers so a worker can recycle them across cells. The scratch-taking
+// Móri overloads (gen/mori.hpp) write into a caller-owned Graph, which
+// graph::build_recursive_tree (the tree) and GraphBuilder::build_into (a
+// merge with m >= 2) refill in place. They are bit-identical to the
+// allocating path: same algorithm, same RNG consumption, only the buffer
+// lifetimes differ.
 //
 // A generator family keeps a scratch path only when a program regenerates
 // it in a loop. The other families are built once per replication or in
@@ -20,7 +22,6 @@
 // sim::measure_scaling), mirroring the one-SearchWorkspace-per-worker rule.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -31,17 +32,14 @@ namespace sfs::gen {
 /// Arena of Móri working buffers. Default-constructed empty; grows to the
 /// high-water mark of the graphs generated through it and stays there.
 struct GenScratch {
-  /// Edge log + CSR packing scratch, recycled via reset()/build_into().
+  /// Edge log + CSR packing scratch of merges with m >= 2, recycled via
+  /// reset()/build_into().
   graph::GraphBuilder builder;
-  /// The merged Móri graph's underlying tree. Never hand this object to a
-  /// generator as its output.
+  /// The underlying tree of a merged Móri graph with m >= 2. Never hand
+  /// this object to a generator as its output.
   graph::Graph tmp_graph;
-  /// Móri head bag: one entry per received edge.
-  std::vector<graph::VertexId> pref_bag;
-  /// Móri father array.
+  /// Móri father array, the process's only state.
   std::vector<graph::VertexId> fathers;
-  /// Móri indegree array.
-  std::vector<std::uint32_t> in_degree;
 };
 
 }  // namespace sfs::gen

@@ -5,9 +5,14 @@
 // undirected incidence structure into CSR form. Edge ids are assigned in insertion order, which matters: the
 // evolving-graph models and the equivalence machinery rely on "edge id order
 // == time order".
+//
+// A recursive tree (every vertex v >= 1 has one out-edge, to an older
+// vertex) skips the builder: build_recursive_tree packs the same Graph
+// straight from its father array.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -22,6 +27,17 @@ namespace sfs::graph {
 /// can never be sized from a wrapped value, and high-degree generators can
 /// pre-validate a planned edge count before paying for construction.
 void validate_edge_capacity(std::size_t num_edges);
+
+/// Builds into `g` the recursive tree whose vertex v >= 1 has the single
+/// out-edge v -> fathers[v]; fathers[0] == kNoVertex marks the root. The
+/// result is the Graph that GraphBuilder packs from the edges
+/// (v, fathers[v]) added in increasing v, bit for bit: edge v-1 is v's
+/// out-edge, and v's incidence list holds that edge first, then the
+/// edges of its children in increasing child id. Recycles g's buffers and
+/// needs no scratch. Throws std::invalid_argument, leaving `g` untouched,
+/// unless fathers is non-empty, at most kNoVertex long, fathers[0] ==
+/// kNoVertex and fathers[v] < v for every v >= 1.
+void build_recursive_tree(std::span<const VertexId> fathers, Graph& g);
 
 class GraphBuilder {
  public:

@@ -44,7 +44,8 @@ struct Edge {
 
 class GraphBuilder;
 
-/// Immutable multigraph. Construct through GraphBuilder.
+/// Immutable multigraph. Construct through GraphBuilder, or a recursive
+/// tree through build_recursive_tree (graph/builder.hpp).
 class Graph {
  public:
   Graph() = default;
@@ -117,6 +118,8 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  friend void build_recursive_tree(std::span<const VertexId> fathers,
+                                   Graph& g);
 
   std::vector<Edge> edges_;
   std::vector<std::size_t> offsets_;      // CSR offsets, size n+1

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -18,6 +17,7 @@
 #include "gen/mori.hpp"
 #include "generator_families.hpp"
 #include "graph/builder.hpp"
+#include "graph_equal.hpp"
 #include "sim/scaling.hpp"
 #include "sim/sweep.hpp"
 
@@ -27,29 +27,8 @@ using sfs::gen::GenScratch;
 using sfs::graph::Graph;
 using sfs::graph::GraphBuilder;
 using sfs::graph::kNoVertex;
-using sfs::graph::VertexId;
 using sfs::rng::Rng;
-
-void expect_graph_equal(const Graph& a, const Graph& b) {
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  ASSERT_EQ(a.num_edges(), b.num_edges());
-  // Edge records in construction order determine the whole CSR, but audit
-  // the derived structure too: incidence, adjacency and degrees.
-  const auto ea = a.edges();
-  const auto eb = b.edges();
-  EXPECT_TRUE(std::equal(ea.begin(), ea.end(), eb.begin()));
-  for (VertexId v = 0; v < a.num_vertices(); ++v) {
-    const auto ia = a.incident(v);
-    const auto ib = b.incident(v);
-    ASSERT_EQ(ia.size(), ib.size()) << "vertex " << v;
-    EXPECT_TRUE(std::equal(ia.begin(), ia.end(), ib.begin()));
-    const auto aa = a.adjacent(v);
-    const auto ab = b.adjacent(v);
-    EXPECT_TRUE(std::equal(aa.begin(), aa.end(), ab.begin()));
-    EXPECT_EQ(a.in_degree(v), b.in_degree(v));
-    EXPECT_EQ(a.out_degree(v), b.out_degree(v));
-  }
-}
+using sfs::test::expect_graph_equal;
 
 // ---------------------------------------------- scratch == fresh, Móri
 
@@ -75,7 +54,8 @@ TEST(GenScratch, MoriMatchesFresh) {
 
 TEST(MergeConsecutive, FactorOneCopiesTheGraphOfEveryFamily) {
   // A merge factor of 1 copies the graph. That equals a rebuild from its
-  // edge list because GraphBuilder is the only way to make a Graph.
+  // edge list because every Graph is the CSR GraphBuilder packs from its
+  // edge list (graph::build_recursive_tree packs the same one).
   GenScratch scratch;
   Graph reused;
   for (const auto& family : sfs::test::generator_families(300)) {
