@@ -1,8 +1,8 @@
 // The sfs_bench experiment catalog. Each bench/experiments/*.cpp defines
 // one function in sfs::bench that returns its experiment's spec, and
 // catalog.cpp lists them in catalog order, the order `sfs_bench --list`
-// and `--list-names` print: the paper claims e1-e12, the ablations a1-a3,
-// then the churn study d1_churn.
+// and `--list-names` print: the paper claims (e1-e6, e9, e10 and e12),
+// the ablations a1-a3, then the churn study d1_churn.
 #pragma once
 
 #include <span>

@@ -8,9 +8,7 @@
 // search::QueryEngine exists for: policies of the search-policy table run
 // as engine sessions over ONE fixed graph, each serving the same batch of
 // lookups (paired comparison, deterministic per-query RNG streams, batch
-// fan-out over the shared pool). Percolation search keeps its own loop —
-// replication+broadcast is a different primitive, not a searcher policy
-// of the table.
+// fan-out over the shared pool).
 #include <exception>
 #include <iostream>
 #include <string>
@@ -19,7 +17,6 @@
 #include "gen/config_model.hpp"
 #include "graph/algorithms.hpp"
 #include "rng/stream_audit.hpp"
-#include "search/percolation.hpp"
 #include "search/query_engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/table.hpp"
@@ -106,32 +103,10 @@ int run(int argc, char** argv) {
         .num(static_cast<double>(found) / kLookups, 2);
   }
 
-  // Percolation search (Sarshar et al.): replication + broadcast, measured
-  // in messages.
-  sfs::stats::Accumulator perc_cost;
-  std::size_t perc_found = 0;
-  for (std::uint64_t rep = 0; rep < kLookups; ++rep) {
-    // A distinct stream per rep: stream 0 of (seed, rep) already fed the
-    // endpoint draws above, and replaying it here would correlate the
-    // percolation coin flips with the endpoint choice bit for bit.
-    sfs::rng::Rng lookup_rng(
-        sfs::rng::audited_stream_seed(seed, sfs::rng::mix64(0x9e6c), rep));
-    const auto pr = sfs::search::percolation_search(
-        g, lookups[rep].target, lookups[rep].start,
-        sfs::search::PercolationParams{60, 15, 0.12}, lookup_rng);
-    perc_cost.add(static_cast<double>(pr.messages));
-    if (pr.found) ++perc_found;
-  }
-  t.row()
-      .cell("percolation search (Sarshar)")
-      .num(perc_cost.mean(), 0)
-      .cell("messages")
-      .num(static_cast<double>(perc_found) / kLookups, 2);
   t.print(std::cout);
 
   std::cout << "\nTakeaway: high-degree greedy beats blind walking "
-               "(n^{2(1-2/k)} vs n^{3(1-2/k)}), and replication + "
-               "percolation trades storage for per-query traffic.\n";
+               "(n^{2(1-2/k)} vs n^{3(1-2/k)}).\n";
   return 0;
 }
 

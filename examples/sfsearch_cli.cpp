@@ -2,13 +2,13 @@
 //
 //   sfsearch_cli generate <model> <n> <out.graph> [seed]
 //       model: mori[:p] | merged-mori[:p[,m]] | cf[:alpha] | ba[:m]
-//              | config[:k] | er[:avg-degree]
+//              | config[:k]
 //       an omitted parameter takes its default; an empty or surplus one
 //       is an error.
 //   sfsearch_cli stats <in.graph> [--json]
-//       structural report: degrees, components, distances, power-law fit,
-//       core decomposition, assortativity. --json emits one machine-
-//       readable JSON object instead of the table (sim/json).
+//       structural report: degrees, components, distances and the
+//       power-law fit. --json emits one machine-readable JSON object
+//       instead of the table (sim/json).
 //   sfsearch_cli search <in.graph> <start> <target> [weak|strong]
 //                [--policies a,b,c]
 //       runs the portfolio from <start> (1-based paper ids); --policies
@@ -35,12 +35,10 @@
 #include "gen/barabasi_albert.hpp"
 #include "gen/config_model.hpp"
 #include "gen/cooper_frieze.hpp"
-#include "gen/erdos_renyi.hpp"
 #include "gen/mori.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/degree.hpp"
 #include "graph/io.hpp"
-#include "graph/structure.hpp"
 #include "search/policy.hpp"
 #include "search/runner.hpp"
 #include "sim/experiment.hpp"
@@ -60,7 +58,7 @@ int usage() {
       << "usage:\n"
          "  sfsearch_cli generate <model> <n> <out.graph> [seed]\n"
          "      model: mori[:p] merged-mori[:p,m] cf[:alpha] ba[:m] "
-         "config[:k] er[:avg-deg]\n"
+         "config[:k]\n"
          "  sfsearch_cli stats <in.graph> [--json]\n"
          "  sfsearch_cli search <in.graph> <start> <target> [weak|strong]"
          " [--policies a,b,c]\n"
@@ -82,7 +80,7 @@ struct ModelArity {
   std::size_t params;
 };
 constexpr ModelArity kModels[] = {{"mori", 1}, {"merged-mori", 2}, {"cf", 1},
-                                  {"ba", 1},   {"config", 1},      {"er", 1}};
+                                  {"ba", 1},   {"config", 1}};
 
 /// Parses `arg` into `spec`; false with the offending token in `bad` when
 /// a parameter is not a number (an empty `bad` is an empty parameter).
@@ -183,13 +181,10 @@ int cmd_generate(const std::vector<std::string>& args) {
     }
     g = sfs::gen::barabasi_albert(
         n, sfs::gen::BarabasiAlbertParams{m}, rng);
-  } else if (spec.name == "config") {
+  } else {  // config, the last of kModels
     g = sfs::gen::power_law_configuration_graph(
         n, sfs::gen::PowerLawSequenceParams{param(spec, 0, 2.3), 1, 0},
         sfs::gen::ConfigModelOptions{false}, rng);
-  } else {  // er, the last of kModels
-    const double avg = param(spec, 0, 4.0);
-    g = sfs::gen::erdos_renyi_gnp(n, avg / static_cast<double>(n), rng);
   }
   sfs::graph::save(out, g);
   std::cout << "wrote " << out << ": " << g.num_vertices() << " vertices, "
@@ -233,15 +228,6 @@ int cmd_stats(const std::vector<std::string>& args) {
     json.null_field("mean_distance_sampled");
     json.null_field("pseudo_diameter");
   }
-  const auto core = sfs::graph::core_decomposition(g);
-  t.row().cell("degeneracy (max core)").integer(core.degeneracy);
-  json.int_field("degeneracy", core.degeneracy);
-  const double assort = sfs::graph::degree_assortativity(g);
-  t.row().cell("degree assortativity").num(assort, 4);
-  json.num_field("degree_assortativity", assort);
-  const double age_corr = sfs::graph::age_degree_correlation(g);
-  t.row().cell("age-degree correlation").num(age_corr, 4);
-  json.num_field("age_degree_correlation", age_corr);
 
   // Power-law tail fit on positive degrees.
   std::vector<std::size_t> degrees;

@@ -13,9 +13,8 @@
 #     rejects with exit status 2 and its usage (supported flags and
 #     parameter table) on standard error;
 #   * e1 and e2 with `--large --json` at SFS_THREADS=4;
-#   * quickstart, age_bias, navigability_study and p2p_lookup with their
-#     default arguments, and `sfsearch_cli policies` with and without
-#     `--json`;
+#   * quickstart, age_bias and p2p_lookup with their default arguments,
+#     and `sfsearch_cli policies` with and without `--json`;
 #   * `sfsearch_cli generate merged-mori:0.5,2 5000 ../cli.graph 7`, then
 #     `stats`, `search ... 1 5000 weak` and `search ... 1 5000 strong` on
 #     that side's graph file;
@@ -27,10 +26,10 @@
 # graph files (when the run names one), the standard output and, for a
 # rejected run, the standard error with cmp, prints one line per run
 # naming the stream that differs, and exits 1 if any stream differs or
-# any run ends with another exit status than expected (64 runs). The only
-# timing-dependent console text, the `wall <x> s` footer of the e1/e2
-# grid modes, is masked before the comparison. The experiment list comes
-# from the change build.
+# any run ends with another exit status than expected (54 runs: 13
+# experiments three times each, plus 15 others). The only timing-dependent
+# console text, the `wall <x> s` footer of the e1/e2 grid modes, is masked
+# before the comparison. The experiment list comes from the change build.
 set -uo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -40,8 +39,7 @@ fi
 
 parent_dir=$(realpath "$1")
 change_dir=$(realpath "$2")
-programs=(sfs_bench quickstart age_bias navigability_study p2p_lookup
-          sfsearch_cli)
+programs=(sfs_bench quickstart age_bias p2p_lookup sfsearch_cli)
 for dir in "$parent_dir" "$change_dir"; do
   for program in "${programs[@]}"; do
     if [[ ! -x "$dir/$program" ]]; then
@@ -72,7 +70,7 @@ done < <("$change_dir/sfs_bench" --list-names | grep -E '^(e[0-9]+|a[0-9]+|d1)')
 for name in e1 e2; do
   runs+=("${name}_large_t4 4 0 sfs_bench --run $name --large --json %JSON%")
 done
-for example in quickstart age_bias navigability_study p2p_lookup; do
+for example in quickstart age_bias p2p_lookup; do
   runs+=("$example 1 0 $example")
 done
 runs+=("sfsearch_cli_policies 1 0 sfsearch_cli policies"

@@ -22,16 +22,6 @@ double mori_degree_distribution_exponent(double p) {
   return 1.0 + 1.0 / p;
 }
 
-double adamic_greedy_exponent(double k) {
-  SFS_REQUIRE(k > 2.0, "Adamic exponents need k > 2");
-  return 2.0 * (1.0 - 2.0 / k);
-}
-
-double adamic_random_walk_exponent(double k) {
-  SFS_REQUIRE(k > 2.0, "Adamic exponents need k > 2");
-  return 3.0 * (1.0 - 2.0 / k);
-}
-
 double lemma3_bound(double p) {
   SFS_REQUIRE(p >= 0.0 && p <= 1.0, "Mori p must be in [0,1]");
   return std::exp(-(1.0 - p));
@@ -48,13 +38,6 @@ double lemma1_bound(std::size_t equivalent_vertices,
   SFS_REQUIRE(event_probability >= 0.0 && event_probability <= 1.0,
               "probability out of range");
   return static_cast<double>(equivalent_vertices) * event_probability / 2.0;
-}
-
-double kleinberg_routing_exponent(double r) {
-  SFS_REQUIRE(r >= 0.0, "exponent must be >= 0");
-  if (r < 2.0) return (2.0 - r) / 3.0;
-  if (r == 2.0) return 0.0;
-  return (r - 2.0) / (r - 1.0);
 }
 
 }  // namespace sfs::core::theory

@@ -25,14 +25,6 @@ namespace sfs::core::theory {
 /// 1 + 1/p. (p = 1/2 recovers the BA-tree exponent 3.)
 [[nodiscard]] double mori_degree_distribution_exponent(double p);
 
-/// Adamic et al. (2001), power-law graphs with pmf exponent k in (2, 3):
-/// expected steps of the high-degree greedy strategy scale as
-/// n^{2(1 - 2/k)} ...
-[[nodiscard]] double adamic_greedy_exponent(double k);
-
-/// ... and of the pure random walk as n^{3(1 - 2/k)}.
-[[nodiscard]] double adamic_random_walk_exponent(double k);
-
 /// Lemma 3: with b = a + floor(sqrt(a-1)), P(E_{a,b}) >= e^{-(1-p)}.
 [[nodiscard]] double lemma3_bound(double p);
 
@@ -44,10 +36,5 @@ namespace sfs::core::theory {
 /// cost >= |V| * P(E) / 2.
 [[nodiscard]] double lemma1_bound(std::size_t equivalent_vertices,
                                   double event_probability);
-
-/// Kleinberg's lower-bound exponent for greedy routing away from the
-/// navigable point (2-D): (2 - r) / 3 for 0 <= r < 2 and
-/// (r - 2) / (r - 1) for r > 2. Returns 0 at r == 2.
-[[nodiscard]] double kleinberg_routing_exponent(double r);
 
 }  // namespace sfs::core::theory

@@ -2,10 +2,10 @@
 //
 // Samplers with different trade-offs:
 //
-//  * AliasTable      — static weights, O(n) build, O(1) sample.
+//  * AliasTable      — static weights, O(n) build, O(1) sample; behind
+//                      BoundedZipf's degree draws (rng/zipf.hpp).
 //  * CdfSampler      — static weights, O(n) build, O(log n) sample; cheap to
-//                      build, used for one-shot distributions (e.g. the
-//                      Kleinberg long-range distance law).
+//                      build; draws Cooper–Frieze's per-step edge counts.
 //  * RepeatArray     — the classic preferential-attachment structure: a bag
 //                      of vertex ids where each id appears once per unit of
 //                      (integer) weight; O(1) append and O(1) uniform pick.

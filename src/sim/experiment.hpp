@@ -1,11 +1,11 @@
 // Unified experiment engine: the experiment spec, the shared flag
 // vocabulary and the CLI layer behind the single `sfs_bench` binary.
 //
-// Every experiment (e1-e12 the paper claims, a1-a3 the ablations, d1 the
-// churn study) is an ExperimentSpec — name, one-line claim, parameter
-// schema with typed defaults, capability set, and a run function — that
-// its own translation unit returns; bench/experiments/catalog.cpp lists
-// the specs in catalog order and sfs_bench passes that table to
+// Every experiment (the paper claims e1-e6, e9, e10 and e12, the ablations
+// a1-a3, the churn study d1) is an ExperimentSpec — name, one-line claim,
+// parameter schema with typed defaults, capability set, and a run function
+// — that its own translation unit returns; bench/experiments/catalog.cpp
+// lists the specs in catalog order and sfs_bench passes that table to
 // experiment_main, which offers
 //
 //   sfs_bench --list                      catalog of the experiments

@@ -1,7 +1,7 @@
 // Scaling experiments: measure a scalar quantity at a sweep of problem
 // sizes with independent replications, then fit the growth exponent.
 //
-// This is the workhorse of experiments E1-E3, E5, E7 and E8: "does measured
+// This is the workhorse of experiments E1-E3, E5 and A2: "does measured
 // cost grow like n^b with the b the theorem predicts?" Large-n sweeps get
 // three production features on top of the basic grid (see docs/PERF.md):
 //

@@ -1,4 +1,4 @@
-// The seven generator families at test size, for tests that must hold on
+// The five generator families at test size, for tests that must hold on
 // every family.
 #pragma once
 
@@ -9,8 +9,6 @@
 #include "gen/barabasi_albert.hpp"
 #include "gen/config_model.hpp"
 #include "gen/cooper_frieze.hpp"
-#include "gen/erdos_renyi.hpp"
-#include "gen/kleinberg.hpp"
 #include "gen/mori.hpp"
 #include "graph/graph.hpp"
 #include "rng/random.hpp"
@@ -22,8 +20,7 @@ struct GeneratorFamily {
   std::function<graph::Graph(rng::Rng&)> make;
 };
 
-/// One generator per family, with about `n` vertices (the Kleinberg grid
-/// is a fixed 16 x 16).
+/// One generator per family, each with `n` vertices.
 inline std::vector<GeneratorFamily> generator_families(std::size_t n) {
   return {
       {"barabasi-albert",
@@ -38,13 +35,6 @@ inline std::vector<GeneratorFamily> generator_families(std::size_t n) {
        [n](rng::Rng& rng) {
          gen::CooperFriezeParams params;
          return gen::cooper_frieze(n, params, rng).graph;
-       }},
-      {"erdos-renyi",
-       [n](rng::Rng& rng) { return gen::erdos_renyi_gnm(n, 2 * n, rng); }},
-      {"kleinberg",
-       [](rng::Rng& rng) {
-         const gen::KleinbergGrid grid(16, {.r = 2.0, .q = 1}, rng);
-         return grid.graph();
        }},
       {"mori-tree",
        [n](rng::Rng& rng) {

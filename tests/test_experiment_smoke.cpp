@@ -19,7 +19,7 @@ TEST(ExperimentSmoke, EveryRegisteredExperimentRunsQuick) {
   sfs::rng::StreamAudit::instance().set_enabled(true);
 
   const auto experiments = sfs::bench::experiments();
-  ASSERT_EQ(experiments.size(), 16u);
+  ASSERT_EQ(experiments.size(), 13u);
   for (const auto& spec : experiments) {
     std::ostringstream console;
     sfs::sim::ResultsEmitter emitter(console);

@@ -36,20 +36,6 @@ TEST(Theory, MoriDegreeDistributionExponent) {
   EXPECT_NEAR(th::mori_degree_distribution_exponent(0.25), 5.0, 1e-12);
 }
 
-TEST(Theory, AdamicExponents) {
-  // Paper-quoted forms: greedy n^{2(1-2/k)}, walk n^{3(1-2/k)}.
-  EXPECT_NEAR(th::adamic_greedy_exponent(2.3), 2.0 * (1.0 - 2.0 / 2.3),
-              1e-12);
-  EXPECT_NEAR(th::adamic_random_walk_exponent(2.3),
-              3.0 * (1.0 - 2.0 / 2.3), 1e-12);
-  // The walk exponent always dominates the greedy exponent for k > 2.
-  for (const double k : {2.1, 2.3, 2.5, 2.7, 2.9}) {
-    EXPECT_GT(th::adamic_random_walk_exponent(k),
-              th::adamic_greedy_exponent(k));
-  }
-  EXPECT_THROW((void)th::adamic_greedy_exponent(2.0), std::invalid_argument);
-}
-
 TEST(Theory, Lemma3Bound) {
   EXPECT_DOUBLE_EQ(th::lemma3_bound(1.0), 1.0);
   EXPECT_NEAR(th::lemma3_bound(0.0), std::exp(-1.0), 1e-12);
@@ -78,15 +64,6 @@ TEST(Theory, Lemma1Bound) {
   EXPECT_DOUBLE_EQ(th::lemma1_bound(100, 0.5), 25.0);
   EXPECT_DOUBLE_EQ(th::lemma1_bound(0, 1.0), 0.0);
   EXPECT_THROW((void)th::lemma1_bound(10, 1.5), std::invalid_argument);
-}
-
-TEST(Theory, KleinbergRoutingExponent) {
-  EXPECT_DOUBLE_EQ(th::kleinberg_routing_exponent(2.0), 0.0);
-  EXPECT_NEAR(th::kleinberg_routing_exponent(0.0), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(th::kleinberg_routing_exponent(3.0), 0.5, 1e-12);
-  // Continuous and positive away from 2.
-  EXPECT_GT(th::kleinberg_routing_exponent(1.0), 0.0);
-  EXPECT_GT(th::kleinberg_routing_exponent(2.5), 0.0);
 }
 
 }  // namespace
