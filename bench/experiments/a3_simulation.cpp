@@ -52,7 +52,7 @@ int run_a3(ExperimentContext& ctx) {
         sfs::search::StrongViaWeak sim(
             sfs::search::make_degree_greedy_strong());
         Rng rng(sfs::rng::audited_stream_seed(search_seed, 0, rep));
-        const auto r = sfs::search::run_weak(
+        const auto r = sfs::search::run_search(
             g, 0, static_cast<VertexId>(n - 1), sim, rng);
         weak_reqs.add(static_cast<double>(r.requests));
         strong_reqs.add(static_cast<double>(sim.strong_requests()));

@@ -73,7 +73,7 @@ int run(int argc, char** argv) {
   for (const std::size_t target : targets) {
     auto greedy = sfs::search::make_degree_greedy_weak();
     sfs::rng::Rng search_rng(seed + target);
-    const auto r = sfs::search::run_weak(
+    const auto r = sfs::search::run_search(
         g, 1, static_cast<sfs::graph::VertexId>(target - 1), *greedy,
         search_rng, sfs::search::RunBudget{.max_raw_requests = 100 * n});
     cost.row()

@@ -47,11 +47,11 @@ int run(int argc, char** argv) {
   //    with every portfolio policy under the weak knowledge model.
   const auto target = static_cast<sfs::graph::VertexId>(n - 1);
   std::cout << "\nweak-model search for vertex " << n << " from vertex 1:\n";
-  const auto portfolio = sfs::search::make_weak_searchers(
+  const auto portfolio = sfs::search::make_searchers(
       sfs::search::resolve_policies(sfs::search::KnowledgeModel::kWeak, {}));
   for (const auto& searcher : portfolio) {
     sfs::rng::Rng search_rng(seed + 1);
-    const auto r = sfs::search::run_weak(
+    const auto r = sfs::search::run_search(
         g, 0, target, *searcher, search_rng,
         sfs::search::RunBudget{.max_raw_requests = 100 * n});
     std::cout << "  " << searcher->name() << ": "

@@ -320,18 +320,14 @@ int cmd_search(const std::vector<std::string>& args) {
   sfs::sim::Table t("search " + std::to_string(start_paper) + " -> " +
                         std::to_string(target_paper) + " (" + model_arg + ")",
                     {"policy", "requests", "raw", "path len", "found"});
+  // The raw cap stops a walk; a strong policy never repeats a request, so
+  // it cannot reach the cap.
   for (const auto* spec : specs) {
     Rng rng(42);
-    sfs::search::SearchResult r;
-    if (model == sfs::search::KnowledgeModel::kWeak) {
-      const auto policy = spec->make_weak();
-      r = sfs::search::run_weak(
-          g, start, target, *policy, rng,
-          sfs::search::RunBudget{.max_raw_requests = 100 * g.num_vertices()});
-    } else {
-      const auto policy = spec->make_strong();
-      r = sfs::search::run_strong(g, start, target, *policy, rng);
-    }
+    const auto policy = spec->make();
+    const auto r = sfs::search::run_search(
+        g, start, target, *policy, rng,
+        sfs::search::RunBudget{.max_raw_requests = 100 * g.num_vertices()});
     t.row()
         .cell(spec->name)
         .integer(r.requests)

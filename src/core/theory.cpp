@@ -29,8 +29,9 @@ double lemma3_bound(double p) {
 
 std::size_t lemma3_window_end(std::size_t a) {
   SFS_REQUIRE(a >= 2, "Lemma 3 needs a >= 2");
-  return a + static_cast<std::size_t>(
-                 std::floor(std::sqrt(static_cast<double>(a - 1))));
+  const auto root = static_cast<std::size_t>(
+      std::floor(std::sqrt(static_cast<double>(a - 1))));
+  return checked_add(a, root, "Lemma 3 window end a + floor(sqrt(a - 1))");
 }
 
 double lemma1_bound(std::size_t equivalent_vertices,

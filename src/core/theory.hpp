@@ -28,7 +28,8 @@ namespace sfs::core::theory {
 /// Lemma 3: with b = a + floor(sqrt(a-1)), P(E_{a,b}) >= e^{-(1-p)}.
 [[nodiscard]] double lemma3_bound(double p);
 
-/// The Lemma 3 window end b for a given a (paper ids, a >= 2).
+/// The Lemma 3 window end b for a given a (paper ids, a >= 2). Throws
+/// std::invalid_argument when b does not fit in std::size_t.
 [[nodiscard]] std::size_t lemma3_window_end(std::size_t a);
 
 /// Lemma 1: a set of `equivalent_vertices` vertices, equivalent conditional

@@ -16,9 +16,15 @@ std::string_view model_name(KnowledgeModel model) noexcept {
 namespace {
 
 // The factory of a policy class with a default constructor.
-template <typename Searcher, typename Policy>
-std::unique_ptr<Searcher> make() {
+template <typename Policy>
+std::unique_ptr<Searcher> construct() {
   return std::make_unique<Policy>();
+}
+
+// A model-typed factory (e.g. make_degree_greedy_weak) as the table's.
+template <auto typed_factory>
+std::unique_ptr<Searcher> widen() {
+  return typed_factory();
 }
 
 }  // namespace
@@ -30,16 +36,16 @@ std::span<const PolicySpec> all_policies() {
   static const PolicySpec table[] = {
       // Weak model.
       {"bfs", "exhaustive breadth-first frontier expansion",
-       KnowledgeModel::kWeak, make<WeakSearcher, BfsWeak>},
+       KnowledgeModel::kWeak, construct<BfsWeak>},
       {"dfs", "depth-first frontier expansion", KnowledgeModel::kWeak,
-       make<WeakSearcher, DfsWeak>},
+       construct<DfsWeak>},
       {"degree-greedy",
        "expand an unexplored edge of the highest-degree discovered vertex "
        "(Adamic et al.)",
-       KnowledgeModel::kWeak, make_degree_greedy_weak},
+       KnowledgeModel::kWeak, widen<make_degree_greedy_weak>},
       {"min-id-greedy",
        "expand the oldest (smallest-id) discovered vertex first",
-       KnowledgeModel::kWeak, make_min_id_greedy_weak},
+       KnowledgeModel::kWeak, widen<make_min_id_greedy_weak>},
       // Twin of dfs: on a recursive tree searched from its root, the known
       // vertices with unexplored edges form a path whose ids increase
       // away from the root, so the largest is dfs's stack top.
@@ -48,37 +54,37 @@ std::span<const PolicySpec> all_policies() {
       // stream, which its raw count and the raw budget read.
       {"max-id-greedy",
        "expand the youngest (largest-id) discovered vertex first",
-       KnowledgeModel::kWeak, make_max_id_greedy_weak, nullptr, "dfs"},
+       KnowledgeModel::kWeak, widen<make_max_id_greedy_weak>, "dfs"},
       {"random-frontier",
        "expand a uniformly random discovered vertex with unexplored edges",
-       KnowledgeModel::kWeak, make<WeakSearcher, RandomFrontierWeak>},
+       KnowledgeModel::kWeak, construct<RandomFrontierWeak>},
       {"frontier-walk",
        "walk that explores an unexplored incident edge when one exists, "
        "else moves along a random explored edge",
-       KnowledgeModel::kWeak, make<WeakSearcher, FrontierWalkWeak>},
+       KnowledgeModel::kWeak, construct<FrontierWalkWeak>},
       {"no-backtrack-walk",
        "random walk avoiding the arrival edge when possible",
-       KnowledgeModel::kWeak, make<WeakSearcher, NoBacktrackWalkWeak>},
+       KnowledgeModel::kWeak, construct<NoBacktrackWalkWeak>},
       {"random-walk", "uniform random walk over incident edges",
-       KnowledgeModel::kWeak, make<WeakSearcher, RandomWalkWeak>},
+       KnowledgeModel::kWeak, construct<RandomWalkWeak>},
       {"weak-sim(degree-greedy-strong)",
        "weak-model simulation of the strong degree-greedy policy "
        "(equivalence theorem construction)",
-       KnowledgeModel::kWeak, make_simulated_degree_greedy},
+       KnowledgeModel::kWeak, widen<make_simulated_degree_greedy>},
 
       // Strong model.
       {"degree-greedy-strong",
        "request the highest-known-degree vertex first (Adamic et al. "
        "high-degree search)",
-       KnowledgeModel::kStrong, nullptr, make_degree_greedy_strong},
+       KnowledgeModel::kStrong, widen<make_degree_greedy_strong>},
       {"bfs-strong", "request vertices in discovery order (ball growing)",
-       KnowledgeModel::kStrong, nullptr, make<StrongSearcher, BfsStrong>},
+       KnowledgeModel::kStrong, construct<BfsStrong>},
       {"random-strong", "request a uniformly random known unrequested vertex",
-       KnowledgeModel::kStrong, nullptr, make<StrongSearcher, RandomStrong>},
+       KnowledgeModel::kStrong, construct<RandomStrong>},
       {"min-id-strong", "request the oldest known vertex first",
-       KnowledgeModel::kStrong, nullptr, make_min_id_strong},
+       KnowledgeModel::kStrong, widen<make_min_id_strong>},
       {"max-id-strong", "request the youngest known vertex first",
-       KnowledgeModel::kStrong, nullptr, make_max_id_strong},
+       KnowledgeModel::kStrong, widen<make_max_id_strong>},
   };
   return table;
 }
@@ -129,27 +135,11 @@ std::vector<const PolicySpec*> resolve_policies(
   return out;
 }
 
-std::vector<std::unique_ptr<WeakSearcher>> make_weak_searchers(
+std::vector<std::unique_ptr<Searcher>> make_searchers(
     std::span<const PolicySpec* const> specs) {
-  std::vector<std::unique_ptr<WeakSearcher>> out;
+  std::vector<std::unique_ptr<Searcher>> out;
   out.reserve(specs.size());
-  for (const auto* spec : specs) {
-    SFS_REQUIRE(spec->model == KnowledgeModel::kWeak,
-                "policy '" + spec->name + "' is not a weak-model policy");
-    out.push_back(spec->make_weak());
-  }
-  return out;
-}
-
-std::vector<std::unique_ptr<StrongSearcher>> make_strong_searchers(
-    std::span<const PolicySpec* const> specs) {
-  std::vector<std::unique_ptr<StrongSearcher>> out;
-  out.reserve(specs.size());
-  for (const auto* spec : specs) {
-    SFS_REQUIRE(spec->model == KnowledgeModel::kStrong,
-                "policy '" + spec->name + "' is not a strong-model policy");
-    out.push_back(spec->make_strong());
-  }
+  for (const auto* spec : specs) out.push_back(spec->make());
   return out;
 }
 

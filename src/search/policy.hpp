@@ -7,7 +7,7 @@
 // search/policy.cpp, and every consumer (the portfolio engine in
 // sim/sweep, the QueryEngine, sfsearch_cli, sfs_bench --policies) selects
 // policies by name. A model's full portfolio is
-// make_*_searchers(resolve_policies(model, {})).
+// make_searchers(resolve_policies(model, {})).
 //
 // Table order is load-bearing: the full-portfolio order per model is the
 // table order, and the portfolio measurement engine derives each policy's
@@ -30,8 +30,7 @@ namespace sfs::search {
 /// "weak" / "strong" — the table's and CLI's spelling of the model tag.
 [[nodiscard]] std::string_view model_name(KnowledgeModel model) noexcept;
 
-/// A built-in search policy. Exactly one of the two factories is set,
-/// matching `model`.
+/// A built-in search policy.
 struct PolicySpec {
   /// Unique id across BOTH models (the weak and strong built-ins use
   /// distinct name() strings, e.g. "bfs" vs "bfs-strong"). Used by
@@ -40,11 +39,9 @@ struct PolicySpec {
   /// One-line description for `sfsearch_cli policies` / docs.
   std::string description;
   KnowledgeModel model = KnowledgeModel::kWeak;
-  /// Set iff model == kWeak. Returns a fresh searcher whose name() equals
-  /// `name`.
-  std::unique_ptr<WeakSearcher> (*make_weak)() = nullptr;
-  /// Set iff model == kStrong. Same naming contract.
-  std::unique_ptr<StrongSearcher> (*make_strong)() = nullptr;
+  /// Returns a fresh searcher whose name() equals `name` and whose model()
+  /// equals `model`.
+  std::unique_ptr<Searcher> (*make)() = nullptr;
   /// The policy whose run this one repeats, request for request, on a
   /// recursive tree (graph::is_recursive_tree) searched from vertex 0;
   /// empty when there is none. Both make only charged requests there, so
@@ -78,11 +75,8 @@ struct PolicySpec {
 [[nodiscard]] std::vector<const PolicySpec*> resolve_policies(
     KnowledgeModel model, std::span<const std::string> names);
 
-/// Instantiates fresh searchers from resolved specs (all of the matching
-/// model; a spec of the other model throws std::invalid_argument).
-[[nodiscard]] std::vector<std::unique_ptr<WeakSearcher>> make_weak_searchers(
+/// Instantiates a fresh searcher per spec, in the order given.
+[[nodiscard]] std::vector<std::unique_ptr<Searcher>> make_searchers(
     std::span<const PolicySpec* const> specs);
-[[nodiscard]] std::vector<std::unique_ptr<StrongSearcher>>
-make_strong_searchers(std::span<const PolicySpec* const> specs);
 
 }  // namespace sfs::search

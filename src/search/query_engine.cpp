@@ -23,8 +23,7 @@ const std::uint64_t kQueryStream = rng::mix64(0x10e57ULL);  // "lookup query"
 /// One worker's state: a searcher instance and the search scratch every
 /// query on that worker reuses.
 struct QueryEngine::Session {
-  std::unique_ptr<WeakSearcher> weak;      // set iff model == kWeak
-  std::unique_ptr<StrongSearcher> strong;  // set iff model == kStrong
+  std::unique_ptr<Searcher> searcher;
   /// Stamp arrays and frontier, reused by every query on this worker.
   SearchWorkspace workspace;
   /// Overlay epoch this session last served (0 = fresh; overlay epochs
@@ -64,13 +63,10 @@ void QueryEngine::ensure_sessions(std::size_t workers) {
   const std::uint64_t epoch = overlay_ != nullptr ? overlay_->epoch() : 0;
   for (std::size_t w = 0; w < workers; ++w) {
     Session& session = *sessions_[w];
-    const bool fresh = session.weak == nullptr && session.strong == nullptr;
-    if (!fresh && session.overlay_epoch == epoch) continue;
-    if (spec_->model == KnowledgeModel::kWeak) {
-      session.weak = spec_->make_weak();
-    } else {
-      session.strong = spec_->make_strong();
+    if (session.searcher != nullptr && session.overlay_epoch == epoch) {
+      continue;
     }
+    session.searcher = spec_->make();
     if (session.overlay_epoch != epoch) {
       session.overlay_epoch = epoch;
       ++sessions_rebuilt_;
@@ -115,7 +111,6 @@ void QueryEngine::run_batch(std::span<const Query> queries,
       overlay_ != nullptr ? LivenessView{overlay_->vertex_alive_mask(),
                                          overlay_->edge_alive_mask()}
                           : LivenessView{};
-  const bool weak = spec_->model == KnowledgeModel::kWeak;
   // One task per query. Streams depend only on (seed, batch index):
   // identical results for any thread count, and replayable for a fixed
   // batch.
@@ -124,13 +119,9 @@ void QueryEngine::run_batch(std::span<const Query> queries,
     Session& session = *sessions_[worker];
     const Query& q = queries[i];
     rng::Rng rng(rng::audited_stream_seed(options_.seed, kQueryStream, i));
-    results[i] =
-        weak ? run_weak(*graph_, q.start, q.target, *session.weak, rng,
-                        options_.budget, session.workspace, liveness,
-                        options_.retry)
-             : run_strong(*graph_, q.start, q.target, *session.strong, rng,
-                          options_.budget, session.workspace, liveness,
-                          options_.retry);
+    results[i] = run_search(*graph_, q.start, q.target, *session.searcher,
+                            rng, options_.budget, session.workspace,
+                            liveness, options_.retry);
   });
   if (overlay_ != nullptr) {
     SFS_CHECK(overlay_->epoch() == epoch_at_start,

@@ -8,8 +8,8 @@ namespace sfs::search {
 
 // The search loop is drive (runner.hpp). Each final policy class
 // instantiates it in its run() override, in the .cpp that defines the
-// policy, so these entry points build the view and make one virtual call
-// per search.
+// policy, so run_search builds the view and makes one virtual call per
+// search.
 
 SearchResult truncate_run(const SearchResult& run, const RunBudget& budget) {
   SFS_CHECK(run.raw_requests == run.requests && run.failed_requests == 0,
@@ -26,38 +26,19 @@ SearchResult truncate_run(const SearchResult& run, const RunBudget& budget) {
       .requests = cap, .raw_requests = cap, .budget_exhausted = true};
 }
 
-SearchResult run_weak(const graph::Graph& g, graph::VertexId start,
-                      graph::VertexId target, WeakSearcher& searcher,
-                      rng::Rng& rng, const RunBudget& budget) {
-  SearchWorkspace workspace;
-  LocalView view(g, KnowledgeModel::kWeak, start, target, workspace);
-  return searcher.run(view, rng, budget, RetryBudget{});
-}
-
-SearchResult run_strong(const graph::Graph& g, graph::VertexId start,
-                        graph::VertexId target, StrongSearcher& searcher,
+SearchResult run_search(const graph::Graph& g, graph::VertexId start,
+                        graph::VertexId target, Searcher& searcher,
                         rng::Rng& rng, const RunBudget& budget) {
   SearchWorkspace workspace;
-  LocalView view(g, KnowledgeModel::kStrong, start, target, workspace);
-  return searcher.run(view, rng, budget, RetryBudget{});
+  return run_search(g, start, target, searcher, rng, budget, workspace);
 }
 
-SearchResult run_weak(const graph::Graph& g, graph::VertexId start,
-                      graph::VertexId target, WeakSearcher& searcher,
-                      rng::Rng& rng, const RunBudget& budget,
-                      SearchWorkspace& workspace, LivenessView liveness,
-                      const RetryBudget& retry) {
-  LocalView view(g, KnowledgeModel::kWeak, start, target, workspace, liveness);
-  return searcher.run(view, rng, budget, retry);
-}
-
-SearchResult run_strong(const graph::Graph& g, graph::VertexId start,
-                        graph::VertexId target, StrongSearcher& searcher,
+SearchResult run_search(const graph::Graph& g, graph::VertexId start,
+                        graph::VertexId target, Searcher& searcher,
                         rng::Rng& rng, const RunBudget& budget,
                         SearchWorkspace& workspace, LivenessView liveness,
                         const RetryBudget& retry) {
-  LocalView view(g, KnowledgeModel::kStrong, start, target, workspace,
-                 liveness);
+  LocalView view(g, searcher.model(), start, target, workspace, liveness);
   return searcher.run(view, rng, budget, retry);
 }
 

@@ -6,7 +6,7 @@
 // itself, in the .cpp that defines the policy's start, next and observe
 // (search/weak_algorithms.cpp, strong_algorithms.cpp, simulate.cpp), so
 // those calls bind statically, to definitions the compiler can inline.
-// run_weak / run_strong (runner.cpp) build the view and call
+// run_search (runner.cpp) builds the view in searcher.model() and calls
 // searcher.run().
 //
 // The workspace runs optionally take a liveness-masked view (graph::Overlay
@@ -86,10 +86,10 @@ struct SearchResult {
 /// The branch order per iteration (target check, budgets, one policy
 /// decision, one probe, failure/restart/abandon, weak observe) fixes the
 /// calls and RNG draws a search makes; reordering it changes results.
-template <typename Searcher>
-SearchResult drive(LocalView& view, Searcher& searcher, rng::Rng& rng,
+template <typename Policy>
+SearchResult drive(LocalView& view, Policy& searcher, rng::Rng& rng,
                    const RunBudget& budget, const RetryBudget& retry) {
-  constexpr bool kWeak = std::is_base_of_v<WeakSearcher, Searcher>;
+  constexpr bool kWeak = std::is_base_of_v<WeakSearcher, Policy>;
   SearchResult r;
   std::size_t consecutive_failures = 0;
   searcher.start(view, rng);
@@ -154,22 +154,15 @@ SearchResult drive(LocalView& view, Searcher& searcher, rng::Rng& rng,
 [[nodiscard]] SearchResult truncate_run(const SearchResult& run,
                                         const RunBudget& budget);
 
-/// Runs a weak-model search for `target` from `start` on `g`: builds the
-/// view and calls searcher.run() on it.
-[[nodiscard]] SearchResult run_weak(const graph::Graph& g,
-                                    graph::VertexId start,
-                                    graph::VertexId target,
-                                    WeakSearcher& searcher, rng::Rng& rng,
-                                    const RunBudget& budget = {});
-
-/// Runs a strong-model search for `target` from `start` on `g`.
-[[nodiscard]] SearchResult run_strong(const graph::Graph& g,
+/// Runs `searcher` for `target` from `start` on `g`: builds the view in
+/// searcher.model() and calls searcher.run() on it.
+[[nodiscard]] SearchResult run_search(const graph::Graph& g,
                                       graph::VertexId start,
                                       graph::VertexId target,
-                                      StrongSearcher& searcher, rng::Rng& rng,
+                                      Searcher& searcher, rng::Rng& rng,
                                       const RunBudget& budget = {});
 
-/// Workspace-reusing variants: identical results to the overloads above,
+/// Workspace-reusing variant: identical results to the overload above,
 /// but all per-search state lives in `workspace`, so back-to-back runs on
 /// same-size graphs allocate nothing. One workspace per worker thread.
 ///
@@ -177,19 +170,10 @@ SearchResult drive(LocalView& view, Searcher& searcher, rng::Rng& rng,
 /// graph::Overlay's vertex_alive_mask / edge_alive_mask over
 /// overlay.snapshot()), and `retry` bounds how much probe failure the run
 /// absorbs. With empty masks the run is the static one, bit for bit.
-[[nodiscard]] SearchResult run_weak(const graph::Graph& g,
-                                    graph::VertexId start,
-                                    graph::VertexId target,
-                                    WeakSearcher& searcher, rng::Rng& rng,
-                                    const RunBudget& budget,
-                                    SearchWorkspace& workspace,
-                                    LivenessView liveness = {},
-                                    const RetryBudget& retry = {});
-
-[[nodiscard]] SearchResult run_strong(const graph::Graph& g,
+[[nodiscard]] SearchResult run_search(const graph::Graph& g,
                                       graph::VertexId start,
                                       graph::VertexId target,
-                                      StrongSearcher& searcher, rng::Rng& rng,
+                                      Searcher& searcher, rng::Rng& rng,
                                       const RunBudget& budget,
                                       SearchWorkspace& workspace,
                                       LivenessView liveness = {},

@@ -310,8 +310,7 @@ bool validate_experiment_options(const ExperimentSpec& spec,
 
 void print_experiment_usage(std::ostream& out, const ExperimentSpec* spec) {
   out << "usage:\n"
-         "  sfs_bench --list                 catalog of registered "
-         "experiments\n"
+         "  sfs_bench --list                 the experiment catalog\n"
          "  sfs_bench --list-names           bare experiment names, one per "
          "line\n"
          "  sfs_bench --run <name> [flags]   run one experiment\n"
@@ -347,8 +346,7 @@ int experiment_main(int argc, char** argv,
     return 0;
   }
   if (req.list) {
-    Table t("registered experiments (" + std::to_string(experiments.size()) +
-                ")",
+    Table t("experiments (" + std::to_string(experiments.size()) + ")",
             {"name", "title", "flags", "claim"});
     for (const auto& spec : experiments) {
       t.row()

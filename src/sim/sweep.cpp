@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "base/check.hpp"
 #include "base/parallel.hpp"
@@ -51,18 +53,16 @@ struct Lead {
 // Per-worker reusable state, bound to one worker thread at a time. Like
 // SearchWorkspace it is not movable, so the harness sizes its vector once
 // with the count constructor and never resizes it.
-template <typename Policies>
 struct WorkerState {
-  /// One portfolio instance (policies fully reset in start()).
-  Policies policies;
-  bool initialized = false;
-  /// Per-search state for the runner's workspace-reusing overloads.
+  /// One portfolio instance (policies fully reset in start()), made on
+  /// the worker's first replication.
+  std::vector<std::unique_ptr<search::Searcher>> policies;
+  /// Per-search state for the runner's workspace-reusing overload.
   search::SearchWorkspace workspace;
   /// Generator scratch for scratch-aware factories.
   gen::GenScratch scratch;
-  /// Graph slot recycled across replications: scratch-aware factories
-  /// regenerate it in place, and plain factories park their result here
-  /// so the measurement loop gets a stable reference.
+  /// Graph slot recycled across replications: the factory regenerates it
+  /// in place, so the measurement loop gets a stable reference.
   graph::Graph graph;
 };
 
@@ -82,20 +82,16 @@ std::vector<std::size_t> rooted_tree_twins(PolicySpecs specs) {
   return twins;
 }
 
-// MakeGraph: (rng, WorkerState&) -> const Graph&, so plain and
-// scratch-aware factories share the measurement loop.
-template <typename Portfolio, typename RunOne, typename MakeGraph>
-PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
-                                     const EndpointSelector& endpoints,
-                                     std::size_t reps, std::uint64_t seed,
-                                     const search::RunBudget& budget,
-                                     PolicySpecs specs,
-                                     const Portfolio& portfolio_factory,
-                                     const RunOne& run_one,
-                                     std::size_t threads) {
+// The measurement loop, over a scratch-shape factory (measure_portfolio
+// adapts a plain one).
+PortfolioCost measure_specs(PolicySpecs specs,
+                            const ScratchGraphFactory& make_graph,
+                            const EndpointSelector& endpoints,
+                            std::size_t reps, std::uint64_t seed,
+                            const search::RunBudget& budget,
+                            std::size_t threads) {
   SFS_REQUIRE(reps >= 1, "need at least one replication");
-  auto probe = portfolio_factory();
-  const std::size_t num_policies = probe.size();
+  const std::size_t num_policies = specs.size();
   const std::vector<std::size_t> twins = rooted_tree_twins(specs);
   const bool any_twin =
       std::any_of(twins.begin(), twins.end(),
@@ -106,15 +102,11 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
   // bit-identical to a sequential loop for any worker count.
   std::vector<std::vector<search::SearchResult>> results(reps);
 
-  using State = WorkerState<decltype(portfolio_factory())>;
-  std::vector<State> workers(base::resolve_worker_count(threads));
+  std::vector<WorkerState> workers(base::resolve_worker_count(threads));
 
   base::parallel_for(reps, threads, [&](std::size_t rep, std::size_t worker) {
-    State& st = workers[worker];
-    if (!st.initialized) {
-      st.policies = portfolio_factory();
-      st.initialized = true;
-    }
+    WorkerState& st = workers[worker];
+    if (st.policies.empty()) st.policies = search::make_searchers(specs);
     // One graph per replication, shared by all policies (paired design).
     // Stream tags: 0 = graph — untempered, because stream 0 must keep the
     // historical per-rep seeds (see rng/random.cpp); the endpoint
@@ -129,7 +121,8 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
     // audited wrapper, so a sweep run under SFS_RNG_AUDIT=1 fails fast on
     // stream collisions (rng/stream_audit).
     rng::Rng graph_rng(rng::audited_stream_seed(seed, 0, rep));
-    const graph::Graph& g = make_graph(graph_rng, st);
+    make_graph(graph_rng, st.scratch, st.graph);
+    const graph::Graph& g = st.graph;
     rng::Rng endpoint_rng(
         rng::audited_stream_seed(seed, rng::mix64(0xabcdef), rep));
     const auto [start, target] = endpoints(g, endpoint_rng);
@@ -165,8 +158,8 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
         row[i] = search::truncate_run(row[twins[i]], capped);
       } else {
         rng::Rng search_rng(search_seed);
-        row[i] = run_one(g, start, target, *st.policies[i], search_rng,
-                         capped, st.workspace);
+        row[i] = search::run_search(g, start, target, *st.policies[i],
+                                    search_rng, capped, st.workspace);
       }
       lead.offer(row[i].found, static_cast<double>(row[i].requests));
     }
@@ -202,7 +195,7 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
   }
 
   for (std::size_t i = 0; i < num_policies; ++i) {
-    out.policies[i].name = probe[i]->name();
+    out.policies[i].name = specs[i]->name;
     out.policies[i].requests = req_acc[i].summary();
     out.policies[i].raw_requests = raw_acc[i].summary();
     // Sort once per policy; median and p90 read from the same sorted
@@ -232,63 +225,6 @@ PortfolioCost measure_portfolio_impl(const MakeGraph& make_graph,
   return out;
 }
 
-// Adapts either factory flavor to the MakeGraph contract. Both leave the
-// graph in the worker's slot, so the measurement loop gets a stable
-// reference.
-template <typename State>
-const graph::Graph& remake_graph(const GraphFactory& factory, rng::Rng& rng,
-                                 State& st) {
-  st.graph = factory(rng);
-  return st.graph;
-}
-
-template <typename State>
-const graph::Graph& remake_graph(const ScratchGraphFactory& factory,
-                                 rng::Rng& rng, State& st) {
-  factory(rng, st.scratch, st.graph);
-  return st.graph;
-}
-
-template <typename Factory>
-PortfolioCost measure_weak_plan(PolicySpecs specs, const Factory& factory,
-                                const EndpointSelector& endpoints,
-                                std::size_t reps, std::uint64_t seed,
-                                const search::RunBudget& budget,
-                                std::size_t threads) {
-  return measure_portfolio_impl(
-      [&](rng::Rng& rng, auto& st) -> const graph::Graph& {
-        return remake_graph(factory, rng, st);
-      },
-      endpoints, reps, seed, budget, specs,
-      [specs] { return search::make_weak_searchers(specs); },
-      [](const graph::Graph& g, VertexId s, VertexId t,
-         search::WeakSearcher& policy, rng::Rng& rng,
-         const search::RunBudget& run_budget, search::SearchWorkspace& ws) {
-        return search::run_weak(g, s, t, policy, rng, run_budget, ws);
-      },
-      threads);
-}
-
-template <typename Factory>
-PortfolioCost measure_strong_plan(PolicySpecs specs, const Factory& factory,
-                                  const EndpointSelector& endpoints,
-                                  std::size_t reps, std::uint64_t seed,
-                                    const search::RunBudget& budget,
-                                  std::size_t threads) {
-  return measure_portfolio_impl(
-      [&](rng::Rng& rng, auto& st) -> const graph::Graph& {
-        return remake_graph(factory, rng, st);
-      },
-      endpoints, reps, seed, budget, specs,
-      [specs] { return search::make_strong_searchers(specs); },
-      [](const graph::Graph& g, VertexId s, VertexId t,
-         search::StrongSearcher& policy, rng::Rng& rng,
-         const search::RunBudget& run_budget, search::SearchWorkspace& ws) {
-        return search::run_strong(g, s, t, policy, rng, run_budget, ws);
-      },
-      threads);
-}
-
 }  // namespace
 
 PortfolioCost measure_portfolio(const RunPlan& plan) {
@@ -301,20 +237,18 @@ PortfolioCost measure_portfolio(const RunPlan& plan) {
   // Throws std::invalid_argument on unknown names, wrong-model policies
   // or duplicates.
   const auto specs = search::resolve_policies(plan.model, plan.policies);
-  if (plan.model == search::KnowledgeModel::kWeak) {
-    if (plain) {
-      return measure_weak_plan(specs, plan.factory, plan.endpoints, plan.reps,
-                               plan.seed, plan.budget, plan.threads);
-    }
-    return measure_weak_plan(specs, plan.scratch_factory, plan.endpoints,
-                             plan.reps, plan.seed, plan.budget, plan.threads);
-  }
+  // A plain factory takes the scratch shape: its graph lands in the
+  // worker's slot.
+  ScratchGraphFactory adapted;
   if (plain) {
-    return measure_strong_plan(specs, plan.factory, plan.endpoints, plan.reps,
-                               plan.seed, plan.budget, plan.threads);
+    adapted = [&factory = plan.factory](rng::Rng& rng, gen::GenScratch&,
+                                        graph::Graph& out) {
+      out = factory(rng);
+    };
   }
-  return measure_strong_plan(specs, plan.scratch_factory, plan.endpoints,
-                             plan.reps, plan.seed, plan.budget, plan.threads);
+  return measure_specs(specs, plain ? adapted : plan.scratch_factory,
+                       plan.endpoints, plan.reps, plan.seed, plan.budget,
+                       plan.threads);
 }
 
 EndpointSelector oldest_to_newest() {

@@ -58,24 +58,16 @@ TEST(TolerantRunner, EmptyMaskIsBitIdenticalToStaticRun) {
   SearchWorkspace ws;
 
   for (const LivenessView liveness : {LivenessView{}, all_alive.view()}) {
-    for (const char* name : {"random-walk", "bfs", "degree-greedy"}) {
-      auto s1 = sfs::search::find_policy(name)->make_weak();
-      auto s2 = sfs::search::find_policy(name)->make_weak();
+    for (const char* name : {"random-walk", "bfs", "degree-greedy",
+                             "random-strong", "degree-greedy-strong"}) {
+      auto s1 = sfs::search::find_policy(name)->make();
+      auto s2 = sfs::search::find_policy(name)->make();
       sfs::rng::Rng r1(0xBEEF), r2(0xBEEF);
-      const SearchResult fixed = run_weak(g, 3, 200, *s1, r1, budget);
-      const SearchResult masked = run_weak(g, 3, 200, *s2, r2, budget, ws,
-                                           liveness, RetryBudget{});
-      expect_identical(fixed, masked);
-      EXPECT_EQ(masked.failed_requests, 0u);
-    }
-    for (const char* name : {"random-strong", "degree-greedy-strong"}) {
-      auto s1 = sfs::search::find_policy(name)->make_strong();
-      auto s2 = sfs::search::find_policy(name)->make_strong();
-      sfs::rng::Rng r1(0xF00D), r2(0xF00D);
-      const SearchResult fixed = run_strong(g, 3, 200, *s1, r1, budget);
-      const SearchResult masked = run_strong(g, 3, 200, *s2, r2, budget, ws,
+      const SearchResult fixed = run_search(g, 3, 200, *s1, r1, budget);
+      const SearchResult masked = run_search(g, 3, 200, *s2, r2, budget, ws,
                                              liveness, RetryBudget{});
       expect_identical(fixed, masked);
+      EXPECT_EQ(masked.failed_requests, 0u) << name;
     }
   }
 }
@@ -92,14 +84,14 @@ TEST(TolerantRunner, WeakSearchRestartsPastDeadLinksAndSucceeds) {
   Masks m(g);
   for (std::size_t e = 0; e < 5; ++e) m.e[e] = 0;
 
-  auto searcher = sfs::search::find_policy("bfs")->make_weak();
+  auto searcher = sfs::search::find_policy("bfs")->make();
   sfs::rng::Rng rng(1);
   SearchWorkspace ws;
   RetryBudget retry;
   retry.max_consecutive_failures = 2;
   retry.max_restarts = 5;
   const SearchResult r =
-      run_weak(g, 0, 6, *searcher, rng, RunBudget{}, ws, m.view(), retry);
+      run_search(g, 0, 6, *searcher, rng, RunBudget{}, ws, m.view(), retry);
   EXPECT_TRUE(r.found);
   EXPECT_FALSE(r.abandoned);
   EXPECT_EQ(r.failed_requests, 5u);  // every dead spoke probed exactly once
@@ -127,10 +119,10 @@ TEST(TolerantRunner, WeakFrontierPoliciesResumeFromKnownVerticesOnRestart) {
   SearchWorkspace ws;
   for (const char* name : {"bfs", "dfs", "degree-greedy", "min-id-greedy",
                            "max-id-greedy", "random-frontier"}) {
-    auto searcher = sfs::search::find_policy(name)->make_weak();
+    auto searcher = sfs::search::find_policy(name)->make();
     sfs::rng::Rng rng(4);
     const SearchResult r =
-        run_weak(g, 0, 9, *searcher, rng, RunBudget{}, ws, m.view(), retry);
+        run_search(g, 0, 9, *searcher, rng, RunBudget{}, ws, m.view(), retry);
     EXPECT_TRUE(r.found) << name;
     EXPECT_FALSE(r.gave_up) << name;
     EXPECT_FALSE(r.abandoned) << name;
@@ -148,14 +140,14 @@ TEST(TolerantRunner, AbandonsWhenRetryBudgetRunsDry) {
   Masks m(g);
   for (std::size_t e = 0; e < 5; ++e) m.e[e] = 0;
 
-  auto searcher = sfs::search::find_policy("bfs")->make_weak();
+  auto searcher = sfs::search::find_policy("bfs")->make();
   sfs::rng::Rng rng(1);
   SearchWorkspace ws;
   RetryBudget retry;
   retry.max_consecutive_failures = 2;
   retry.max_restarts = 0;  // no second chances
   const SearchResult r =
-      run_weak(g, 0, 6, *searcher, rng, RunBudget{}, ws, m.view(), retry);
+      run_search(g, 0, 6, *searcher, rng, RunBudget{}, ws, m.view(), retry);
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.abandoned);
   EXPECT_EQ(r.restarts, 0u);
@@ -177,11 +169,11 @@ TEST(TolerantRunner, StrongSearchSpendsProbesDiscoveringDepartures) {
   m.v[1] = 0;
   m.v[2] = 0;
 
-  auto searcher = sfs::search::find_policy("bfs-strong")->make_strong();
+  auto searcher = sfs::search::find_policy("bfs-strong")->make();
   sfs::rng::Rng rng(2);
   SearchWorkspace ws;
   const SearchResult r =
-      run_strong(g, 0, 4, *searcher, rng, RunBudget{}, ws, m.view());
+      run_search(g, 0, 4, *searcher, rng, RunBudget{}, ws, m.view());
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.failed_requests, 2u);
   EXPECT_EQ(r.restarts, 0u);  // default streak budget absorbs both
@@ -198,14 +190,14 @@ TEST(TolerantRunner, StrongSearchAbandonsUnreachableTarget) {
   Masks m(g);
   for (VertexId v = 1; v <= 4; ++v) m.v[v] = 0;
 
-  auto searcher = sfs::search::find_policy("bfs-strong")->make_strong();
+  auto searcher = sfs::search::find_policy("bfs-strong")->make();
   sfs::rng::Rng rng(3);
   SearchWorkspace ws;
   RetryBudget retry;
   retry.max_consecutive_failures = 2;
   retry.max_restarts = 0;
   const SearchResult r =
-      run_strong(g, 0, 5, *searcher, rng, RunBudget{}, ws, m.view(), retry);
+      run_search(g, 0, 5, *searcher, rng, RunBudget{}, ws, m.view(), retry);
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.abandoned);
   EXPECT_EQ(r.failed_requests, 3u);

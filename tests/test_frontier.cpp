@@ -132,10 +132,17 @@ struct Driven {
 Driven drive(const Graph& g, LocalView& view, const Priority& p,
              const std::vector<VertexId>& ids, const DriveLimits& limits,
              const std::string& who) {
-  const auto& spec = *sfs::search::find_policy(p.name);
-  auto strong = p.model == KnowledgeModel::kStrong ? spec.make_strong()
-                                                   : nullptr;
-  auto weak = p.model == KnowledgeModel::kWeak ? spec.make_weak() : nullptr;
+  const auto policy = sfs::search::find_policy(p.name)->make();
+  EXPECT_EQ(policy->model(), p.model) << who;
+  // Stepped through the model's own interface, the one model() names.
+  auto* const strong =
+      policy->model() == KnowledgeModel::kStrong
+          ? static_cast<sfs::search::StrongSearcher*>(policy.get())
+          : nullptr;
+  auto* const weak =
+      policy->model() == KnowledgeModel::kWeak
+          ? static_cast<sfs::search::WeakSearcher*>(policy.get())
+          : nullptr;
   sfs::rng::Rng rng(1);
   const auto start = [&] {
     if (strong) strong->start(view, rng);

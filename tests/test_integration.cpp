@@ -131,8 +131,8 @@ TEST(Integration, SerializedGraphSearchesIdentically) {
   sfs::search::BfsWeak bfs2;
   Rng r1(23);
   Rng r2(23);
-  const auto a = sfs::search::run_weak(g, 0, 299, bfs1, r1);
-  const auto b = sfs::search::run_weak(h, 0, 299, bfs2, r2);
+  const auto a = sfs::search::run_search(g, 0, 299, bfs1, r1);
+  const auto b = sfs::search::run_search(h, 0, 299, bfs2, r2);
   EXPECT_EQ(a.requests, b.requests);
   EXPECT_EQ(a.path_length, b.path_length);
   EXPECT_TRUE(a.found);

@@ -384,13 +384,19 @@ Outcome run_policy(const Graph& g, const sfs::search::PolicySpec& spec,
   const auto target = static_cast<VertexId>(g.num_vertices() - 1);
   const sfs::search::RunBudget budget{.max_raw_requests =
                                           50 * g.num_vertices()};
-  const bool weak = spec.model == KnowledgeModel::kWeak;
   Outcome out;
   {
     LocalView view(g, spec.model, 0, target, ws);
     sfs::rng::Rng rng(11);
-    const auto weak_searcher = weak ? spec.make_weak() : nullptr;
-    const auto strong_searcher = weak ? nullptr : spec.make_strong();
+    // Stepped through the model's own interface, the one model() names.
+    const auto searcher = spec.make();
+    const bool weak = searcher->model() == KnowledgeModel::kWeak;
+    auto* const weak_searcher =
+        weak ? static_cast<sfs::search::WeakSearcher*>(searcher.get())
+             : nullptr;
+    auto* const strong_searcher =
+        weak ? nullptr
+             : static_cast<sfs::search::StrongSearcher*>(searcher.get());
     if (weak) {
       weak_searcher->start(view, rng);
     } else {
@@ -412,10 +418,8 @@ Outcome run_policy(const Graph& g, const sfs::search::PolicySpec& spec,
                      view.known_vertices().end());
   }
   sfs::rng::Rng rng(11);
-  out.result = weak ? sfs::search::run_weak(g, 0, target, *spec.make_weak(),
-                                            rng, budget, ws)
-                    : sfs::search::run_strong(
-                          g, 0, target, *spec.make_strong(), rng, budget, ws);
+  out.result =
+      sfs::search::run_search(g, 0, target, *spec.make(), rng, budget, ws);
   return out;
 }
 

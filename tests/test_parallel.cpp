@@ -211,8 +211,8 @@ TEST(ParallelScaling, BitIdenticalToSequential) {
     sfs::search::BfsWeak bfs;
     sfs::rng::Rng search_rng(seed ^ 1);
     return static_cast<double>(
-        sfs::search::run_weak(g, 0, static_cast<VertexId>(n - 1), bfs,
-                              search_rng)
+        sfs::search::run_search(g, 0, static_cast<VertexId>(n - 1), bfs,
+                                search_rng)
             .requests);
   };
   const auto seq = sfs::sim::measure_scaling(sizes, 5, 99, measure);
@@ -237,14 +237,10 @@ void expect_same_result(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.gave_up, b.gave_up);
 }
 
-std::vector<std::unique_ptr<sfs::search::WeakSearcher>> weak_searchers() {
-  return sfs::search::make_weak_searchers(
-      sfs::search::resolve_policies(KnowledgeModel::kWeak, {}));
-}
-
-std::vector<std::unique_ptr<sfs::search::StrongSearcher>> strong_searchers() {
-  return sfs::search::make_strong_searchers(
-      sfs::search::resolve_policies(KnowledgeModel::kStrong, {}));
+std::vector<std::unique_ptr<sfs::search::Searcher>> portfolio_of(
+    KnowledgeModel model) {
+  return sfs::search::make_searchers(
+      sfs::search::resolve_policies(model, {}));
 }
 
 TEST(SearchWorkspace, WeakReuseMatchesFreshRunForRun) {
@@ -256,17 +252,17 @@ TEST(SearchWorkspace, WeakReuseMatchesFreshRunForRun) {
       sfs::rng::Rng g_rng(seed);
       const Graph g =
           sfs::gen::mori_tree(n, sfs::gen::MoriParams{0.5}, g_rng);
-      const auto portfolio = weak_searchers();
+      const auto portfolio = portfolio_of(KnowledgeModel::kWeak);
       for (std::size_t i = 0; i < portfolio.size(); ++i) {
         const auto budget =
             sfs::search::RunBudget{.max_raw_requests = 100000};
         sfs::rng::Rng r1(seed ^ (i + 17));
         sfs::rng::Rng r2(seed ^ (i + 17));
-        const auto fresh_portfolio = weak_searchers();
-        const SearchResult fresh = sfs::search::run_weak(
+        const auto fresh_portfolio = portfolio_of(KnowledgeModel::kWeak);
+        const SearchResult fresh = sfs::search::run_search(
             g, 0, static_cast<VertexId>(n - 1), *fresh_portfolio[i], r1,
             budget);
-        const SearchResult reused = sfs::search::run_weak(
+        const SearchResult reused = sfs::search::run_search(
             g, 0, static_cast<VertexId>(n - 1), *portfolio[i], r2, budget,
             ws);
         expect_same_result(fresh, reused);
@@ -280,14 +276,14 @@ TEST(SearchWorkspace, StrongReuseMatchesFresh) {
   for (const std::size_t n : {150, 60, 300}) {
     sfs::rng::Rng g_rng(n);
     const Graph g = sfs::gen::mori_tree(n, sfs::gen::MoriParams{0.4}, g_rng);
-    const auto portfolio = strong_searchers();
+    const auto portfolio = portfolio_of(KnowledgeModel::kStrong);
     for (std::size_t i = 0; i < portfolio.size(); ++i) {
       sfs::rng::Rng r1(i + 3);
       sfs::rng::Rng r2(i + 3);
-      const auto fresh_portfolio = strong_searchers();
-      const SearchResult fresh = sfs::search::run_strong(
+      const auto fresh_portfolio = portfolio_of(KnowledgeModel::kStrong);
+      const SearchResult fresh = sfs::search::run_search(
           g, 0, static_cast<VertexId>(n - 1), *fresh_portfolio[i], r1);
-      const SearchResult reused = sfs::search::run_strong(
+      const SearchResult reused = sfs::search::run_search(
           g, 0, static_cast<VertexId>(n - 1), *portfolio[i], r2, {}, ws);
       expect_same_result(fresh, reused);
     }

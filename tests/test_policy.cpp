@@ -28,9 +28,7 @@ TEST(PolicyTable, EntriesAreUniqueFindableAndMatchTheirModel) {
   for (const auto& spec : sfs::search::all_policies()) {
     EXPECT_FALSE(spec.name.empty());
     EXPECT_TRUE(seen.insert(spec.name).second) << "duplicate " << spec.name;
-    const bool weak = spec.model == KnowledgeModel::kWeak;
-    EXPECT_EQ(spec.make_weak != nullptr, weak) << spec.name;
-    EXPECT_EQ(spec.make_strong != nullptr, !weak) << spec.name;
+    EXPECT_NE(spec.make, nullptr) << spec.name;
     EXPECT_EQ(sfs::search::find_policy(spec.name), &spec) << spec.name;
   }
   EXPECT_EQ(sfs::search::find_policy("zzz"), nullptr);
@@ -57,7 +55,7 @@ TEST(PolicyTable, WeakOrderMatchesLegacyPortfolio) {
       "weak-sim(degree-greedy-strong)"};
   EXPECT_EQ(names_of(KnowledgeModel::kWeak), legacy);
   // And the full-portfolio factory path agrees.
-  const auto portfolio = sfs::search::make_weak_searchers(
+  const auto portfolio = sfs::search::make_searchers(
       resolve_policies(KnowledgeModel::kWeak, {}));
   ASSERT_EQ(portfolio.size(), legacy.size());
   for (std::size_t i = 0; i < legacy.size(); ++i) {
@@ -70,7 +68,7 @@ TEST(PolicyTable, StrongOrderMatchesLegacyPortfolio) {
       "degree-greedy-strong", "bfs-strong", "random-strong",
       "min-id-strong", "max-id-strong"};
   EXPECT_EQ(names_of(KnowledgeModel::kStrong), legacy);
-  const auto portfolio = sfs::search::make_strong_searchers(
+  const auto portfolio = sfs::search::make_searchers(
       resolve_policies(KnowledgeModel::kStrong, {}));
   ASSERT_EQ(portfolio.size(), legacy.size());
   for (std::size_t i = 0; i < legacy.size(); ++i) {
@@ -78,13 +76,34 @@ TEST(PolicyTable, StrongOrderMatchesLegacyPortfolio) {
   }
 }
 
+// The one factory's contract. The portfolio engine names its PolicyCost
+// rows from the specs, and run_search builds the view in the model the
+// searcher declares, so every entry's searcher must carry the spec's name
+// and model.
 TEST(PolicyTable, FactoriesProducePoliciesNamedLikeTheirSpec) {
   for (const auto& spec : sfs::search::all_policies()) {
-    if (spec.model == KnowledgeModel::kWeak) {
-      EXPECT_EQ(spec.make_weak()->name(), spec.name);
-    } else {
-      EXPECT_EQ(spec.make_strong()->name(), spec.name);
-    }
+    const auto searcher = spec.make();
+    EXPECT_EQ(searcher->name(), spec.name);
+    EXPECT_EQ(searcher->model(), spec.model) << spec.name;
+  }
+}
+
+// make_searchers keeps the given order, across models.
+TEST(PolicyTable, MakeSearchersKeepsOrderAndModels) {
+  const std::vector<std::string> mixed{"bfs", "degree-greedy-strong",
+                                       "random-walk"};
+  std::vector<const sfs::search::PolicySpec*> specs;
+  for (const auto& name : mixed) {
+    specs.push_back(sfs::search::find_policy(name));
+  }
+  const auto searchers = sfs::search::make_searchers(specs);
+  ASSERT_EQ(searchers.size(), mixed.size());
+  const KnowledgeModel models[] = {KnowledgeModel::kWeak,
+                                   KnowledgeModel::kStrong,
+                                   KnowledgeModel::kWeak};
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    EXPECT_EQ(searchers[i]->name(), mixed[i]) << "index " << i;
+    EXPECT_EQ(searchers[i]->model(), models[i]) << "index " << i;
   }
 }
 
@@ -115,16 +134,6 @@ TEST(ResolvePolicies, CheckedErrors) {
   const std::vector<std::string> duplicate{"bfs", "bfs"};
   EXPECT_THROW((void)resolve_policies(KnowledgeModel::kWeak, duplicate),
                std::invalid_argument);
-}
-
-TEST(ResolvePolicies, MakeSearchersEnforcesModel) {
-  const auto strong = resolve_policies(KnowledgeModel::kStrong, {});
-  EXPECT_THROW((void)sfs::search::make_weak_searchers(strong),
-               std::invalid_argument);
-  const auto weak = resolve_policies(KnowledgeModel::kWeak, {});
-  EXPECT_THROW((void)sfs::search::make_strong_searchers(weak),
-               std::invalid_argument);
-  EXPECT_EQ(sfs::search::make_weak_searchers(weak).size(), weak.size());
 }
 
 }  // namespace

@@ -61,12 +61,12 @@ TEST_P(ModelPolicyProperty, SearchInvariants) {
   const Graph g = make_model(model, 250, graph_rng);
   ASSERT_TRUE(sfs::graph::is_connected(g)) << model_name(model);
 
-  auto portfolio = sfs::search::make_weak_searchers(
+  auto portfolio = sfs::search::make_searchers(
       sfs::search::resolve_policies(sfs::search::KnowledgeModel::kWeak, {}));
   auto& policy = *portfolio.at(policy_idx);
   Rng rng(0xF00D);
   const auto target = static_cast<VertexId>(g.num_vertices() - 1);
-  const auto r = sfs::search::run_weak(
+  const auto r = sfs::search::run_search(
       g, 0, target, policy, rng,
       sfs::search::RunBudget{.max_raw_requests = 2000000});
 

@@ -243,15 +243,9 @@ TEST(QueryEngineOverlay, MaskedBatchEqualsPerQueryRunner) {
       sfs::rng::Rng rng(sfs::rng::audited_stream_seed(
           options.seed, sfs::rng::mix64(0x10e57ULL), i));
       const Query& q = queries[i];
-      const SearchResult expected =
-          spec.model == sfs::search::KnowledgeModel::kWeak
-              ? sfs::search::run_weak(overlay.snapshot(), q.start, q.target,
-                                      *spec.make_weak(), rng, options.budget,
-                                      ws, liveness, options.retry)
-              : sfs::search::run_strong(overlay.snapshot(), q.start,
-                                        q.target, *spec.make_strong(), rng,
-                                        options.budget, ws, liveness,
-                                        options.retry);
+      const SearchResult expected = sfs::search::run_search(
+          overlay.snapshot(), q.start, q.target, *spec.make(), rng,
+          options.budget, ws, liveness, options.retry);
       EXPECT_TRUE(results[i] == expected) << policy << " query " << i;
       any_failed |= results[i].failed_requests > 0;
     }

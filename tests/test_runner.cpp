@@ -16,8 +16,7 @@ using sfs::graph::Graph;
 using sfs::graph::GraphBuilder;
 using sfs::graph::VertexId;
 using sfs::rng::Rng;
-using sfs::search::run_strong;
-using sfs::search::run_weak;
+using sfs::search::run_search;
 using sfs::search::RunBudget;
 using sfs::search::SearchResult;
 
@@ -46,7 +45,7 @@ TEST(TruncateRun, EqualsTheRunUnderEveryCap) {
     const auto target = static_cast<VertexId>(g.num_vertices() - 1);
     sfs::search::DfsWeak dfs;
     Rng rng(1);
-    const SearchResult full = run_weak(g, 0, target, dfs, rng);
+    const SearchResult full = run_search(g, 0, target, dfs, rng);
     ASSERT_EQ(full.raw_requests, full.requests);
     for (std::size_t cap = 0; cap <= full.requests + 1; ++cap) {
       for (const RunBudget budget :
@@ -54,7 +53,7 @@ TEST(TruncateRun, EqualsTheRunUnderEveryCap) {
         sfs::search::DfsWeak capped;
         Rng capped_rng(1);
         EXPECT_EQ(sfs::search::truncate_run(full, budget),
-                  run_weak(g, 0, target, capped, capped_rng, budget))
+                  run_search(g, 0, target, capped, capped_rng, budget))
             << "cap " << cap << " of " << full.requests;
       }
     }
@@ -66,13 +65,13 @@ TEST(TruncateRun, RejectsRawRequestsAndShorterBudgets) {
   sfs::search::RandomWalkWeak walk;
   Rng rng(2);
   const SearchResult walked =
-      run_weak(g, 0, 49, walk, rng, RunBudget{.max_raw_requests = 400});
+      run_search(g, 0, 49, walk, rng, RunBudget{.max_raw_requests = 400});
   ASSERT_GT(walked.raw_requests, walked.requests);
   EXPECT_THROW((void)sfs::search::truncate_run(walked, RunBudget{}),
                std::logic_error);
   sfs::search::DfsWeak dfs;
   const SearchResult stopped =
-      run_weak(g, 0, 49, dfs, rng, RunBudget{.max_requests = 10});
+      run_search(g, 0, 49, dfs, rng, RunBudget{.max_requests = 10});
   ASSERT_TRUE(stopped.budget_exhausted);
   EXPECT_EQ(sfs::search::truncate_run(stopped, RunBudget{.max_requests = 7}),
             (SearchResult{.requests = 7, .raw_requests = 7,
@@ -87,7 +86,7 @@ TEST(Runner, WeakBudgetStopsSearch) {
   sfs::search::BfsWeak bfs;
   Rng rng(1);
   const SearchResult r =
-      run_weak(g, 0, 49, bfs, rng, RunBudget{.max_requests = 10});
+      run_search(g, 0, 49, bfs, rng, RunBudget{.max_requests = 10});
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.budget_exhausted);
   EXPECT_FALSE(r.gave_up);
@@ -100,7 +99,7 @@ TEST(Runner, RawBudgetStopsRandomWalk) {
   sfs::search::RandomWalkWeak walk;
   Rng rng(2);
   const SearchResult r =
-      run_weak(g, 0, 99, walk, rng, RunBudget{.max_raw_requests = 50});
+      run_search(g, 0, 99, walk, rng, RunBudget{.max_raw_requests = 50});
   EXPECT_TRUE(r.budget_exhausted || r.found);
   EXPECT_LE(r.raw_requests, 50u);
 }
@@ -110,7 +109,7 @@ TEST(Runner, StrongBudgetStopsSearch) {
   sfs::search::BfsStrong bfs;
   Rng rng(3);
   const SearchResult r =
-      run_strong(g, 0, 49, bfs, rng, RunBudget{.max_requests = 5});
+      run_search(g, 0, 49, bfs, rng, RunBudget{.max_requests = 5});
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.budget_exhausted);
   EXPECT_EQ(r.requests, 5u);
@@ -124,7 +123,7 @@ TEST(Runner, GaveUpOnUnreachableTarget) {
   b.add_edge(3, 4);
   sfs::search::BfsWeak bfs;
   Rng rng(4);
-  const SearchResult r = run_weak(b.build(), 0, 4, bfs, rng);
+  const SearchResult r = run_search(b.build(), 0, 4, bfs, rng);
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.gave_up);
   EXPECT_FALSE(r.budget_exhausted);
@@ -135,7 +134,7 @@ TEST(Runner, PathLengthAtMostRequests) {
   const Graph g = path_graph(20);
   sfs::search::DfsWeak dfs;
   Rng rng(5);
-  const SearchResult r = run_weak(g, 0, 19, dfs, rng);
+  const SearchResult r = run_search(g, 0, 19, dfs, rng);
   ASSERT_TRUE(r.found);
   EXPECT_LE(r.path_length, r.requests);
 }
@@ -145,7 +144,7 @@ TEST(Runner, ZeroBudgetReturnsImmediately) {
   sfs::search::BfsWeak bfs;
   Rng rng(6);
   const SearchResult r =
-      run_weak(g, 0, 4, bfs, rng, RunBudget{.max_requests = 0});
+      run_search(g, 0, 4, bfs, rng, RunBudget{.max_requests = 0});
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.budget_exhausted);
   EXPECT_EQ(r.requests, 0u);
@@ -155,7 +154,7 @@ TEST(Runner, StartEqualsTargetNeedsNoRequests) {
   const Graph g = path_graph(5);
   sfs::search::RandomWalkWeak walk;
   Rng rng(7);
-  const SearchResult r = run_weak(g, 3, 3, walk, rng);
+  const SearchResult r = run_search(g, 3, 3, walk, rng);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.requests, 0u);
   EXPECT_EQ(r.raw_requests, 0u);
@@ -166,7 +165,7 @@ TEST(Runner, RawAtLeastCharged) {
   sfs::search::RandomWalkWeak walk;
   Rng rng(8);
   const SearchResult r =
-      run_weak(g, 0, 29, walk, rng, RunBudget{.max_raw_requests = 100000});
+      run_search(g, 0, 29, walk, rng, RunBudget{.max_raw_requests = 100000});
   EXPECT_GE(r.raw_requests, r.requests);
 }
 

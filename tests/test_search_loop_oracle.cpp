@@ -4,7 +4,7 @@
 // policy only through its virtual start, next and observe, and mirrors
 // every probe into the set-based OracleView (tests/oracle_view.hpp), whose
 // counts and first-revealer map make the reference result. Every table
-// policy runs this way and through run_weak/run_strong and its own run(),
+// policy runs this way and through run_search and its own run(),
 // each on a fresh policy and the same stream, on every generator family,
 // static and liveness-masked, uncapped and under charged and raw caps.
 #include "search/runner.hpp"
@@ -62,9 +62,14 @@ Outcome reference(const Graph& g, const PolicySpec& spec, VertexId start,
                   VertexId target, const Masks& masks, const RunBudget& budget,
                   const RetryBudget& retry, std::uint64_t seed,
                   SearchWorkspace& ws) {
-  const bool weak = spec.model == KnowledgeModel::kWeak;
-  const auto weak_policy = weak ? spec.make_weak() : nullptr;
-  const auto strong_policy = weak ? nullptr : spec.make_strong();
+  // The loop calls the model's own start/next/observe: downcast to the
+  // interface the policy's model() names.
+  const auto policy = spec.make();
+  const bool weak = policy->model() == KnowledgeModel::kWeak;
+  auto* const weak_policy =
+      weak ? static_cast<sfs::search::WeakSearcher*>(policy.get()) : nullptr;
+  auto* const strong_policy =
+      weak ? nullptr : static_cast<sfs::search::StrongSearcher*>(policy.get());
   Rng rng(seed);
   LocalView view(g, spec.model, start, target, ws, masks.view());
   OracleView oracle(g, spec.model, start, target, masks.vertex_alive,
@@ -153,9 +158,7 @@ Outcome production(const Graph& g, const PolicySpec& spec, VertexId start,
   Rng rng(seed);
   LocalView view(g, spec.model, start, target, ws, masks.view());
   Outcome out;
-  out.result = spec.model == KnowledgeModel::kWeak
-                   ? spec.make_weak()->run(view, rng, budget, retry)
-                   : spec.make_strong()->run(view, rng, budget, retry);
+  out.result = spec.make()->run(view, rng, budget, retry);
   const auto order = view.known_vertices();
   out.order.assign(order.begin(), order.end());
   out.path = view.discovery_path();
@@ -163,22 +166,15 @@ Outcome production(const Graph& g, const PolicySpec& spec, VertexId start,
   return out;
 }
 
-// The same run through run_weak / run_strong.
+// The same run through run_search.
 std::pair<SearchResult, std::uint64_t> through_runner(
     const Graph& g, const PolicySpec& spec, VertexId start, VertexId target,
     const Masks& masks, const RunBudget& budget, const RetryBudget& retry,
     std::uint64_t seed, SearchWorkspace& ws) {
   Rng rng(seed);
-  SearchResult r;
-  if (spec.model == KnowledgeModel::kWeak) {
-    const auto policy = spec.make_weak();
-    r = sfs::search::run_weak(g, start, target, *policy, rng, budget, ws,
-                              masks.view(), retry);
-  } else {
-    const auto policy = spec.make_strong();
-    r = sfs::search::run_strong(g, start, target, *policy, rng, budget, ws,
-                                masks.view(), retry);
-  }
+  const auto policy = spec.make();
+  const SearchResult r = sfs::search::run_search(
+      g, start, target, *policy, rng, budget, ws, masks.view(), retry);
   return {r, rng.u64()};
 }
 

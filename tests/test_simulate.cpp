@@ -16,8 +16,7 @@ using sfs::graph::Graph;
 using sfs::graph::GraphBuilder;
 using sfs::graph::VertexId;
 using sfs::rng::Rng;
-using sfs::search::run_strong;
-using sfs::search::run_weak;
+using sfs::search::run_search;
 using sfs::search::SearchResult;
 using sfs::search::StrongViaWeak;
 
@@ -31,7 +30,7 @@ TEST(StrongViaWeak, FindsTargetOnPath) {
   StrongViaWeak sim(sfs::search::make_degree_greedy_strong());
   Rng rng(1);
   const Graph g = path_graph(10);
-  const SearchResult r = run_weak(g, 0, 9, sim, rng);
+  const SearchResult r = run_search(g, 0, 9, sim, rng);
   EXPECT_TRUE(r.found);
 }
 
@@ -56,7 +55,7 @@ TEST_P(SimulationFidelity, SlowdownBoundedByMaxDegree) {
 
   StrongViaWeak sim(sfs::search::make_degree_greedy_strong());
   Rng weak_rng(GetParam() + 1000);
-  const SearchResult weak = run_weak(g, 0, 399, sim, weak_rng);
+  const SearchResult weak = run_search(g, 0, 399, sim, weak_rng);
   ASSERT_TRUE(weak.found);
   EXPECT_LE(weak.requests, sim.strong_requests() * dmax);
 }
@@ -72,12 +71,12 @@ TEST_P(SimulationFidelity, SameStrongRequestCountAsNativeRun) {
 
   auto native = sfs::search::make_degree_greedy_strong();
   Rng strong_rng(7);
-  const SearchResult strong = run_strong(g, 0, 299, *native, strong_rng);
+  const SearchResult strong = run_search(g, 0, 299, *native, strong_rng);
   ASSERT_TRUE(strong.found);
 
   StrongViaWeak sim(sfs::search::make_degree_greedy_strong());
   Rng weak_rng(7);
-  const SearchResult weak = run_weak(g, 0, 299, sim, weak_rng);
+  const SearchResult weak = run_search(g, 0, 299, sim, weak_rng);
   ASSERT_TRUE(weak.found);
 
   // The simulated run may stop up to one strong request "early": the weak
@@ -93,7 +92,7 @@ TEST(StrongViaWeak, ChargesEachEdgeOnce) {
   StrongViaWeak sim(std::make_unique<sfs::search::BfsStrong>());
   Rng rng(2);
   const Graph g = path_graph(20);
-  const SearchResult r = run_weak(g, 0, 19, sim, rng);
+  const SearchResult r = run_search(g, 0, 19, sim, rng);
   ASSERT_TRUE(r.found);
   EXPECT_LE(r.requests, g.num_edges());
 }
@@ -104,7 +103,7 @@ TEST(StrongViaWeak, GivesUpWhenInnerExhausted) {
   b.add_edge(2, 3);
   StrongViaWeak sim(std::make_unique<sfs::search::BfsStrong>());
   Rng rng(3);
-  const SearchResult r = run_weak(b.build(), 0, 3, sim, rng);
+  const SearchResult r = run_search(b.build(), 0, 3, sim, rng);
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.gave_up);
 }
@@ -115,7 +114,7 @@ TEST(MakeSimulatedDegreeGreedy, FactoryWorksEndToEnd) {
   const Graph g =
       sfs::gen::mori_tree(200, sfs::gen::MoriParams{0.5}, graph_rng);
   Rng rng(5);
-  const SearchResult r = run_weak(g, 0, 199, *sim, rng);
+  const SearchResult r = run_search(g, 0, 199, *sim, rng);
   EXPECT_TRUE(r.found);
 }
 

@@ -16,12 +16,12 @@ using sfs::graph::Graph;
 using sfs::graph::GraphBuilder;
 using sfs::graph::VertexId;
 using sfs::rng::Rng;
-using sfs::search::run_strong;
+using sfs::search::run_search;
 using sfs::search::SearchResult;
 
 // The full strong portfolio, in table order.
-std::vector<std::unique_ptr<sfs::search::StrongSearcher>> strong_searchers() {
-  return sfs::search::make_strong_searchers(sfs::search::resolve_policies(
+std::vector<std::unique_ptr<sfs::search::Searcher>> strong_searchers() {
+  return sfs::search::make_searchers(sfs::search::resolve_policies(
       sfs::search::KnowledgeModel::kStrong, {}));
 }
 
@@ -33,7 +33,7 @@ Graph path_graph(std::size_t n) {
 
 class StrongPortfolio : public ::testing::TestWithParam<std::size_t> {
  protected:
-  std::unique_ptr<sfs::search::StrongSearcher> make() {
+  std::unique_ptr<sfs::search::Searcher> make() {
     auto portfolio = strong_searchers();
     return std::move(portfolio.at(GetParam()));
   }
@@ -43,7 +43,7 @@ TEST_P(StrongPortfolio, FindsTargetOnPath) {
   auto searcher = make();
   Rng rng(1);
   const Graph g = path_graph(10);
-  const SearchResult r = run_strong(g, 0, 9, *searcher, rng);
+  const SearchResult r = run_search(g, 0, 9, *searcher, rng);
   EXPECT_TRUE(r.found) << searcher->name();
   // Strong requests on a path: must request at least 8 vertices to see 9.
   EXPECT_GE(r.requests, 8u);
@@ -56,7 +56,7 @@ TEST_P(StrongPortfolio, FindsNewestInMoriTree) {
   const Graph g =
       sfs::gen::mori_tree(300, sfs::gen::MoriParams{0.4}, graph_rng);
   Rng rng(3);
-  const SearchResult r = run_strong(g, 0, 299, *searcher, rng);
+  const SearchResult r = run_search(g, 0, 299, *searcher, rng);
   EXPECT_TRUE(r.found) << searcher->name();
   EXPECT_LE(r.requests, g.num_vertices());
 }
@@ -67,7 +67,7 @@ TEST_P(StrongPortfolio, GivesUpOnDisconnectedTarget) {
   b.add_edge(2, 3);
   auto searcher = make();
   Rng rng(4);
-  const SearchResult r = run_strong(b.build(), 0, 3, *searcher, rng);
+  const SearchResult r = run_search(b.build(), 0, 3, *searcher, rng);
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.gave_up);
   EXPECT_LE(r.requests, 2u);  // only 0 and 1 requestable
@@ -81,8 +81,8 @@ TEST_P(StrongPortfolio, DeterministicForSeed) {
   auto s2 = make();
   Rng r1(6);
   Rng r2(6);
-  const SearchResult a = run_strong(g, 0, 99, *s1, r1);
-  const SearchResult b = run_strong(g, 0, 99, *s2, r2);
+  const SearchResult a = run_search(g, 0, 99, *s1, r1);
+  const SearchResult b = run_search(g, 0, 99, *s2, r2);
   EXPECT_EQ(a.requests, b.requests);
 }
 
@@ -106,7 +106,7 @@ TEST(DegreeGreedyStrong, RequestsHubFirst) {
   const Graph g = b.build();
   auto greedy = sfs::search::make_degree_greedy_strong();
   Rng rng(7);
-  const SearchResult r = run_strong(g, 1, 7, *greedy, rng);
+  const SearchResult r = run_search(g, 1, 7, *greedy, rng);
   EXPECT_TRUE(r.found);
   // Request 1 (self: reveals hub), request hub (reveals all leaves + 6),
   // request 6 (reveals 7). Degree-greedy goes 1 -> 0 -> 6: 3 requests.
@@ -117,7 +117,7 @@ TEST(BfsStrong, ExpandsInDiscoveryOrder) {
   const Graph g = path_graph(6);
   sfs::search::BfsStrong bfs;
   Rng rng(8);
-  const SearchResult r = run_strong(g, 0, 5, bfs, rng);
+  const SearchResult r = run_search(g, 0, 5, bfs, rng);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.requests, 5u);  // 0,1,2,3,4
 }
@@ -128,7 +128,7 @@ TEST(MinIdStrong, FindsRootFast) {
       sfs::gen::mori_tree(400, sfs::gen::MoriParams{0.5}, graph_rng);
   auto minid = sfs::search::make_min_id_strong();
   Rng rng(10);
-  const SearchResult r = run_strong(g, 399, 0, *minid, rng);
+  const SearchResult r = run_search(g, 399, 0, *minid, rng);
   EXPECT_TRUE(r.found);
   // Following the age gradient: about depth-many requests.
   EXPECT_LT(r.requests, 50u);
@@ -140,7 +140,7 @@ TEST(MaxIdStrong, StillTerminates) {
       sfs::gen::mori_tree(200, sfs::gen::MoriParams{0.5}, graph_rng);
   auto maxid = sfs::search::make_max_id_strong();
   Rng rng(12);
-  const SearchResult r = run_strong(g, 0, 199, *maxid, rng);
+  const SearchResult r = run_search(g, 0, 199, *maxid, rng);
   EXPECT_TRUE(r.found);
 }
 
@@ -150,7 +150,7 @@ TEST(RandomStrong, FindsTargetEventually) {
       sfs::gen::mori_tree(150, sfs::gen::MoriParams{0.5}, graph_rng);
   sfs::search::RandomStrong random;
   Rng rng(14);
-  const SearchResult r = run_strong(g, 0, 149, random, rng);
+  const SearchResult r = run_search(g, 0, 149, random, rng);
   EXPECT_TRUE(r.found);
   EXPECT_LE(r.requests, g.num_vertices());
 }

@@ -221,15 +221,8 @@ std::vector<SearchResult> full_runs(const RunPlan& plan, std::uint64_t rep,
   auto budget = plan.budget;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     auto rng = stream(sfs::rng::mix64(0x5ea7c4 + i));
-    if (plan.model == KnowledgeModel::kWeak) {
-      auto policies = sfs::search::make_weak_searchers(specs);
-      out.push_back(sfs::search::run_weak(g, start, target, *policies[i], rng,
-                                          budget));
-    } else {
-      auto policies = sfs::search::make_strong_searchers(specs);
-      out.push_back(sfs::search::run_strong(g, start, target, *policies[i],
-                                            rng, budget));
-    }
+    out.push_back(sfs::search::run_search(g, start, target, *specs[i]->make(),
+                                          rng, budget));
     if (ceiling && out.back().found) {
       budget.max_requests = std::min(budget.max_requests, out.back().requests);
     }

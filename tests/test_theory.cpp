@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
 namespace {
 
@@ -50,6 +52,15 @@ TEST(Theory, Lemma3WindowEnd) {
   EXPECT_EQ(th::lemma3_window_end(101), 111u); // 101 + floor(sqrt(100))
   EXPECT_EQ(th::lemma3_window_end(10001), 10101u);
   EXPECT_THROW((void)th::lemma3_window_end(1), std::invalid_argument);
+}
+
+// b = a + floor(sqrt(a - 1)) past SIZE_MAX is an error, not a wrapped b
+// that a caller would go on to grow a tree for.
+TEST(Theory, Lemma3WindowEndRejectsOverflow) {
+  const std::size_t a = std::size_t{1} << 62;
+  EXPECT_EQ(th::lemma3_window_end(a), a + (std::size_t{1} << 31));
+  EXPECT_THROW((void)th::lemma3_window_end(SIZE_MAX - 1),
+               std::invalid_argument);
 }
 
 TEST(Theory, Lemma3WindowScalesAsSqrt) {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,14 +21,25 @@ using sfs::graph::Graph;
 using sfs::graph::GraphBuilder;
 using sfs::graph::VertexId;
 using sfs::rng::Rng;
-using sfs::search::run_weak;
+using sfs::search::run_search;
 using sfs::search::RunBudget;
 using sfs::search::SearchResult;
 
 // The full weak portfolio, in table order.
-std::vector<std::unique_ptr<sfs::search::WeakSearcher>> weak_searchers() {
-  return sfs::search::make_weak_searchers(sfs::search::resolve_policies(
+std::vector<std::unique_ptr<sfs::search::Searcher>> weak_searchers() {
+  return sfs::search::make_searchers(sfs::search::resolve_policies(
       sfs::search::KnowledgeModel::kWeak, {}));
+}
+
+// The weak policy named `name`, through the interface a step-by-step
+// driver calls: downcast once its model() is checked.
+std::unique_ptr<sfs::search::WeakSearcher> weak_policy(const char* name) {
+  auto searcher = sfs::search::find_policy(name)->make();
+  if (searcher->model() != sfs::search::KnowledgeModel::kWeak) {
+    throw std::logic_error(std::string(name) + " is no weak policy");
+  }
+  return std::unique_ptr<sfs::search::WeakSearcher>(
+      static_cast<sfs::search::WeakSearcher*>(searcher.release()));
 }
 
 Graph path_graph(std::size_t n) {
@@ -48,7 +60,7 @@ Graph star_with_tail() {
 // Every portfolio policy must find the target on a connected graph.
 class WeakPortfolio : public ::testing::TestWithParam<std::size_t> {
  protected:
-  std::unique_ptr<sfs::search::WeakSearcher> make() {
+  std::unique_ptr<sfs::search::Searcher> make() {
     auto portfolio = weak_searchers();
     return std::move(portfolio.at(GetParam()));
   }
@@ -58,7 +70,7 @@ TEST_P(WeakPortfolio, FindsTargetOnPath) {
   auto searcher = make();
   Rng rng(1);
   const Graph g = path_graph(12);
-  const SearchResult r = run_weak(g, 0, 11, *searcher, rng);
+  const SearchResult r = run_search(g, 0, 11, *searcher, rng);
   EXPECT_TRUE(r.found) << searcher->name();
   EXPECT_GE(r.requests, 11u);  // must traverse the whole path
   EXPECT_EQ(r.path_length, 11u);
@@ -68,7 +80,7 @@ TEST_P(WeakPortfolio, FindsTargetOnStarWithTail) {
   auto searcher = make();
   Rng rng(2);
   const Graph g = star_with_tail();
-  const SearchResult r = run_weak(g, 1, 6, *searcher, rng);
+  const SearchResult r = run_search(g, 1, 6, *searcher, rng);
   EXPECT_TRUE(r.found) << searcher->name();
   EXPECT_GT(r.requests, 0u);
 }
@@ -79,8 +91,8 @@ TEST_P(WeakPortfolio, FindsNewestVertexInMoriTree) {
   const Graph g =
       sfs::gen::mori_tree(300, sfs::gen::MoriParams{0.5}, graph_rng);
   Rng rng(4);
-  const SearchResult r = run_weak(g, 0, 299, *searcher, rng,
-                                  RunBudget{.max_raw_requests = 2000000});
+  const SearchResult r = run_search(g, 0, 299, *searcher, rng,
+                                    RunBudget{.max_raw_requests = 2000000});
   EXPECT_TRUE(r.found) << searcher->name();
   // Charged requests can never exceed the edge count.
   EXPECT_LE(r.requests, g.num_edges());
@@ -90,7 +102,7 @@ TEST_P(WeakPortfolio, ImmediateSuccessWhenStartIsTarget) {
   auto searcher = make();
   Rng rng(5);
   const Graph g = path_graph(5);
-  const SearchResult r = run_weak(g, 2, 2, *searcher, rng);
+  const SearchResult r = run_search(g, 2, 2, *searcher, rng);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.requests, 0u);
   EXPECT_EQ(r.path_length, 0u);
@@ -102,8 +114,8 @@ TEST_P(WeakPortfolio, DeterministicForSeed) {
   auto s2 = make();
   Rng r1(6);
   Rng r2(6);
-  const SearchResult a = run_weak(g, 1, 6, *s1, r1);
-  const SearchResult b = run_weak(g, 1, 6, *s2, r2);
+  const SearchResult a = run_search(g, 1, 6, *s1, r1);
+  const SearchResult b = run_search(g, 1, 6, *s2, r2);
   EXPECT_EQ(a.requests, b.requests);
   EXPECT_EQ(a.raw_requests, b.raw_requests);
 }
@@ -124,7 +136,7 @@ TEST(BfsWeak, ChargesEveryEdgeAtMostOnce) {
   sfs::search::BfsWeak bfs;
   Rng rng(7);
   const Graph g = star_with_tail();
-  const SearchResult r = run_weak(g, 0, 6, bfs, rng);
+  const SearchResult r = run_search(g, 0, 6, bfs, rng);
   EXPECT_TRUE(r.found);
   EXPECT_LE(r.requests, g.num_edges());
   EXPECT_EQ(r.requests, r.raw_requests);  // BFS never repeats a request
@@ -136,7 +148,7 @@ TEST(BfsWeak, ExploresInBreadthOrder) {
   sfs::search::BfsWeak bfs;
   Rng rng(8);
   const Graph g = star_with_tail();
-  const SearchResult r = run_weak(g, 0, 3, bfs, rng);
+  const SearchResult r = run_search(g, 0, 3, bfs, rng);
   EXPECT_TRUE(r.found);
   EXPECT_LE(r.requests, 4u);
 }
@@ -145,7 +157,7 @@ TEST(DfsWeak, FollowsOneBranchDeep) {
   sfs::search::DfsWeak dfs;
   Rng rng(9);
   const Graph g = path_graph(20);
-  const SearchResult r = run_weak(g, 0, 19, dfs, rng);
+  const SearchResult r = run_search(g, 0, 19, dfs, rng);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.requests, 19u);
 }
@@ -163,7 +175,7 @@ TEST(DegreeGreedyWeak, PrefersHighDegreeVertex) {
   const Graph g = b.build();
   auto greedy = sfs::search::make_degree_greedy_weak();
   Rng rng(10);
-  const SearchResult r = run_weak(g, 6, 10, *greedy, rng);
+  const SearchResult r = run_search(g, 6, 10, *greedy, rng);
   EXPECT_TRUE(r.found);
   // It must have explored hub A's 6 edges plus hub B's 3 plus the tail:
   // cost reflects the detour through the high-degree hub.
@@ -178,7 +190,7 @@ TEST(MinIdGreedy, ClimbsTowardOldVertices) {
   Rng rng(12);
   // Searching for the ROOT from the newest vertex should be very fast:
   // min-id greedy follows the age gradient.
-  const SearchResult r = run_weak(g, 499, 0, *minid, rng);
+  const SearchResult r = run_search(g, 499, 0, *minid, rng);
   EXPECT_TRUE(r.found);
   EXPECT_LT(r.requests, 100u);
 }
@@ -188,7 +200,7 @@ TEST(RandomWalkWeak, EventuallyFindsOnSmallGraph) {
   Rng rng(13);
   const Graph g = path_graph(6);
   const SearchResult r =
-      run_weak(g, 0, 5, walk, rng, RunBudget{.max_raw_requests = 100000});
+      run_search(g, 0, 5, walk, rng, RunBudget{.max_raw_requests = 100000});
   EXPECT_TRUE(r.found);
   EXPECT_GE(r.raw_requests, r.requests);
 }
@@ -201,7 +213,7 @@ TEST(NoBacktrackWalk, NeverImmediatelyReturnsOnDegreeTwo) {
     b.add_edge(v, static_cast<VertexId>((v + 1) % 10));
   sfs::search::NoBacktrackWalkWeak walk;
   Rng rng(14);
-  const SearchResult r = run_weak(b.build(), 0, 5, walk, rng);
+  const SearchResult r = run_search(b.build(), 0, 5, walk, rng);
   EXPECT_TRUE(r.found);
   EXPECT_LE(r.raw_requests, 9u);
 }
@@ -215,8 +227,8 @@ TEST(NoBacktrackWalk, TakesAnArrivalSelfLoopAgainAtItsOnlyEdge) {
   b.add_edge(1, 2);
   sfs::search::NoBacktrackWalkWeak walk;
   Rng rng(16);
-  const SearchResult r = run_weak(b.build(), 0, 2, walk, rng,
-                                  RunBudget{.max_raw_requests = 1000});
+  const SearchResult r = run_search(b.build(), 0, 2, walk, rng,
+                                    RunBudget{.max_raw_requests = 1000});
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.budget_exhausted);
   EXPECT_EQ(r.requests, 1u);
@@ -229,7 +241,7 @@ TEST(RandomFrontierWeak, CoversDisconnectedComponentGracefully) {
   b.add_edge(2, 3);
   sfs::search::RandomFrontierWeak frontier;
   Rng rng(15);
-  const SearchResult r = run_weak(b.build(), 0, 3, frontier, rng);
+  const SearchResult r = run_search(b.build(), 0, 3, frontier, rng);
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.gave_up);
   EXPECT_EQ(r.requests, 1u);  // only edge 0-1 reachable
@@ -247,7 +259,7 @@ struct Revealed {
 // a view the test can read afterwards.
 Revealed reveal(const Graph& g, const char* policy,
                 sfs::search::SearchWorkspace& ws) {
-  const auto searcher = sfs::search::find_policy(policy)->make_weak();
+  const auto searcher = weak_policy(policy);
   const auto target = static_cast<VertexId>(g.num_vertices() - 1);
   Rng rng(7);
   sfs::search::LocalView view(g, sfs::search::KnowledgeModel::kWeak, 0,
@@ -262,8 +274,8 @@ Revealed reveal(const Graph& g, const char* policy,
   Revealed out{{known.begin(), known.end()}, view.requests()};
   // The hand loop is the runner's: same charged requests.
   Rng runner_rng(7);
-  const auto runner_searcher = sfs::search::find_policy(policy)->make_weak();
-  EXPECT_EQ(run_weak(g, 0, target, *runner_searcher, runner_rng).requests,
+  const auto runner_searcher = sfs::search::find_policy(policy)->make();
+  EXPECT_EQ(run_search(g, 0, target, *runner_searcher, runner_rng).requests,
             out.requests)
       << policy;
   return out;
@@ -317,9 +329,9 @@ TEST(RecursiveTreeDuplicates, TableTwinsRepeatTheirTwinsRuns) {
           Rng twin_rng(seed);
           Rng spec_rng(seed + 1);
           const SearchResult want =
-              run_weak(g, 0, target, *twin->make_weak(), twin_rng);
+              run_search(g, 0, target, *twin->make(), twin_rng);
           EXPECT_EQ(want.raw_requests, want.requests) << twin->name;
-          EXPECT_EQ(run_weak(g, 0, target, *spec.make_weak(), spec_rng), want)
+          EXPECT_EQ(run_search(g, 0, target, *spec.make(), spec_rng), want)
               << spec.name << " p=" << p << " n=" << n << " seed=" << seed;
         }
       }
@@ -365,7 +377,7 @@ struct Probe {
 // through a hand copy of the runner's static loop.
 std::vector<Probe> probes(const Graph& g, const char* policy,
                           VertexId target) {
-  const auto searcher = sfs::search::find_policy(policy)->make_weak();
+  const auto searcher = weak_policy(policy);
   sfs::search::SearchWorkspace ws;
   Rng rng(7);
   sfs::search::LocalView view(g, sfs::search::KnowledgeModel::kWeak, 0,
